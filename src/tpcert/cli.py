@@ -106,7 +106,11 @@ def _parse_poly(ctx: VarContext, text, where: str) -> Poly:
 
 
 def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPlan:
-    """Parse and validate one plan file; overrides come from CLI flags."""
+    """Parse and validate one plan file.
+
+    ``overrides`` come from CLI flags: ``depth``, ``specialize`` and the
+    hankel-tp ``size`` and ``order``; they apply before validation.
+    """
     path = Path(path)
     try:
         doc = yaml.safe_load(path.read_text())
@@ -170,6 +174,11 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
     checks = doc.get("checks") or []
     if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
         raise PlanError(f"{path}: 'checks' must be a list of mappings")
+    for check in checks:
+        if check.get("kind") == "hankel-tp":
+            for key in ("size", "order"):
+                if overrides.get(key):
+                    check[key] = overrides[key]
     _validate_depths(path, depth, checks)
     return VerificationPlan(
         name=name,
@@ -198,6 +207,8 @@ def _validate_depths(path: Path, depth: int, checks: list[dict]) -> None:
             need = 2 * int(check.get("k", 1))
         elif kind in ("product-formula", "companion-relation"):
             need = int(check.get("upto", depth))
+        elif kind == "row-gf":
+            need = len(check.get("values", ())) - 1
         if need > depth:
             raise PlanError(
                 f"{path}: check {i} ({kind}) needs triangle depth {need}, "
@@ -291,13 +302,10 @@ class _PlanRunner:
         gfs = t.row_gfs(self.plan.gf_var)
         detail = {"rows": [str(g) for g in gfs]}
         if "values" in check:
-            upto = min(len(check["values"]) - 1, t.depth)
-            at = {
-                var: mpq(str(v)) for var, v in check.get("at", {}).items()
-            }
-            for n in range(upto + 1):
+            at = {var: mpq(str(v)) for var, v in check.get("at", {}).items()}
+            for n, value in enumerate(check["values"]):
                 got = gfs[n].specialize(at) if at else gfs[n]
-                want = _parse_poly(self.plan.ctx, check["values"][n], "row-gf.values")
+                want = _parse_poly(self.plan.ctx, value, "row-gf.values")
                 if got != want:
                     detail["mismatch"] = {"row": n, "got": str(got), "want": str(want)}
                     return False, detail
@@ -530,6 +538,8 @@ def main(argv: list[str] | None = None) -> int:
         overrides["specialize"][var.strip()] = value.strip()
     if args.depth:
         overrides["depth"] = args.depth
+    overrides["size"] = args.hankel_size
+    overrides["order"] = args.tp_order
 
     reports = []
     status = 0
@@ -543,13 +553,6 @@ def main(argv: list[str] | None = None) -> int:
                                               "detail": {"message": str(exc)}}]))
             status = 2
             continue
-        if args.hankel_size or args.tp_order:
-            for check in plan.checks:
-                if check.get("kind") == "hankel-tp":
-                    if args.hankel_size:
-                        check["size"] = args.hankel_size
-                    if args.tp_order:
-                        check["order"] = args.tp_order
         report = run_plan(plan, jobs=args.jobs, golden_dir=args.golden_dir)
         reports.append(report)
         if report.status != "pass":

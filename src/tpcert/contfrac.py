@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .polyring import Poly, RatFunc, SeriesPoly, VarContext
+from .triangles import COLUMN_WALK, _star_weights
 
 
 class DegenerateFraction(ValueError):
@@ -379,23 +380,17 @@ def triangle_jfraction(spec) -> JFraction:
     """J-fraction of a column walk's first-column generating function.
 
     For walk coefficients (r_k, s_k, t_k) the fraction has s-sequence s_k
-    and r-sequence r_{k-1} t_k.
+    and r-sequence r_{k-1} t_k; closed forms in k stay closed forms.
     """
-    from .triangles import COLUMN_WALK  # local import to avoid a cycle
-
     if spec.kind != COLUMN_WALK:
         raise ValueError("triangle_jfraction needs a column-walk spec")
-    ctx = spec.ctx
-    rc, sc, tc = spec.coeffs
-    if isinstance(rc, Poly) and isinstance(sc, Poly) and isinstance(tc, Poly):
-        k = ctx.var("k")
-        r_form = rc.substitute_poly("k", k - 1) * tc
-        return JFraction.from_forms(s_form=sc, r_form=r_form, level_var="k")
-    s_list = tuple(spec.walk_coeff(1, i) for i in range(_walk_len(sc)))
-    nr = min(_walk_len(rc), _walk_len(tc) - 1) if _walk_len(tc) > 0 else 0
-    r_list = tuple(spec.walk_coeff(0, i) * spec.walk_coeff(2, i + 1) for i in range(nr))
-    return JFraction.from_lists(ctx, s_list, r_list)
-
-
-def _walk_len(c) -> int:
-    return 10**9 if isinstance(c, Poly) else len(c)
+    sc, weights = spec.coeffs[1], _star_weights(spec)
+    s_closed, r_closed = isinstance(sc, Poly), isinstance(weights, Poly)
+    return JFraction(
+        spec.ctx,
+        s_list=None if s_closed else sc,
+        r_list=None if r_closed else weights[1:],
+        s_form=sc if s_closed else None,
+        r_form=weights if r_closed else None,
+        level_var="k",
+    )

@@ -225,27 +225,28 @@ def mixed_family(branch: str | None = None) -> Family:
     )
     if branch is None:
         return fam
-    alphas = {
+    return _mixed_branch(fam, branch, {
         "b2=0": (n * a1 + a2, (n + 1) * b0 * q),
         "a2=0": ((n * b0 + b2) * q, (n + 1) * a1),
         "b2=b0": ((n + 1) * b0 * q, (n + 1) * a1 + a2),
         "a2=a1": ((n + 1) * a1, ((n + 1) * b0 + b2) * q),
-    }
-    substitutions = {
-        "b2=0": ("b2", ctx.zero),
-        "a2=0": ("a2", ctx.zero),
-        "b2=b0": ("b2", b0),
-        "a2=a1": ("a2", a1),
-    }
-    if branch not in alphas:
+    })
+
+
+def _mixed_branch(fam: Family, branch: str, alphas: dict) -> Family:
+    """``fam`` on one of the MIXED_BRANCHES: the branch's parameter identity
+    substituted, with the (even, odd) alpha forms ``alphas[branch]``.  The
+    two identifying branches (b2=b0, a2=a1) only split the J-fraction."""
+    if branch not in MIXED_BRANCHES:
         raise ValueError(f"unknown branch {branch!r}; choose from {MIXED_BRANCHES}")
+    param, image = branch.split("=")
+    value = fam.ctx.zero if image == "0" else fam.ctx.var(image)
     even, odd = alphas[branch]
-    name, value = substitutions[branch]
-    fam = replace(fam, sfraction=SFraction.from_forms(even, odd),
-                  sf_split_only=branch in ("b2=b0", "a2=a1"))
-    fam = fam.substituted(name, value)
-    fam.name = f"mixed[{branch}]"
-    return fam
+    out = replace(fam, sfraction=SFraction.from_forms(even, odd),
+                  sf_split_only=image != "0")
+    out = out.substituted(param, value)
+    out.name = f"{fam.name}[{branch}]"
+    return out
 
 
 def centered_family() -> Family:
@@ -434,9 +435,6 @@ def four_term_family(variant: str) -> Family:
     )
 
 
-FOUR_TERM_MIXED_BRANCHES = ("b2=0", "a2=0", "b2=b0", "a2=a1")
-
-
 def four_term_mixed_branch(branch: str) -> Family:
     """S-fraction branches of the mixed four-term family.
 
@@ -450,27 +448,12 @@ def four_term_mixed_branch(branch: str) -> Family:
         ctx.var(v) for v in ("n", "q", "a1", "a2", "b0", "b2", "d", "lam")
     )
     w = lam + d * q
-    alphas = {
+    return _mixed_branch(fam, branch, {
         "b2=0": ((n * a1 + a2) * w, (n + 1) * b0 * q),
         "a2=0": ((n * b0 + b2) * q, (n + 1) * a1 * w),
         "b2=b0": ((n + 1) * b0 * q, ((n + 1) * a1 + a2) * w),
         "a2=a1": ((n + 1) * a1 * w, ((n + 1) * b0 + b2) * q),
-    }
-    substitutions = {
-        "b2=0": ("b2", ctx.zero),
-        "a2=0": ("a2", ctx.zero),
-        "b2=b0": ("b2", b0),
-        "a2=a1": ("a2", a1),
-    }
-    if branch not in alphas:
-        raise ValueError(f"unknown branch {branch!r}")
-    even, odd = alphas[branch]
-    fam = replace(fam, sfraction=SFraction.from_forms(even, odd),
-                  sf_split_only=branch in ("b2=b0", "a2=a1"))
-    name, value = substitutions[branch]
-    fam = fam.substituted(name, value)
-    fam.name = f"four-term[k-nk][{branch}]"
-    return fam
+    })
 
 
 def fixed_argument_family() -> Family:

@@ -1,10 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic over big rationals.
 
 Everything downstream (triangles, continued fractions, minor computation)
-runs on the types defined here.  Coefficients are exact rationals (gmpy2
-``mpq``, with plain ``int`` kept for integral values since CPython integer
-arithmetic is faster for them).  Monomials are packed into a single integer:
-16 bits per exponent, preceded by a 16-bit total-degree field, so that
+runs on the types defined here.  Coefficients are exact rationals
+(``fractions.Fraction``, bound here as ``mpq``, with plain ``int`` kept for
+integral values since CPython integer arithmetic is faster for them).
+Monomials are packed into a single integer: 16 bits per exponent, preceded
+by a 16-bit total-degree field, so that
 
   * monomial multiplication is integer addition, and
   * integer comparison of packed keys is exactly graded lexicographic order.
@@ -14,16 +15,11 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from fractions import Fraction as mpq
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-try:
-    from gmpy2 import mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as mpq
+Rational = Union[int, mpq]
 
-Rational = Union[int, "mpq"]
-
-_MPQ = type(mpq(1))
 _BITS = 16
 _MASK = (1 << _BITS) - 1
 
@@ -42,7 +38,7 @@ class ParseError(ValueError):
 
 
 def _as_rational(value) -> Rational:
-    """Coerce ints, gmpy2 values and Fractions to int-or-mpq."""
+    """Coerce ints and Fractions to int-or-mpq."""
     if isinstance(value, int):
         return value
     q = mpq(value)
@@ -205,7 +201,7 @@ class Poly:
         if isinstance(other, Poly):
             self._require_same_ctx(other)
             return other
-        if isinstance(other, (int, _MPQ)):
+        if isinstance(other, (int, mpq)):
             return self.ctx.const(other)
         return None
 
@@ -510,9 +506,7 @@ def render(p: Poly) -> str:
     names = p.ctx.names
     chunks = []
     for exps, coeff in p.sorted_terms():
-        mono = "*".join(
-            nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, exps) if e
-        )
+        mono = _monomial_text(names, exps)
         c = mpq(coeff)
         neg = c < 0
         c = -c if neg else c
@@ -527,6 +521,11 @@ def render(p: Poly) -> str:
         else:
             chunks.append(f" - {body}" if neg else f" + {body}")
     return "".join(chunks)
+
+
+def _monomial_text(names: Sequence[str], exps: Sequence[int]) -> str:
+    """``a*b^2`` text of one monomial; empty for the constant monomial."""
+    return "*".join(nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, exps) if e)
 
 
 class _Tokenizer:
@@ -730,7 +729,7 @@ class RatFunc:
             return other
         if isinstance(other, Poly):
             return RatFunc.from_poly(other)
-        if isinstance(other, (int, _MPQ)):
+        if isinstance(other, (int, mpq)):
             return RatFunc.from_poly(self.ctx.const(other))
         return None
 
@@ -920,35 +919,3 @@ class SeriesPoly:
 
     def __repr__(self):
         return f"SeriesPoly([{self}])"
-
-
-def series_arith(a: SeriesPoly, b: "SeriesPoly | None", op: str) -> SeriesPoly:
-    """Dispatch helper: op in {'add', 'mul', 'reciprocal'}."""
-    if op == "add":
-        return a.add(b)
-    if op == "mul":
-        return a.mul(b)
-    if op == "reciprocal":
-        return a.reciprocal()
-    raise ValueError(f"unknown series operation {op!r}")
-
-
-# module-level operation aliases matching the library surface
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def poly_substitute(p: Poly, name: str, value: "Poly | RatFunc") -> RatFunc:
-    return p.substitute(name, value)
-
-
-def is_coeff_nonneg(p: Poly) -> bool:
-    return p.is_nonneg()
-
-
-def poly_eval(p: Poly, assignment: Mapping[str, Rational]):
-    return p.eval(assignment)

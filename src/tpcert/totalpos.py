@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
-from .polyring import Poly, VarContext, render
-from .triangles import COLUMN_WALK, RecurrenceSpec, build_triangle
+from .polyring import Poly, VarContext, _monomial_text, render
+from .triangles import COLUMN_WALK, RecurrenceSpec, _star_weights, build_triangle
 
 PolySeq = Sequence[Poly]
 
@@ -145,6 +146,14 @@ def _det_bareiss(entries: list[list[Poly]]) -> Poly:
     return -d if sign < 0 else d
 
 
+def _det(m: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> Poly:
+    """Minor on the given rows and columns: memoized cofactor expansion up
+    to order 4, fraction-free elimination above."""
+    if len(rows) <= 4:
+        return _det_cofactor(m, rows, cols, memo)
+    return _det_bareiss(m.submatrix(rows, cols))
+
+
 def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> Poly:
     """Exact determinant of the selected square submatrix."""
     rows, cols = tuple(rows), tuple(cols)
@@ -154,9 +163,7 @@ def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> Poly:
         return m.ctx.one
     if max(rows) >= m.nrows or max(cols) >= m.ncols:
         raise ValueError("row/column index out of range")
-    if len(rows) <= 4:
-        return _det_cofactor(m, rows, cols, {})
-    return _det_bareiss(m.submatrix(rows, cols))
+    return _det(m, rows, cols, {})
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +220,33 @@ class TPReport:
 
 
 def _first_negative(p: Poly):
-    """First negative coefficient in descending graded-lex order, or None."""
-    for key in sorted(p.terms, reverse=True):
-        c = p.terms[key]
-        if c < 0:
-            exps = p.ctx.unpack(key)
-            mono = "*".join(
-                nm if e == 1 else f"{nm}^{e}"
-                for nm, e in zip(p.ctx.names, exps)
-                if e
-            ) or "1"
-            return mono, c
-    return None
+    """(monomial, coefficient) of the first negative coefficient in
+    descending graded-lex order, or None."""
+    negative = [key for key, c in p.terms.items() if c < 0]
+    if not negative:
+        return None
+    key = max(negative)
+    return _monomial_text(p.ctx.names, p.ctx.unpack(key)) or "1", p.terms[key]
 
 
 def _subset_iter(n: int, m: int, contiguous: bool):
     if contiguous:
         return (tuple(range(i, i + m)) for i in range(n - m + 1))
     return combinations(range(n), m)
+
+
+def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict):
+    """Check each row subset against every column subset of its size, in
+    order; returns (minors checked, first witness or None)."""
+    checked = 0
+    for rows in row_subsets:
+        for cols in _subset_iter(m.ncols, len(rows), contiguous):
+            d = _det(m, rows, cols, memo)
+            checked += 1
+            bad = _first_negative(d)
+            if bad is not None:
+                return checked, TPWitness(len(rows), rows, cols, d, *bad)
+    return checked, None
 
 
 def is_totally_positive(
@@ -241,75 +257,47 @@ def is_totally_positive(
 ) -> TPReport:
     """Check every minor of order <= ``order`` for nonnegative coefficients.
 
-    Scans orders ascending and subsets in lexicographic order, so a failure
-    report carries the minimal witness.  ``contiguous_only`` restricts to
-    contiguous row/column windows (a fast pre-filter, not a certificate).
-    ``jobs`` > 1 distributes the enumeration over worker processes.
+    Scans orders ascending, then row subsets, then column subsets, each in
+    lexicographic order, so a failure report carries the minimal witness.
+    ``minors_checked`` counts the minors in this scan order up to and
+    including the witness (all of them on a pass), whatever ``jobs`` is.
+    ``contiguous_only`` restricts to contiguous row/column windows (a fast
+    pre-filter, not a certificate).  ``jobs`` > 1 distributes the row
+    subsets over worker processes.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     order = min(order, m.nrows, m.ncols)
-    if jobs > 1 and not contiguous_only:
-        return _is_tp_parallel(m, order, jobs)
-    memo: dict = {}
-    checked = 0
-    for size in range(1, order + 1):
-        for rows in _subset_iter(m.nrows, size, contiguous_only):
-            for cols in _subset_iter(m.ncols, size, contiguous_only):
-                if size <= 4:
-                    d = _det_cofactor(m, rows, cols, memo)
-                else:
-                    d = _det_bareiss(m.submatrix(rows, cols))
-                checked += 1
-                bad = _first_negative(d)
-                if bad is not None:
-                    return TPReport(
-                        m.nrows, m.ncols, order, False,
-                        TPWitness(size, rows, cols, d, bad[0], bad[1]),
-                        contiguous_only, checked,
-                    )
-    return TPReport(m.nrows, m.ncols, order, True, None, contiguous_only, checked)
-
-
-def _tp_chunk(payload):
-    """Worker: check one batch of row-subset groups; return first failure."""
-    matrix, groups = payload
-    memo: dict = {}
-    checked = 0
-    for rows in groups:
-        size = len(rows)
-        for cols in combinations(range(matrix.ncols), size):
-            if size <= 4:
-                d = _det_cofactor(matrix, rows, cols, memo)
-            else:
-                d = _det_bareiss(matrix.submatrix(rows, cols))
-            checked += 1
-            bad = _first_negative(d)
-            if bad is not None:
-                return checked, (size, rows, cols, d, bad[0], bad[1])
-    return checked, None
-
-
-def _is_tp_parallel(m: PolyMatrix, order: int, jobs: int) -> TPReport:
-    from multiprocessing import get_context
-
-    groups = [
+    row_subsets = [
         rows
         for size in range(1, order + 1)
-        for rows in combinations(range(m.nrows), size)
+        for rows in _subset_iter(m.nrows, size, contiguous_only)
     ]
-    chunks = [groups[i::jobs] for i in range(jobs)]
-    with get_context("fork").Pool(jobs) as pool:
-        results = pool.map(_tp_chunk, [(m, chunk) for chunk in chunks])
-    checked = sum(c for c, _ in results)
-    failures = [f for _, f in results if f is not None]
-    if not failures:
-        return TPReport(m.nrows, m.ncols, order, True, None, False, checked)
-    size, rows, cols, d, mono, coeff = min(failures, key=lambda f: (f[0], f[1], f[2]))
+    if jobs > 1 and not contiguous_only:
+        checked, witness = _scan_parallel(m, row_subsets, jobs)
+    else:
+        checked, witness = _scan(m, row_subsets, contiguous_only, {})
     return TPReport(
-        m.nrows, m.ncols, order, False,
-        TPWitness(size, rows, cols, d, mono, coeff), False, checked,
+        m.nrows, m.ncols, order, witness is None, witness, contiguous_only, checked
     )
+
+
+def _scan_parallel(m: PolyMatrix, row_subsets: list, jobs: int):
+    """``_scan`` with the row subsets dealt round-robin to ``jobs`` workers;
+    the count is that of the serial scan."""
+    from multiprocessing import get_context
+
+    shares = [(m, row_subsets[i::jobs], False, {}) for i in range(jobs)]
+    with get_context("fork").Pool(jobs) as pool:
+        results = pool.starmap(_scan, shares)
+    witnesses = [w for _, w in results if w is not None]
+    if not witnesses:
+        return sum(c for c, _ in results), None
+    w = min(witnesses, key=lambda w: (w.order, w.rows, w.cols))
+    before = row_subsets[: row_subsets.index(w.rows)]
+    checked = sum(comb(m.ncols, len(rows)) for rows in before)
+    checked += list(combinations(range(m.ncols), w.order)).index(w.cols) + 1
+    return checked, w
 
 
 # ---------------------------------------------------------------------------
@@ -510,27 +498,6 @@ def check_perturbed_tridiagonal(
 # ---------------------------------------------------------------------------
 
 
-def _star_spec(spec: RecurrenceSpec) -> RecurrenceSpec:
-    """Associated walk with unit upsteps and downstep weights r_(k-1) t_k,
-    which shares the original walk's first column."""
-    ctx = spec.ctx
-    rc, sc, tc = spec.coeffs
-    if isinstance(rc, Poly) and isinstance(tc, Poly):
-        k = ctx.var("k")
-        tstar = rc.substitute_poly("k", k - 1) * tc
-    else:
-        nt = min(_len_or_big(rc) + 1, _len_or_big(tc))
-        tstar = tuple(
-            ctx.zero if i == 0 else spec.walk_coeff(0, i - 1) * spec.walk_coeff(2, i)
-            for i in range(nt)
-        )
-    return RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, sc, tstar))
-
-
-def _len_or_big(c) -> int:
-    return 10**9 if isinstance(c, Poly) else len(c)
-
-
 def check_hankel_factorization(spec: RecurrenceSpec, size: int) -> bool:
     """Entrywise identity D* V* (D*)^T = Hankel(first column) at ``size``.
 
@@ -542,11 +509,11 @@ def check_hankel_factorization(spec: RecurrenceSpec, size: int) -> bool:
     if spec.kind != COLUMN_WALK:
         raise ValueError("the factorization check needs a column-walk spec")
     ctx = spec.ctx
-    depth = 2 * (size - 1)
-    star = build_triangle(_star_spec(spec), depth, max_col=size - 1)
+    star_spec = RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, spec.coeffs[1], _star_weights(spec)))
+    star = build_triangle(star_spec, 2 * (size - 1), max_col=size - 1)
     v = [ctx.one]
     for i in range(1, size):
-        v.append(v[-1] * spec.walk_coeff(2, i) * spec.walk_coeff(0, i - 1))
+        v.append(v[-1] * star_spec.walk_coeff(2, i))
     for n in range(size):
         for m in range(n, size):
             acc = ctx.zero

@@ -88,6 +88,24 @@ class RecurrenceSpec:
         return RecurrenceSpec(self.ctx, self.kind, tuple(sub(c) for c in self.coeffs), den)
 
 
+def _star_weights(spec: RecurrenceSpec) -> "Poly | tuple":
+    """Downstep weights r_(k-1) t_k of the unit-upstep walk that shares the
+    column walk ``spec``'s first column: a polynomial in k when r and t are
+    closed forms, else a tuple covering the levels both provide, with an
+    unused zero at index 0."""
+    ctx = spec.ctx
+    rc, _, tc = spec.coeffs
+    if isinstance(rc, Poly) and isinstance(tc, Poly):
+        return rc.substitute_poly("k", ctx.var("k") - 1) * tc
+    levels = min(
+        len(c) + shift for c, shift in ((rc, 1), (tc, 0)) if not isinstance(c, Poly)
+    )
+    return tuple(
+        spec.walk_coeff(0, i - 1) * spec.walk_coeff(2, i) if i else ctx.zero
+        for i in range(levels)
+    )
+
+
 @dataclass
 class Triangle:
     """Materialized triangle rows; ``rows[n]`` has length n+1 (or less when

@@ -21,7 +21,6 @@ from tpcert.contfrac import (
     s_expand,
 )
 from tpcert.families import (
-    FOUR_TERM_MIXED_BRANCHES,
     MIXED_BRANCHES,
     affine_n_family,
     affine_k_family,
@@ -154,7 +153,7 @@ def test_05_four_term_families():
             assert cf_match(t, fam.jfraction, 6), variant
             rep = is_totally_positive(hankel(t.row_gfs(), 4), 3)
             assert rep.ok, variant
-        for branch in FOUR_TERM_MIXED_BRANCHES:
+        for branch in MIXED_BRANCHES:
             fam = four_term_mixed_branch(branch)
             t = build_triangle(fam.spec, 6)
             if fam.sf_split_only:

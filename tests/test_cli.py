@@ -127,6 +127,19 @@ def test_depth_inconsistency_rejected_at_load(tmp_path):
         load_plan(write_plan(tmp_path, doc2))
 
 
+def test_row_gf_values_beyond_depth_rejected_at_load(tmp_path):
+    doc = MINIMAL + (
+        "  - kind: row-gf\n    at: {q: 1}\n"
+        '    values: ["1", "2", "4", "8", "16", "32"]\n'
+    )
+    with pytest.raises(PlanError) as err:
+        load_plan(write_plan(tmp_path, doc))  # six rows asked, depth 4
+    assert "row-gf" in str(err.value)
+    assert main(["verify", str(write_plan(tmp_path, doc))]) == 2
+    # the same values within the depth still run, all of them
+    assert run_plan(load_plan(write_plan(tmp_path, doc), {"depth": 5})).status == "pass"
+
+
 def test_report_determinism(tmp_path):
     plan_path = write_plan(tmp_path, MINIMAL)
     reports = []
@@ -209,6 +222,13 @@ class TestShippedPlans:
         tp = [c for p in out["plans"] for c in p["checks"] if c["kind"] == "hankel-tp"]
         assert tp[0]["detail"]["truncation"] == [3, 3]
         assert tp[0]["detail"]["order"] == 2
+
+    def test_hankel_override_beyond_depth_is_load_error(self, capsys):
+        rc = main(["verify", str(PLANS / "factorial.yaml"), "--hankel-size", "6",
+                   "--format", "json"])
+        assert rc == 2
+        out = json.loads(capsys.readouterr().out)
+        assert [c["kind"] for c in out["plans"][0]["checks"]] == ["load"]
 
     def test_cli_entry_point_subprocess(self):
         proc = subprocess.run(

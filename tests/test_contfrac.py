@@ -297,6 +297,20 @@ class TestTriangleJFraction:
         jf = triangle_jfraction(spec)
         assert j_expand(jf, 6).coeffs == tri.first_column()
 
+    def test_closed_forms_mixed_with_lists(self, ctx):
+        # a closed-form s with listed r, t, and the reverse
+        k = ctx.var("k")
+        r = tuple(consts(ctx, [1, 2, 3, 4]))
+        s = tuple(consts(ctx, [1, 3, 5, 7]))
+        t = tuple(consts(ctx, [0, 1, 1, 2, 2]))
+        for spec in (
+            RecurrenceSpec(ctx, COLUMN_WALK, (r, k + 1, t)),
+            RecurrenceSpec(ctx, COLUMN_WALK, (k + 1, s, k)),
+        ):
+            jf = triangle_jfraction(spec)
+            tri = build_triangle(spec, 6, max_col=3)
+            assert j_expand(jf, 6).coeffs == tri.first_column()
+
     def test_requires_column_walk(self, ctx):
         spec = RecurrenceSpec(ctx, ROW_SHIFT, (ctx.one, ctx.one))
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ import pytest
 from tpcert.contfrac import cf_match, jfraction_split
 from tpcert.families import (
     CATALOG,
-    FOUR_TERM_MIXED_BRANCHES,
     MIXED_BRANCHES,
     Family,
     affine_n_family,
@@ -91,7 +90,7 @@ def test_four_term_families(variant):
     verify_family(four_term_family(variant))
 
 
-@pytest.mark.parametrize("branch", FOUR_TERM_MIXED_BRANCHES)
+@pytest.mark.parametrize("branch", MIXED_BRANCHES)
 def test_four_term_mixed_branches(branch):
     verify_family(four_term_mixed_branch(branch))
 

@@ -11,13 +11,7 @@ from tpcert.polyring import (
     RatFunc,
     SeriesPoly,
     VarContext,
-    is_coeff_nonneg,
     mpq,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_substitute,
-    series_arith,
 )
 
 
@@ -42,27 +36,27 @@ def test_context_rejects_duplicates():
 
 def test_add_examples(ctx):
     q = ctx.var("q")
-    assert poly_add(q + 1, q - 1) == 2 * q
+    assert (q + 1) + (q - 1) == 2 * q
     p = random_poly(ctx, random.Random(1))
-    assert poly_add(p, ctx.zero) == p
+    assert p + ctx.zero == p
     a0, a1, n, k = ctx.var("a0"), ctx.var("a1"), ctx.var("q"), ctx.var("d")
-    assert a0 * n + a1 * k == poly_add(a0 * n, a1 * k)
+    assert a0 * n + a1 * k == a1 * k + a0 * n
 
 
 def test_mul_examples(ctx):
     q, lam, d = ctx.var("q"), ctx.var("lam"), ctx.var("d")
     assert (1 + q) * (1 + q) == ctx.parse("1 + 2*q + q^2")
     p = random_poly(ctx, random.Random(2))
-    assert poly_mul(p, ctx.one) == p
+    assert p * ctx.one == p
     assert (lam + d * q) * (lam - d * q) == lam**2 - d**2 * q**2
 
 
 def test_context_mismatch_raises(ctx):
     other = VarContext(["x"])
     with pytest.raises(ContextMismatch):
-        poly_add(ctx.one, other.one)
+        ctx.one + other.one
     with pytest.raises(ContextMismatch):
-        poly_mul(ctx.var("q"), other.var("x"))
+        ctx.var("q") * other.var("x")
 
 
 def test_ring_axioms_on_random_instances(ctx):
@@ -81,7 +75,7 @@ def test_ring_axioms_on_random_instances(ctx):
 def test_substitute_examples(ctx):
     q, lam, d = ctx.var("q"), ctx.var("lam"), ctx.var("d")
     assert (q**2).substitute_poly("q", q + lam) == q**2 + 2 * lam * q + lam**2
-    rf = poly_substitute(q, "q", RatFunc(q, lam + d * q))
+    rf = q.substitute("q", RatFunc(q, lam + d * q))
     assert rf == RatFunc(q, lam + d * q)
     assert (1 + q).substitute_poly("q", ctx.one) == ctx.const(2)
 
@@ -104,9 +98,9 @@ def test_substitute_unknown_variable(ctx):
 
 
 def test_nonneg_predicate(ctx):
-    assert is_coeff_nonneg(ctx.parse("1 + 2*q + q^2"))
-    assert not is_coeff_nonneg(ctx.parse("16*q - 4*q^2"))
-    assert is_coeff_nonneg(ctx.zero)
+    assert ctx.parse("1 + 2*q + q^2").is_nonneg()
+    assert not ctx.parse("16*q - 4*q^2").is_nonneg()
+    assert ctx.zero.is_nonneg()
 
 
 def test_nonneg_closed_under_plus_times(ctx):
@@ -119,11 +113,11 @@ def test_nonneg_closed_under_plus_times(ctx):
 
 
 def test_eval_examples(ctx):
-    assert poly_eval(ctx.parse("1 + 2*q + q^2"), {"q": 1}) == 4
-    assert poly_eval(ctx.parse("a0*q + a2"), {"a0": 1, "a2": 0, "q": 3}) == 3
-    assert poly_eval(ctx.parse("(lam + d*q)^2"), {"lam": 1, "d": 1, "q": 2}) == 9
+    assert ctx.parse("1 + 2*q + q^2").eval({"q": 1}) == 4
+    assert ctx.parse("a0*q + a2").eval({"a0": 1, "a2": 0, "q": 3}) == 3
+    assert ctx.parse("(lam + d*q)^2").eval({"lam": 1, "d": 1, "q": 2}) == 9
     with pytest.raises(KeyError):
-        poly_eval(ctx.parse("a0 + q"), {"a0": 1})
+        ctx.parse("a0 + q").eval({"a0": 1})
 
 
 def test_eval_is_homomorphic(ctx):
@@ -132,12 +126,8 @@ def test_eval_is_homomorphic(ctx):
     for _ in range(20):
         p = random_poly(ctx, rng)
         q = random_poly(ctx, rng)
-        assert poly_eval(p * q, assignment) == poly_eval(p, assignment) * poly_eval(
-            q, assignment
-        )
-        assert poly_eval(p + q, assignment) == poly_eval(p, assignment) + poly_eval(
-            q, assignment
-        )
+        assert (p * q).eval(assignment) == p.eval(assignment) * q.eval(assignment)
+        assert (p + q).eval(assignment) == p.eval(assignment) + q.eval(assignment)
 
 
 def test_render_parse_round_trip(ctx):
@@ -226,13 +216,13 @@ class TestSeries:
     def test_reciprocal_geometric(self, ctx):
         one, z = ctx.one, ctx.zero
         s = SeriesPoly(ctx, [one, -one, z, z, z])
-        assert series_arith(s, None, "reciprocal").coeffs == [one] * 5
+        assert s.reciprocal().coeffs == [one] * 5
 
     def test_mul_truncates(self, ctx):
         one = ctx.one
         a = SeriesPoly(ctx, [one, one, ctx.zero])
         b = SeriesPoly(ctx, [one, -one, ctx.zero])
-        assert series_arith(a, b, "mul").coeffs == [one, ctx.zero, -one]
+        assert a.mul(b).coeffs == [one, ctx.zero, -one]
 
     def test_reciprocal_non_unit_constant_term(self, ctx):
         s = SeriesPoly(ctx, [ctx.var("q"), ctx.one])
@@ -257,8 +247,3 @@ class TestSeries:
         other = VarContext(["x"])
         with pytest.raises(ContextMismatch):
             a.add(SeriesPoly(other, [other.one, other.one]))
-
-    def test_unknown_op(self, ctx):
-        a = SeriesPoly(ctx, [ctx.one])
-        with pytest.raises(ValueError):
-            series_arith(a, a, "divide")

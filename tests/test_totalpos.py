@@ -157,6 +157,17 @@ class TestIsTotallyPositive:
         parallel = is_totally_positive(m, 2, jobs=2)
         assert not parallel.ok
         assert parallel.witness.to_dict() == serial.witness.to_dict()
+        # interior-peak rows: the witness sits in a later row-subset share,
+        # and the count is still the serial one (25 order-1 minors, then the
+        # fifth order-2 minor)
+        n, k = ctx.var("n"), ctx.var("k")
+        peaks = build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (2 * k + 2, n + 1 - 2 * k)), 8)
+        h = hankel(peaks.row_gfs(), 5)
+        serial = is_totally_positive(h, 5).to_dict()
+        assert serial["minors_checked"] == 30
+        assert serial["witness"]["rows"] == [0, 1] and serial["witness"]["cols"] == [1, 2]
+        assert is_totally_positive(h, 5, jobs=2).to_dict() == serial
+        assert is_totally_positive(h, 5, jobs=3).to_dict() == serial
 
     def test_report_records_truncation(self, ctx):
         h = hankel(consts(ctx, [1, 1, 2, 6, 24]), 3)
