@@ -170,15 +170,25 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         except ValueError as exc:  # e.g. a clearing denominator driven to zero
             raise PlanError(f"{path}: specialization breaks the spec: {exc}") from exc
 
-    depth = int(overrides.get("depth") or tri.get("depth", 8))
+    depth = overrides.get("depth")
+    depth = int(tri.get("depth", 8) if depth is None else depth)
     checks = doc.get("checks") or []
     if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
         raise PlanError(f"{path}: 'checks' must be a list of mappings")
-    for check in checks:
+    for i, check in enumerate(checks):
         if check.get("kind") == "hankel-tp":
             for key in ("size", "order"):
-                if overrides.get(key):
+                if overrides.get(key) is not None:
                     check[key] = overrides[key]
+        if check.get("kind") == "row-gf":
+            at = check.get("at", {})
+            if not isinstance(at, dict):
+                raise PlanError(f"{path}: check {i} (row-gf): 'at' must be a mapping")
+            for var in at:
+                if var not in ctx.names:
+                    raise PlanError(
+                        f"{path}: check {i} (row-gf) evaluates at unknown variable {var!r}"
+                    )
     _validate_depths(path, depth, checks)
     return VerificationPlan(
         name=name,
@@ -209,6 +219,8 @@ def _validate_depths(path: Path, depth: int, checks: list[dict]) -> None:
             need = int(check.get("upto", depth))
         elif kind == "row-gf":
             need = len(check.get("values", ())) - 1
+        elif kind == "oracle-match":
+            need = int(check.get("upto", 0)) + int(check.get("row-offset", 0))
         if need > depth:
             raise PlanError(
                 f"{path}: check {i} ({kind}) needs triangle depth {need}, "
@@ -507,6 +519,16 @@ def _version() -> str:
     return __version__
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tpcert",
@@ -516,9 +538,9 @@ def main(argv: list[str] | None = None) -> int:
     verify = sub.add_parser("verify", help="run one or more plan files")
     verify.add_argument("plans", nargs="+", help="plan YAML files")
     verify.add_argument("--format", choices=("json", "text"), default="text")
-    verify.add_argument("--depth", type=int, help="override triangle depth")
-    verify.add_argument("--hankel-size", type=int, help="override hankel-tp sizes")
-    verify.add_argument("--tp-order", type=int, help="override hankel-tp orders")
+    verify.add_argument("--depth", type=_positive_int, help="override triangle depth")
+    verify.add_argument("--hankel-size", type=_positive_int, help="override hankel-tp sizes")
+    verify.add_argument("--tp-order", type=_positive_int, help="override hankel-tp orders")
     verify.add_argument(
         "--specialize",
         action="append",
@@ -530,16 +552,17 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument("--golden-dir", type=Path, help="regenerate golden files here")
     args = parser.parse_args(argv)
 
-    overrides: dict = {"specialize": {}}
+    overrides: dict = {
+        "specialize": {},
+        "depth": args.depth,
+        "size": args.hankel_size,
+        "order": args.tp_order,
+    }
     for item in args.specialize:
         if "=" not in item:
             parser.error(f"--specialize needs VAR=RAT, got {item!r}")
         var, value = item.split("=", 1)
         overrides["specialize"][var.strip()] = value.strip()
-    if args.depth:
-        overrides["depth"] = args.depth
-    overrides["size"] = args.hankel_size
-    overrides["order"] = args.tp_order
 
     reports = []
     status = 0

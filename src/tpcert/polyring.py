@@ -10,12 +10,19 @@ by a 16-bit total-degree field, so that
   * monomial multiplication is integer addition, and
   * integer comparison of packed keys is exactly graded lexicographic order.
 
+Large products of integer polynomials are computed fiber by fiber, one
+big-integer product per pair of fibers (``_fiber_product``); every other
+product runs the plain term-by-term dict kernel.
+
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as mpq
+from functools import reduce
+from itertools import combinations, repeat
+from operator import add, and_, or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, mpq]
@@ -283,7 +290,10 @@ class Poly:
             if ca == 1:
                 return Poly(self.ctx, {eb + ea: cb for eb, cb in b.items()})
             return Poly(self.ctx, {eb + ea: cb * ca for eb, cb in b.items()})
-        out: dict[int, Rational] = {}
+        out = _fiber_product(a, b, len(self.ctx.names))
+        if out is not None:
+            return Poly(self.ctx, out)
+        out = {}
         get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -485,6 +495,121 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({render(self)})"
+
+
+def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":
+    """Terms of the product of two integer coefficient maps, computed with
+    one big-integer product per pair of fibers; None when the plain dict
+    kernel should run instead (a rational coefficient, a product too small
+    or too lopsided to repay the packing, or fibers that do not collapse).
+
+    ``a`` is the operand with fewer terms.  For a variable pair (v, w), the
+    fiber of a monomial is the monomial with e_v and e_w replaced by their
+    sum s; polynomials homogeneous in (v, w) have few fibers.  A fiber is
+    packed by Kronecker substitution into one integer,
+    sum c * 2^(W*(e_v - lo)), and its key keeps lo, so fiber products are
+    integer products and fiber keys add like monomial keys.  Each
+    coefficient of the product is a sum of at most len(a) products of one
+    coefficient of ``a`` and one of ``b``, so its absolute value is below
+    2^(W-1); the balanced base-2^W digits of a summed fiber are therefore
+    exactly its coefficients.
+    """
+    la, lb = len(a), len(b)
+    if la * lb < 16 * (la + lb):
+        return None
+    for terms in (a, b):
+        for c in terms.values():
+            if type(c) is not int:
+                return None
+    # the pair (v, w) of variables of ``a`` that leaves ``a`` the fewest fibers
+    keys = list(a)
+    occurring = reduce(or_, keys)
+    exps = {}
+    for i in range(nvars):
+        sh = _BITS * (nvars - 1 - i)
+        if (occurring >> sh) & _MASK:
+            exps[sh] = [(k >> sh) & _MASK for k in keys]
+    best = None
+    for sv, sw in combinations(exps, 2):
+        clear = ~((_MASK << sv) | (_MASK << sw))
+        count = len(set(zip(map(and_, keys, repeat(clear)), map(add, exps[sv], exps[sw]))))
+        if best is None or count < best[0]:
+            best = (count, sv, sw, clear)
+    if best is None:
+        return None
+    _, sv, sw, clear = best
+    # fiber key: the monomial key with the v and w fields zeroed (the
+    # degree field kept), s in the field above the degree, lo above that
+    s_shift = _BITS * (nvars + 1)
+    lo_shift = s_shift + _BITS
+    fibers_a = _fibers(a, sv, sw, clear, s_shift)
+    fibers_b = _fibers(b, sv, sw, clear, s_shift)
+    if len(fibers_a) * len(fibers_b) * 4 > la * lb:
+        return None
+    bound = max(max(a.values()), -min(a.values())) * max(max(b.values()), -min(b.values()))
+    width = (bound * la).bit_length() + 1
+    packed_b = _pack_fibers(fibers_b, width, lo_shift).items()
+    acc: dict[int, int] = {}
+    get = acc.get
+    for fa, xa in _pack_fibers(fibers_a, width, lo_shift).items():
+        for fb, xb in packed_b:
+            f = fa + fb
+            v = get(f)
+            acc[f] = xa * xb if v is None else v + xa * xb
+    # fibers that differ only in lo hold the same monomials: align them to
+    # lo = 0 and add, then read each one back as balanced base-2^W digits
+    rest_mask = (1 << lo_shift) - 1
+    merged: dict[int, int] = {}
+    get = merged.get
+    for f, x in acc.items():
+        x <<= (f >> lo_shift) * width
+        f &= rest_mask
+        v = get(f)
+        merged[f] = x if v is None else v + x
+    full = 1 << width
+    half = full >> 1
+    digit = full - 1
+    low = (1 << s_shift) - 1
+    step = (1 << sv) - (1 << sw)  # from e_v to e_v + 1 at fixed s
+    out: dict[int, int] = {}
+    for f, x in merged.items():
+        k = (f & low) + ((f >> s_shift) << sw)  # the monomial with e_v = 0
+        while x:
+            d = x & digit
+            x >>= width
+            if d >= half:
+                d -= full
+                x += 1
+            if d:
+                out[k] = d
+            k += step
+    return out
+
+
+def _fibers(terms: dict, sv: int, sw: int, clear: int, s_shift: int) -> dict:
+    """``{fiber key without lo: [(e_v, coefficient), ...]}``."""
+    fibers: dict[int, list] = {}
+    for k, c in terms.items():
+        ev = (k >> sv) & _MASK
+        f = (k & clear) + ((ev + ((k >> sw) & _MASK)) << s_shift)
+        members = fibers.get(f)
+        if members is None:
+            fibers[f] = [(ev, c)]
+        else:
+            members.append((ev, c))
+    return fibers
+
+
+def _pack_fibers(fibers: dict, width: int, lo_shift: int) -> dict:
+    """``{fiber key with lo: sum c * 2^(width*(e_v - lo))}``."""
+    packed = {}
+    for f, members in fibers.items():
+        lo = min(members)[0]
+        x = 0
+        for ev, c in members:
+            x += c << (width * (ev - lo))
+        packed[f + (lo << lo_shift)] = x
+    return packed
 
 
 def _gcd(a, b):

@@ -140,6 +140,59 @@ def test_row_gf_values_beyond_depth_rejected_at_load(tmp_path):
     assert run_plan(load_plan(write_plan(tmp_path, doc), {"depth": 5})).status == "pass"
 
 
+def test_row_gf_unknown_variable_rejected_at_load(tmp_path):
+    doc = MINIMAL + '  - kind: row-gf\n    at: {zz: 1}\n    values: ["1", "2"]\n'
+    with pytest.raises(PlanError) as err:
+        load_plan(write_plan(tmp_path, doc))
+    assert "'zz'" in str(err.value)
+    assert main(["verify", str(write_plan(tmp_path, doc))]) == 2
+    with pytest.raises(PlanError):
+        load_plan(write_plan(tmp_path, doc.replace("{zz: 1}", "[q]")))
+
+
+ORACLE = """\
+name: eulerian-oracle
+vars: [q]
+triangle:
+  kind: row-shift
+  c0: "k"
+  c1: "n - k + 1"
+  depth: 4
+checks:
+  - kind: oracle-match
+    oracle: perms-by-descents
+    upto: 4
+    row-offset: 0
+"""
+
+
+def test_oracle_match_beyond_depth_rejected_at_load(tmp_path):
+    assert run_plan(load_plan(write_plan(tmp_path, ORACLE))).status == "pass"
+    for old, new in (("upto: 4", "upto: 6"), ("row-offset: 0", "row-offset: 1")):
+        doc = ORACLE.replace(old, new)
+        with pytest.raises(PlanError) as err:
+            load_plan(write_plan(tmp_path, doc))
+        assert "oracle-match" in str(err.value)
+        assert main(["verify", str(write_plan(tmp_path, doc))]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--hankel-size", "--tp-order"])
+def test_zero_overrides_are_usage_errors(flag, capsys):
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(PLANS / "factorial.yaml"), flag, value])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_zero_overrides_are_applied_by_load_plan(tmp_path):
+    plan = load_plan(write_plan(tmp_path, MINIMAL.split("checks:")[0] + "checks: []\n"),
+                     {"depth": 0})
+    assert plan.depth == 0
+    with pytest.raises(PlanError):  # depth 0 holds no size-2 Hankel block
+        load_plan(write_plan(tmp_path, MINIMAL), {"depth": 0})
+
+
 def test_report_determinism(tmp_path):
     plan_path = write_plan(tmp_path, MINIMAL)
     reports = []

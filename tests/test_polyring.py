@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcert.polyring import (
     ContextMismatch,
@@ -11,6 +13,7 @@ from tpcert.polyring import (
     RatFunc,
     SeriesPoly,
     VarContext,
+    _fiber_product,
     mpq,
 )
 
@@ -247,3 +250,119 @@ class TestSeries:
         other = VarContext(["x"])
         with pytest.raises(ContextMismatch):
             a.add(SeriesPoly(other, [other.one, other.one]))
+
+
+# ---------------------------------------------------------------------------
+# the fiber product kernel against the plain dict kernel
+# ---------------------------------------------------------------------------
+
+FIBER_CTX = VarContext(["a0", "a1", "a2", "b0", "b1", "b2", "d", "lam", "q"])
+PAIRS = (("a0", "a2"), ("b0", "b2"), ("d", "lam"))
+SMALL = st.integers(-9, 9).filter(bool)
+BIG = st.tuples(st.booleans(), st.integers(2**200, 2**230)).map(
+    lambda t: -t[1] if t[0] else t[1]
+)
+
+
+def dict_product(p, q):
+    """Schoolbook product of the term maps, for reference."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def fiber_product(p, q):
+    a, b = sorted((p.terms, q.terms), key=len)
+    return _fiber_product(a, b, len(p.ctx))
+
+
+@st.composite
+def pair_homogeneous(draw, pair, coeffs):
+    """A polynomial made of blocks sum_i c_i v^i w^(s-i), one block per
+    monomial in the other variables, so it has one (v, w) fiber per block."""
+    v, w = pair
+    others = [nm for nm in FIBER_CTX.names if nm not in pair]
+    first, second = draw(st.permutations(others))[:2]
+    terms = []
+    for j in range(draw(st.integers(4, 6))):
+        rest = {first: j, second: draw(st.integers(0, 2))}
+        s = draw(st.integers(7, 10))
+        terms.extend((draw(coeffs), {**rest, v: i, w: s - i}) for i in range(s + 1))
+    return FIBER_CTX.from_terms(terms)
+
+
+@st.composite
+def homogeneous_pairs(draw, coeffs):
+    pair = draw(st.sampled_from(PAIRS))
+    return pair, draw(pair_homogeneous(pair, coeffs)), draw(pair_homogeneous(pair, coeffs))
+
+
+class TestFiberProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(homogeneous_pairs(SMALL))
+    def test_matches_dict_kernel(self, operands):
+        _, p, q = operands
+        want = dict_product(p, q)
+        got = fiber_product(p, q)
+        assert got is not None
+        assert got == want
+        assert (p * q).terms == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(homogeneous_pairs(BIG))
+    def test_coefficients_of_200_bits(self, operands):
+        _, p, q = operands
+        got = fiber_product(p, q)
+        assert got is not None
+        assert got == dict_product(p, q)
+
+    @settings(max_examples=20, deadline=None)
+    @given(homogeneous_pairs(SMALL), st.integers(2, 6))
+    def test_cancelling_products(self, operands, k):
+        # (v - w) * (v^(k-1) + ... + w^(k-1)) = v^k - w^k: most product
+        # coefficients cancel to zero
+        pair, p, q = operands
+        v, w = (FIBER_CTX.var(nm) for nm in pair)
+        p = p * (v - w)
+        q = q * sum((v**i * w ** (k - 1 - i) for i in range(k)), FIBER_CTX.zero)
+        got = fiber_product(p, q)
+        assert got is not None
+        assert got == dict_product(p, q)
+
+    @pytest.mark.parametrize("signs", ["all-positive", "all-negative", "alternating"])
+    def test_coefficients_at_the_bound(self, signs):
+        # every product coefficient is as large as the digit width allows
+        big = 2**200 - 1
+        sign = {
+            "all-positive": lambda i: 1,
+            "all-negative": lambda i: -1,
+            "alternating": lambda i: (-1) ** i,
+        }[signs]
+        terms = [
+            (sign(i) * big, {"q": j, "a0": i, "a2": 8 - i}) for j in range(5) for i in range(9)
+        ]
+        p = FIBER_CTX.from_terms(terms)
+        got = fiber_product(p, p)
+        assert got is not None
+        assert got == dict_product(p, p)
+
+    def test_rational_operands_use_the_dict_kernel(self):
+        rng = random.Random(4)
+        p = FIBER_CTX.from_terms(
+            [(rng.randint(1, 9), {"q": j, "d": i, "lam": 8 - i}) for j in range(5) for i in range(9)]
+        )
+        r = p + FIBER_CTX.parse("1/3*q^7")
+        assert fiber_product(p, p) is not None
+        assert fiber_product(r, p) is None
+        assert (r * p).terms == dict_product(r, p)
+        assert (r * p) - (p * p) == FIBER_CTX.parse("1/3*q^7") * p
+
+    def test_small_and_lopsided_products_use_the_dict_kernel(self):
+        q, d, lam = (FIBER_CTX.var(nm) for nm in ("q", "d", "lam"))
+        big = (1 + q + d + lam) ** 12
+        assert len(big.terms) > 400
+        assert fiber_product(1 + q + d + lam, big) is None
+        assert fiber_product((d + lam) ** 3, (d + lam) ** 4) is None
+        assert ((1 + q + d + lam) * big).terms == dict_product(1 + q + d + lam, big)

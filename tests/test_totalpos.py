@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+import sympy
 
+from tpcert import polyring
 from tpcert.polyring import VarContext, mpq
 from tpcert.totalpos import (
     HypothesisError,
@@ -102,6 +104,42 @@ class TestMinor:
             term = m.entries[i][0] * sub
             total = total + term if i % 2 == 0 else total - term
         assert d5 == total
+
+    def test_homogeneous_4x4_minor_matches_sympy(self, monkeypatch):
+        # entries homogeneous of degree 6 in (x, y), as the Hankel entries
+        # of the four-term families are in parameter pairs, so the larger
+        # products of the cofactor expansion take the fiber kernel
+        hctx = VarContext(["x", "y", "z"])
+        rng = random.Random(17)
+        entries = [
+            [
+                hctx.from_terms(
+                    (rng.randint(-5, 5), {"x": i, "y": 6 - i, "z": j})
+                    for i in range(7)
+                    for j in range(4)
+                )
+                for _ in range(4)
+            ]
+            for _ in range(4)
+        ]
+        fiber_product = polyring._fiber_product
+        fiber_results = []
+
+        def spy(a, b, nvars):
+            out = fiber_product(a, b, nvars)
+            fiber_results.append(out is not None)
+            return out
+
+        monkeypatch.setattr(polyring, "_fiber_product", spy)
+        got = minor(PolyMatrix(hctx, entries), range(4), range(4))
+        assert any(fiber_results)
+        sym = sympy.Matrix(
+            [[sympy.sympify(str(e).replace("^", "**")) for e in row] for row in entries]
+        )
+        # fraction-free elimination over ZZ[x, y, z]; the default method
+        # takes over a minute on these entries
+        want = sympy.expand(sym.det(method="domain-ge"))
+        assert got == hctx.parse(str(want))
 
     def test_bareiss_with_zero_pivots(self, ctx):
         z, one = ctx.zero, ctx.one
