@@ -64,6 +64,22 @@ class PlanError(ValueError):
     """Malformed plan document (bad keys, bad polynomial strings, ...)."""
 
 
+# Integer fields each check kind reads, with the least value that has
+# something to check (None: no bound), and the flags it reads.
+_INT_FIELDS = {
+    "cf-match": {"depth": 0},
+    "hankel-tp": {"size": 1, "order": 1},
+    "convolution-sm": {"size": 1, "order": 1, "upto": 0},
+    "k-lcx": {"k": 1},
+    "product-formula": {"upto": 0},
+    "companion-relation": {"upto": 0},
+    "oracle-match": {"upto": 0, "row-offset": None},
+    "tridiagonal-criteria": {"upto": 0},
+    "hankel-factorization": {"size": 1},
+}
+_BOOL_FIELDS = {"cf-match": ("prescaled",), "hankel-tp": ("contiguous-only",)}
+
+
 @dataclass
 class VerificationPlan:
     """Parsed plan: one spec, its context, and an ordered check list."""
@@ -171,24 +187,35 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
             raise PlanError(f"{path}: specialization breaks the spec: {exc}") from exc
 
     depth = overrides.get("depth")
-    depth = int(tri.get("depth", 8) if depth is None else depth)
+    depth = tri.get("depth", 8) if depth is None else depth
+    _require_int(path, "triangle.depth", depth, 0)
     checks = doc.get("checks") or []
     if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
         raise PlanError(f"{path}: 'checks' must be a list of mappings")
     for i, check in enumerate(checks):
-        if check.get("kind") == "hankel-tp":
+        kind = check.get("kind")
+        if not isinstance(kind, str):
+            raise PlanError(f"{path}: check {i} needs a 'kind' name, got {kind!r}")
+        where = f"check {i} ({kind})"
+        if kind == "hankel-tp":
             for key in ("size", "order"):
                 if overrides.get(key) is not None:
                     check[key] = overrides[key]
-        if check.get("kind") == "row-gf":
+        for key, least in _INT_FIELDS.get(kind, {}).items():
+            if key in check:
+                _require_int(path, f"{where} {key!r}", check[key], least)
+        for key in _BOOL_FIELDS.get(kind, ()):
+            if key in check and not isinstance(check[key], bool):
+                raise PlanError(
+                    f"{path}: {where} {key!r} must be true or false, got {check[key]!r}"
+                )
+        if kind == "row-gf":
             at = check.get("at", {})
             if not isinstance(at, dict):
-                raise PlanError(f"{path}: check {i} (row-gf): 'at' must be a mapping")
+                raise PlanError(f"{path}: {where}: 'at' must be a mapping")
             for var in at:
                 if var not in ctx.names:
-                    raise PlanError(
-                        f"{path}: check {i} (row-gf) evaluates at unknown variable {var!r}"
-                    )
+                    raise PlanError(f"{path}: {where} evaluates at unknown variable {var!r}")
     _validate_depths(path, depth, checks)
     return VerificationPlan(
         name=name,
@@ -202,25 +229,32 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
     )
 
 
+def _require_int(path: Path, what: str, value, least: int | None) -> None:
+    if type(value) is not int:
+        raise PlanError(f"{path}: {what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise PlanError(f"{path}: {what} must be at least {least}, got {value}")
+
+
 def _validate_depths(path: Path, depth: int, checks: list[dict]) -> None:
     """Reject plans whose checks need more rows than the declared depth."""
     for i, check in enumerate(checks):
         kind = check.get("kind")
         need = 0
         if kind == "cf-match":
-            need = int(check.get("depth", depth))
+            need = check.get("depth", depth)
         elif kind in ("hankel-tp", "convolution-sm"):
-            need = 2 * (int(check.get("size", 1)) - 1)
+            need = 2 * (check.get("size", 1) - 1)
             if kind == "convolution-sm":
-                need = max(need, int(check.get("upto", depth)))
+                need = max(need, check.get("upto", depth))
         elif kind == "k-lcx":
-            need = 2 * int(check.get("k", 1))
+            need = 2 * check.get("k", 1)
         elif kind in ("product-formula", "companion-relation"):
-            need = int(check.get("upto", depth))
+            need = check.get("upto", depth)
         elif kind == "row-gf":
             need = len(check.get("values", ())) - 1
         elif kind == "oracle-match":
-            need = int(check.get("upto", 0)) + int(check.get("row-offset", 0))
+            need = check.get("upto", 0) + check.get("row-offset", 0)
         if need > depth:
             raise PlanError(
                 f"{path}: check {i} ({kind}) needs triangle depth {need}, "
@@ -324,7 +358,7 @@ class _PlanRunner:
         return True, detail
 
     def run_cf_match(self, check: dict):
-        depth = int(check.get("depth", self.plan.depth))
+        depth = check.get("depth", self.plan.depth)
         frac = _fraction_from_check(self.plan.ctx, check, f"{self.plan.path}: cf-match")
         eval_at = None
         if "eval-at" in check:
@@ -334,32 +368,29 @@ class _PlanRunner:
             frac,
             depth,
             var=self.plan.gf_var,
-            prescaled=bool(check.get("prescaled", False)),
+            prescaled=check.get("prescaled", False),
             eval_at=eval_at,
         )
         return ok, {"depth": depth}
 
     def run_hankel_tp(self, check: dict):
-        size = int(check["size"])
-        order = int(check["order"])
         seq = self._row_seq(check)
         report = is_totally_positive(
-            hankel(seq, size),
-            order,
-            contiguous_only=bool(check.get("contiguous-only", False)),
+            hankel(seq, check["size"]),
+            check["order"],
+            contiguous_only=check.get("contiguous-only", False),
             jobs=self.jobs,
         )
         return report.ok, report.to_dict()
 
     def run_k_lcx(self, check: dict):
-        k = int(check["k"])
         seq = self._row_seq(check)
-        report = check_k_log_convex(seq, k)
+        report = check_k_log_convex(seq, check["k"])
         return report.ok, report.to_dict()
 
     def run_product_formula(self, check: dict):
         factor = _parse_poly(self.plan.ctx, check["factor"], "product-formula.factor")
-        upto = int(check.get("upto", self.plan.depth))
+        upto = check.get("upto", self.plan.depth)
         eval_at = None
         if "eval-at" in check:
             eval_at = _parse_poly(self.plan.ctx, check["eval-at"], "product-formula.eval-at")
@@ -374,7 +405,7 @@ class _PlanRunner:
             key: _parse_poly(ctx, check[key], f"companion-relation.{key}")
             for key in ("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam")
         }
-        upto = int(check.get("upto", self.plan.depth))
+        upto = check.get("upto", self.plan.depth)
         comp = companion_spec(
             ctx, params["a0"], params["a1"], params["a2"],
             params["b0"], params["b1"], params["b2"], params["d"],
@@ -386,7 +417,7 @@ class _PlanRunner:
         return ok, {"upto": upto}
 
     def run_convolution_sm(self, check: dict):
-        upto = int(check.get("upto", self.plan.depth))
+        upto = check.get("upto", self.plan.depth)
         ctx = self.plan.ctx
 
         def seq_of(key):
@@ -396,9 +427,7 @@ class _PlanRunner:
             return [_parse_poly(ctx, v, f"convolution-sm.{key}") for v in value]
 
         z = triangle_convolution(self._tri(), seq_of("x"), seq_of("y"), upto)
-        size = int(check["size"])
-        order = int(check["order"])
-        report = is_totally_positive(hankel(z, size), order, jobs=self.jobs)
+        report = is_totally_positive(hankel(z, check["size"]), check["order"], jobs=self.jobs)
         detail = report.to_dict()
         detail["sequence"] = [str(v) for v in z]
         return report.ok, detail
@@ -407,8 +436,8 @@ class _PlanRunner:
         oracle = ORACLES.get(check["oracle"])
         if oracle is None:
             raise PlanError(f"unknown oracle {check['oracle']!r}")
-        upto = int(check["upto"])
-        offset = int(check.get("row-offset", 0))
+        upto = check["upto"]
+        offset = check.get("row-offset", 0)
         t = self._tri()
         for n in range(1, upto + 1):
             row = n + offset
@@ -422,7 +451,7 @@ class _PlanRunner:
         return True, {"upto": upto}
 
     def run_tridiagonal_criteria(self, check: dict):
-        upto = int(check.get("upto", 4))
+        upto = check.get("upto", 4)
         spec = self.plan.spec
         if spec.kind != COLUMN_WALK:
             raise PlanError("tridiagonal-criteria needs a column-walk spec")
@@ -435,7 +464,7 @@ class _PlanRunner:
         return ok, {"criteria": held}
 
     def run_hankel_factorization(self, check: dict):
-        size = int(check["size"])
+        size = check["size"]
         ok = check_hankel_factorization(self.plan.spec, size)
         return ok, {"size": size}
 
@@ -548,7 +577,9 @@ def main(argv: list[str] | None = None) -> int:
         metavar="VAR=RAT",
         help="substitute a rational for a variable (repeatable)",
     )
-    verify.add_argument("--jobs", type=int, default=1, help="parallel minor enumeration")
+    verify.add_argument(
+        "--jobs", type=_positive_int, default=1, help="parallel minor enumeration"
+    )
     verify.add_argument("--golden-dir", type=Path, help="regenerate golden files here")
     args = parser.parse_args(argv)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .polyring import Poly, RatFunc, SeriesPoly, VarContext
+from .polyring import Poly, RatFunc, SeriesPoly, VarContext, _add_product
 from .triangles import COLUMN_WALK, _star_weights
 
 
@@ -217,8 +217,11 @@ def j_expand(jf: JFraction, depth: int) -> SeriesPoly:
     if jf.terminated and jf.degenerate_level is not None:
         cap = jf.degenerate_level - 1
 
+    # walk rows are kept as coefficient maps, and each entry is summed in
+    # one accumulator
+    nvars = len(ctx.names)
     out = [ctx.one]
-    row = [ctx.one]
+    row = [ctx.one.terms]
     for n in range(1, depth + 1):
         # the walk rises at most one column per step
         width = min(n, depth - n, cap, len(row))
@@ -227,20 +230,18 @@ def j_expand(jf: JFraction, depth: int) -> SeriesPoly:
             width = cap
         new = []
         for k in range(width + 1):
-            acc = ctx.zero
-            if k >= 1 and k - 1 < len(row) and row[k - 1]:
-                acc = acc + row[k - 1]
+            acc = dict(row[k - 1]) if k >= 1 else {}
             if k < len(row) and row[k]:
                 sk = s_at(k)
                 if sk:
-                    acc = acc + sk * row[k]
+                    _add_product(acc, sk.terms, row[k], nvars)
             if k + 1 < len(row) and row[k + 1]:
                 rk = r_at(k + 1)
                 if rk:
-                    acc = acc + rk * row[k + 1]
-            new.append(acc)
+                    _add_product(acc, rk.terms, row[k + 1], nvars)
+            new.append({key: c for key, c in acc.items() if c})
         row = new
-        out.append(row[0])
+        out.append(Poly(ctx, row[0]))
     return SeriesPoly(ctx, out)
 
 

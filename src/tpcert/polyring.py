@@ -294,12 +294,7 @@ class Poly:
         if out is not None:
             return Poly(self.ctx, out)
         out = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                k = ea + eb
-                v = get(k)
-                out[k] = ca * cb if v is None else v + ca * cb
+        _add_term_products(out, a, b)
         return Poly(self.ctx, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
@@ -495,6 +490,33 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({render(self)})"
+
+
+def _add_term_products(acc: dict, a: dict, b: dict) -> None:
+    """Add the product of two coefficient maps to ``acc`` term by term;
+    entries of ``acc`` may be left at zero."""
+    get = acc.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            k = ea + eb
+            v = get(k)
+            acc[k] = ca * cb if v is None else v + ca * cb
+
+
+def _add_product(acc: dict, a: dict, b: dict, nvars: int) -> None:
+    """Add the product of two nonzero coefficient maps to ``acc``, through
+    the fiber kernel when it takes the product; entries of ``acc`` may be
+    left at zero."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = _fiber_product(a, b, nvars)
+    if out is None:
+        _add_term_products(acc, a, b)
+        return
+    get = acc.get
+    for k, c in out.items():
+        v = get(k)
+        acc[k] = c if v is None else v + c
 
 
 def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":

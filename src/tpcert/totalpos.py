@@ -13,6 +13,7 @@ index 0.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -147,8 +148,9 @@ def _det_bareiss(entries: list[list[Poly]]) -> Poly:
 
 
 def _det(m: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> Poly:
-    """Minor on the given rows and columns: memoized cofactor expansion up
-    to order 4, fraction-free elimination above."""
+    """Minor on the given rows and columns for callers whose memo does not
+    hold its lower-order minors: memoized cofactor expansion up to order 4,
+    fraction-free elimination above."""
     if len(rows) <= 4:
         return _det_cofactor(m, rows, cols, memo)
     return _det_bareiss(m.submatrix(rows, cols))
@@ -237,11 +239,18 @@ def _subset_iter(n: int, m: int, contiguous: bool):
 
 def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict):
     """Check each row subset against every column subset of its size, in
-    order; returns (minors checked, first witness or None)."""
+    order; returns (minors checked, first witness or None).
+
+    An exhaustive scan reaches every order-r minor after all the
+    order-(r-1) ones, so the memoized cofactor expansion costs r products
+    per minor at every order; contiguous windows leave most of the lower
+    minors out of the memo and take ``_det``.
+    """
+    det = _det if contiguous else _det_cofactor
     checked = 0
     for rows in row_subsets:
         for cols in _subset_iter(m.ncols, len(rows), contiguous):
-            d = _det(m, rows, cols, memo)
+            d = det(m, rows, cols, memo)
             checked += 1
             bad = _first_negative(d)
             if bad is not None:
@@ -263,7 +272,8 @@ def is_totally_positive(
     including the witness (all of them on a pass), whatever ``jobs`` is.
     ``contiguous_only`` restricts to contiguous row/column windows (a fast
     pre-filter, not a certificate).  ``jobs`` > 1 distributes the row
-    subsets over worker processes.
+    subsets over at most ``jobs`` worker processes, no more than there are
+    row subsets or CPUs.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -283,12 +293,16 @@ def is_totally_positive(
 
 
 def _scan_parallel(m: PolyMatrix, row_subsets: list, jobs: int):
-    """``_scan`` with the row subsets dealt round-robin to ``jobs`` workers;
-    the count is that of the serial scan."""
+    """``_scan`` with the row subsets dealt round-robin to
+    min(jobs, row subsets, CPUs) workers; the count is that of the serial
+    scan."""
     from multiprocessing import get_context
 
-    shares = [(m, row_subsets[i::jobs], False, {}) for i in range(jobs)]
-    with get_context("fork").Pool(jobs) as pool:
+    workers = min(jobs, len(row_subsets), os.cpu_count() or 1)
+    if workers < 2:
+        return _scan(m, row_subsets, False, {})
+    shares = [(m, row_subsets[i::workers], False, {}) for i in range(workers)]
+    with get_context("fork").Pool(workers) as pool:
         results = pool.starmap(_scan, shares)
     witnesses = [w for _, w in results if w is not None]
     if not witnesses:

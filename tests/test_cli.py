@@ -69,6 +69,15 @@ def test_unknown_check_kind_is_error(tmp_path):
     assert report.checks[-1]["status"] == "error"
 
 
+def test_check_kind_must_be_a_name(tmp_path):
+    for line in ("  - kind: [a]\n", "  - kind: 3\n", "  - size: 2\n"):
+        path = write_plan(tmp_path, MINIMAL + line)
+        with pytest.raises(PlanError) as err:
+            load_plan(path)
+        assert "'kind'" in str(err.value)
+        assert main(["verify", str(path)]) == 2
+
+
 def test_error_aborts_remaining_checks(tmp_path):
     # a walk-only check on a row-shift spec is an error (not a fail); the
     # trailing triangle-build must not run
@@ -176,7 +185,54 @@ def test_oracle_match_beyond_depth_rejected_at_load(tmp_path):
         assert main(["verify", str(write_plan(tmp_path, doc))]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--depth", "--hankel-size", "--tp-order"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("size", "two"), ("size", "2.5"), ("size", "true"), ("size", '"2"'),
+        ("size", "0"), ("order", "[2]"), ("order", "0"),
+    ],
+)
+def test_non_integer_fields_are_load_errors(tmp_path, field, value):
+    doc = MINIMAL.replace(f"    {field}: 2\n", f"    {field}: {value}\n")
+    assert doc != MINIMAL
+    path = write_plan(tmp_path, doc)
+    with pytest.raises(PlanError) as err:
+        load_plan(path)
+    assert repr(field) in str(err.value)
+    assert main(["verify", str(path)]) == 2
+
+
+def test_integer_fields_of_every_kind_are_checked_at_load(tmp_path):
+    for old, new in (
+        ("  depth: 4\n", "  depth: four\n"),
+        ("  depth: 4\n", "  depth: -1\n"),
+        ("  - kind: triangle-build\n", "  - kind: k-lcx\n    k: 1.5\n"),
+        ("  - kind: triangle-build\n", "  - kind: cf-match\n    depth: '3'\n"),
+        ("  - kind: triangle-build\n", "  - kind: product-formula\n    upto: x\n"),
+    ):
+        doc = MINIMAL.replace(old, new)
+        assert doc != MINIMAL
+        with pytest.raises(PlanError):
+            load_plan(write_plan(tmp_path, doc))
+    for old, new in (("upto: 4", "upto: four"), ("row-offset: 0", "row-offset: 0.0")):
+        with pytest.raises(PlanError):
+            load_plan(write_plan(tmp_path, ORACLE.replace(old, new)))
+
+
+def test_flags_must_be_booleans(tmp_path):
+    tp = MINIMAL + "  - kind: hankel-tp\n    size: 2\n    order: 2\n    contiguous-only: "
+    for value in ('"no"', "0", "yes please"):
+        with pytest.raises(PlanError) as err:
+            load_plan(write_plan(tmp_path, tp + value + "\n"))
+        assert "'contiguous-only'" in str(err.value)
+    doc = MINIMAL + "  - kind: cf-match\n    s: n + 1\n    r: n^2\n    prescaled: 'false'\n"
+    with pytest.raises(PlanError):
+        load_plan(write_plan(tmp_path, doc))
+    report = run_plan(load_plan(write_plan(tmp_path, tp + "false\n")))
+    assert report.checks[-1]["detail"]["contiguous_only"] is False
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--hankel-size", "--tp-order", "--jobs"])
 def test_zero_overrides_are_usage_errors(flag, capsys):
     for value in ("0", "-1"):
         with pytest.raises(SystemExit) as exc:

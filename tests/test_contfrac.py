@@ -2,9 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from tpcert import polyring
 from tpcert.contfrac import (
     DegenerateFraction,
     JFraction,
@@ -247,6 +249,74 @@ class TestAgainstNestedFractions:
             nested = n_ser.mul(d_ser.reciprocal())
             walk = s_expand(SFraction.from_list(zctx, alphas), depth)
             assert walk.coeffs == nested.coeffs
+
+
+def reference_walk(jf, depth):
+    """Series of the walk D[n][k] = D[n-1][k-1] + s_k D[n-1][k] +
+    r_(k+1) D[n-1][k+1], built from Poly ``*`` and ``+`` over every height
+    up to n."""
+    ctx = jf.ctx
+    row = [ctx.one]
+    out = [ctx.one]
+    for n in range(1, depth + 1):
+        new = []
+        for k in range(n + 1):
+            acc = row[k - 1] if k >= 1 else ctx.zero
+            if k < len(row):
+                acc = acc + jf.s(k) * row[k]
+            if k + 1 < len(row):
+                acc = acc + jf.r(k + 1) * row[k + 1]
+            new.append(acc)
+        row = new
+        out.append(row[0])
+    return out
+
+
+class TestWalkAgainstPolyArithmetic:
+    """``j_expand`` sums each walk entry in one coefficient map; the
+    reference walk uses the ``Poly`` operators."""
+
+    def test_integer_closed_forms(self, ctx):
+        n, a, b, c = (ctx.var(v) for v in "nabc")
+        jf = JFraction.from_forms(
+            s_form=(1 + a) * (n + 1) + b * n * n + c,
+            r_form=n * (a + b * n + 2 * c) - a * b,
+        )
+        assert j_expand(jf, 9).coeffs == reference_walk(jf, 9)
+
+    def test_fraction_coefficients(self, ctx):
+        # as in minimax-tree, r carries 1/2 and is integral at every level;
+        # the 1/3 term keeps fractions in the walk entries
+        n, a, b = (ctx.var(v) for v in "nab")
+        jf = JFraction.from_forms(
+            s_form=(1 + a) * (1 + b) * (n + 1),
+            r_form=(1 + a) * (1 + b) * (n + 1) * n * a / 2 + a * b * n / 3,
+        )
+        series = j_expand(jf, 10)
+        assert any(
+            type(v) is Fraction and v.denominator > 1
+            for coeff in series.coeffs for v in coeff.terms.values()
+        )
+        assert series.coeffs == reference_walk(jf, 10)
+
+    def test_products_through_the_fiber_kernel(self, ctx, monkeypatch):
+        n, a, b = (ctx.var(v) for v in "nab")
+        jf = JFraction.from_forms(
+            s_form=(n + 1) * (a + b) ** 24 + a,
+            r_form=n * (a + 2 * b) ** 20 + b,
+        )
+        want = reference_walk(jf, 5)
+        taken = []
+        fiber_product = polyring._fiber_product
+
+        def spy(x, y, nvars):
+            out = fiber_product(x, y, nvars)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(polyring, "_fiber_product", spy)
+        assert j_expand(jf, 5).coeffs == want
+        assert any(taken) and not all(taken)
 
 
 class TestRisingProductSeries:

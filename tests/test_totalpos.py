@@ -1,17 +1,21 @@
 """Tests for exact minors, TP certificates and the log-convexity ladder."""
 
 import math
+import multiprocessing
 import random
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 import sympy
 
-from tpcert import polyring
+from tpcert import families, polyring, totalpos
 from tpcert.polyring import VarContext, mpq
 from tpcert.totalpos import (
     HypothesisError,
     PolyMatrix,
     _det_bareiss,
+    _scan,
     check_hankel_factorization,
     check_k_log_convex,
     check_perturbed_tridiagonal,
@@ -206,6 +210,40 @@ class TestIsTotallyPositive:
         assert serial["witness"]["rows"] == [0, 1] and serial["witness"]["cols"] == [1, 2]
         assert is_totally_positive(h, 5, jobs=2).to_dict() == serial
         assert is_totally_positive(h, 5, jobs=3).to_dict() == serial
+
+    def test_worker_count_is_capped(self, ctx, monkeypatch):
+        requested = []
+
+        class Pool:
+            def __init__(self, workers):
+                requested.append(workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, shares):
+                return [fn(*share) for share in shares]
+
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool)
+        )
+        h = hankel(consts(ctx, [1, 1, 2, 6, 24, 120, 720]), 4)
+        serial = is_totally_positive(h, 3).to_dict()
+        monkeypatch.setattr(totalpos.os, "cpu_count", lambda: 3)
+        assert is_totally_positive(h, 3, jobs=1000).to_dict() == serial
+        assert requested == [3]
+        # two row subsets
+        monkeypatch.setattr(totalpos.os, "cpu_count", lambda: 64)
+        m = PolyMatrix(ctx, [consts(ctx, [1, 2]), consts(ctx, [2, 5])])
+        assert is_totally_positive(m, 1, jobs=8).ok
+        assert requested == [3, 2]
+        # one CPU: the serial scan, no pool
+        monkeypatch.setattr(totalpos.os, "cpu_count", lambda: 1)
+        assert is_totally_positive(h, 3, jobs=4).to_dict() == serial
+        assert requested == [3, 2]
 
     def test_report_records_truncation(self, ctx):
         h = hankel(consts(ctx, [1, 1, 2, 6, 24]), 3)
@@ -434,3 +472,28 @@ class TestHankelFactorization:
         t = [spec.walk_coeff(2, i) for i in range(6)]
         assert "i" in tridiagonal_tp_criteria(s, r, t, 4)
         assert is_totally_positive(walk_hankel(spec, 5), 4).ok
+
+
+class TestScanMemo:
+    """The exhaustive scan takes every minor from the memoized cofactor
+    expansion; fraction-free elimination is the reference at orders 5-7."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        fam = families.CATALOG["eulerian"]()
+        return hankel(build_triangle(fam.spec, 12).row_gfs(fam.gf_var), 7)
+
+    def test_memoized_minors_match_bareiss(self, block):
+        row_subsets = [rows for size in range(1, 8) for rows in combinations(range(7), size)]
+        memo = {}
+        assert _scan(block, row_subsets, False, memo) == (3431, None)
+        high = [key for key in memo if len(key[0]) >= 5]
+        assert len(high) == 21 * 21 + 7 * 7 + 1
+        for rows, cols in high:
+            assert memo[rows, cols] == _det_bareiss(block.submatrix(rows, cols))
+
+    def test_workers_with_empty_memos_match_serial(self, block, monkeypatch):
+        serial = is_totally_positive(block, 6).to_dict()
+        assert serial["result"] == "pass"
+        monkeypatch.setattr(totalpos.os, "cpu_count", lambda: 2)
+        assert is_totally_positive(block, 6, jobs=2).to_dict() == serial
