@@ -290,6 +290,8 @@ class Poly:
             if ca == 1:
                 return Poly(self.ctx, {eb + ea: cb for eb, cb in b.items()})
             return Poly(self.ctx, {eb + ea: cb * ca for eb, cb in b.items()})
+        # not _add_product: a fiber product is kept as it comes, with no
+        # copy into an accumulator and no zero filter
         out = _fiber_product(a, b, len(self.ctx.names))
         if out is not None:
             return Poly(self.ctx, out)

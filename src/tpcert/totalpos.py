@@ -147,17 +147,9 @@ def _det_bareiss(entries: list[list[Poly]]) -> Poly:
     return -d if sign < 0 else d
 
 
-def _det(m: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> Poly:
-    """Minor on the given rows and columns for callers whose memo does not
-    hold its lower-order minors: memoized cofactor expansion up to order 4,
-    fraction-free elimination above."""
-    if len(rows) <= 4:
-        return _det_cofactor(m, rows, cols, memo)
-    return _det_bareiss(m.submatrix(rows, cols))
-
-
 def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> Poly:
-    """Exact determinant of the selected square submatrix."""
+    """Exact determinant of the selected square submatrix: cofactor
+    expansion up to order 4, fraction-free elimination above."""
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise ValueError(f"minor needs equally many rows and columns, got {rows}/{cols}")
@@ -165,7 +157,9 @@ def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> Poly:
         return m.ctx.one
     if max(rows) >= m.nrows or max(cols) >= m.ncols:
         raise ValueError("row/column index out of range")
-    return _det(m, rows, cols, {})
+    if len(rows) <= 4:
+        return _det_cofactor(m, rows, cols, {})
+    return _det_bareiss(m.submatrix(rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +235,15 @@ def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict):
     """Check each row subset against every column subset of its size, in
     order; returns (minors checked, first witness or None).
 
-    An exhaustive scan reaches every order-r minor after all the
-    order-(r-1) ones, so the memoized cofactor expansion costs r products
-    per minor at every order; contiguous windows leave most of the lower
-    minors out of the memo and take ``_det``.
+    Every minor comes from the memoized cofactor expansion.  An exhaustive
+    scan reaches every order-r minor after all the order-(r-1) ones, so
+    each costs r products; the lower minors of a contiguous window are
+    filled in by the recursion and shared by overlapping windows.
     """
-    det = _det if contiguous else _det_cofactor
     checked = 0
     for rows in row_subsets:
         for cols in _subset_iter(m.ncols, len(rows), contiguous):
-            d = det(m, rows, cols, memo)
+            d = _det_cofactor(m, rows, cols, memo)
             checked += 1
             bad = _first_negative(d)
             if bad is not None:
@@ -292,13 +285,21 @@ def is_totally_positive(
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _scan_parallel(m: PolyMatrix, row_subsets: list, jobs: int):
     """``_scan`` with the row subsets dealt round-robin to
     min(jobs, row subsets, CPUs) workers; the count is that of the serial
     scan."""
     from multiprocessing import get_context
 
-    workers = min(jobs, len(row_subsets), os.cpu_count() or 1)
+    workers = min(jobs, len(row_subsets), _usable_cpus())
     if workers < 2:
         return _scan(m, row_subsets, False, {})
     shares = [(m, row_subsets[i::workers], False, {}) for i in range(workers)]

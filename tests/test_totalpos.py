@@ -232,16 +232,16 @@ class TestIsTotallyPositive:
         )
         h = hankel(consts(ctx, [1, 1, 2, 6, 24, 120, 720]), 4)
         serial = is_totally_positive(h, 3).to_dict()
-        monkeypatch.setattr(totalpos.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(totalpos, "_usable_cpus", lambda: 3)
         assert is_totally_positive(h, 3, jobs=1000).to_dict() == serial
         assert requested == [3]
         # two row subsets
-        monkeypatch.setattr(totalpos.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(totalpos, "_usable_cpus", lambda: 64)
         m = PolyMatrix(ctx, [consts(ctx, [1, 2]), consts(ctx, [2, 5])])
         assert is_totally_positive(m, 1, jobs=8).ok
         assert requested == [3, 2]
         # one CPU: the serial scan, no pool
-        monkeypatch.setattr(totalpos.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(totalpos, "_usable_cpus", lambda: 1)
         assert is_totally_positive(h, 3, jobs=4).to_dict() == serial
         assert requested == [3, 2]
 
@@ -475,8 +475,8 @@ class TestHankelFactorization:
 
 
 class TestScanMemo:
-    """The exhaustive scan takes every minor from the memoized cofactor
-    expansion; fraction-free elimination is the reference at orders 5-7."""
+    """The scan takes every minor from the memoized cofactor expansion;
+    fraction-free elimination is the reference at orders 5-7."""
 
     @pytest.fixture(scope="class")
     def block(self):
@@ -492,8 +492,19 @@ class TestScanMemo:
         for rows, cols in high:
             assert memo[rows, cols] == _det_bareiss(block.submatrix(rows, cols))
 
+    def test_contiguous_windows_match_bareiss(self, block):
+        # the lower minors of a window are not scanned before it, so the
+        # recursion fills them in
+        windows = [tuple(range(i, i + size)) for size in range(1, 8) for i in range(8 - size)]
+        memo = {}
+        assert _scan(block, windows, True, memo) == (140, None)
+        for rows in windows[-6:]:  # orders 5-7
+            for cols in (w for w in windows if len(w) == len(rows)):
+                assert memo[rows, cols] == _det_bareiss(block.submatrix(rows, cols))
+        assert is_totally_positive(block, 7, contiguous_only=True).to_dict()["minors_checked"] == 140
+
     def test_workers_with_empty_memos_match_serial(self, block, monkeypatch):
         serial = is_totally_positive(block, 6).to_dict()
         assert serial["result"] == "pass"
-        monkeypatch.setattr(totalpos.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(totalpos, "_usable_cpus", lambda: 2)
         assert is_totally_positive(block, 6, jobs=2).to_dict() == serial
