@@ -58,6 +58,9 @@ ORACLES = {
     "perms-by-interior-peaks": oracles.perms_by_interior_peaks,
     "perms-by-left-peaks": oracles.perms_by_left_peaks,
 }
+# Taken at import: callers may wrap the ORACLES entries (the benchmark's
+# tracer does), and a wrapper need not carry ``limit``.
+_ORACLE_LIMITS = {name: fn.limit for name, fn in ORACLES.items()}
 
 
 class PlanError(ValueError):
@@ -78,6 +81,18 @@ _INT_FIELDS = {
     "hankel-factorization": {"size": 1},
 }
 _BOOL_FIELDS = {"cf-match": ("prescaled",), "hankel-tp": ("contiguous-only",)}
+# Fields a check kind cannot run without; a cf-match needs one complete
+# continued-fraction form instead.
+_REQUIRED_FIELDS = {
+    "hankel-tp": ("size", "order"),
+    "convolution-sm": ("x", "y", "size", "order"),
+    "k-lcx": ("k",),
+    "product-formula": ("factor",),
+    "companion-relation": ("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam"),
+    "oracle-match": ("oracle", "upto"),
+    "hankel-factorization": ("size",),
+}
+_CF_FORMS = (("alpha-even", "alpha-odd"), ("alphas",), ("s", "r"), ("s-list", "r-list"))
 
 
 @dataclass
@@ -146,6 +161,9 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         if v in declared:
             raise PlanError(f"{path}: variable {v!r} is reserved for recurrence indices")
     ctx = VarContext(list(RESERVED_VARS) + list(declared))
+    gf_var = doc.get("gf-var", "q")
+    if gf_var not in declared:
+        raise PlanError(f"{path}: gf-var {gf_var!r} is not among the declared vars {declared}")
 
     tri = doc.get("triangle")
     if not isinstance(tri, dict):
@@ -197,10 +215,18 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         if not isinstance(kind, str):
             raise PlanError(f"{path}: check {i} needs a 'kind' name, got {kind!r}")
         where = f"check {i} ({kind})"
+        if kind not in _PlanRunner.RUNNERS:
+            raise PlanError(f"{path}: {where}: unknown check kind")
         if kind == "hankel-tp":
             for key in ("size", "order"):
                 if overrides.get(key) is not None:
                     check[key] = overrides[key]
+        missing = [key for key in _REQUIRED_FIELDS.get(kind, ()) if key not in check]
+        if missing:
+            raise PlanError(f"{path}: {where} needs {', '.join(map(repr, missing))}")
+        if kind == "cf-match" and not any(all(key in check for key in form) for form in _CF_FORMS):
+            forms = " or ".join("+".join(form) for form in _CF_FORMS)
+            raise PlanError(f"{path}: {where} needs continued-fraction data: {forms}")
         for key, least in _INT_FIELDS.get(kind, {}).items():
             if key in check:
                 _require_int(path, f"{where} {key!r}", check[key], least)
@@ -216,6 +242,17 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
             for var in at:
                 if var not in ctx.names:
                     raise PlanError(f"{path}: {where} evaluates at unknown variable {var!r}")
+        if kind == "oracle-match":
+            oracle = check["oracle"]
+            if not isinstance(oracle, str) or oracle not in ORACLES:
+                raise PlanError(
+                    f"{path}: {where}: unknown oracle {oracle!r}; choose from {sorted(ORACLES)}"
+                )
+            if check["upto"] > _ORACLE_LIMITS[oracle]:
+                raise PlanError(
+                    f"{path}: {where} 'upto' {check['upto']} is beyond the {oracle} "
+                    f"oracle's limit {_ORACLE_LIMITS[oracle]}"
+                )
     _validate_depths(path, depth, checks)
     return VerificationPlan(
         name=name,
@@ -223,7 +260,7 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         ctx=ctx,
         spec=spec,
         depth=depth,
-        gf_var=doc.get("gf-var", "q"),
+        gf_var=gf_var,
         checks=checks,
         specialize=specialize,
     )
@@ -268,7 +305,7 @@ def _validate_depths(path: Path, depth: int, checks: list[dict]) -> None:
 
 
 def _fraction_from_check(ctx: VarContext, check: dict, where: str):
-    if "alpha-even" in check:
+    if "alpha-even" in check and "alpha-odd" in check:
         return SFraction.from_forms(
             _parse_poly(ctx, check["alpha-even"], where),
             _parse_poly(ctx, check["alpha-odd"], where),
@@ -282,13 +319,11 @@ def _fraction_from_check(ctx: VarContext, check: dict, where: str):
             _parse_poly(ctx, check["s"], where),
             _parse_poly(ctx, check["r"], where),
         )
-    if "s-list" in check and "r-list" in check:
-        return JFraction.from_lists(
-            ctx,
-            [_parse_poly(ctx, v, where) for v in check["s-list"]],
-            [_parse_poly(ctx, v, where) for v in check["r-list"]],
-        )
-    raise PlanError(f"{where}: no continued-fraction data in cf-match check")
+    return JFraction.from_lists(  # load_plan saw one complete form
+        ctx,
+        [_parse_poly(ctx, v, where) for v in check["s-list"]],
+        [_parse_poly(ctx, v, where) for v in check["r-list"]],
+    )
 
 
 def _sequence_from_name(ctx: VarContext, name: str, upto: int) -> list[Poly]:
@@ -433,9 +468,7 @@ class _PlanRunner:
         return report.ok, detail
 
     def run_oracle_match(self, check: dict):
-        oracle = ORACLES.get(check["oracle"])
-        if oracle is None:
-            raise PlanError(f"unknown oracle {check['oracle']!r}")
+        oracle = ORACLES[check["oracle"]]
         upto = check["upto"]
         offset = check.get("row-offset", 0)
         t = self._tri()
@@ -488,18 +521,11 @@ def run_plan(plan: VerificationPlan, jobs: int = 1, golden_dir: Path | None = No
     runner = _PlanRunner(plan, jobs=jobs, golden_dir=golden_dir)
     report = RunReport(plan=plan.name, status="pass")
     for check in plan.checks:
-        kind = check.get("kind")
-        fn = _PlanRunner.RUNNERS.get(kind)
+        kind = check["kind"]
         entry = {"kind": kind}
         t0 = time.monotonic()
-        if fn is None:
-            entry["status"] = "error"
-            entry["detail"] = {"message": f"unknown check kind {kind!r}"}
-            report.checks.append(entry)
-            report.status = "fail"
-            break
         try:
-            ok, detail = fn(runner, check)
+            ok, detail = _PlanRunner.RUNNERS[kind](runner, check)
             entry["status"] = "pass" if ok else "fail"
             entry["detail"] = detail
             report.checks.append(entry)

@@ -2,8 +2,10 @@
 
 Every function here counts objects directly from the defining property,
 with no reference to any recurrence, so the triangle builders can be tested
-against an independent source.  Sizes are hard-guarded: these are oracles
-for desk-scale cross-checks, not counting algorithms.
+against an independent source.  Stirling permutations are found by pruned
+search: only prefixes that can still complete are extended, and every
+finished word is checked against the definition.  Sizes are hard-guarded:
+these are oracles for desk-scale cross-checks, not counting algorithms.
 
 Boundary conventions: statistics that look left of the first letter use a
 virtual 0 there (ascent plateaus and left peaks), which is the convention
@@ -13,6 +15,7 @@ the recurrences are aligned to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import permutations
 
 
@@ -32,11 +35,23 @@ class CountVector:
         return list(self.counts) + [0] * (length - len(self.counts))
 
 
-def _guard(n: int, limit: int, what: str):
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n > limit:
-        raise ValueError(f"{what} enumeration is guarded at n <= {limit}, got {n}")
+def _guard(limit: int, what: str):
+    """Refuse sizes outside 0..limit.  The limit is kept on the enumerator
+    as ``limit``, where plan validation reads it."""
+
+    def wrap(enumerate_):
+        @wraps(enumerate_)
+        def guarded(n: int):
+            if n < 0:
+                raise ValueError("size must be nonnegative")
+            if n > limit:
+                raise ValueError(f"{what} enumeration is guarded at n <= {limit}, got {n}")
+            return enumerate_(n)
+
+        guarded.limit = limit
+        return guarded
+
+    return wrap
 
 
 def _vector(n: int, values) -> CountVector:
@@ -47,11 +62,11 @@ def _vector(n: int, values) -> CountVector:
     return CountVector(n, tuple(counts.get(k, 0) for k in range(top + 1)))
 
 
+@_guard(7, "permutation")
 def perms_by_descents(n: int) -> CountVector:
     """Permutations of [n] counted by descent number + 1 (so column k holds
     the permutations with k-1 descents, matching the triangle alignment);
     the empty statistic column 0 is zero for n >= 1."""
-    _guard(n, 7, "permutation")
     if n == 0:
         return CountVector(0, (1,))
 
@@ -61,9 +76,9 @@ def perms_by_descents(n: int) -> CountVector:
     return _vector(n, (descents(p) + 1 for p in permutations(range(1, n + 1))))
 
 
+@_guard(7, "permutation")
 def perms_by_cycles(n: int) -> CountVector:
     """Permutations of [n] counted by number of disjoint cycles."""
-    _guard(n, 7, "permutation")
     if n == 0:
         return CountVector(0, (1,))
 
@@ -82,9 +97,9 @@ def perms_by_cycles(n: int) -> CountVector:
     return _vector(n, (cycles(p) for p in permutations(range(n))))
 
 
+@_guard(8, "set partition")
 def set_partitions_by_blocks(n: int) -> CountVector:
     """Partitions of an n-set counted by number of blocks."""
-    _guard(n, 8, "set partition")
     if n == 0:
         return CountVector(0, (1,))
 
@@ -102,29 +117,16 @@ def set_partitions_by_blocks(n: int) -> CountVector:
     return _vector(n, block_counts())
 
 
-def _multiset_perms(counts: dict[int, int], length: int):
-    """Distinct permutations of a multiset given as value -> multiplicity."""
-    word: list[int] = []
-
-    def rec():
-        if len(word) == length:
-            yield tuple(word)
-            return
-        for v in sorted(counts):
-            if counts[v]:
-                counts[v] -= 1
-                word.append(v)
-                yield from rec()
-                word.pop()
-                counts[v] += 1
-
-    yield from rec()
-
-
+@_guard(5, "Stirling permutation")
 def stirling_permutations(n: int):
     """All permutations of the multiset {1,1,...,n,n} in which everything
-    between the two copies of i exceeds i."""
-    _guard(n, 5, "Stirling permutation")
+    between the two copies of i exceeds i.
+
+    Found by depth-first search over prefixes.  A value is open when one
+    copy of it is placed; v may be appended only if every open value other
+    than v is smaller than v, since a letter below an open i can never
+    leave the stretch between i's copies.  Every finished word is still
+    checked against the definition."""
 
     def ok(word):
         pos: dict[int, list[int]] = {}
@@ -135,15 +137,23 @@ def stirling_permutations(n: int):
                 return False
         return True
 
-    for word in _multiset_perms({i: 2 for i in range(1, n + 1)}, 2 * n):
-        if ok(word):
-            yield word
+    stack = [()]
+    while stack:
+        word = stack.pop()
+        if len(word) == 2 * n:
+            if ok(word):
+                yield word
+            continue
+        opened = {v for v in word if word.count(v) == 1}
+        for v in range(n, 0, -1):  # pushed downwards, so popped in lex order
+            if word.count(v) < 2 and all(u < v for u in opened - {v}):
+                stack.append(word + (v,))
 
 
+@_guard(stirling_permutations.limit, "Stirling permutation")
 def stirling_perms_by_ascent_plateau(n: int) -> CountVector:
     """Stirling permutations counted by ascent plateaus (positions i with
     w[i-1] < w[i] == w[i+1], reading a virtual 0 before the word)."""
-    _guard(n, 5, "Stirling permutation")
     if n == 0:
         return CountVector(0, (1,))
 
@@ -158,9 +168,9 @@ def stirling_perms_by_ascent_plateau(n: int) -> CountVector:
     return _vector(n, (plateaus(w) for w in stirling_permutations(n)))
 
 
+@_guard(5, "matching")
 def matchings_by_odd_smaller(n: int) -> CountVector:
     """Perfect matchings of [2n] counted by pairs whose smaller entry is odd."""
-    _guard(n, 5, "matching")
     if n == 0:
         return CountVector(0, (1,))
 
@@ -178,10 +188,10 @@ def matchings_by_odd_smaller(n: int) -> CountVector:
     return _vector(n, out)
 
 
+@_guard(7, "permutation")
 def perms_by_interior_peaks(n: int) -> CountVector:
     """Permutations of [n] counted by interior peaks (1 < i < n with
     neighbors smaller on both sides)."""
-    _guard(n, 7, "permutation")
     if n == 0:
         return CountVector(0, (1,))
 
@@ -191,10 +201,10 @@ def perms_by_interior_peaks(n: int) -> CountVector:
     return _vector(n, (peaks(p) for p in permutations(range(1, n + 1))))
 
 
+@_guard(7, "permutation")
 def perms_by_left_peaks(n: int) -> CountVector:
     """Permutations of [n] counted by left peaks (positions 1 <= i < n with
     p[i-1] < p[i] > p[i+1], reading a virtual 0 at position 0)."""
-    _guard(n, 7, "permutation")
     if n == 0:
         return CountVector(0, (1,))
 

@@ -10,6 +10,7 @@ import pytest
 from tpcert.cli import PlanError, emit_report, load_plan, main, run_plan
 
 PLANS = Path(__file__).resolve().parent.parent / "plans"
+EXPECTED_BATCH = PLANS.parent / "perfbench" / "expected" / "plan-batch.json"
 
 
 def write_plan(tmp_path, text, name="plan.yaml"):
@@ -63,10 +64,11 @@ def test_malformed_yaml_reports_location(tmp_path):
 
 
 def test_unknown_check_kind_is_error(tmp_path):
-    doc = MINIMAL + "  - kind: no-such-check\n"
-    report = run_plan(load_plan(write_plan(tmp_path, doc)))
-    assert report.status == "fail"
-    assert report.checks[-1]["status"] == "error"
+    path = write_plan(tmp_path, MINIMAL + "  - kind: no-such-check\n")
+    with pytest.raises(PlanError) as err:
+        load_plan(path)
+    assert "unknown check kind" in str(err.value)
+    assert main(["verify", str(path)]) == 2
 
 
 def test_check_kind_must_be_a_name(tmp_path):
@@ -183,6 +185,88 @@ def test_oracle_match_beyond_depth_rejected_at_load(tmp_path):
             load_plan(write_plan(tmp_path, doc))
         assert "oracle-match" in str(err.value)
         assert main(["verify", str(write_plan(tmp_path, doc))]) == 2
+
+
+def test_unknown_oracle_is_load_error(tmp_path):
+    for value in ("no-such-oracle", "[perms-by-descents]"):
+        path = write_plan(tmp_path, ORACLE.replace("perms-by-descents", value))
+        with pytest.raises(PlanError) as err:
+            load_plan(path)
+        assert "unknown oracle" in str(err.value)
+        assert main(["verify", str(path)]) == 2
+
+
+def test_oracle_match_beyond_guard_is_load_error(tmp_path):
+    doc = ORACLE.replace("perms-by-descents", "stirling-perms-by-ascent-plateau")
+    doc = doc.replace('c0: "k"', 'c0: "2*k"').replace('c1: "n - k + 1"', 'c1: "2*(n - k) + 1"')
+    doc = doc.replace("depth: 4", "depth: 8")
+    within = write_plan(tmp_path, doc.replace("upto: 4", "upto: 5"))
+    assert run_plan(load_plan(within)).status == "pass"
+    path = write_plan(tmp_path, doc.replace("upto: 4", "upto: 6"))
+    with pytest.raises(PlanError) as err:
+        load_plan(path)
+    assert "limit 5" in str(err.value)
+    assert main(["verify", str(path)]) == 2
+
+
+# a complete check of each kind that reads fields unconditionally
+COMPLETE = {
+    "hankel-tp": {"size": 2, "order": 2},
+    "hankel-factorization": {"size": 2},
+    "k-lcx": {"k": 1},
+    "oracle-match": {"oracle": "perms-by-descents", "upto": 2},
+    "product-formula": {"factor": 1},
+    "convolution-sm": {"x": "ones", "y": "ones", "size": 2, "order": 1, "upto": 2},
+    "companion-relation": {
+        "a0": 0, "a1": 1, "a2": 0, "b0": 1, "b1": 0, "b2": 0, "d": 1, "lam": 1, "upto": 2,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [(kind, f) for kind, fields in COMPLETE.items() for f in fields if f != "upto"]
+    + [("oracle-match", "upto")],
+)
+def test_required_fields_are_load_errors(tmp_path, kind, field):
+    def plan(fields):
+        body = "".join(f"    {key}: {value}\n" for key, value in fields.items())
+        return MINIMAL.split("checks:")[0] + f"checks:\n  - kind: {kind}\n{body}"
+
+    load_plan(write_plan(tmp_path, plan(COMPLETE[kind])))
+    path = write_plan(tmp_path, plan({k: v for k, v in COMPLETE[kind].items() if k != field}))
+    with pytest.raises(PlanError) as err:
+        load_plan(path)
+    assert repr(field) in str(err.value)
+    assert main(["verify", str(path)]) == 2
+
+
+def test_cf_match_needs_a_complete_fraction(tmp_path):
+    head = MINIMAL.split("checks:")[0] + "checks:\n  - kind: cf-match\n"
+    for body in ("", "    alpha-even: q\n", "    s: 1\n", "    r-list: [1]\n"):
+        path = write_plan(tmp_path, head + body)
+        with pytest.raises(PlanError) as err:
+            load_plan(path)
+        assert "continued-fraction data" in str(err.value)
+        assert main(["verify", str(path)]) == 2
+    complete = head + "    depth: 4\n    alpha-even: q\n    alpha-odd: 1\n"
+    report = run_plan(load_plan(write_plan(tmp_path, complete)))
+    assert report.checks[0]["status"] == "fail"  # ran, and (1 + q)^n is not this fraction
+
+
+def test_gf_var_must_be_declared(tmp_path):
+    for doc in (
+        MINIMAL.replace("vars: [q]\n", ""),
+        MINIMAL.replace("vars: [q]\n", "vars: [x]\n"),
+        MINIMAL.replace("vars: [q]\n", "vars: [q]\ngf-var: n\n"),
+    ):
+        path = write_plan(tmp_path, doc)
+        with pytest.raises(PlanError) as err:
+            load_plan(path)
+        assert "gf-var" in str(err.value)
+        assert main(["verify", str(path)]) == 2
+    doc = MINIMAL.replace("vars: [q]\n", "vars: [x]\ngf-var: x\n")
+    assert run_plan(load_plan(write_plan(tmp_path, doc))).status == "pass"
 
 
 @pytest.mark.parametrize(
@@ -315,6 +399,21 @@ class TestShippedPlans:
         assert "13 plan(s)" in out
         assert out.count("FAIL") == 1
         assert "peak-interior-negative: FAIL" in out
+
+    def test_full_batch_body_is_the_recorded_one(self, capsys, monkeypatch):
+        # the report body without timings, with one worker and with two; the
+        # recorded body names the golden file by the plan's path as given
+        monkeypatch.chdir(PLANS.parent)
+        plans = [f"plans/{p.name}" for p in sorted(PLANS.glob("*.yaml"))]
+        bodies = []
+        for jobs in ("1", "2"):
+            assert main(["verify", *plans, "--format", "json", "--jobs", jobs]) == 1
+            body = json.loads(capsys.readouterr().out)
+            for plan in body["plans"]:
+                del plan["timings"]
+            bodies.append(body)
+        assert bodies[0] == bodies[1]
+        assert bodies[0] == json.loads(EXPECTED_BATCH.read_text())
 
     def test_missing_plan_is_load_error(self, capsys):
         rc = main(["verify", str(PLANS / "does-not-exist.yaml")])

@@ -1,6 +1,7 @@
 """Tests for the brute-force enumeration oracles."""
 
 import math
+from itertools import permutations
 
 import pytest
 
@@ -59,6 +60,26 @@ class TestExamples:
         assert oracles.perms_by_left_peaks(2).counts == (1, 1)
 
 
+class TestStirlingSearch:
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_matches_filtered_arrangements(self, n):
+        # every distinct arrangement of {1,1,...,n,n}, kept when everything
+        # between the two copies of each i exceeds i
+        def stirling(word):
+            for i in range(1, n + 1):
+                a = word.index(i)
+                b = word.index(i, a + 1)
+                if any(v < i for v in word[a + 1 : b]):
+                    return False
+            return True
+
+        multiset = [i for i in range(1, n + 1) for _ in range(2)]
+        want = {w for w in set(permutations(multiset)) if stirling(w)}
+        got = list(oracles.stirling_permutations(n))
+        assert len(got) == len(set(got)) == dfact(n)
+        assert set(got) == want
+
+
 class TestTotals:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_permutation_totals(self, n):
@@ -71,12 +92,12 @@ class TestTotals:
     def test_bell_totals(self, n):
         assert oracles.set_partitions_by_blocks(n).total == bell(n)
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 6))
     def test_double_factorial_totals(self, n):
         assert oracles.stirling_perms_by_ascent_plateau(n).total == dfact(n)
         assert oracles.matchings_by_odd_smaller(n).total == dfact(n)
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 6))
     def test_two_enumerations_agree(self, n):
         assert (
             oracles.matchings_by_odd_smaller(n).counts
@@ -132,6 +153,9 @@ class TestGuards:
             oracles.perms_by_descents(8)
         with pytest.raises(ValueError):
             oracles.stirling_perms_by_ascent_plateau(6)
+        with pytest.raises(ValueError):  # on the call, before any word is asked for
+            oracles.stirling_permutations(6)
+        assert oracles.stirling_permutations.limit == 5
         with pytest.raises(ValueError):
             oracles.matchings_by_odd_smaller(6)
         with pytest.raises(ValueError):
