@@ -6,9 +6,10 @@ and emits a machine-readable report.  Plans double as test fixtures, so the
 report body is deterministic: timings live in a separate key and the JSON
 is emitted with sorted keys.
 
-Exit status is 0 iff every check of every plan passes.  An error (as
-opposed to a clean fail) aborts the remaining checks of the same plan but
-not the other plans of a batch.
+``load_plan`` parses a whole plan by one field table per triangle and check
+kind, so runners get parsed values and bad input is a load error (exit 2).
+Otherwise exit status is 0 iff every check of every plan passes.  An error
+(as opposed to a clean fail) aborts the rest of its plan but not the batch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import yaml
 
 from . import oracles
 from .contfrac import JFraction, SFraction, cf_match
-from .polyring import ParseError, Poly, VarContext, mpq
+from .polyring import Poly, VarContext, mpq
 from .totalpos import (
     check_hankel_factorization,
     check_k_log_convex,
@@ -67,37 +68,9 @@ class PlanError(ValueError):
     """Malformed plan document (bad keys, bad polynomial strings, ...)."""
 
 
-# Integer fields each check kind reads, with the least value that has
-# something to check (None: no bound), and the flags it reads.
-_INT_FIELDS = {
-    "cf-match": {"depth": 0},
-    "hankel-tp": {"size": 1, "order": 1},
-    "convolution-sm": {"size": 1, "order": 1, "upto": 0},
-    "k-lcx": {"k": 1},
-    "product-formula": {"upto": 0},
-    "companion-relation": {"upto": 0},
-    "oracle-match": {"upto": 0, "row-offset": None},
-    "tridiagonal-criteria": {"upto": 0},
-    "hankel-factorization": {"size": 1},
-}
-_BOOL_FIELDS = {"cf-match": ("prescaled",), "hankel-tp": ("contiguous-only",)}
-# Fields a check kind cannot run without; a cf-match needs one complete
-# continued-fraction form instead.
-_REQUIRED_FIELDS = {
-    "hankel-tp": ("size", "order"),
-    "convolution-sm": ("x", "y", "size", "order"),
-    "k-lcx": ("k",),
-    "product-formula": ("factor",),
-    "companion-relation": ("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam"),
-    "oracle-match": ("oracle", "upto"),
-    "hankel-factorization": ("size",),
-}
-_CF_FORMS = (("alpha-even", "alpha-odd"), ("alphas",), ("s", "r"), ("s-list", "r-list"))
-
-
 @dataclass
 class VerificationPlan:
-    """Parsed plan: one spec, its context, and an ordered check list."""
+    """Parsed plan: one spec, its context, and an ordered list of parsed checks."""
 
     name: str
     path: Path
@@ -127,13 +100,320 @@ class RunReport:
         }
 
 
-def _parse_poly(ctx: VarContext, text, where: str) -> Poly:
-    if isinstance(text, int):
-        return ctx.const(text)
-    try:
-        return ctx.parse(str(text))
-    except ParseError as exc:
-        raise PlanError(f"{where}: {exc}") from exc
+# ---------------------------------------------------------------------------
+# check runners
+# ---------------------------------------------------------------------------
+
+
+class _PlanRunner:
+    def __init__(self, plan: VerificationPlan, jobs: int = 1, golden_dir: Path | None = None):
+        self.plan = plan
+        self.jobs = jobs
+        self.golden_dir = golden_dir
+        self.triangle: Triangle | None = None
+
+    def _tri(self) -> Triangle:
+        if self.triangle is None:
+            self.triangle = build_triangle(self.plan.spec, self.plan.depth)
+        return self.triangle
+
+    def _row_seq(self, check: dict) -> list[Poly]:
+        if check["source"] == "first-column":
+            return self._tri().first_column()
+        return self._tri().row_gfs(self.plan.gf_var)
+
+    # each runner takes a parsed check and returns (ok, detail-dict)
+
+    def run_triangle_build(self, check: dict):
+        t = self._tri()
+        detail = {"depth": t.depth, "recurrence-residual": t.satisfies()}
+        if not detail["recurrence-residual"]:
+            return False, detail
+        golden = check["golden"]
+        if golden:
+            gpath = self.plan.path.parent / golden
+            if self.golden_dir is not None:
+                out = self.golden_dir / Path(golden).name
+                write_golden(t, out)
+                detail["golden"] = f"regenerated {out}"
+            else:
+                rows = read_golden(self.plan.ctx, gpath)
+                detail["golden"] = f"compared {gpath}"
+                if rows != t.rows:
+                    return False, detail
+        return True, detail
+
+    def run_row_gf(self, check: dict):
+        gfs = self._tri().row_gfs(self.plan.gf_var)
+        detail = {"rows": [str(g) for g in gfs]}
+        for n, want in enumerate(check["values"]):
+            got = gfs[n].specialize(check["at"]) if check["at"] else gfs[n]
+            if got != want:
+                detail["mismatch"] = {"row": n, "got": str(got), "want": str(want)}
+                return False, detail
+        return True, detail
+
+    def run_cf_match(self, check: dict):
+        ok = cf_match(self._tri(), check["fraction"], check["depth"], var=self.plan.gf_var,
+                      prescaled=check["prescaled"], eval_at=check["eval-at"])
+        return ok, {"depth": check["depth"]}
+
+    def run_hankel_tp(self, check: dict):
+        report = is_totally_positive(
+            hankel(self._row_seq(check), check["size"]),
+            check["order"],
+            contiguous_only=check["contiguous-only"],
+            jobs=self.jobs,
+        )
+        return report.ok, report.to_dict()
+
+    def run_k_lcx(self, check: dict):
+        report = check_k_log_convex(self._row_seq(check), check["k"])
+        return report.ok, report.to_dict()
+
+    def run_product_formula(self, check: dict):
+        ok = check_product_formula(self._tri(), check["factor"], check["upto"],
+                                   var=self.plan.gf_var, eval_at=check["eval-at"])
+        return ok, {"upto": check["upto"]}
+
+    def run_companion_relation(self, check: dict):
+        upto = check["upto"]
+        comp = companion_spec(
+            self.plan.ctx, check["a0"], check["a1"], check["a2"],
+            check["b0"], check["b1"], check["b2"], check["d"],
+        )
+        t_comp = build_triangle(comp, upto)
+        ok = check_companion_relation(
+            self._tri(), t_comp, check["lam"], check["d"], upto, var=self.plan.gf_var
+        )
+        return ok, {"upto": upto}
+
+    def run_convolution_sm(self, check: dict):
+        z = triangle_convolution(self._tri(), check["x"], check["y"], check["upto"])
+        report = is_totally_positive(hankel(z, check["size"]), check["order"], jobs=self.jobs)
+        detail = report.to_dict()
+        detail["sequence"] = [str(v) for v in z]
+        return report.ok, detail
+
+    def run_oracle_match(self, check: dict):
+        oracle = ORACLES[check["oracle"]]
+        upto = check["upto"]
+        t = self._tri()
+        for n in range(1, upto + 1):
+            row = n + check["row-offset"]
+            if row < 0 or row > t.depth:
+                return False, {"missing-row": row}
+            got = [e.const_value() for e in t.rows[row]]
+            want = oracle(n).padded(len(got))
+            if got != want:
+                return False, {"n": n, "got": [str(v) for v in got], "want": want}
+        return True, {"upto": upto}
+
+    def run_tridiagonal_criteria(self, check: dict):
+        upto = check["upto"]
+        spec = self.plan.spec
+        s = [spec.walk_coeff(1, i) for i in range(upto + 1)]
+        r = [spec.walk_coeff(0, i) for i in range(upto + 1)]
+        t = [spec.walk_coeff(2, i) for i in range(upto + 2)]
+        held = sorted(tridiagonal_tp_criteria(s, r, t, upto))
+        return set(check["expect"]) <= set(held), {"criteria": held}
+
+    def run_hankel_factorization(self, check: dict):
+        return check_hankel_factorization(self.plan.spec, check["size"]), {"size": check["size"]}
+
+
+# ---------------------------------------------------------------------------
+# the plan schema
+# ---------------------------------------------------------------------------
+
+# A field type takes the YAML value, the plan's variable context and the
+# fields parsed before it, and returns the parsed value or raises ValueError.
+# Its docstring is the type as README's field tables print it.
+
+_REQUIRED = object()  # default of a field the check cannot run without
+_DEPTH = object()  # default: the triangle depth
+
+
+def _type(doc: str, accepts, parse=lambda value, ctx, parsed: value):
+    def field_type(value, ctx, parsed):
+        if not accepts(value):
+            raise ValueError(f"expected {doc}, got {value!r}")
+        return parse(value, ctx, parsed)
+
+    field_type.__doc__ = doc
+    return field_type
+
+
+def _name(what: str, choices):
+    def parse(value, ctx, parsed):
+        if not isinstance(value, str) or value not in choices:
+            raise ValueError(f"unknown {what} {value!r}; choose from {sorted(choices)}")
+        return value
+
+    parse.__doc__ = "one of " + ", ".join(choices)
+    return parse
+
+
+def _monomial(value, ctx, parsed) -> Poly:
+    """monomial"""
+    p = _poly(value, ctx, parsed)
+    if len(p.terms) != 1:
+        raise ValueError(f"expected a single monomial, got {value!r}")
+    return p
+
+
+def _rationals(mapping: dict, ctx, parsed) -> dict:
+    out = {}
+    for var, value in mapping.items():
+        if var not in ctx.names:
+            raise ValueError(f"names unknown variable {var!r}")
+        try:
+            out[var] = mpq(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{var}: expected a rational, got {value!r}") from None
+    return out
+
+
+_integer = _type("integer", lambda v: type(v) is int)
+_count = _type("integer >= 0", lambda v: type(v) is int and v >= 0)
+_positive = _type("integer >= 1", lambda v: type(v) is int and v >= 1)
+_flag = _type("true or false", lambda v: isinstance(v, bool))
+_file_name = _type("file name", lambda v: isinstance(v, str))
+_poly = _type("polynomial", lambda v: type(v) is int or isinstance(v, str),
+              lambda v, ctx, parsed: ctx.parse(str(v)))  # a ParseError is a ValueError
+_polys = _type("non-empty list of polynomials", lambda v: isinstance(v, list) and v,
+               lambda v, ctx, parsed: [_poly(p, ctx, parsed) for p in v])
+_rational_map = _type("mapping of variables to rationals", lambda v: isinstance(v, dict),
+                      _rationals)
+_criteria = _type("list of i, ii, iii, iv",
+                  lambda v: isinstance(v, list) and all(c in ("i", "ii", "iii", "iv") for c in v))
+_source = _name("source", ("row-gf", "first-column"))
+
+_BUILTIN_SEQUENCES = {
+    "factorial": math.factorial,
+    "double-factorial": lambda i: math.prod(range(1, 2 * i, 2)),
+    "ones": lambda i: 1,
+}
+
+
+def _sequence(value, ctx, parsed):
+    """factorial, double-factorial, ones, or a list of at least upto + 1 polynomials"""
+    upto = parsed["upto"]
+    if isinstance(value, str):
+        _name("builtin sequence", _BUILTIN_SEQUENCES)(value, ctx, parsed)
+        return [ctx.const(_BUILTIN_SEQUENCES[value](i)) for i in range(upto + 1)]
+    seq = _polys(value, ctx, parsed)
+    if len(seq) <= upto:
+        raise ValueError(f"'upto' {upto} needs {upto + 1} values, got {len(seq)}")
+    return seq
+
+
+def _oracle_upto(value, ctx, parsed):
+    """integer >= 0, at most the oracle's size limit"""
+    limit = _ORACLE_LIMITS[parsed["oracle"]]
+    if _count(value, ctx, parsed) > limit:
+        raise ValueError(f"{value} is beyond the {parsed['oracle']} oracle's limit {limit}")
+    return value
+
+
+# Fields of the triangle section by triangle kind, name -> (type, default).
+# Besides depth and denominator they are the recurrence coefficients, in order.
+_TRIANGLE_COMMON = {"denominator": (_monomial, None), "depth": (_count, 8)}
+_TRIANGLES = {
+    ROW_SHIFT: {"c0": (_poly, _REQUIRED), "c1": (_poly, _REQUIRED), "c2": (_poly, None),
+                **_TRIANGLE_COMMON},
+    COLUMN_WALK: {**dict.fromkeys(("r", "s", "t"), (_poly, _REQUIRED)), **_TRIANGLE_COMMON},
+}
+
+
+def _kind(run, rows, fields, forms=None, triangle=None) -> dict:
+    return {"run": run, "rows": rows, "fields": fields, "forms": forms or {}, "triangle": triangle}
+
+
+# One entry per check kind: its runner; the triangle depth it reads, from the
+# parsed check; its fields, name -> (type, default), parsed in this order, so
+# a type may read the fields before it; for cf-match the continued-fraction
+# forms, of which a check gives exactly one, with the function that makes the
+# fraction from each; and the triangle kind it needs, if only one will do.
+_CHECKS = {
+    "triangle-build": _kind(_PlanRunner.run_triangle_build, lambda c: 0, {
+        "golden": (_file_name, None),
+    }),
+    "row-gf": _kind(_PlanRunner.run_row_gf, lambda c: len(c["values"]) - 1, {
+        "at": (_rational_map, {}),
+        "values": (_polys, ()),
+    }),
+    "cf-match": _kind(_PlanRunner.run_cf_match, lambda c: c["depth"], {
+        "depth": (_count, _DEPTH),
+        "prescaled": (_flag, False),
+        "eval-at": (_poly, None),
+        **dict.fromkeys(("alpha-even", "alpha-odd", "s", "r"), (_poly, None)),
+        **dict.fromkeys(("alphas", "s-list", "r-list"), (_polys, None)),
+    }, forms={
+        ("alpha-even", "alpha-odd"): lambda ctx, even, odd: SFraction.from_forms(even, odd),
+        ("alphas",): SFraction.from_list,
+        ("s", "r"): lambda ctx, s, r: JFraction.from_forms(s, r),
+        ("s-list", "r-list"): JFraction.from_lists,
+    }),
+    "hankel-tp": _kind(_PlanRunner.run_hankel_tp, lambda c: 2 * (c["size"] - 1), {
+        "source": (_source, "row-gf"),
+        "size": (_positive, _REQUIRED),
+        "order": (_positive, _REQUIRED),
+        "contiguous-only": (_flag, False),
+    }),
+    "k-lcx": _kind(_PlanRunner.run_k_lcx, lambda c: 2 * c["k"], {
+        "source": (_source, "row-gf"),
+        "k": (_positive, _REQUIRED),
+    }),
+    "product-formula": _kind(_PlanRunner.run_product_formula, lambda c: c["upto"], {
+        "factor": (_poly, _REQUIRED),
+        "upto": (_count, _DEPTH),
+        "eval-at": (_poly, None),
+    }),
+    "companion-relation": _kind(_PlanRunner.run_companion_relation, lambda c: c["upto"], {
+        **dict.fromkeys(("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam"), (_poly, _REQUIRED)),
+        "upto": (_count, _DEPTH),
+    }),
+    "convolution-sm": _kind(
+        _PlanRunner.run_convolution_sm, lambda c: max(2 * (c["size"] - 1), c["upto"]), {
+            "upto": (_count, _DEPTH),
+            "x": (_sequence, _REQUIRED),
+            "y": (_sequence, _REQUIRED),
+            "size": (_positive, _REQUIRED),
+            "order": (_positive, _REQUIRED),
+        }),
+    "oracle-match": _kind(_PlanRunner.run_oracle_match, lambda c: c["upto"] + c["row-offset"], {
+        "oracle": (_name("oracle", ORACLES), _REQUIRED),
+        "upto": (_oracle_upto, _REQUIRED),
+        "row-offset": (_integer, 0),
+    }),
+    "tridiagonal-criteria": _kind(_PlanRunner.run_tridiagonal_criteria, lambda c: 0, {
+        "upto": (_count, 4),
+        "expect": (_criteria, ()),
+    }, triangle=COLUMN_WALK),
+    "hankel-factorization": _kind(_PlanRunner.run_hankel_factorization, lambda c: 0, {
+        "size": (_positive, _REQUIRED),
+    }),
+}
+
+
+def _parse_fields(fields: dict, raw: dict, ctx: VarContext, where: str, depth=None) -> dict:
+    """Parse mapping ``raw``, whose other key can only be ``kind``, by a field table."""
+    for key in raw:
+        if key != "kind" and key not in fields:
+            raise PlanError(f"{where} has unknown key {key!r}; known keys: {', '.join(fields)}")
+    parsed = {}
+    for key, (parse, default) in fields.items():
+        if key in raw:
+            try:
+                parsed[key] = parse(raw[key], ctx, parsed)
+            except ValueError as exc:
+                raise PlanError(f"{where} {key!r}: {exc}") from exc
+        elif default is _REQUIRED:
+            raise PlanError(f"{where} needs {key!r}")
+        else:
+            parsed[key] = depth if default is _DEPTH else default
+    return parsed
 
 
 def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPlan:
@@ -155,12 +435,15 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
 
     name = doc.get("name", path.stem)
     declared = doc.get("vars") or []
-    if not isinstance(declared, list):
-        raise PlanError(f"{path}: 'vars' must be a list of names")
+    if not isinstance(declared, list) or not all(isinstance(v, str) for v in declared):
+        raise PlanError(f"{path}: 'vars' must be a list of names, got {declared!r}")
     for v in RESERVED_VARS:
         if v in declared:
             raise PlanError(f"{path}: variable {v!r} is reserved for recurrence indices")
-    ctx = VarContext(list(RESERVED_VARS) + list(declared))
+    try:
+        ctx = VarContext(list(RESERVED_VARS) + declared)
+    except ValueError as exc:  # a repeated name, or one that is not an identifier
+        raise PlanError(f"{path}: 'vars': {exc}") from exc
     gf_var = doc.get("gf-var", "q")
     if gf_var not in declared:
         raise PlanError(f"{path}: gf-var {gf_var!r} is not among the declared vars {declared}")
@@ -168,92 +451,57 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
     tri = doc.get("triangle")
     if not isinstance(tri, dict):
         raise PlanError(f"{path}: missing 'triangle' section")
-    kind = tri.get("kind", "row-shift")
-    if kind == ROW_SHIFT:
-        coeffs = tuple(
-            _parse_poly(ctx, tri[key], f"{path}: triangle.{key}")
-            for key in ("c0", "c1", "c2")
-            if key in tri
-        )
-        if len(coeffs) < 2:
-            raise PlanError(f"{path}: row-shift triangle needs c0 and c1")
-    elif kind == COLUMN_WALK:
-        coeffs = tuple(
-            _parse_poly(ctx, tri[key], f"{path}: triangle.{key}")
-            for key in ("r", "s", "t")
-        )
-    else:
+    kind = tri.get("kind", ROW_SHIFT)
+    if kind not in (ROW_SHIFT, COLUMN_WALK):  # not _TRIANGLES: kind may be unhashable
         raise PlanError(f"{path}: unknown triangle kind {kind!r}")
-    den = None
-    if "denominator" in tri:
-        den = _parse_poly(ctx, tri["denominator"], f"{path}: triangle.denominator")
-    spec = RecurrenceSpec(ctx, kind, coeffs, denominator=den)
+    if overrides.get("depth") is not None:
+        tri = {**tri, "depth": overrides["depth"]}
+    coeffs = _parse_fields(_TRIANGLES[kind], tri, ctx, f"{path}: triangle")
+    depth = coeffs.pop("depth")
+    den = coeffs.pop("denominator")
+    spec = RecurrenceSpec(ctx, kind, tuple(c for c in coeffs.values() if c is not None), den)
 
-    specialize = {}
-    merged = {**(doc.get("specialize") or {}), **(overrides.get("specialize") or {})}
-    for var, value in merged.items():
-        if var not in ctx.names:
-            raise PlanError(f"{path}: specialize names unknown variable {var!r}")
-        try:
-            specialize[var] = mpq(str(value))
-        except ValueError as exc:
-            raise PlanError(f"{path}: specialize {var}={value!r}: {exc}") from exc
+    try:
+        specialize = {**_rational_map(doc.get("specialize") or {}, ctx, None),
+                      **_rational_map(overrides.get("specialize") or {}, ctx, None)}
+    except ValueError as exc:
+        raise PlanError(f"{path}: 'specialize': {exc}") from exc
     if specialize:
         try:
             spec = spec.specialize(specialize)
         except ValueError as exc:  # e.g. a clearing denominator driven to zero
             raise PlanError(f"{path}: specialization breaks the spec: {exc}") from exc
 
-    depth = overrides.get("depth")
-    depth = tri.get("depth", 8) if depth is None else depth
-    _require_int(path, "triangle.depth", depth, 0)
     checks = doc.get("checks") or []
     if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
         raise PlanError(f"{path}: 'checks' must be a list of mappings")
-    for i, check in enumerate(checks):
-        kind = check.get("kind")
+    parsed = []
+    for i, raw in enumerate(checks):
+        kind = raw.get("kind")
         if not isinstance(kind, str):
             raise PlanError(f"{path}: check {i} needs a 'kind' name, got {kind!r}")
-        where = f"check {i} ({kind})"
-        if kind not in _PlanRunner.RUNNERS:
-            raise PlanError(f"{path}: {where}: unknown check kind")
+        where = f"{path}: check {i} ({kind})"
+        if kind not in _CHECKS:
+            raise PlanError(f"{where}: unknown check kind")
         if kind == "hankel-tp":
-            for key in ("size", "order"):
-                if overrides.get(key) is not None:
-                    check[key] = overrides[key]
-        missing = [key for key in _REQUIRED_FIELDS.get(kind, ()) if key not in check]
-        if missing:
-            raise PlanError(f"{path}: {where} needs {', '.join(map(repr, missing))}")
-        if kind == "cf-match" and not any(all(key in check for key in form) for form in _CF_FORMS):
-            forms = " or ".join("+".join(form) for form in _CF_FORMS)
-            raise PlanError(f"{path}: {where} needs continued-fraction data: {forms}")
-        for key, least in _INT_FIELDS.get(kind, {}).items():
-            if key in check:
-                _require_int(path, f"{where} {key!r}", check[key], least)
-        for key in _BOOL_FIELDS.get(kind, ()):
-            if key in check and not isinstance(check[key], bool):
-                raise PlanError(
-                    f"{path}: {where} {key!r} must be true or false, got {check[key]!r}"
-                )
-        if kind == "row-gf":
-            at = check.get("at", {})
-            if not isinstance(at, dict):
-                raise PlanError(f"{path}: {where}: 'at' must be a mapping")
-            for var in at:
-                if var not in ctx.names:
-                    raise PlanError(f"{path}: {where} evaluates at unknown variable {var!r}")
-        if kind == "oracle-match":
-            oracle = check["oracle"]
-            if not isinstance(oracle, str) or oracle not in ORACLES:
-                raise PlanError(
-                    f"{path}: {where}: unknown oracle {oracle!r}; choose from {sorted(ORACLES)}"
-                )
-            if check["upto"] > _ORACLE_LIMITS[oracle]:
-                raise PlanError(
-                    f"{path}: {where} 'upto' {check['upto']} is beyond the {oracle} "
-                    f"oracle's limit {_ORACLE_LIMITS[oracle]}"
-                )
-    _validate_depths(path, depth, checks)
+            raw = {**raw, **{key: overrides[key] for key in ("size", "order")
+                             if overrides.get(key) is not None}}
+        entry = _CHECKS[kind]
+        check = {"kind": kind, **_parse_fields(entry["fields"], raw, ctx, where, depth)}
+        forms = entry["forms"]
+        given = [keys for keys in forms if any(key in raw for key in keys)]
+        if forms and (len(given) != 1 or not all(key in raw for key in given[0])):
+            raise PlanError(f"{where} needs continued-fraction data: exactly one of "
+                            + " or ".join("+".join(keys) for keys in forms))
+        if given:
+            check["fraction"] = forms[given[0]](ctx, *(check[key] for key in given[0]))
+        if entry["triangle"] not in (None, spec.kind):
+            raise PlanError(f"{where} needs a {entry['triangle']} triangle, "
+                            f"but the triangle 'kind' is {spec.kind!r}")
+        need = entry["rows"](check)
+        if need > depth:
+            raise PlanError(f"{where} needs triangle depth {need}, but the plan declares {depth}")
+        parsed.append(check)
     return VerificationPlan(
         name=name,
         path=path,
@@ -261,259 +509,9 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         spec=spec,
         depth=depth,
         gf_var=gf_var,
-        checks=checks,
+        checks=parsed,
         specialize=specialize,
     )
-
-
-def _require_int(path: Path, what: str, value, least: int | None) -> None:
-    if type(value) is not int:
-        raise PlanError(f"{path}: {what} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise PlanError(f"{path}: {what} must be at least {least}, got {value}")
-
-
-def _validate_depths(path: Path, depth: int, checks: list[dict]) -> None:
-    """Reject plans whose checks need more rows than the declared depth."""
-    for i, check in enumerate(checks):
-        kind = check.get("kind")
-        need = 0
-        if kind == "cf-match":
-            need = check.get("depth", depth)
-        elif kind in ("hankel-tp", "convolution-sm"):
-            need = 2 * (check.get("size", 1) - 1)
-            if kind == "convolution-sm":
-                need = max(need, check.get("upto", depth))
-        elif kind == "k-lcx":
-            need = 2 * check.get("k", 1)
-        elif kind in ("product-formula", "companion-relation"):
-            need = check.get("upto", depth)
-        elif kind == "row-gf":
-            need = len(check.get("values", ())) - 1
-        elif kind == "oracle-match":
-            need = check.get("upto", 0) + check.get("row-offset", 0)
-        if need > depth:
-            raise PlanError(
-                f"{path}: check {i} ({kind}) needs triangle depth {need}, "
-                f"but the plan declares {depth}"
-            )
-
-
-# ---------------------------------------------------------------------------
-# check runners
-# ---------------------------------------------------------------------------
-
-
-def _fraction_from_check(ctx: VarContext, check: dict, where: str):
-    if "alpha-even" in check and "alpha-odd" in check:
-        return SFraction.from_forms(
-            _parse_poly(ctx, check["alpha-even"], where),
-            _parse_poly(ctx, check["alpha-odd"], where),
-        )
-    if "alphas" in check:
-        return SFraction.from_list(
-            ctx, [_parse_poly(ctx, a, where) for a in check["alphas"]]
-        )
-    if "s" in check and "r" in check:
-        return JFraction.from_forms(
-            _parse_poly(ctx, check["s"], where),
-            _parse_poly(ctx, check["r"], where),
-        )
-    return JFraction.from_lists(  # load_plan saw one complete form
-        ctx,
-        [_parse_poly(ctx, v, where) for v in check["s-list"]],
-        [_parse_poly(ctx, v, where) for v in check["r-list"]],
-    )
-
-
-def _sequence_from_name(ctx: VarContext, name: str, upto: int) -> list[Poly]:
-    if name == "factorial":
-        return [ctx.const(math.factorial(i)) for i in range(upto + 1)]
-    if name == "double-factorial":
-        return [ctx.const(math.prod(range(1, 2 * i, 2)) if i else 1) for i in range(upto + 1)]
-    if name == "ones":
-        return [ctx.one] * (upto + 1)
-    raise PlanError(f"unknown builtin sequence {name!r}")
-
-
-class _PlanRunner:
-    def __init__(self, plan: VerificationPlan, jobs: int = 1, golden_dir: Path | None = None):
-        self.plan = plan
-        self.jobs = jobs
-        self.golden_dir = golden_dir
-        self.triangle: Triangle | None = None
-
-    def _tri(self) -> Triangle:
-        if self.triangle is None:
-            self.triangle = build_triangle(self.plan.spec, self.plan.depth)
-        return self.triangle
-
-    def _row_seq(self, check: dict) -> list[Poly]:
-        t = self._tri()
-        source = check.get("source", "row-gf")
-        if source == "first-column":
-            return t.first_column()
-        if source == "row-gf":
-            return t.row_gfs(self.plan.gf_var)
-        raise PlanError(f"unknown sequence source {source!r}")
-
-    # each runner returns (ok, detail-dict)
-
-    def run_triangle_build(self, check: dict):
-        t = self._tri()
-        detail = {"depth": t.depth, "recurrence-residual": t.satisfies()}
-        if not detail["recurrence-residual"]:
-            return False, detail
-        golden = check.get("golden")
-        if golden:
-            gpath = self.plan.path.parent / golden
-            if self.golden_dir is not None:
-                out = self.golden_dir / Path(golden).name
-                write_golden(t, out)
-                detail["golden"] = f"regenerated {out}"
-            else:
-                rows = read_golden(self.plan.ctx, gpath)
-                detail["golden"] = f"compared {gpath}"
-                if rows != t.rows:
-                    return False, detail
-        return True, detail
-
-    def run_row_gf(self, check: dict):
-        t = self._tri()
-        gfs = t.row_gfs(self.plan.gf_var)
-        detail = {"rows": [str(g) for g in gfs]}
-        if "values" in check:
-            at = {var: mpq(str(v)) for var, v in check.get("at", {}).items()}
-            for n, value in enumerate(check["values"]):
-                got = gfs[n].specialize(at) if at else gfs[n]
-                want = _parse_poly(self.plan.ctx, value, "row-gf.values")
-                if got != want:
-                    detail["mismatch"] = {"row": n, "got": str(got), "want": str(want)}
-                    return False, detail
-        return True, detail
-
-    def run_cf_match(self, check: dict):
-        depth = check.get("depth", self.plan.depth)
-        frac = _fraction_from_check(self.plan.ctx, check, f"{self.plan.path}: cf-match")
-        eval_at = None
-        if "eval-at" in check:
-            eval_at = _parse_poly(self.plan.ctx, check["eval-at"], "cf-match.eval-at")
-        ok = cf_match(
-            self._tri(),
-            frac,
-            depth,
-            var=self.plan.gf_var,
-            prescaled=check.get("prescaled", False),
-            eval_at=eval_at,
-        )
-        return ok, {"depth": depth}
-
-    def run_hankel_tp(self, check: dict):
-        seq = self._row_seq(check)
-        report = is_totally_positive(
-            hankel(seq, check["size"]),
-            check["order"],
-            contiguous_only=check.get("contiguous-only", False),
-            jobs=self.jobs,
-        )
-        return report.ok, report.to_dict()
-
-    def run_k_lcx(self, check: dict):
-        seq = self._row_seq(check)
-        report = check_k_log_convex(seq, check["k"])
-        return report.ok, report.to_dict()
-
-    def run_product_formula(self, check: dict):
-        factor = _parse_poly(self.plan.ctx, check["factor"], "product-formula.factor")
-        upto = check.get("upto", self.plan.depth)
-        eval_at = None
-        if "eval-at" in check:
-            eval_at = _parse_poly(self.plan.ctx, check["eval-at"], "product-formula.eval-at")
-        ok = check_product_formula(
-            self._tri(), factor, upto, var=self.plan.gf_var, eval_at=eval_at
-        )
-        return ok, {"upto": upto}
-
-    def run_companion_relation(self, check: dict):
-        ctx = self.plan.ctx
-        params = {
-            key: _parse_poly(ctx, check[key], f"companion-relation.{key}")
-            for key in ("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam")
-        }
-        upto = check.get("upto", self.plan.depth)
-        comp = companion_spec(
-            ctx, params["a0"], params["a1"], params["a2"],
-            params["b0"], params["b1"], params["b2"], params["d"],
-        )
-        t_comp = build_triangle(comp, upto)
-        ok = check_companion_relation(
-            self._tri(), t_comp, params["lam"], params["d"], upto, var=self.plan.gf_var
-        )
-        return ok, {"upto": upto}
-
-    def run_convolution_sm(self, check: dict):
-        upto = check.get("upto", self.plan.depth)
-        ctx = self.plan.ctx
-
-        def seq_of(key):
-            value = check[key]
-            if isinstance(value, str):
-                return _sequence_from_name(ctx, value, upto)
-            return [_parse_poly(ctx, v, f"convolution-sm.{key}") for v in value]
-
-        z = triangle_convolution(self._tri(), seq_of("x"), seq_of("y"), upto)
-        report = is_totally_positive(hankel(z, check["size"]), check["order"], jobs=self.jobs)
-        detail = report.to_dict()
-        detail["sequence"] = [str(v) for v in z]
-        return report.ok, detail
-
-    def run_oracle_match(self, check: dict):
-        oracle = ORACLES[check["oracle"]]
-        upto = check["upto"]
-        offset = check.get("row-offset", 0)
-        t = self._tri()
-        for n in range(1, upto + 1):
-            row = n + offset
-            if row < 0 or row > t.depth:
-                return False, {"missing-row": row}
-            vec = oracle(n)
-            got = [e.const_value() for e in t.rows[row]]
-            want = vec.padded(len(got))
-            if got != want:
-                return False, {"n": n, "got": [str(v) for v in got], "want": want}
-        return True, {"upto": upto}
-
-    def run_tridiagonal_criteria(self, check: dict):
-        upto = check.get("upto", 4)
-        spec = self.plan.spec
-        if spec.kind != COLUMN_WALK:
-            raise PlanError("tridiagonal-criteria needs a column-walk spec")
-        s = [spec.walk_coeff(1, i) for i in range(upto + 1)]
-        r = [spec.walk_coeff(0, i) for i in range(upto + 1)]
-        t = [spec.walk_coeff(2, i) for i in range(upto + 2)]
-        held = sorted(tridiagonal_tp_criteria(s, r, t, upto))
-        expect = check.get("expect")
-        ok = True if expect is None else set(expect) <= set(held)
-        return ok, {"criteria": held}
-
-    def run_hankel_factorization(self, check: dict):
-        size = check["size"]
-        ok = check_hankel_factorization(self.plan.spec, size)
-        return ok, {"size": size}
-
-    RUNNERS = {
-        "triangle-build": run_triangle_build,
-        "row-gf": run_row_gf,
-        "cf-match": run_cf_match,
-        "hankel-tp": run_hankel_tp,
-        "k-lcx": run_k_lcx,
-        "product-formula": run_product_formula,
-        "companion-relation": run_companion_relation,
-        "convolution-sm": run_convolution_sm,
-        "oracle-match": run_oracle_match,
-        "tridiagonal-criteria": run_tridiagonal_criteria,
-        "hankel-factorization": run_hankel_factorization,
-    }
 
 
 def run_plan(plan: VerificationPlan, jobs: int = 1, golden_dir: Path | None = None) -> RunReport:
@@ -525,7 +523,7 @@ def run_plan(plan: VerificationPlan, jobs: int = 1, golden_dir: Path | None = No
         entry = {"kind": kind}
         t0 = time.monotonic()
         try:
-            ok, detail = _PlanRunner.RUNNERS[kind](runner, check)
+            ok, detail = _CHECKS[kind]["run"](runner, check)
             entry["status"] = "pass" if ok else "fail"
             entry["detail"] = detail
             report.checks.append(entry)

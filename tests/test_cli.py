@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tpcert import cli
 from tpcert.cli import PlanError, emit_report, load_plan, main, run_plan
 
 PLANS = Path(__file__).resolve().parent.parent / "plans"
@@ -81,12 +82,13 @@ def test_check_kind_must_be_a_name(tmp_path):
 
 
 def test_error_aborts_remaining_checks(tmp_path):
-    # a walk-only check on a row-shift spec is an error (not a fail); the
+    # a golden file that does not exist is an error (not a fail); the
     # trailing triangle-build must not run
-    doc = MINIMAL + "  - kind: tridiagonal-criteria\n    upto: 2\n" + \
+    doc = MINIMAL + "  - kind: triangle-build\n    golden: missing.tsv\n" + \
         "  - kind: triangle-build\n"
     report = run_plan(load_plan(write_plan(tmp_path, doc)))
     assert report.checks[-1]["status"] == "error"
+    assert "FileNotFoundError" in report.checks[-1]["detail"]["message"]
     assert len(report.checks) == 3
 
 
@@ -267,6 +269,104 @@ def test_gf_var_must_be_declared(tmp_path):
         assert main(["verify", str(path)]) == 2
     doc = MINIMAL.replace("vars: [q]\n", "vars: [x]\ngf-var: x\n")
     assert run_plan(load_plan(write_plan(tmp_path, doc))).status == "pass"
+
+
+WALK = """\
+name: walk
+vars: [q]
+triangle:
+  kind: column-walk
+  r: "1"
+  s: "k + 1"
+  t: "k"
+  depth: 4
+checks:
+  - kind: tridiagonal-criteria
+    upto: 2
+    expect: [i]
+"""
+
+
+def _with_check(body):
+    return MINIMAL + body  # the new check is check 2
+
+
+@pytest.mark.parametrize(
+    "doc, index, field",
+    [
+        # check field values
+        (_with_check("  - kind: hankel-tp\n    source: bogus\n    size: 2\n    order: 2\n"),
+         2, "source"),
+        (_with_check("  - kind: k-lcx\n    source: bogus\n    k: 1\n"), 2, "source"),
+        (_with_check("  - kind: convolution-sm\n    x: bogus\n    y: ones\n    upto: 2\n"
+                     "    size: 2\n    order: 1\n"), 2, "x"),
+        (_with_check("  - kind: convolution-sm\n    x: [1]\n    y: ones\n    upto: 2\n"
+                     "    size: 2\n    order: 1\n"), 2, "x"),
+        (_with_check("  - kind: cf-match\n    alphas: 3\n"), 2, "alphas"),
+        (_with_check("  - kind: cf-match\n    s-list: [1]\n    r-list: 2\n"), 2, "r-list"),
+        (_with_check('  - kind: cf-match\n    alpha-even: "q + + n)"\n    alpha-odd: "1"\n'),
+         2, "alpha-even"),
+        (_with_check('  - kind: cf-match\n    s: "1"\n    r: "q"\n    eval-at: "q +"\n'),
+         2, "eval-at"),
+        (_with_check('  - kind: product-formula\n    factor: "(q"\n    upto: 2\n'), 2, "factor"),
+        (_with_check('  - kind: row-gf\n    values: ["1", "q +"]\n'), 2, "values"),
+        (_with_check("  - kind: row-gf\n    at: {q: abc}\n    values: [1]\n"), 2, "at"),
+        (_with_check("  - kind: triangle-build\n    golden: 3\n"), 2, "golden"),
+        (_with_check("  - kind: tridiagonal-criteria\n    upto: 2\n"), 2, "kind"),
+        # plan sections
+        (WALK.replace('  t: "k"\n', ""), None, "t"),
+        (MINIMAL.replace("vars: [q]", "vars: [q, 3]"), None, "vars"),
+        (MINIMAL.replace("vars: [q]", "vars: [q, q]"), None, "vars"),
+        (MINIMAL.replace("vars: [q]", "vars: [q]\nspecialize: [1]"), None, "specialize"),
+        (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  denominator: "n - 3"\n'),
+         None, "denominator"),
+        # unknown keys and criteria names
+        (_with_check("  - kind: k-lcx\n    sorce: first-column\n    k: 1\n"), 2, "sorce"),
+        (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  cc1: "1"\n'), None, "cc1"),
+        (WALK.replace("expect: [i]", "expect: [i, v]"), 0, "expect"),
+    ],
+    ids=[
+        "hankel-tp-source", "k-lcx-source", "builtin-sequence", "short-sequence",
+        "alphas-shape", "r-list-shape", "alpha-even-syntax", "eval-at-syntax", "factor-syntax",
+        "values-syntax", "at-rational", "golden-name", "tridiagonal-on-row-shift",
+        "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
+        "denominator-monomial", "unknown-check-key", "unknown-triangle-key", "expect-names",
+    ],
+)
+def test_bad_fields_are_load_errors(tmp_path, doc, index, field):
+    path = write_plan(tmp_path, doc)
+    with pytest.raises(PlanError) as err:
+        load_plan(path)
+    message = str(err.value)
+    assert str(path) in message and repr(field) in message
+    if index is not None:
+        assert f"check {index} " in message
+    assert main(["verify", str(path)]) == 2
+
+
+def test_readme_field_tables_match_the_code():
+    def default(value):
+        if value is cli._REQUIRED or value is None:
+            return ""
+        if value is cli._DEPTH:
+            return "triangle depth"
+        if isinstance(value, bool):
+            return f"`{str(value).lower()}`"
+        return f"`{list(value) if isinstance(value, tuple) else value}`"
+
+    def rows(kind, fields, forms=()):
+        for name, (parse, value) in fields.items():
+            if any(name in keys for keys in forms):
+                required = "one form"
+            else:
+                required = "yes" if value is cli._REQUIRED else "no"
+            yield f"| `{kind}` | `{name}` | {parse.__doc__} | {required} | {default(value)} |"
+
+    want = [row for kind, fields in cli._TRIANGLES.items() for row in rows(kind, fields)]
+    for kind, entry in cli._CHECKS.items():
+        want += rows(kind, entry["fields"], entry["forms"])
+    readme = (PLANS.parent / "README.md").read_text().splitlines()
+    assert [line for line in readme if line.startswith("| `") and line.count("|") == 6] == want
 
 
 @pytest.mark.parametrize(
