@@ -25,8 +25,8 @@ from pathlib import Path
 import yaml
 
 from . import oracles
-from .contfrac import JFraction, SFraction, cf_match
-from .polyring import Poly, VarContext, mpq
+from .contfrac import JFraction, SFraction, _list_need, cf_match
+from .polyring import Poly, VarContext, _map_polys, mpq
 from .totalpos import (
     check_hankel_factorization,
     check_k_log_convex,
@@ -79,7 +79,6 @@ class VerificationPlan:
     depth: int
     gf_var: str
     checks: list[dict]
-    specialize: dict
 
 
 @dataclass
@@ -393,8 +392,9 @@ _CHECKS = {
     }, triangle=COLUMN_WALK),
     "hankel-factorization": _kind(_PlanRunner.run_hankel_factorization, lambda c: 0, {
         "size": (_positive, _REQUIRED),
-    }),
+    }, triangle=COLUMN_WALK),
 }
+_PLAN_KEYS = ("name", "vars", "gf-var", "triangle", "specialize", "checks")
 
 
 def _parse_fields(fields: dict, raw: dict, ctx: VarContext, where: str, depth=None) -> dict:
@@ -420,7 +420,8 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
     """Parse and validate one plan file.
 
     ``overrides`` come from CLI flags: ``depth``, ``specialize`` and the
-    hankel-tp ``size`` and ``order``; they apply before validation.
+    hankel-tp ``size`` and ``order``; they apply before validation.  The
+    specialization applies to the spec and to every polynomial of every check.
     """
     path = Path(path)
     try:
@@ -431,6 +432,9 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         raise PlanError(f"{path}: invalid YAML{loc}: {exc}") from exc
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: plan must be a mapping")
+    for key in doc:
+        if key not in _PLAN_KEYS:
+            raise PlanError(f"{path}: unknown key {key!r}; known keys: {', '.join(_PLAN_KEYS)}")
     overrides = overrides or {}
 
     name = doc.get("name", path.stem)
@@ -466,11 +470,14 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
                       **_rational_map(overrides.get("specialize") or {}, ctx, None)}
     except ValueError as exc:
         raise PlanError(f"{path}: 'specialize': {exc}") from exc
-    if specialize:
-        try:
-            spec = spec.specialize(specialize)
-        except ValueError as exc:  # e.g. a clearing denominator driven to zero
-            raise PlanError(f"{path}: specialization breaks the spec: {exc}") from exc
+    for var in (*RESERVED_VARS, gf_var):
+        if var in specialize:
+            raise PlanError(f"{path}: 'specialize': cannot specialize {var!r}; n and k are "
+                            f"the recurrence indices and {gf_var!r} is the gf-var")
+    try:
+        spec = _map_polys(spec, lambda p: p.specialize(specialize))
+    except ValueError as exc:  # e.g. a clearing denominator driven to zero
+        raise PlanError(f"{path}: specialization breaks the spec: {exc}") from exc
 
     checks = doc.get("checks") or []
     if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
@@ -488,13 +495,21 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
                              if overrides.get(key) is not None}}
         entry = _CHECKS[kind]
         check = {"kind": kind, **_parse_fields(entry["fields"], raw, ctx, where, depth)}
+        check = _map_polys(check, lambda p: p.specialize(specialize))
         forms = entry["forms"]
         given = [keys for keys in forms if any(key in raw for key in keys)]
         if forms and (len(given) != 1 or not all(key in raw for key in given[0])):
             raise PlanError(f"{where} needs continued-fraction data: exactly one of "
                             + " or ".join("+".join(keys) for keys in forms))
         if given:
-            check["fraction"] = forms[given[0]](ctx, *(check[key] for key in given[0]))
+            fraction = forms[given[0]](ctx, *(check[key] for key in given[0]))
+            # list attributes are named as their plan keys, with _ for -
+            for attr, need in _list_need(fraction, check["depth"]).items():
+                got = len(getattr(fraction, attr))
+                if got < need:
+                    raise PlanError(f"{where} {attr.replace('_', '-')!r}: depth "
+                                    f"{check['depth']} needs {need} values, got {got}")
+            check["fraction"] = fraction
         if entry["triangle"] not in (None, spec.kind):
             raise PlanError(f"{where} needs a {entry['triangle']} triangle, "
                             f"but the triangle 'kind' is {spec.kind!r}")
@@ -510,7 +525,6 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         depth=depth,
         gf_var=gf_var,
         checks=parsed,
-        specialize=specialize,
     )
 
 

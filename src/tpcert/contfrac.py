@@ -21,10 +21,10 @@ polynomials in a level variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from .polyring import Poly, RatFunc, SeriesPoly, VarContext, _add_product
+from .polyring import Poly, RatFunc, SeriesPoly, VarContext, _add_product, _map_polys
 from .triangles import COLUMN_WALK, _star_weights
 
 
@@ -134,16 +134,7 @@ class JFraction:
 
     def narrowed(self) -> JFraction:
         """Copy with RatFunc entries narrowed to Poly; raises if impossible."""
-
-        def narrow(v):
-            return v.as_poly() if isinstance(v, RatFunc) else v
-
-        out = self
-        if self.s_list is not None:
-            out = replace(out, s_list=tuple(narrow(v) for v in self.s_list))
-        if self.r_list is not None:
-            out = replace(out, r_list=tuple(narrow(v) for v in self.r_list))
-        return out
+        return _map_polys(self, lambda v: v.as_poly() if isinstance(v, RatFunc) else v)
 
 
 def contract(sf: SFraction) -> JFraction:
@@ -243,6 +234,32 @@ def j_expand(jf: JFraction, depth: int) -> SeriesPoly:
         row = new
         out.append(Poly(ctx, row[0]))
     return SeriesPoly(ctx, out)
+
+
+def _list_need(fraction, depth: int) -> dict[str, int]:
+    """How many values of each explicit list expanding ``fraction`` to
+    ``depth`` reads, by attribute name; {} for closed forms.
+
+    For generic entries the walk of ``j_expand`` reads s_0 .. s_(c-1),
+    c = ceil(depth/2), and rises through r_1 .. r_(depth//2).  The first
+    zero r_z among those caps the walk below level z, so only z values of
+    each list are read.  An S-fraction list is judged through its
+    contraction, where a zero alpha only yields a zero r once its partner
+    is present.  At least one s value is always needed.
+    """
+    if isinstance(fraction, SFraction):
+        if fraction.alphas is None:
+            return {}
+        need = _list_need(contract(fraction), depth)
+        return {"alphas": max(2 * need["s_list"] - 1, 2 * need["r_list"])}
+    if fraction.s_list is None:
+        return {}
+    s, r = max(1, (depth + 1) // 2), depth // 2
+    for z in range(1, min(r, len(fraction.r_list)) + 1):
+        if not fraction.r_list[z - 1]:
+            s = r = z
+            break
+    return {"s_list": s, "r_list": r}
 
 
 def s_expand(sf: SFraction, depth: int) -> SeriesPoly:

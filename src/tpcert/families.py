@@ -3,8 +3,9 @@
 Each entry bundles a recurrence spec with the closed-form S- or J-fraction
 of its row-polynomial generating function, the variable set its positivity
 certificates run over, and (where one exists) a closed product formula.
-The catalog is the single place this data lives; the test suite and the
-CLI plans both draw on it.
+The catalog is the single place this data lives for the library and its
+test suite; the CLI plans are independent YAML documents that restate the
+data they check.
 
 Families whose recurrence coefficients carry a monomial denominator are
 stored cleared (see triangles module); their fraction data is then also the
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .contfrac import JFraction, SFraction, contract
-from .polyring import Poly, VarContext
+from .polyring import Poly, VarContext, _map_polys
 from .triangles import COLUMN_WALK, ROW_SHIFT, RecurrenceSpec
 
 
@@ -40,49 +41,9 @@ class Family:
 
     def substituted(self, name: str, value: Poly) -> Family:
         """Family with ``name := value`` applied to every stored polynomial."""
-
-        def sub_poly(p):
-            return None if p is None else p.substitute_poly(name, value)
-
-        def sub_spec(spec):
-            coeffs = tuple(
-                tuple(sub_poly(c) for c in co) if isinstance(co, tuple) else sub_poly(co)
-                for co in spec.coeffs
-            )
-            den = sub_poly(spec.denominator)
-            return RecurrenceSpec(spec.ctx, spec.kind, coeffs, den)
-
-        def sub_jf(jf):
-            if jf is None:
-                return None
-            return replace(
-                jf,
-                s_list=None if jf.s_list is None else tuple(sub_poly(v) for v in jf.s_list),
-                r_list=None if jf.r_list is None else tuple(sub_poly(v) for v in jf.r_list),
-                s_form=sub_poly(jf.s_form),
-                r_form=sub_poly(jf.r_form),
-                s0=sub_poly(jf.s0),
-            )
-
-        def sub_sf(sf):
-            if sf is None:
-                return None
-            return replace(
-                sf,
-                alphas=None if sf.alphas is None else tuple(sub_poly(v) for v in sf.alphas),
-                even_form=sub_poly(sf.even_form),
-                odd_form=sub_poly(sf.odd_form),
-            )
-
-        return replace(
-            self,
-            name=f"{self.name}[{name}:={value}]",
-            spec=sub_spec(self.spec),
-            jfraction=sub_jf(self.jfraction),
-            sfraction=sub_sf(self.sfraction),
-            product_factor=sub_poly(self.product_factor),
-            product_eval_at=sub_poly(self.product_eval_at),
-        )
+        out = _map_polys(self, lambda p: p.substitute_poly(name, value))
+        out.name = f"{self.name}[{name}:={value}]"
+        return out
 
 
 # ---------------------------------------------------------------------------

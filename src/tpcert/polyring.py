@@ -19,6 +19,7 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as mpq
 from functools import reduce
 from itertools import combinations, repeat
@@ -947,6 +948,26 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+def _map_polys(value, fn):
+    """``value`` with ``fn`` applied to every Poly and RatFunc inside it.
+
+    Walks through tuples, lists, dict values and dataclass fields, rebuilding
+    each container; every other value is returned unchanged.
+    """
+    if isinstance(value, (Poly, RatFunc)):
+        return fn(value)
+    if isinstance(value, (tuple, list)):
+        return type(value)(_map_polys(v, fn) for v in value)
+    if isinstance(value, dict):
+        return {key: _map_polys(v, fn) for key, v in value.items()}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.replace(value, **{
+            f.name: _map_polys(getattr(value, f.name), fn)
+            for f in dataclasses.fields(value) if f.init
+        })
+    return value
 
 
 # ---------------------------------------------------------------------------

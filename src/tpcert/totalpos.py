@@ -361,12 +361,12 @@ def _hankel_window_det(seq: PolySeq, center: int, size: int) -> Poly:
     )
 
 
-def check_k_log_convex(seq: PolySeq, k: int, cross_validate: bool = True) -> LCXReport:
+def check_k_log_convex(seq: PolySeq, k: int) -> LCXReport:
     """Iterate the log-convexity operator k times, requiring nonnegative
     coefficients at every stage.
 
-    With ``cross_validate`` the second and third stages are recomputed from
-    Hankel-window determinants through the identities
+    The second and third stages are also recomputed from Hankel-window
+    determinants through the identities
 
         L^2 at c = seq[c] * det3(c)
         L^3 at c = g * (seq[c]^2 * det4(c) + det3(c-1) * det3(c+1)),
@@ -381,7 +381,7 @@ def check_k_log_convex(seq: PolySeq, k: int, cross_validate: bool = True) -> LCX
     cur = list(seq)
     for stage in range(1, k + 1):
         cur = l_operator(cur)
-        if cross_validate and stage == 2:
+        if stage == 2:
             for j, v in enumerate(cur):
                 c = j + 2
                 want = seq[c] * _hankel_window_det(seq, c, 3)
@@ -390,7 +390,7 @@ def check_k_log_convex(seq: PolySeq, k: int, cross_validate: bool = True) -> LCX
                         "second-stage determinant identity failed; "
                         "the implementation is inconsistent"
                     )
-        if cross_validate and stage == 3:
+        if stage == 3:
             for j, v in enumerate(cur):
                 c = j + 3
                 gap = seq[c - 1] * seq[c + 1] - seq[c] * seq[c]

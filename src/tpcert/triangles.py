@@ -74,19 +74,6 @@ class RecurrenceSpec:
             )
         return c[k]
 
-    def specialize(self, assignment: dict) -> RecurrenceSpec:
-        """Substitute rational values for parameters in every coefficient."""
-
-        def sub(c):
-            if isinstance(c, Poly):
-                return c.specialize(assignment)
-            return tuple(p.specialize(assignment) for p in c)
-
-        den = self.denominator
-        if den is not None:
-            den = den.specialize(assignment)
-        return RecurrenceSpec(self.ctx, self.kind, tuple(sub(c) for c in self.coeffs), den)
-
 
 def _star_weights(spec: RecurrenceSpec) -> "Poly | tuple":
     """Downstep weights r_(k-1) t_k of the unit-upstep walk that shares the
@@ -115,7 +102,6 @@ class Triangle:
     rows: list[list[Poly]]
     spec: RecurrenceSpec | None = None
     scale: Poly | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         if self.scale is None:
@@ -227,8 +213,7 @@ def reciprocal(t: Triangle) -> Triangle:
     """Index-reversed triangle: entry (n, k) becomes entry (n, n-k)."""
     _require_full(t, "index reversal")
     rows = [list(reversed(row)) for row in t.rows]
-    return Triangle(t.ctx, rows, spec=None, scale=t.scale,
-                    provenance=f"reciprocal({t.provenance or 'triangle'})")
+    return Triangle(t.ctx, rows, spec=None, scale=t.scale)
 
 
 def gamma_binomial(t: Triangle, gamma: Poly) -> Triangle:
@@ -251,8 +236,7 @@ def gamma_binomial(t: Triangle, gamma: Poly) -> Triangle:
                     acc = acc + ctx.const(math.comb(n, i)) * gpow[n - i] * e
             row.append(acc)
         rows.append(row)
-    return Triangle(ctx, rows, spec=None, scale=ctx.one,
-                    provenance="gamma-binomial")
+    return Triangle(ctx, rows, spec=None, scale=ctx.one)
 
 
 def shift_row_gf(
@@ -291,7 +275,7 @@ def shift_row_gf(
             raise ValueError("shifted row has degree above the row index")
         rows.append([parts.get(k, ctx.zero) for k in range(n + 1)])
     scale = t.scale if den is None else t.scale * den
-    return Triangle(ctx, rows, spec=None, scale=scale, provenance="argument-shift")
+    return Triangle(ctx, rows, spec=None, scale=scale)
 
 
 def companion_spec(

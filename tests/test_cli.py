@@ -9,6 +9,8 @@ import pytest
 
 from tpcert import cli
 from tpcert.cli import PlanError, emit_report, load_plan, main, run_plan
+from tpcert.contfrac import DegenerateFraction, JFraction, SFraction, j_expand, s_expand
+from tpcert.polyring import VarContext
 
 PLANS = Path(__file__).resolve().parent.parent / "plans"
 EXPECTED_BATCH = PLANS.parent / "perfbench" / "expected" / "plan-batch.json"
@@ -130,6 +132,13 @@ def test_specialize_unknown_variable(tmp_path):
         load_plan(write_plan(tmp_path, MINIMAL), {"specialize": {"zz": "1"}})
 
 
+@pytest.mark.parametrize("assignment", ["n=3", "k=1", "q=1"])
+def test_specializing_indices_or_gf_var_is_load_error(assignment, capsys):
+    rc = main(["verify", str(PLANS / "factorial.yaml"), "--specialize", assignment])
+    assert rc == 2
+    assert f"cannot specialize {assignment.split('=')[0]!r}" in capsys.readouterr().err
+
+
 def test_depth_inconsistency_rejected_at_load(tmp_path):
     doc = MINIMAL + "  - kind: hankel-tp\n    size: 5\n    order: 2\n"
     with pytest.raises(PlanError) as err:
@@ -233,7 +242,8 @@ COMPLETE = {
 def test_required_fields_are_load_errors(tmp_path, kind, field):
     def plan(fields):
         body = "".join(f"    {key}: {value}\n" for key, value in fields.items())
-        return MINIMAL.split("checks:")[0] + f"checks:\n  - kind: {kind}\n{body}"
+        head = WALK if kind == "hankel-factorization" else MINIMAL
+        return head.split("checks:")[0] + f"checks:\n  - kind: {kind}\n{body}"
 
     load_plan(write_plan(tmp_path, plan(COMPLETE[kind])))
     path = write_plan(tmp_path, plan({k: v for k, v in COMPLETE[kind].items() if k != field}))
@@ -254,6 +264,52 @@ def test_cf_match_needs_a_complete_fraction(tmp_path):
     complete = head + "    depth: 4\n    alpha-even: q\n    alpha-odd: 1\n"
     report = run_plan(load_plan(write_plan(tmp_path, complete)))
     assert report.checks[0]["status"] == "fail"  # ran, and (1 + q)^n is not this fraction
+
+
+def _lists_with_zero(length, start):
+    # generic positive entries, alone and with each one in turn set to zero
+    values = list(range(start, start + length))
+    yield values
+    for i in range(length):
+        yield values[:i] + [0] + values[i + 1:]
+
+
+def test_cf_match_list_lengths_load_exactly_when_they_expand(tmp_path):
+    # a cf-match list loads at a depth iff expanding it that deep raises no
+    # DegenerateFraction, with generic entries and with a zero entry; the
+    # lists that expand are loaded together, as the checks of one plan
+    ctx = VarContext(["q"])
+    cases = [{"alphas": a} for n in range(1, 12) for a in _lists_with_zero(n, 2)]
+    cases += [{"s-list": list(range(2, 2 + ns)), "r-list": r}
+              for ns in range(1, 7) for nr in range(1, 7) for r in _lists_with_zero(nr, 3)]
+
+    def expands(case, depth):
+        lists = [[ctx.const(v) for v in values] for values in case.values()]
+        if "alphas" in case:
+            expand, fraction = s_expand, SFraction.from_list(ctx, *lists)
+        else:
+            expand, fraction = j_expand, JFraction.from_lists(ctx, *lists)
+        try:
+            expand(fraction, depth)
+        except DegenerateFraction:
+            return False
+        return True
+
+    def plan(depth, checks):
+        body = ", ".join(
+            "{kind: cf-match, depth: %d, %s}" % (depth, ", ".join(f"{k}: {v}" for k, v in c.items()))
+            for c in checks
+        )
+        return write_plan(tmp_path, f"vars: [q]\ntriangle: {{c0: 1, c1: 1, depth: 10}}\n"
+                                    f"checks: [{body}]\n")
+
+    for depth in range(11):
+        good = [case for case in cases if expands(case, depth)]
+        assert len(load_plan(plan(depth, good)).checks) == len(good)
+        for case in cases:
+            if case not in good:
+                with pytest.raises(PlanError, match="needs .* values"):
+                    load_plan(plan(depth, [case]))
 
 
 def test_gf_var_must_be_declared(tmp_path):
@@ -313,11 +369,19 @@ def _with_check(body):
         (_with_check("  - kind: row-gf\n    at: {q: abc}\n    values: [1]\n"), 2, "at"),
         (_with_check("  - kind: triangle-build\n    golden: 3\n"), 2, "golden"),
         (_with_check("  - kind: tridiagonal-criteria\n    upto: 2\n"), 2, "kind"),
+        (_with_check("  - kind: hankel-factorization\n    size: 2\n"), 2, "kind"),
+        (_with_check("  - kind: cf-match\n    alphas: [1, 2, 3]\n"), 2, "alphas"),
+        (_with_check("  - kind: cf-match\n    s-list: [1]\n    r-list: [1, 2]\n"), 2, "s-list"),
+        (_with_check("  - kind: cf-match\n    s-list: [1, 2]\n    r-list: [1]\n"), 2, "r-list"),
         # plan sections
         (WALK.replace('  t: "k"\n', ""), None, "t"),
         (MINIMAL.replace("vars: [q]", "vars: [q, 3]"), None, "vars"),
         (MINIMAL.replace("vars: [q]", "vars: [q, q]"), None, "vars"),
         (MINIMAL.replace("vars: [q]", "vars: [q]\nspecialize: [1]"), None, "specialize"),
+        (MINIMAL.replace("vars: [q]", "vars: [q]\nspecialize: {n: 3}"), None, "specialize"),
+        (MINIMAL.replace("vars: [q]", "vars: [q]\nspecialize: {k: 1}"), None, "specialize"),
+        (MINIMAL.replace("vars: [q]", "vars: [q]\nspecialize: {q: 1}"), None, "specialize"),
+        (MINIMAL.replace("vars: [q]", "vars: [q, a]\nspecialise: {a: 2}"), None, "specialise"),
         (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  denominator: "n - 3"\n'),
          None, "denominator"),
         # unknown keys and criteria names
@@ -329,7 +393,9 @@ def _with_check(body):
         "hankel-tp-source", "k-lcx-source", "builtin-sequence", "short-sequence",
         "alphas-shape", "r-list-shape", "alpha-even-syntax", "eval-at-syntax", "factor-syntax",
         "values-syntax", "at-rational", "golden-name", "tridiagonal-on-row-shift",
+        "factorization-on-row-shift", "alphas-short", "s-list-short", "r-list-short",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
+        "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "unknown-check-key", "unknown-triangle-key", "expect-names",
     ],
 )
@@ -468,6 +534,17 @@ def test_golden_regen_and_compare(tmp_path):
     assert main(["verify", str(plan_path)]) == 1
 
 
+def _specialized_plans():
+    # each shipped plan with every parameter other than n, k and gf-var at
+    # 3/2, and README's example
+    rows = []
+    for path in sorted(PLANS.glob("*.yaml")):
+        plan = load_plan(path)
+        params = [v for v in plan.ctx.names if v not in (*cli.RESERVED_VARS, plan.gf_var)]
+        rows.append(pytest.param(path.name, [f"{v}=3/2" for v in params], id=path.stem))
+    return rows + [pytest.param("whitney.yaml", ["m=1", "r=1"], id="readme-whitney")]
+
+
 class TestShippedPlans:
     def test_factorial_plan_passes(self):
         assert main(["verify", str(PLANS / "factorial.yaml")]) == 0
@@ -514,6 +591,22 @@ class TestShippedPlans:
             bodies.append(body)
         assert bodies[0] == bodies[1]
         assert bodies[0] == json.loads(EXPECTED_BATCH.read_text())
+
+    @pytest.mark.parametrize("name, assignments", _specialized_plans())
+    def test_specialized_plan_keeps_its_passes(self, name, assignments, capsys):
+        # a check that passes with symbolic parameters passes specialized
+        argv = ["verify", str(PLANS / name), "--format", "json"]
+        for assignment in assignments:
+            argv += ["--specialize", assignment]
+        rc = main(argv)
+        got = json.loads(capsys.readouterr().out)["plans"][0]
+        recorded = {p["plan"]: p for p in json.loads(EXPECTED_BATCH.read_text())["plans"]}
+        want = recorded[got["plan"]]
+        assert [c["kind"] for c in got["checks"]] == [c["kind"] for c in want["checks"]]
+        for mine, theirs in zip(got["checks"], want["checks"]):
+            if theirs["status"] == "pass":
+                assert mine["status"] == "pass", mine
+        assert rc == (0 if want["status"] == "pass" else 1)
 
     def test_missing_plan_is_load_error(self, capsys):
         rc = main(["verify", str(PLANS / "does-not-exist.yaml")])

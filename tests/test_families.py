@@ -21,7 +21,7 @@ from tpcert.families import (
     four_term_mixed_branch,
     mixed_family,
 )
-from tpcert.polyring import VarContext
+from tpcert.polyring import VarContext, _map_polys
 from tpcert.totalpos import hankel, is_totally_positive
 from tpcert.triangles import (
     ROW_SHIFT,
@@ -68,6 +68,14 @@ def verify_family(fam: Family, depth: int = 6) -> None:
                 t, fam.sfraction, depth, fam.gf_var, fam.cf_prescaled,
                 fam.product_eval_at,
             ), f"{fam.name}: S-fraction mismatch"
+    p = fam.companion_params
+    if p is not None:
+        comp = companion_spec(
+            fam.ctx, p["a0"], p["a1"], p["a2"], p["b0"], p["b1"], p["b2"], p["d"]
+        )
+        assert check_companion_relation(
+            t, build_triangle(comp, depth), p["lam"], p["d"], depth, fam.gf_var
+        ), f"{fam.name}: companion relation fails"
 
 
 @pytest.mark.parametrize("name", TWO_TERM)
@@ -201,13 +209,15 @@ def test_family_substitution_consistency():
     base = mixed_family()
     verify_family(base.substituted("b2", base.ctx.zero))
     verify_family(base.substituted("a2", base.ctx.var("a1")))
+    four = four_term_family("nk")
+    verify_family(four.substituted("d", 2 * four.ctx.var("d")))
 
 
 class TestClassicalSpecializations:
     """Generic families pinned to oracle-verified classical triangles."""
 
     def rows_of(self, spec, depth, assignment):
-        t = build_triangle(spec.specialize(assignment), depth)
+        t = build_triangle(_map_polys(spec, lambda p: p.specialize(assignment)), depth)
         return [[e for e in row] for row in t.rows]
 
     def test_affine_n_specializes_to_cycle_counts(self):
