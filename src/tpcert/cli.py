@@ -25,7 +25,7 @@ from pathlib import Path
 import yaml
 
 from . import oracles
-from .contfrac import JFraction, SFraction, _list_need, cf_match
+from .contfrac import DegenerateFraction, JFraction, SFraction, _levels, cf_match, contract
 from .polyring import Poly, VarContext, _map_polys, mpq
 from .totalpos import (
     check_hankel_factorization,
@@ -496,6 +496,11 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         entry = _CHECKS[kind]
         check = {"kind": kind, **_parse_fields(entry["fields"], raw, ctx, where, depth)}
         check = _map_polys(check, lambda p: p.specialize(specialize))
+        # an evaluation point may only name variables the rows still carry
+        for var in check.get("at", ()):
+            if var not in declared or var in specialize:
+                why = "specialized" if var in specialize else "not among the declared vars"
+                raise PlanError(f"{where} 'at': {var!r} is {why}")
         forms = entry["forms"]
         given = [keys for keys in forms if any(key in raw for key in keys)]
         if forms and (len(given) != 1 or not all(key in raw for key in given[0])):
@@ -503,12 +508,12 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
                             + " or ".join("+".join(keys) for keys in forms))
         if given:
             fraction = forms[given[0]](ctx, *(check[key] for key in given[0]))
-            # list attributes are named as their plan keys, with _ for -
-            for attr, need in _list_need(fraction, check["depth"]).items():
-                got = len(getattr(fraction, attr))
-                if got < need:
-                    raise PlanError(f"{where} {attr.replace('_', '-')!r}: depth "
-                                    f"{check['depth']} needs {need} values, got {got}")
+            try:
+                _levels(contract(fraction) if isinstance(fraction, SFraction) else fraction,
+                        check["depth"])
+            except DegenerateFraction as exc:
+                raise PlanError(f"{where} {', '.join(map(repr, given[0]))}: depth "
+                                f"{check['depth']} needs more values ({exc})") from exc
             check["fraction"] = fraction
         if entry["triangle"] not in (None, spec.kind):
             raise PlanError(f"{where} needs a {entry['triangle']} triangle, "

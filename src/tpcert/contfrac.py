@@ -172,6 +172,26 @@ def _poly_coeff(value, what: str) -> Poly:
     return value
 
 
+def _levels(jf: JFraction, depth: int) -> tuple[list[Poly], list[Poly]]:
+    """The s and r levels the walk of ``j_expand`` to ``depth`` reads, as
+    polynomials: ``(s, r)`` with ``s[k]`` = s_k and ``r[k]`` = r_(k+1).
+
+    The walk rises through r_1 .. r_(depth//2) and reads s_0 up to the
+    highest column it reaches, (depth-1)//2.  Every walk returning to
+    column zero from height k descends through weight r_k, so the first
+    zero r_z caps the walk below column z: r stops at r_z and s at s_(z-1).
+    A level the fraction does not give raises DegenerateFraction.
+    """
+    r: list[Poly] = []
+    for k in range(1, depth // 2 + 1):
+        r.append(_poly_coeff(jf.r(k), f"r_{k}"))
+        if not r[-1]:
+            break
+    top = len(r) - 1 if r and not r[-1] else (depth - 1) // 2
+    s = [_poly_coeff(jf.s(k), f"s_{k}") for k in range(top + 1)]
+    return s, r
+
+
 def j_expand(jf: JFraction, depth: int) -> SeriesPoly:
     """First depth+1 series coefficients of a J-fraction.
 
@@ -179,34 +199,13 @@ def j_expand(jf: JFraction, depth: int) -> SeriesPoly:
     D[n][k] = D[n-1][k-1] + s_k D[n-1][k] + r_{k+1} D[n-1][k+1], whose first
     column carries the series; coefficient n only involves s and r levels
     up to n, and the walk is height-truncated at what depth can reach.
+    ``_levels`` gives the levels read, and caps the height at a zero r
+    level; an extracted terminated fraction ends in its zero r, so the cap
+    covers it too.
     """
     ctx = jf.ctx
-    s_cache: dict[int, Poly] = {}
-    r_cache: dict[int, Poly] = {}
-
-    def s_at(k):
-        if k not in s_cache:
-            s_cache[k] = _poly_coeff(jf.s(k), f"s_{k}")
-        return s_cache[k]
-
-    def r_at(k):
-        if k not in r_cache:
-            try:
-                r_cache[k] = _poly_coeff(jf.r(k), f"r_{k}")
-            except DegenerateFraction:
-                if jf.terminated:
-                    r_cache[k] = ctx.zero
-                else:
-                    raise
-        return r_cache[k]
-
-    # Columns above a zero r level are pruned: every walk returning to
-    # column zero from height k descends through weight r_k, so mass above
-    # the first vanishing r contributes nothing.  A terminated fraction is
-    # the same situation with the zero recorded explicitly.
-    cap = depth
-    if jf.terminated and jf.degenerate_level is not None:
-        cap = jf.degenerate_level - 1
+    s, r = _levels(jf, depth)
+    cap = len(s) - 1 if r and not r[-1] else depth
 
     # walk rows are kept as coefficient maps, and each entry is summed in
     # one accumulator
@@ -215,51 +214,18 @@ def j_expand(jf: JFraction, depth: int) -> SeriesPoly:
     row = [ctx.one.terms]
     for n in range(1, depth + 1):
         # the walk rises at most one column per step
-        width = min(n, depth - n, cap, len(row))
-        if width == len(row) and not r_at(width):
-            cap = width - 1
-            width = cap
+        width = min(n, depth - n, cap)
         new = []
         for k in range(width + 1):
             acc = dict(row[k - 1]) if k >= 1 else {}
-            if k < len(row) and row[k]:
-                sk = s_at(k)
-                if sk:
-                    _add_product(acc, sk.terms, row[k], nvars)
-            if k + 1 < len(row) and row[k + 1]:
-                rk = r_at(k + 1)
-                if rk:
-                    _add_product(acc, rk.terms, row[k + 1], nvars)
+            if k < len(row) and row[k] and s[k]:
+                _add_product(acc, s[k].terms, row[k], nvars)
+            if k + 1 < len(row) and row[k + 1] and r[k]:
+                _add_product(acc, r[k].terms, row[k + 1], nvars)
             new.append({key: c for key, c in acc.items() if c})
         row = new
         out.append(Poly(ctx, row[0]))
     return SeriesPoly(ctx, out)
-
-
-def _list_need(fraction, depth: int) -> dict[str, int]:
-    """How many values of each explicit list expanding ``fraction`` to
-    ``depth`` reads, by attribute name; {} for closed forms.
-
-    For generic entries the walk of ``j_expand`` reads s_0 .. s_(c-1),
-    c = ceil(depth/2), and rises through r_1 .. r_(depth//2).  The first
-    zero r_z among those caps the walk below level z, so only z values of
-    each list are read.  An S-fraction list is judged through its
-    contraction, where a zero alpha only yields a zero r once its partner
-    is present.  At least one s value is always needed.
-    """
-    if isinstance(fraction, SFraction):
-        if fraction.alphas is None:
-            return {}
-        need = _list_need(contract(fraction), depth)
-        return {"alphas": max(2 * need["s_list"] - 1, 2 * need["r_list"])}
-    if fraction.s_list is None:
-        return {}
-    s, r = max(1, (depth + 1) // 2), depth // 2
-    for z in range(1, min(r, len(fraction.r_list)) + 1):
-        if not fraction.r_list[z - 1]:
-            s = r = z
-            break
-    return {"s_list": s, "r_list": r}
 
 
 def s_expand(sf: SFraction, depth: int) -> SeriesPoly:

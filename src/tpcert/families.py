@@ -1,8 +1,8 @@
 """Catalog of built-in triangle families and their continued fractions.
 
 Each entry bundles a recurrence spec with the closed-form S- or J-fraction
-of its row-polynomial generating function, the variable set its positivity
-certificates run over, and (where one exists) a closed product formula.
+of its row-polynomial generating function and (where one exists) a closed
+product formula.
 The catalog is the single place this data lives for the library and its
 test suite; the CLI plans are independent YAML documents that restate the
 data they check.
@@ -32,7 +32,6 @@ class Family:
     jfraction: JFraction | None = None
     sfraction: SFraction | None = None
     gf_var: str = "q"
-    x_vars: tuple[str, ...] = ()
     product_factor: Poly | None = None
     product_eval_at: Poly | None = None
     cf_prescaled: bool = False
@@ -44,6 +43,13 @@ class Family:
         out = _map_polys(self, lambda p: p.substitute_poly(name, value))
         out.name = f"{self.name}[{name}:={value}]"
         return out
+
+
+def _shifted_contraction(even: Poly, odd: Poly, shift: Poly) -> JFraction:
+    """Contraction of the S-fraction with alpha forms (even, odd), with
+    ``shift`` added to every s level (a binomial-transform shift)."""
+    jf = contract(SFraction.from_forms(even, odd))
+    return replace(jf, s_form=jf.s_form + shift, s0=jf.s0 + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +79,6 @@ def affine_n_family() -> Family:
         spec=spec,
         sfraction=sf,
         jfraction=contract(sf),
-        x_vars=("a0", "a2", "b0", "b2", "q"),
         product_factor=(a0 + b0 * q) * k + a2 - a0 + (b2 - b0) * q,
     )
 
@@ -101,7 +106,6 @@ def diagonal_family() -> Family:
         spec=spec,
         sfraction=sf,
         jfraction=contract(sf),
-        x_vars=("a0", "b0", "b1", "b2", "q"),
         product_factor=(q + a0) * (b2 + (b0 + b1) * (k - 1)),
     )
 
@@ -117,20 +121,12 @@ def affine_k_family() -> Family:
     ctx = VarContext(["n", "k", "q", "a1", "a2", "b1", "b2"])
     n, k, q, a1, a2, b1, b2 = (ctx.var(v) for v in ctx.names)
     spec = RecurrenceSpec(ctx, ROW_SHIFT, (a1 * k + a2, b1 * (k - 1) + b2))
-    even = (n * b1 + b2) * q
-    odd = (n + 1) * (a1 + b1 * q)
-    even_prev = even.substitute_poly("n", n - 1)
-    odd_prev = odd.substitute_poly("n", n - 1)
-    jf = JFraction.from_forms(
-        s_form=a2 + odd_prev + even,
-        r_form=even_prev * odd_prev,
-    )
+    jf = _shifted_contraction((n * b1 + b2) * q, (n + 1) * (a1 + b1 * q), a2)
     return Family(
         name="affine-k",
         ctx=ctx,
         spec=spec,
         jfraction=jf,
-        x_vars=("a1", "a2", "b1", "b2", "q"),
     )
 
 
@@ -144,18 +140,12 @@ def affine_nk_family() -> Family:
     spec = RecurrenceSpec(
         ctx, ROW_SHIFT, (a0 * (n - k - 1) + a2, b0 * (n - k) + b2)
     )
-    even = n * a0 + a2
-    odd = (n + 1) * (a0 + b0 * q)
-    jf = JFraction.from_forms(
-        s_form=b2 * q + odd.substitute_poly("n", n - 1) + even,
-        r_form=even.substitute_poly("n", n - 1) * odd.substitute_poly("n", n - 1),
-    )
+    jf = _shifted_contraction(n * a0 + a2, (n + 1) * (a0 + b0 * q), b2 * q)
     return Family(
         name="affine-nk",
         ctx=ctx,
         spec=spec,
         jfraction=jf,
-        x_vars=("a0", "a2", "b0", "b2", "q"),
     )
 
 
@@ -182,7 +172,6 @@ def mixed_family(branch: str | None = None) -> Family:
         ctx=ctx,
         spec=spec,
         jfraction=jf,
-        x_vars=("a1", "a2", "b0", "b2", "q"),
     )
     if branch is None:
         return fam
@@ -238,7 +227,6 @@ def centered_family() -> Family:
         ctx=ctx,
         spec=spec,
         jfraction=jf,
-        x_vars=("a1", "a2", "b0", "q"),
         cf_prescaled=True,
     )
 
@@ -269,7 +257,6 @@ def centered_reciprocal_family() -> Family:
         ctx=ctx,
         spec=spec,
         jfraction=jf,
-        x_vars=("a1", "a2", "b0", "q"),
         cf_prescaled=True,
     )
 
@@ -328,16 +315,10 @@ def four_term_family(variant: str) -> Family:
             d=d,
             lam=lam,
         )
-        even = (n * b1 + b2) * q
-        odd = (n + 1) * ((a1 * d + b1) * q + lam * a1)
-        jf = JFraction.from_forms(
-            s_form=a2 * (lam + d * q)
-            + odd.substitute_poly("n", n - 1)
-            + even,
-            r_form=even.substitute_poly("n", n - 1) * odd.substitute_poly("n", n - 1),
+        jf = _shifted_contraction(
+            (n * b1 + b2) * q, (n + 1) * ((a1 * d + b1) * q + lam * a1), a2 * (lam + d * q)
         )
         sf = None
-        x_vars = ("a1", "a2", "b1", "b2", "lam", "q")
     elif variant == "nk":
         ctx = VarContext(["n", "k", "q", "a0", "a2", "b0", "b2", "d", "lam"])
         n, q, a0, a2, b0, b2, d, lam = (
@@ -353,14 +334,10 @@ def four_term_family(variant: str) -> Family:
             d=d,
             lam=lam,
         )
-        even = (n * a0 + a2) * (lam + d * q)
-        odd = (n + 1) * ((a0 * d + b0) * q + lam * a0)
-        jf = JFraction.from_forms(
-            s_form=b2 * q + odd.substitute_poly("n", n - 1) + even,
-            r_form=even.substitute_poly("n", n - 1) * odd.substitute_poly("n", n - 1),
+        jf = _shifted_contraction(
+            (n * a0 + a2) * (lam + d * q), (n + 1) * ((a0 * d + b0) * q + lam * a0), b2 * q
         )
         sf = None
-        x_vars = ("a0", "a2", "b0", "b2", "d", "lam", "q")
     elif variant == "k-nk":
         ctx = VarContext(["n", "k", "q", "a1", "a2", "b0", "b2", "d", "lam"])
         n, q, a1, a2, b0, b2, d, lam = (
@@ -381,7 +358,6 @@ def four_term_family(variant: str) -> Family:
             r_form=n * ((n - 1) * a1 * b0 + a2 * b0 + a1 * b2) * q * (lam + d * q),
         )
         sf = None
-        x_vars = ("a1", "a2", "b0", "b2", "d", "lam", "q")
     else:
         raise ValueError(f"unknown four-term variant {variant!r}")
     spec = general_four_term_spec(ctx, **params)
@@ -391,7 +367,6 @@ def four_term_family(variant: str) -> Family:
         spec=spec,
         jfraction=jf,
         sfraction=sf,
-        x_vars=x_vars,
         companion_params=params,
     )
 
@@ -439,7 +414,6 @@ def fixed_argument_family() -> Family:
         spec=spec,
         sfraction=sf,
         jfraction=contract(sf),
-        x_vars=("a0", "a2", "b0", "b1", "b2", "mu"),
         product_factor=(a0 + mu * b0) * k + a2 + mu * (b1 + b2),
         product_eval_at=mu,
     )
@@ -456,7 +430,6 @@ def pascal_family() -> Family:
         name="pascal",
         ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (ctx.one, ctx.one)),
-        x_vars=("q",),
     )
 
 
@@ -467,7 +440,6 @@ def eulerian_family() -> Family:
         name="eulerian",
         ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (k, n - k + 1)),
-        x_vars=("q",),
     )
 
 
@@ -478,7 +450,6 @@ def stirling_cycle_family() -> Family:
         name="stirling-cycle",
         ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (n - 1, ctx.one)),
-        x_vars=("q",),
     )
 
 
@@ -488,7 +459,6 @@ def stirling_partition_family() -> Family:
         name="stirling-partition",
         ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (ctx.var("k"), ctx.one)),
-        x_vars=("q",),
     )
 
 
@@ -500,7 +470,6 @@ def bell_walk_family() -> Family:
         name="bell-walk",
         ctx=ctx,
         spec=RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, k + 1, k)),
-        x_vars=(),
     )
 
 
@@ -511,7 +480,6 @@ def symmetric_tableau_family() -> Family:
         name="symmetric-tableau",
         ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (k + 1, n, n - k + 1)),
-        x_vars=("q",),
     )
 
 
@@ -522,7 +490,6 @@ def staircase_tableau_family() -> Family:
         name="staircase-tableau",
         ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (k + 1, n + 1, n - k + 1)),
-        x_vars=("q",),
     )
 
 
@@ -538,7 +505,6 @@ def whitney_family() -> Family:
         spec=spec,
         sfraction=sf,
         jfraction=contract(sf),
-        x_vars=("m", "r", "q"),
         product_factor=m * (k - 1) + r + q,
     )
 
@@ -556,7 +522,6 @@ def stirling_permutation_family() -> Family:
         spec=spec,
         sfraction=sf,
         jfraction=contract(sf),
-        x_vars=("q",),
     )
 
 
@@ -578,7 +543,6 @@ def minimax_tree_family() -> Family:
         spec=spec,
         jfraction=jf,
         gf_var="x",
-        x_vars=("x", "p", "q"),
     )
 
 
@@ -600,7 +564,6 @@ def interior_peak_family() -> Family:
         ctx=ctx,
         spec=spec,
         jfraction=jf,
-        x_vars=("q",),
     )
 
 
@@ -621,7 +584,6 @@ def left_peak_family() -> Family:
         ctx=ctx,
         spec=spec,
         jfraction=jf,
-        x_vars=("q",),
     )
 
 

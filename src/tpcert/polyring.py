@@ -365,25 +365,6 @@ class Poly:
             result = result * value**prev_e
         return result
 
-    def substitute(self, name: str, value: "Poly | RatFunc") -> RatFunc:
-        """Substitution whose image may be a rational function."""
-        if isinstance(value, Poly):
-            return RatFunc.from_poly(self.substitute_poly(name, value))
-        self._require_same_ctx(value.num)
-        parts = self.coeffs_in(name)
-        result = RatFunc.from_poly(self.ctx.zero)
-        prev_e = None
-        for e in sorted(parts, reverse=True):
-            part = RatFunc.from_poly(parts[e])
-            if prev_e is None:
-                result = part
-            else:
-                result = result * value ** (prev_e - e) + part
-            prev_e = e
-        if prev_e:
-            result = result * value**prev_e
-        return result
-
     def specialize(self, assignment: Mapping[str, Rational]) -> Poly:
         """Replace the named variables by rational values, in one pass."""
         ctx = self.ctx

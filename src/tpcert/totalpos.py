@@ -78,15 +78,8 @@ def tridiag(s: PolySeq, r: PolySeq, t: PolySeq, size: int) -> PolyMatrix:
 
 def jstar(s: PolySeq, r: PolySeq, t: PolySeq, size: int) -> PolyMatrix:
     """Variant with unit superdiagonal and subdiagonal r_(i-1) t_i."""
-    ctx = s[0].ctx
-    zero = ctx.zero
-    m = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        m[i][i] = s[i]
-        if i + 1 < size:
-            m[i][i + 1] = ctx.one
-            m[i + 1][i] = r[i] * t[i + 1]
-    return PolyMatrix(ctx, m)
+    sub = [None] + [r[i - 1] * t[i] for i in range(1, size)]
+    return tridiag(s, [s[0].ctx.one] * size, sub, size)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +345,7 @@ class LCXReport:
 
 def _hankel_window_det(seq: PolySeq, center: int, size: int) -> Poly:
     lo = center - (size - 1)
-    entries = [[seq[lo + a + b] for b in range(size)] for a in range(size)]
-    return _det_cofactor(
-        PolyMatrix(seq[0].ctx, entries),
-        tuple(range(size)),
-        tuple(range(size)),
-        {},
-    )
+    return minor(hankel(seq[lo:], size), range(size), range(size))
 
 
 def check_k_log_convex(seq: PolySeq, k: int) -> LCXReport:

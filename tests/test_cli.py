@@ -9,8 +9,16 @@ import pytest
 
 from tpcert import cli
 from tpcert.cli import PlanError, emit_report, load_plan, main, run_plan
-from tpcert.contfrac import DegenerateFraction, JFraction, SFraction, j_expand, s_expand
+from tpcert.contfrac import (
+    DegenerateFraction,
+    JFraction,
+    SFraction,
+    contract,
+    j_expand,
+    s_expand,
+)
 from tpcert.polyring import VarContext
+from test_contfrac import reference_walk
 
 PLANS = Path(__file__).resolve().parent.parent / "plans"
 EXPECTED_BATCH = PLANS.parent / "perfbench" / "expected" / "plan-batch.json"
@@ -137,6 +145,24 @@ def test_specializing_indices_or_gf_var_is_load_error(assignment, capsys):
     rc = main(["verify", str(PLANS / "factorial.yaml"), "--specialize", assignment])
     assert rc == 2
     assert f"cannot specialize {assignment.split('=')[0]!r}" in capsys.readouterr().err
+
+
+def test_at_naming_a_specialized_variable_is_load_error(tmp_path, capsys):
+    # specializing removes the variable from the rows, so an 'at' entry
+    # naming it would be ignored and the values compared at another point
+    doc = """\
+vars: [q, a]
+triangle: {c0: "a*(n - 1)", c1: 1, depth: 3}
+checks:
+  - kind: row-gf
+    at: {q: 1, a: 1}
+    values: [1, 1, 2, 6]
+"""
+    path = write_plan(tmp_path, doc)
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--specialize", "a=2"]) == 2
+    assert "'at': 'a' is specialized" in capsys.readouterr().err
 
 
 def test_depth_inconsistency_rejected_at_load(tmp_path):
@@ -312,6 +338,42 @@ def test_cf_match_list_lengths_load_exactly_when_they_expand(tmp_path):
                     load_plan(plan(depth, [case]))
 
 
+def test_cf_match_lists_that_load_are_enough(tmp_path):
+    # a list that loads expands as the plain walk expands it padded with
+    # values in a fresh variable x, so the expansion never reads past what
+    # the list gives; generic lists load from README's lengths on
+    cases = [{"alphas": a} for n in range(1, 12) for a in _lists_with_zero(n, 2)]
+    cases += [{"s-list": list(range(2, 2 + ns)), "r-list": r}
+              for ns in range(1, 7) for nr in range(1, 7) for r in _lists_with_zero(nr, 3)]
+    for depth in range(11):
+        for case in cases:
+            fields = ", ".join(f"{k}: {v}" for k, v in case.items())
+            path = write_plan(tmp_path, "vars: [q, x]\ntriangle: {c0: 1, c1: 1, depth: 10}\n"
+                                        f"checks: [{{kind: cf-match, depth: {depth}, {fields}}}]\n")
+            try:
+                plan = load_plan(path)
+            except PlanError:
+                plan = None
+            if all(v for values in case.values() for v in values):
+                if "alphas" in case:
+                    loads = len(case["alphas"]) >= max(1, depth)
+                else:
+                    loads = (len(case["s-list"]) >= max(1, (depth + 1) // 2)
+                             and len(case["r-list"]) >= depth // 2)
+                assert (plan is not None) == loads, (depth, case)
+            if plan is None:
+                continue
+            fraction, ctx = plan.checks[0]["fraction"], plan.ctx
+            pad = tuple(ctx.var("x") + i for i in range(2 * depth + 2))
+            if "alphas" in case:
+                got = s_expand(fraction, depth)
+                walk = contract(SFraction.from_list(ctx, fraction.alphas + pad))
+            else:
+                got = j_expand(fraction, depth)
+                walk = JFraction.from_lists(ctx, fraction.s_list + pad, fraction.r_list + pad)
+            assert got.coeffs == reference_walk(walk, depth), (depth, case)
+
+
 def test_gf_var_must_be_declared(tmp_path):
     for doc in (
         MINIMAL.replace("vars: [q]\n", ""),
@@ -367,6 +429,9 @@ def _with_check(body):
         (_with_check('  - kind: product-formula\n    factor: "(q"\n    upto: 2\n'), 2, "factor"),
         (_with_check('  - kind: row-gf\n    values: ["1", "q +"]\n'), 2, "values"),
         (_with_check("  - kind: row-gf\n    at: {q: abc}\n    values: [1]\n"), 2, "at"),
+        (_with_check("  - kind: row-gf\n    at: {q: 1, k: 7}\n    values: [1]\n"), 2, "at"),
+        (MINIMAL.replace("vars: [q]", "vars: [q, a]\nspecialize: {a: 2}")
+         + "  - kind: row-gf\n    at: {q: 1, a: 1}\n    values: [1]\n", 2, "at"),
         (_with_check("  - kind: triangle-build\n    golden: 3\n"), 2, "golden"),
         (_with_check("  - kind: tridiagonal-criteria\n    upto: 2\n"), 2, "kind"),
         (_with_check("  - kind: hankel-factorization\n    size: 2\n"), 2, "kind"),
@@ -392,7 +457,7 @@ def _with_check(body):
     ids=[
         "hankel-tp-source", "k-lcx-source", "builtin-sequence", "short-sequence",
         "alphas-shape", "r-list-shape", "alpha-even-syntax", "eval-at-syntax", "factor-syntax",
-        "values-syntax", "at-rational", "golden-name", "tridiagonal-on-row-shift",
+        "values-syntax", "at-rational", "at-undeclared", "at-specialized", "golden-name", "tridiagonal-on-row-shift",
         "factorization-on-row-shift", "alphas-short", "s-list-short", "r-list-short",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
