@@ -28,6 +28,7 @@ from . import oracles
 from .contfrac import DegenerateFraction, JFraction, SFraction, _levels, cf_match, contract
 from .polyring import Poly, VarContext, _map_polys, mpq
 from .totalpos import (
+    _MAX_LCX_K,
     check_hankel_factorization,
     check_k_log_convex,
     hankel,
@@ -199,10 +200,7 @@ class _PlanRunner:
         upto = check["upto"]
         t = self._tri()
         for n in range(1, upto + 1):
-            row = n + check["row-offset"]
-            if row < 0 or row > t.depth:
-                return False, {"missing-row": row}
-            got = [e.const_value() for e in t.rows[row]]
+            got = [e.const_value() for e in t.rows[n + check["row-offset"]]]
             want = oracle(n).padded(len(got))
             if got != want:
                 return False, {"n": n, "got": [str(v) for v in got], "want": want}
@@ -273,9 +271,11 @@ def _rationals(mapping: dict, ctx, parsed) -> dict:
     return out
 
 
-_integer = _type("integer", lambda v: type(v) is int)
 _count = _type("integer >= 0", lambda v: type(v) is int and v >= 0)
 _positive = _type("integer >= 1", lambda v: type(v) is int and v >= 1)
+_row_offset = _type("integer >= -1", lambda v: type(v) is int and v >= -1)
+_lcx_k = _type(f"integer from 1 to {_MAX_LCX_K}",
+               lambda v: type(v) is int and 1 <= v <= _MAX_LCX_K)
 _flag = _type("true or false", lambda v: isinstance(v, bool))
 _file_name = _type("file name", lambda v: isinstance(v, str))
 _poly = _type("polynomial", lambda v: type(v) is int or isinstance(v, str),
@@ -305,6 +305,14 @@ def _sequence(value, ctx, parsed):
     if len(seq) <= upto:
         raise ValueError(f"'upto' {upto} needs {upto + 1} values, got {len(seq)}")
     return seq
+
+
+def _block_size(value, ctx, parsed):
+    """integer >= 1, with 2 (size - 1) at most upto"""
+    upto = parsed["upto"]
+    if 2 * (_positive(value, ctx, parsed) - 1) > upto:
+        raise ValueError(f"a {value}x{value} Hankel block needs 'upto' >= {2 * value - 2}")
+    return value
 
 
 def _oracle_upto(value, ctx, parsed):
@@ -362,7 +370,7 @@ _CHECKS = {
     }),
     "k-lcx": _kind(_PlanRunner.run_k_lcx, lambda c: 2 * c["k"], {
         "source": (_source, "row-gf"),
-        "k": (_positive, _REQUIRED),
+        "k": (_lcx_k, _REQUIRED),
     }),
     "product-formula": _kind(_PlanRunner.run_product_formula, lambda c: c["upto"], {
         "factor": (_poly, _REQUIRED),
@@ -374,17 +382,17 @@ _CHECKS = {
         "upto": (_count, _DEPTH),
     }),
     "convolution-sm": _kind(
-        _PlanRunner.run_convolution_sm, lambda c: max(2 * (c["size"] - 1), c["upto"]), {
+        _PlanRunner.run_convolution_sm, lambda c: c["upto"], {
             "upto": (_count, _DEPTH),
             "x": (_sequence, _REQUIRED),
             "y": (_sequence, _REQUIRED),
-            "size": (_positive, _REQUIRED),
+            "size": (_block_size, _REQUIRED),
             "order": (_positive, _REQUIRED),
         }),
     "oracle-match": _kind(_PlanRunner.run_oracle_match, lambda c: c["upto"] + c["row-offset"], {
         "oracle": (_name("oracle", ORACLES), _REQUIRED),
         "upto": (_oracle_upto, _REQUIRED),
-        "row-offset": (_integer, 0),
+        "row-offset": (_row_offset, 0),
     }),
     "tridiagonal-criteria": _kind(_PlanRunner.run_tridiagonal_criteria, lambda c: 0, {
         "upto": (_count, 4),
@@ -512,9 +520,15 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
                 _levels(contract(fraction) if isinstance(fraction, SFraction) else fraction,
                         check["depth"])
             except DegenerateFraction as exc:
+                # every missing contracted level needs the alpha after the list
+                missing = (f"alpha_{len(fraction.alphas)} not provided"
+                           if isinstance(fraction, SFraction) else exc)
                 raise PlanError(f"{where} {', '.join(map(repr, given[0]))}: depth "
-                                f"{check['depth']} needs more values ({exc})") from exc
+                                f"{check['depth']} needs more values ({missing})") from exc
             check["fraction"] = fraction
+        point, scale = check.get("eval-at"), spec.denominator or ctx.one
+        if not (point is None or check.get("prescaled") or scale.substitute_poly(gf_var, point)):
+            raise PlanError(f"{where} 'eval-at': the denominator {scale} vanishes at {point}")
         if entry["triangle"] not in (None, spec.kind):
             raise PlanError(f"{where} needs a {entry['triangle']} triangle, "
                             f"but the triangle 'kind' is {spec.kind!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .polyring import Poly, RatFunc, SeriesPoly, VarContext, _add_product, _map_polys
-from .triangles import COLUMN_WALK, _star_weights
+from .triangles import COLUMN_WALK, _rows_match, _star_weights
 
 
 class DegenerateFraction(ValueError):
@@ -95,12 +95,10 @@ class JFraction:
     r_form: Poly | None = None
     s0: Poly | None = None
     level_var: str = "n"
-    terminated: bool = False
-    degenerate_level: int | None = None
 
     @classmethod
-    def from_lists(cls, ctx: VarContext, s: Sequence, r: Sequence, **kw) -> JFraction:
-        return cls(ctx, s_list=tuple(s), r_list=tuple(r), **kw)
+    def from_lists(cls, ctx: VarContext, s: Sequence, r: Sequence) -> JFraction:
+        return cls(ctx, s_list=tuple(s), r_list=tuple(r))
 
     @classmethod
     def from_forms(
@@ -240,7 +238,7 @@ def extract_jfraction(f: SeriesPoly, levels: int) -> JFraction:
     yields s_i and r_{i+1} over the coefficient fraction field; two series
     orders are consumed per level, so ``f.depth >= 2*levels`` is required.
     A level with r identically zero terminates the fraction: the prefix is
-    returned with ``terminated`` set and the zero level recorded.
+    returned, ending in that zero r.
     """
     ctx = f.ctx
     if f.depth < 2 * levels:
@@ -255,8 +253,6 @@ def extract_jfraction(f: SeriesPoly, levels: int) -> JFraction:
         raise ValueError("extraction needs constant term 1")
     s: list[RatFunc] = []
     r: list[RatFunc] = []
-    terminated = False
-    degenerate_level = None
     i = 0
     while i <= levels and len(cur) >= 2:
         g = SeriesPoly(ctx, cur).reciprocal().coeffs
@@ -266,14 +262,10 @@ def extract_jfraction(f: SeriesPoly, levels: int) -> JFraction:
         ri = -g[2]
         r.append(ri)
         if ri.is_zero():
-            terminated = True
-            degenerate_level = i + 1
             break
         cur = [-g[j] / ri for j in range(2, len(cur))]
         i += 1
-    return JFraction.from_lists(
-        ctx, s, r, terminated=terminated, degenerate_level=degenerate_level
-    )
+    return JFraction.from_lists(ctx, s, r)
 
 
 def rising_product_series(a: Poly, b: Poly, c: Poly, depth: int) -> SeriesPoly:
@@ -313,26 +305,17 @@ def cf_match(
     polynomial; a scaled triangle multiplies the expansion coefficient by
     scale^n, unless the fraction is already the cleared one (``prescaled``),
     in which case its expansion equals the stored rows directly.  With
-    ``eval_at`` the rows are first evaluated at var = eval_at (for fractions
-    that describe the rows at a fixed argument).
+    ``eval_at`` the rows and the scale are first evaluated at var = eval_at
+    (for fractions that describe the rows at a fixed argument).
     """
+    # checked before the expansion, which is the costly part
     if depth > triangle.depth:
         raise ValueError("triangle not materialized deep enough")
     if isinstance(fraction, SFraction):
         series = s_expand(fraction, depth)
     else:
         series = j_expand(fraction, depth)
-    spow = triangle.ctx.one
-    for n in range(depth + 1):
-        expected = series[n] if prescaled else series[n] * spow
-        got = triangle.row_gf(n, var)
-        if eval_at is not None:
-            got = got.substitute_poly(var, eval_at)
-        if got != expected:
-            return False
-        if not prescaled:
-            spow = spow * triangle.scale
-    return True
+    return _rows_match(triangle, series.coeffs, depth, var, eval_at, scaled=not prescaled)
 
 
 def jfraction_split(jf: JFraction, sf: SFraction, levels: int) -> "Poly | None":

@@ -353,17 +353,7 @@ class Poly:
         parts = self.coeffs_in(name)
         if not parts:
             return self
-        result = self.ctx.zero
-        prev_e = None
-        for e in sorted(parts, reverse=True):
-            if prev_e is None:
-                result = parts[e]
-            else:
-                result = result * value ** (prev_e - e) + parts[e]
-            prev_e = e
-        if prev_e:
-            result = result * value**prev_e
-        return result
+        return _horner([parts.get(e, self.ctx.zero) for e in range(max(parts) + 1)], value)
 
     def specialize(self, assignment: Mapping[str, Rational]) -> Poly:
         """Replace the named variables by rational values, in one pass."""
@@ -929,6 +919,20 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+def _horner(coeffs: Sequence[Poly], x: Poly, y: Poly | None = None) -> Poly:
+    """sum_e coeffs[e] x^e y^(d-e), with d = len(coeffs) - 1; y=None means 1.
+
+    Horner's rule from the top coefficient down: acc -> acc * x + coeffs[e] y^(d-e).
+    """
+    acc, ypow = coeffs[-1], None
+    for c in reversed(coeffs[:-1]):
+        if y is not None:
+            ypow = y if ypow is None else ypow * y
+            c = c * ypow
+        acc = acc * x + c
+    return acc
 
 
 def _map_polys(value, fn):

@@ -343,6 +343,10 @@ class LCXReport:
         }
 
 
+# the highest stage whose determinant identity check_k_log_convex knows
+_MAX_LCX_K = 3
+
+
 def _hankel_window_det(seq: PolySeq, center: int, size: int) -> Poly:
     lo = center - (size - 1)
     return minor(hankel(seq[lo:], size), range(size), range(size))
@@ -361,8 +365,8 @@ def check_k_log_convex(seq: PolySeq, k: int) -> LCXReport:
 
     and both evaluation routes are asserted equal.
     """
-    if not 1 <= k <= 3:
-        raise ValueError("k must be between 1 and 3")
+    if not 1 <= k <= _MAX_LCX_K:
+        raise ValueError(f"k must be between 1 and {_MAX_LCX_K}")
     if len(seq) < 2 * k + 1:
         raise ValueError(f"need at least {2 * k + 1} entries for k={k}")
     cur = list(seq)

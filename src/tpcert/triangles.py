@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .polyring import Poly, VarContext
+from .polyring import Poly, VarContext, _horner
 
 PolySeq = Sequence[Poly]
 
@@ -125,6 +125,7 @@ class Triangle:
             raise IndexError(f"row {n} beyond materialized depth {self.depth}")
         q = self.ctx.var(var)
         acc = self.ctx.zero
+        # not _horner: times q**k only shifts keys, so each term is copied once
         for k, e in enumerate(self.rows[n]):
             if e:
                 acc = acc + e * q**k
@@ -161,18 +162,12 @@ def _step(spec: RecurrenceSpec, prev: list[Poly], n: int, k: int) -> Poly:
                 if c:
                     acc = acc + c * prev[kk]
     else:
-        if 1 <= k and k - 1 < len(prev) and prev[k - 1]:
-            c = spec.walk_coeff(0, k - 1)
-            if c:
-                acc = acc + c * prev[k - 1]
-        if k < len(prev) and prev[k]:
-            c = spec.walk_coeff(1, k)
-            if c:
-                acc = acc + c * prev[k]
-        if k + 1 < len(prev) and prev[k + 1]:
-            c = spec.walk_coeff(2, k + 1)
-            if c:
-                acc = acc + c * prev[k + 1]
+        # r(k-1), s(k) and t(k+1) weigh the entries k-1, k and k+1 of row n-1
+        for which, kk in enumerate(range(k - 1, k + 2)):
+            if 0 <= kk < len(prev) and prev[kk]:
+                c = spec.walk_coeff(which, kk)
+                if c:
+                    acc = acc + c * prev[kk]
     return acc
 
 
@@ -261,21 +256,35 @@ def shift_row_gf(
     image = q * den + shift if den is not None else q + shift
     rows = []
     for n in range(t.depth + 1):
-        acc = ctx.zero
-        dpow = ctx.one
-        # Horner from the top coefficient down: sum_k A[n][k] image^k den^(n-k)
-        for k in range(n, -1, -1):
-            e = t.entry(n, k)
-            term = e * dpow if den is not None else e
-            acc = acc * image + term
-            if den is not None:
-                dpow = dpow * den
-        parts = acc.coeffs_in(var)
+        # sum_k A[n][k] image^k den^(n-k)
+        parts = _horner(t.rows[n], image, den).coeffs_in(var)
         if parts and max(parts) > n:
             raise ValueError("shifted row has degree above the row index")
         rows.append([parts.get(k, ctx.zero) for k in range(n + 1)])
     scale = t.scale if den is None else t.scale * den
     return Triangle(ctx, rows, spec=None, scale=scale)
+
+
+def _rows_match(t: Triangle, want: PolySeq, upto: int, var: str,
+                eval_at: Poly | None = None, scaled: bool = True) -> bool:
+    """True iff row polynomial n equals want[n] * scale^n for every n <= upto.
+
+    Unless ``scaled``, want[n] is compared as it is.  With ``eval_at`` given,
+    the rows and the scale are both evaluated at var = eval_at first; a scale
+    that involves var would otherwise stay symbolic.
+    """
+    if upto > t.depth:
+        raise ValueError("triangle not materialized deep enough")
+    at = (lambda p: p) if eval_at is None else (lambda p: p.substitute_poly(var, eval_at))
+    scale = at(t.scale) if scaled else t.ctx.one
+    if not scale:  # every row past the first would then compare 0 with 0
+        raise ValueError(f"the clearing denominator {t.scale} vanishes at {var} = {eval_at}")
+    spow = t.ctx.one
+    for n in range(upto + 1):
+        if at(t.row_gf(n, var)) != want[n] * spow:
+            return False
+        spow = spow * scale
+    return True
 
 
 def companion_spec(
@@ -320,22 +329,12 @@ def check_companion_relation(
     """
     if t_comp.scale != t_comp.ctx.one:
         raise ValueError("companion triangle must be unscaled")
-    if upto > t_four.depth or upto > t_comp.depth:
-        raise ValueError("triangles not materialized deep enough")
-    ctx = t_four.ctx
-    q = ctx.var(var)
+    if upto > t_comp.depth:
+        raise ValueError("companion triangle not materialized deep enough")
+    q = t_four.ctx.var(var)
     base = lam + d * q
-    for n in range(upto + 1):
-        # Horner in base, ascending k: ends at sum_k A[n][k] q^k base^(n-k)
-        rhs = ctx.zero
-        qpow = ctx.one
-        for k in range(n + 1):
-            rhs = rhs * base + t_comp.entry(n, k) * qpow
-            qpow = qpow * q
-        lhs = t_four.row_gf(n, var)
-        if lhs != rhs * t_four.scale**n:
-            return False
-    return True
+    rhs = [_horner([t_comp.entry(n, k) for k in range(n + 1)], q, base) for n in range(upto + 1)]
+    return _rows_match(t_four, rhs, upto, var)
 
 
 def triangle_convolution(
@@ -368,23 +367,12 @@ def check_product_formula(
 
     ``factor`` is a polynomial in the reserved index ``k``; the n-th row
     value is compared against scale^n * prod_{k=1..n} factor(k).  With
-    ``eval_at`` given, rows are first evaluated at var = eval_at.
+    ``eval_at`` given, rows and scale are first evaluated at var = eval_at.
     """
-    if upto > t.depth:
-        raise ValueError("triangle not materialized deep enough")
-    ctx = t.ctx
-    running = ctx.one
-    spow = ctx.one
-    for n in range(upto + 1):
-        if n:
-            running = running * factor.specialize({"k": n})
-            spow = spow * t.scale
-        gf = t.row_gf(n, var)
-        if eval_at is not None:
-            gf = gf.substitute_poly(var, eval_at)
-        if gf != running * spow:
-            return False
-    return True
+    running = [t.ctx.one]
+    for n in range(1, upto + 1):
+        running.append(running[-1] * factor.specialize({"k": n}))
+    return _rows_match(t, running, upto, var, eval_at)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,60 @@ def test_cf_match_list_lengths_load_exactly_when_they_expand(tmp_path):
                     load_plan(plan(depth, [case]))
 
 
+def test_short_alphas_name_the_first_missing_alpha(tmp_path):
+    doc = _with_check("  - kind: cf-match\n    alphas: [1, 2, 3]\n")
+    with pytest.raises(PlanError, match=r"'alphas': depth 4 needs more values "
+                                        r"\(alpha_3 not provided\)"):
+        load_plan(write_plan(tmp_path, doc))
+    # whatever level of the contraction is missing, the first alpha missing
+    # is the one after the list
+    for alphas in (a for n in range(1, 10) for a in _lists_with_zero(n, 2)):
+        for depth in range(11):
+            doc = ("vars: [q]\ntriangle: {c0: 1, c1: 1, depth: 10}\n"
+                   f"checks: [{{kind: cf-match, depth: {depth}, alphas: {alphas}}}]\n")
+            try:
+                load_plan(write_plan(tmp_path, doc))
+            except PlanError as exc:
+                assert f"(alpha_{len(alphas)} not provided)" in str(exc)
+
+
+REPRO_SCALE_AT_POINT = """\
+name: scale-in-the-gf-variable
+vars: [q]
+triangle:
+  kind: row-shift
+  c0: "q"
+  c1: "1"
+  denominator: q
+  depth: 4
+checks:
+  - kind: product-formula
+    factor: "2"
+    eval-at: "1"
+  - kind: cf-match
+    alphas: [2, 0, 0, 0, 0]
+    eval-at: "1"
+  - kind: product-formula
+    factor: "2"
+    eval-at: "3"
+"""
+
+
+def test_eval_at_evaluates_a_scale_in_the_gf_variable(tmp_path):
+    # true coefficients 1 and 1/q, cleared by q: the true rows are 2^n at every q
+    path = write_plan(tmp_path, REPRO_SCALE_AT_POINT)
+    assert main(["verify", str(path)]) == 0
+    wrong = write_plan(tmp_path, REPRO_SCALE_AT_POINT.replace('factor: "2"', 'factor: "3"'),
+                       name="wrong.yaml")
+    assert main(["verify", str(wrong)]) == 1
+    # a prescaled fraction describes the stored rows, which are defined at a
+    # zero of the denominator: 2^n q^n is 0 at q = 0 for n >= 1
+    zero = write_plan(tmp_path, REPRO_SCALE_AT_POINT.split("  - kind: product-formula")[0]
+                      + '  - kind: cf-match\n    alphas: [0, 0, 0, 0]\n    prescaled: true\n'
+                        '    eval-at: "0"\n', name="zero.yaml")
+    assert main(["verify", str(zero)]) == 0
+
+
 def test_cf_match_lists_that_load_are_enough(tmp_path):
     # a list that loads expands as the plain walk expands it padded with
     # values in a fresh variable x, so the expansion never reads past what
@@ -438,6 +492,16 @@ def _with_check(body):
         (_with_check("  - kind: cf-match\n    alphas: [1, 2, 3]\n"), 2, "alphas"),
         (_with_check("  - kind: cf-match\n    s-list: [1]\n    r-list: [1, 2]\n"), 2, "s-list"),
         (_with_check("  - kind: cf-match\n    s-list: [1, 2]\n    r-list: [1]\n"), 2, "r-list"),
+        (_with_check("  - kind: k-lcx\n    k: 4\n"), 2, "k"),
+        (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  denominator: q\n')
+         + '  - kind: product-formula\n    factor: "3"\n    eval-at: "0"\n', 2, "eval-at"),
+        (MINIMAL.replace("vars: [q]", "vars: [q, a]\nspecialize: {a: 0}").replace(
+            '  c1: "1"\n', '  c1: "1"\n  denominator: q\n')
+         + '  - kind: cf-match\n    alphas: [2, 0, 0, 0]\n    eval-at: "a"\n', 2, "eval-at"),
+        (_with_check("  - kind: convolution-sm\n    x: ones\n    y: ones\n    upto: 3\n"
+                     "    size: 4\n    order: 1\n"), 2, "size"),
+        (_with_check("  - kind: oracle-match\n    oracle: perms-by-descents\n    upto: 2\n"
+                     "    row-offset: -2\n"), 2, "row-offset"),
         # plan sections
         (WALK.replace('  t: "k"\n', ""), None, "t"),
         (MINIMAL.replace("vars: [q]", "vars: [q, 3]"), None, "vars"),
@@ -459,6 +523,8 @@ def _with_check(body):
         "alphas-shape", "r-list-shape", "alpha-even-syntax", "eval-at-syntax", "factor-syntax",
         "values-syntax", "at-rational", "at-undeclared", "at-specialized", "golden-name", "tridiagonal-on-row-shift",
         "factorization-on-row-shift", "alphas-short", "s-list-short", "r-list-short",
+        "k-lcx-k-above-3", "eval-at-zero-of-denominator", "eval-at-specialized-to-zero",
+        "convolution-size-above-upto", "row-offset-below-minus-1",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "unknown-check-key", "unknown-triangle-key", "expect-names",

@@ -149,13 +149,14 @@ class TestExtract:
         jf = extract_jfraction(f, 4)
         assert [v.as_poly() for v in jf.s_list] == consts(ctx, [1, 3, 5, 7, 9])
         assert [v.as_poly() for v in jf.r_list] == consts(ctx, [1, 4, 9, 16])
-        assert jf.is_polynomial() and not jf.terminated
+        assert jf.is_polynomial() and not any(v.is_zero() for v in jf.r_list)
 
     def test_geometric_degenerates(self, ctx):
         c = ctx.var("c")
         f = SeriesPoly(ctx, [c**i for i in range(7)])
         jf = extract_jfraction(f, 3)
-        assert jf.terminated and jf.degenerate_level == 1
+        # the fraction ends at its zero r_1
+        assert len(jf.r_list) == 1 and jf.r_list[-1].is_zero()
         assert jf.s_list[0] == RatFunc.from_poly(c)
         assert jf.r_list[0].is_zero()
         # and the terminated fraction expands back to the series
@@ -399,6 +400,23 @@ class TestCfMatch:
         t = build_triangle(spec, 5)
         sf = SFraction.from_forms(q + n + m, n + 1)
         assert cf_match(t, sf, 5)
+
+    def test_eval_at_evaluates_a_scale_in_the_gf_variable(self, ctx):
+        # true coefficients 1 and 1/q, cleared by q: stored rows 2^n q^n,
+        # true rows 2^n at every q, the series of the S-fraction (2, 0, ...)
+        q = ctx.var("q")
+        t = build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (q, ctx.one), denominator=q), 5)
+        for point in (ctx.one, ctx.const(2), ctx.var("a")):
+            assert cf_match(t, SFraction.from_list(ctx, consts(ctx, [2, 0, 0, 0, 0])), 5,
+                            eval_at=point)
+            assert not cf_match(t, SFraction.from_list(ctx, consts(ctx, [3, 0, 0, 0, 0])), 5,
+                                eval_at=point)
+            # the stored rows at the point are described by the cleared fraction
+            assert cf_match(t, SFraction.from_list(ctx, [2 * point] + consts(ctx, [0] * 4)), 5,
+                            prescaled=True, eval_at=point)
+        with pytest.raises(ValueError, match="vanishes"):
+            cf_match(t, SFraction.from_list(ctx, consts(ctx, [3, 0, 0, 0, 0])), 5,
+                     eval_at=ctx.zero)
 
     def test_split_helper(self, ctx):
         n = ctx.var("n")

@@ -14,6 +14,7 @@ from tpcert.polyring import (
     SeriesPoly,
     VarContext,
     _fiber_product,
+    _horner,
     mpq,
 )
 
@@ -79,6 +80,26 @@ def test_substitute_examples(ctx):
     q, lam, d = ctx.var("q"), ctx.var("lam"), ctx.var("d")
     assert (q**2).substitute_poly("q", q + lam) == q**2 + 2 * lam * q + lam**2
     assert (1 + q).substitute_poly("q", ctx.one) == ctx.const(2)
+
+
+def test_substitute_across_exponent_gaps(ctx):
+    q, lam, d = ctx.var("q"), ctx.var("lam"), ctx.var("d")
+    assert (q**5 + lam * q**2 + d).substitute_poly("q", q + d) == (
+        (q + d) ** 5 + lam * (q + d) ** 2 + d
+    )
+
+
+def test_horner_is_the_homogeneous_power_sum(ctx):
+    rng = random.Random(31)
+    for _ in range(20):
+        coeffs = [random_poly(ctx, rng) for _ in range(rng.randint(1, 5))]
+        x = random_poly(ctx, rng, max_terms=3, max_exp=2)
+        y = random_poly(ctx, rng, max_terms=3, max_exp=2)
+        top = len(coeffs) - 1
+        assert _horner(coeffs, x, y) == sum(
+            (c * x**e * y ** (top - e) for e, c in enumerate(coeffs)), ctx.zero
+        )
+        assert _horner(coeffs, x) == sum((c * x**e for e, c in enumerate(coeffs)), ctx.zero)
 
 
 def test_substitution_is_homomorphic(ctx):

@@ -285,7 +285,23 @@ class TestConvolution:
             triangle_convolution(t, [ctx.one] * 2, [ctx.one] * 4, 3)
 
 
+def two_to_the_n_cleared_by_q(ctx, depth=6):
+    # true coefficients 1 and 1/q, cleared by q: stored rows 2^n q^n, true rows 2^n
+    q = ctx.var("q")
+    return build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (q, ctx.one), denominator=q), depth)
+
+
 class TestProductFormula:
+    def test_eval_at_evaluates_a_scale_in_the_gf_variable(self, ctx):
+        t = two_to_the_n_cleared_by_q(ctx)
+        for point in (ctx.one, ctx.const(2), ctx.var("lam")):
+            assert check_product_formula(t, ctx.const(2), 6, eval_at=point)
+            assert not check_product_formula(t, ctx.const(3), 6, eval_at=point)
+        assert check_product_formula(t, ctx.const(2), 6)
+        # at a zero of the clearing denominator every row past the first is 0 = 0
+        with pytest.raises(ValueError, match="vanishes"):
+            check_product_formula(t, ctx.const(3), 6, eval_at=ctx.zero)
+
     def test_rising_product(self, ctx):
         # c0 = n-1, c1 = 1: rows multiply up as ((k-1) + q)
         n = ctx.var("n")
