@@ -40,6 +40,8 @@ from .triangles import (
     ROW_SHIFT,
     RecurrenceSpec,
     Triangle,
+    _evaluate,
+    _row_mismatch,
     build_triangle,
     check_companion_relation,
     check_product_formula,
@@ -105,6 +107,14 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
+def _point(check: dict, ctx: VarContext, gf_var: str) -> dict:
+    """The assignment a check evaluates the rows at: the gf-var at its
+    ``eval-at``, or row-gf's ``at`` map; empty for neither."""
+    if check.get("eval-at") is not None:
+        return {gf_var: check["eval-at"]}
+    return {v: ctx.const(r) for v, r in check.get("at", {}).items()}
+
+
 class _PlanRunner:
     def __init__(self, plan: VerificationPlan, jobs: int = 1, golden_dir: Path | None = None):
         self.plan = plan
@@ -144,14 +154,14 @@ class _PlanRunner:
         return True, detail
 
     def run_row_gf(self, check: dict):
-        gfs = self._tri().row_gfs(self.plan.gf_var)
-        detail = {"rows": [str(g) for g in gfs]}
-        for n, want in enumerate(check["values"]):
-            got = gfs[n].specialize(check["at"]) if check["at"] else gfs[n]
-            if got != want:
-                detail["mismatch"] = {"row": n, "got": str(got), "want": str(want)}
-                return False, detail
-        return True, detail
+        t, values = self._tri(), check["values"]
+        detail = {"rows": [str(g) for g in t.row_gfs(self.plan.gf_var)]}
+        point = _point(check, self.plan.ctx, self.plan.gf_var)
+        bad = _row_mismatch(t, values, len(values) - 1, self.plan.gf_var, point)
+        if bad is not None:
+            n, got = bad
+            detail["mismatch"] = {"row": n, "got": str(got), "want": str(values[n])}
+        return bad is None, detail
 
     def run_cf_match(self, check: dict):
         ok = cf_match(self._tri(), check["fraction"], check["depth"], var=self.plan.gf_var,
@@ -199,8 +209,10 @@ class _PlanRunner:
         oracle = ORACLES[check["oracle"]]
         upto = check["upto"]
         t = self._tri()
+        scale = mpq(t.scale.const_value())  # a constant, checked at load
         for n in range(1, upto + 1):
-            got = [e.const_value() for e in t.rows[n + check["row-offset"]]]
+            row = n + check["row-offset"]
+            got = [e.const_value() / scale**row for e in t.rows[row]]
             want = oracle(n).padded(len(got))
             if got != want:
                 return False, {"n": n, "got": [str(v) for v in got], "want": want}
@@ -526,9 +538,14 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
                 raise PlanError(f"{where} {', '.join(map(repr, given[0]))}: depth "
                                 f"{check['depth']} needs more values ({missing})") from exc
             check["fraction"] = fraction
-        point, scale = check.get("eval-at"), spec.denominator or ctx.one
-        if not (point is None or check.get("prescaled") or scale.substitute_poly(gf_var, point)):
-            raise PlanError(f"{where} 'eval-at': the denominator {scale} vanishes at {point}")
+        scale, point = spec.denominator or ctx.one, _point(check, ctx, gf_var)
+        if point and not check.get("prescaled") and not _evaluate(scale, point):
+            field = "at" if kind == "row-gf" else "eval-at"
+            at = ", ".join(f"{v} = {p}" for v, p in point.items())
+            raise PlanError(f"{where} '{field}': the denominator {scale} vanishes at {at}")
+        if kind == "oracle-match" and not scale.is_constant():
+            raise PlanError(f"{where}: the oracle counts are integers, but the "
+                            f"denominator {scale} is symbolic")
         if entry["triangle"] not in (None, spec.kind):
             raise PlanError(f"{where} needs a {entry['triangle']} triangle, "
                             f"but the triangle 'kind' is {spec.kind!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .polyring import Poly, RatFunc, SeriesPoly, VarContext, _add_product, _map_polys
-from .triangles import COLUMN_WALK, _rows_match, _star_weights
+from .triangles import COLUMN_WALK, _row_mismatch, _star_weights
 
 
 class DegenerateFraction(ValueError):
@@ -315,7 +315,8 @@ def cf_match(
         series = s_expand(fraction, depth)
     else:
         series = j_expand(fraction, depth)
-    return _rows_match(triangle, series.coeffs, depth, var, eval_at, scaled=not prescaled)
+    at = None if eval_at is None else {var: eval_at}
+    return _row_mismatch(triangle, series.coeffs, depth, var, at, scaled=not prescaled) is None
 
 
 def jfraction_split(jf: JFraction, sf: SFraction, levels: int) -> "Poly | None":

@@ -48,9 +48,6 @@ class PolyMatrix:
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]
 
-    def submatrix(self, rows, cols) -> list[list[Poly]]:
-        return [[self.entries[r][c] for c in cols] for r in rows]
-
 
 def hankel(seq: PolySeq, size: int) -> PolyMatrix:
     """Hankel truncation: entry (i, j) = seq[i+j]."""
@@ -74,12 +71,6 @@ def tridiag(s: PolySeq, r: PolySeq, t: PolySeq, size: int) -> PolyMatrix:
             m[i][i + 1] = r[i]
             m[i + 1][i] = t[i + 1]
     return PolyMatrix(ctx, m)
-
-
-def jstar(s: PolySeq, r: PolySeq, t: PolySeq, size: int) -> PolyMatrix:
-    """Variant with unit superdiagonal and subdiagonal r_(i-1) t_i."""
-    sub = [None] + [r[i - 1] * t[i] for i in range(1, size)]
-    return tridiag(s, [s[0].ctx.one] * size, sub, size)
 
 
 # ---------------------------------------------------------------------------
@@ -113,46 +104,17 @@ def _det_cofactor(m: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> Poly:
     return d
 
 
-def _det_bareiss(entries: list[list[Poly]]) -> Poly:
-    """Fraction-free elimination; every division is exact."""
-    n = len(entries)
-    ctx = entries[0][0].ctx
-    m = [row[:] for row in entries]
-    sign = 1
-    prev = ctx.one
-    for i in range(n - 1):
-        piv = next((r for r in range(i, n) if m[r][i]), None)
-        if piv is None:
-            return ctx.zero
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                num = m[i][i] * m[r][c] - m[r][i] * m[i][c]
-                q = num.exact_div(prev)
-                if q is None:  # cannot happen for true matrix data
-                    raise ArithmeticError("non-exact division in fraction-free elimination")
-                m[r][c] = q
-            m[r][i] = ctx.zero
-        prev = m[i][i]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
 def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> Poly:
-    """Exact determinant of the selected square submatrix: cofactor
-    expansion up to order 4, fraction-free elimination above."""
+    """Exact determinant of the selected square submatrix, by the memoized
+    cofactor expansion."""
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise ValueError(f"minor needs equally many rows and columns, got {rows}/{cols}")
     if len(rows) == 0:
         return m.ctx.one
-    if max(rows) >= m.nrows or max(cols) >= m.ncols:
+    if min(rows + cols) < 0 or max(rows) >= m.nrows or max(cols) >= m.ncols:
         raise ValueError("row/column index out of range")
-    if len(rows) <= 4:
-        return _det_cofactor(m, rows, cols, {})
-    return _det_bareiss(m.submatrix(rows, cols))
+    return _det_cofactor(m, rows, cols, {})
 
 
 # ---------------------------------------------------------------------------
@@ -451,54 +413,6 @@ def tridiagonal_tp_criteria(
     return results
 
 
-def check_perturbed_tridiagonal(
-    s: PolySeq,
-    r: PolySeq,
-    t: PolySeq,
-    diag_add: PolySeq,
-    super_sub: PolySeq,
-    sub_sub: PolySeq,
-    size: int,
-    order: int,
-) -> TPReport:
-    """Verify by direct minors that the perturbed tridiagonal matrix
-    (diagonal + diag_add, superdiagonal - super_sub, subdiagonal - sub_sub)
-    stays x-TP of the given order.
-
-    Hypotheses (HypothesisError when violated): all base entries and all
-    perturbations are coefficientwise nonnegative, the subtractions stay
-    nonnegative, and the base matrix itself passes the order-``order`` check.
-    """
-    for name, seq, lo, hi in (
-        ("s", s, 0, size), ("r", r, 0, size - 1), ("t", t, 1, size),
-        ("diag_add", diag_add, 0, size),
-        ("super_sub", super_sub, 0, size - 1),
-        ("sub_sub", sub_sub, 1, size),
-    ):
-        for i in range(lo, hi):
-            if not seq[i].is_nonneg():
-                raise HypothesisError(f"{name}[{i}] has a negative coefficient")
-    for i in range(size - 1):
-        if not (r[i] - super_sub[i]).is_nonneg():
-            raise HypothesisError(f"superdiagonal perturbation exceeds r_{i}")
-    for i in range(1, size):
-        if not (t[i] - sub_sub[i]).is_nonneg():
-            raise HypothesisError(f"subdiagonal perturbation exceeds t_{i}")
-    base = is_totally_positive(tridiag(s, r, t, size), order)
-    if not base.ok:
-        raise HypothesisError(
-            f"base tridiagonal matrix is not TP_{order} at size {size}: "
-            f"witness {base.witness.to_dict()}"
-        )
-    perturbed = tridiag(
-        [s[i] + diag_add[i] for i in range(size)],
-        [r[i] - super_sub[i] for i in range(size - 1)] + [s[0].ctx.zero],
-        [s[0].ctx.zero] + [t[i] - sub_sub[i] for i in range(1, size)],
-        size,
-    )
-    return is_totally_positive(perturbed, order)
-
-
 # ---------------------------------------------------------------------------
 # Hankel factorization of a column walk
 # ---------------------------------------------------------------------------
@@ -531,8 +445,3 @@ def check_hankel_factorization(spec: RecurrenceSpec, size: int) -> bool:
                 return False
     return True
 
-
-def walk_hankel(spec: RecurrenceSpec, size: int) -> PolyMatrix:
-    """Hankel truncation of a column walk's first column."""
-    t = build_triangle(spec, 2 * (size - 1), max_col=size - 1)
-    return hankel(t.first_column(), size)

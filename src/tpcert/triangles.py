@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, Mapping, Sequence
 
-from .polyring import Poly, VarContext, _horner
+from .polyring import Poly, RatFunc, VarContext, _horner
 
 PolySeq = Sequence[Poly]
 
@@ -265,26 +265,37 @@ def shift_row_gf(
     return Triangle(ctx, rows, spec=None, scale=scale)
 
 
-def _rows_match(t: Triangle, want: PolySeq, upto: int, var: str,
-                eval_at: Poly | None = None, scaled: bool = True) -> bool:
-    """True iff row polynomial n equals want[n] * scale^n for every n <= upto.
+def _evaluate(p: Poly, at: Mapping[str, Poly]) -> Poly:
+    """``p`` with each variable named in ``at`` replaced by its value in turn."""
+    for name, value in at.items():
+        p = p.substitute_poly(name, value)
+    return p
 
-    Unless ``scaled``, want[n] is compared as it is.  With ``eval_at`` given,
-    the rows and the scale are both evaluated at var = eval_at first; a scale
-    that involves var would otherwise stay symbolic.
+
+def _row_mismatch(t: Triangle, want: PolySeq, upto: int, var: str,
+                  at: Mapping[str, Poly] | None = None, scaled: bool = True):
+    """First row n <= upto whose polynomial is not want[n] * scale^n, as
+    (n, true row value), or None when every row matches.
+
+    Unless ``scaled``, want[n] is compared as it is.  With an assignment
+    ``at`` (variable -> value) given, the rows and the scale are both
+    evaluated there first; a scale that involves an assigned variable would
+    otherwise stay symbolic.
     """
     if upto > t.depth:
         raise ValueError("triangle not materialized deep enough")
-    at = (lambda p: p) if eval_at is None else (lambda p: p.substitute_poly(var, eval_at))
-    scale = at(t.scale) if scaled else t.ctx.one
+    at = at or {}
+    scale = _evaluate(t.scale, at) if scaled else t.ctx.one
     if not scale:  # every row past the first would then compare 0 with 0
-        raise ValueError(f"the clearing denominator {t.scale} vanishes at {var} = {eval_at}")
+        point = ", ".join(f"{v} = {p}" for v, p in at.items())
+        raise ValueError(f"the clearing denominator {t.scale} vanishes at {point}")
     spow = t.ctx.one
     for n in range(upto + 1):
-        if at(t.row_gf(n, var)) != want[n] * spow:
-            return False
+        got = _evaluate(t.row_gf(n, var), at)
+        if got != want[n] * spow:
+            return n, RatFunc(got, spow)
         spow = spow * scale
-    return True
+    return None
 
 
 def companion_spec(
@@ -334,7 +345,7 @@ def check_companion_relation(
     q = t_four.ctx.var(var)
     base = lam + d * q
     rhs = [_horner([t_comp.entry(n, k) for k in range(n + 1)], q, base) for n in range(upto + 1)]
-    return _rows_match(t_four, rhs, upto, var)
+    return _row_mismatch(t_four, rhs, upto, var) is None
 
 
 def triangle_convolution(
@@ -372,7 +383,8 @@ def check_product_formula(
     running = [t.ctx.one]
     for n in range(1, upto + 1):
         running.append(running[-1] * factor.specialize({"k": n}))
-    return _rows_match(t, running, upto, var, eval_at)
+    at = None if eval_at is None else {var: eval_at}
+    return _row_mismatch(t, running, upto, var, at) is None
 
 
 # ---------------------------------------------------------------------------

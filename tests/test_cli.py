@@ -1,11 +1,13 @@
 """Tests for plan loading, the check runners and report emission."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from tpcert import cli
 from tpcert.cli import PlanError, emit_report, load_plan, main, run_plan
@@ -392,6 +394,63 @@ def test_eval_at_evaluates_a_scale_in_the_gf_variable(tmp_path):
     assert main(["verify", str(zero)]) == 0
 
 
+# true coefficients 1 and 1/q, cleared by q: the true rows are 2^n at every q
+REPRO_ROW_GF = """\
+vars: [q]
+triangle: {c0: q, c1: 1, denominator: q, depth: 3}
+checks:
+  - kind: row-gf
+    at: {q: 2}
+    values: [1, 2, 4, 8]
+"""
+
+
+def test_row_gf_compares_the_true_rows(tmp_path, capsys):
+    assert main(["verify", str(write_plan(tmp_path, REPRO_ROW_GF))]) == 0
+    capsys.readouterr()
+    cleared = write_plan(tmp_path, REPRO_ROW_GF.replace("[1, 2, 4, 8]", "[1, 4, 16, 64]"),
+                         name="cleared.yaml")
+    assert main(["verify", str(cleared), "--format", "json"]) == 1
+    detail = json.loads(capsys.readouterr().out)["plans"][0]["checks"][0]["detail"]
+    # the mismatch is in true values; the rows are the stored, cleared ones
+    assert detail["mismatch"] == {"row": 1, "got": "2", "want": "4"}
+    assert detail["rows"] == ["1", "2*q", "4*q^2", "8*q^3"]
+    zero = write_plan(tmp_path, REPRO_ROW_GF.replace("{q: 2}", "{q: 0}"), name="zero.yaml")
+    with pytest.raises(PlanError, match="'at': the denominator q vanishes at q = 0"):
+        load_plan(zero)
+    assert main(["verify", str(zero)]) == 2
+
+
+# true rows: the unsigned Stirling numbers of the first kind
+REPRO_ORACLE = """\
+vars: [q, a]
+triangle: {c0: "2*n - 2", c1: "2", denominator: "2", depth: 5}
+checks:
+  - kind: oracle-match
+    oracle: perms-by-cycles
+    upto: 4
+  - kind: row-gf
+    at: {q: 1}
+    values: [1, 1, 2, 6, 24]
+"""
+
+
+def test_oracle_match_compares_the_true_rows(tmp_path, capsys):
+    assert main(["verify", str(write_plan(tmp_path, REPRO_ORACLE))]) == 0
+    capsys.readouterr()
+    off = write_plan(tmp_path, REPRO_ORACLE.replace("c1: \"2\"", "c1: \"4\""), name="off.yaml")
+    assert main(["verify", str(off), "--format", "json"]) == 1
+    check = json.loads(capsys.readouterr().out)["plans"][0]["checks"][0]
+    assert check["detail"] == {"n": 1, "got": ["0", "2"], "want": [0, 1]}
+    # a scale still symbolic after specialization cannot equal an integer count
+    symbolic = write_plan(tmp_path, REPRO_ORACLE.replace('denominator: "2"', "denominator: a"),
+                          name="symbolic.yaml")
+    with pytest.raises(PlanError, match="denominator a is symbolic"):
+        load_plan(symbolic)
+    assert main(["verify", str(symbolic)]) == 2
+    assert main(["verify", str(symbolic), "--specialize", "a=2"]) == 0
+
+
 def test_cf_match_lists_that_load_are_enough(tmp_path):
     # a list that loads expands as the plain walk expands it padded with
     # values in a fresh variable x, so the expansion never reads past what
@@ -676,6 +735,24 @@ def _specialized_plans():
     return rows + [pytest.param("whitney.yaml", ["m=1", "r=1"], id="readme-whitney")]
 
 
+def _doubled(doc: dict) -> dict:
+    """The plan with every recurrence coefficient and the denominator (1 if
+    none) doubled: stored rows 2^n times the old ones, the same true rows."""
+    tri = dict(doc["triangle"])
+    for key in ("c0", "c1", "c2", "r", "s", "t", "denominator"):
+        if key in tri:
+            tri[key] = f"2*({tri[key]})"
+    tri.setdefault("denominator", "2")
+    return {**doc, "triangle": tri}
+
+
+def _reads_stored_rows(check: dict) -> bool:
+    """A golden file, a prescaled fraction and the tridiagonal criteria read
+    the stored coefficients by design."""
+    return bool(check.get("golden") or check.get("prescaled")
+                or check["kind"] == "tridiagonal-criteria")
+
+
 class TestShippedPlans:
     def test_factorial_plan_passes(self):
         assert main(["verify", str(PLANS / "factorial.yaml")]) == 0
@@ -738,6 +815,18 @@ class TestShippedPlans:
             if theirs["status"] == "pass":
                 assert mine["status"] == "pass", mine
         assert rc == (0 if want["status"] == "pass" else 1)
+
+    @pytest.mark.parametrize("path", sorted(PLANS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_doubled_coefficients_keep_every_verdict(self, path, tmp_path):
+        doc = yaml.safe_load(path.read_text())
+        for golden in PLANS.glob("*.golden.tsv"):
+            shutil.copy(golden, tmp_path)
+        doubled = write_plan(tmp_path, yaml.safe_dump(_doubled(doc), sort_keys=False), path.name)
+        before = run_plan(load_plan(path)).checks
+        after = run_plan(load_plan(doubled)).checks
+        assert len(after) == len(before) == len(doc["checks"])
+        kept = [i for i, check in enumerate(doc["checks"]) if not _reads_stored_rows(check)]
+        assert [after[i]["status"] for i in kept] == [before[i]["status"] for i in kept]
 
     def test_missing_plan_is_load_error(self, capsys):
         rc = main(["verify", str(PLANS / "does-not-exist.yaml")])

@@ -8,25 +8,22 @@ from types import SimpleNamespace
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from tpcert import families, polyring, totalpos
-from tpcert.polyring import VarContext, mpq
+from tpcert.polyring import VarContext
 from tpcert.totalpos import (
     HypothesisError,
     PolyMatrix,
-    _det_bareiss,
     _scan,
     check_hankel_factorization,
     check_k_log_convex,
-    check_perturbed_tridiagonal,
     hankel,
     is_totally_positive,
-    jstar,
     l_operator,
     minor,
     tridiag,
     tridiagonal_tp_criteria,
-    walk_hankel,
 )
 from tpcert.triangles import COLUMN_WALK, ROW_SHIFT, RecurrenceSpec, build_triangle
 
@@ -38,6 +35,20 @@ def ctx():
 
 def consts(ctx, values):
     return [ctx.const(v) for v in values]
+
+
+def sympy_matrix(m):
+    """The integer block as a sympy matrix over ZZ[ctx names], converted once."""
+    ring = sympy.ZZ[sympy.symbols(m.ctx.names)].ring
+    entries = [[ring.from_dict({m.ctx.unpack(key): c for key, c in e.terms.items()})
+                for e in row] for row in m.entries]
+    return DomainMatrix(entries, (m.nrows, m.ncols), ring.to_domain())
+
+
+def sympy_minor(ctx, sym, rows, cols):
+    """sympy's fraction-free (Bareiss) determinant of a submatrix, as a Poly."""
+    d = sym.extract(list(rows), list(cols)).det()
+    return ctx.from_terms((int(c), dict(zip(ctx.names, exps))) for exps, c in d.items())
 
 
 def random_matrix(ctx, rng, size):
@@ -81,6 +92,10 @@ class TestMinor:
         h = hankel(consts(ctx, [1, 1, 2, 6, 24]), 3)
         assert minor(h, (0, 1, 2), (0, 1, 2)) == ctx.const(4)
         assert minor(h, (1,), (2,)) == ctx.const(6)
+        z, one = ctx.zero, ctx.one
+        swap = PolyMatrix(ctx, [[z, one, z], [one, z, z], [z, z, one]])
+        assert minor(swap, range(3), range(3)) == -one
+        assert minor(PolyMatrix(ctx, [[z, z], [z, z]]), (0, 1), (0, 1)).is_zero()
 
     def test_dimension_mismatch(self, ctx):
         m = PolyMatrix(ctx, [consts(ctx, [1, 1]), consts(ctx, [1, 2])])
@@ -89,25 +104,25 @@ class TestMinor:
         with pytest.raises(ValueError):
             minor(m, (0, 2), (0, 1))
 
+    def test_negative_indices_rejected(self, ctx):
+        m = hankel(consts(ctx, [1, 1, 2, 6, 24]), 3)
+        for rows, cols in (((-1,), (0,)), ((0,), (-1,)), ((0, 1), (-2, 1))):
+            with pytest.raises(ValueError, match="out of range"):
+                minor(m, rows, cols)
+
     def test_cofactor_and_bareiss_agree(self, ctx):
+        # against sympy's Bareiss determinant
         rng = random.Random(11)
         for _ in range(15):
             m = random_matrix(ctx, rng, 4)
             rows = cols = tuple(range(4))
-            assert minor(m, rows, cols) == _det_bareiss(m.submatrix(rows, cols))
+            assert minor(m, rows, cols) == sympy_minor(ctx, sympy_matrix(m), rows, cols)
 
     def test_bareiss_path_on_5x5(self, ctx):
         rng = random.Random(13)
         m = random_matrix(ctx, rng, 5)
-        d5 = minor(m, tuple(range(5)), tuple(range(5)))
-        # cross-check via cofactor expansion along the first column by hand
-        total = ctx.zero
-        for i in range(5):
-            rows = tuple(r for r in range(5) if r != i)
-            sub = minor(m, rows, (1, 2, 3, 4))
-            term = m.entries[i][0] * sub
-            total = total + term if i % 2 == 0 else total - term
-        assert d5 == total
+        rows = cols = tuple(range(5))
+        assert minor(m, rows, cols) == sympy_minor(ctx, sympy_matrix(m), rows, cols)
 
     def test_homogeneous_4x4_minor_matches_sympy(self, monkeypatch):
         # entries homogeneous of degree 6 in (x, y), as the Hankel entries
@@ -135,22 +150,10 @@ class TestMinor:
             return out
 
         monkeypatch.setattr(polyring, "_fiber_product", spy)
-        got = minor(PolyMatrix(hctx, entries), range(4), range(4))
+        block = PolyMatrix(hctx, entries)
+        got = minor(block, range(4), range(4))
         assert any(fiber_results)
-        sym = sympy.Matrix(
-            [[sympy.sympify(str(e).replace("^", "**")) for e in row] for row in entries]
-        )
-        # fraction-free elimination over ZZ[x, y, z]; the default method
-        # takes over a minute on these entries
-        want = sympy.expand(sym.det(method="domain-ge"))
-        assert got == hctx.parse(str(want))
-
-    def test_bareiss_with_zero_pivots(self, ctx):
-        z, one = ctx.zero, ctx.one
-        m = [[z, one, z], [one, z, z], [z, z, one]]
-        assert _det_bareiss(m) == -one
-        m2 = [[z, z], [z, z]]
-        assert _det_bareiss(m2).is_zero()
+        assert got == sympy_minor(hctx, sympy_matrix(block), range(4), range(4))
 
 
 class TestIsTotallyPositive:
@@ -245,6 +248,25 @@ class TestIsTotallyPositive:
         assert is_totally_positive(h, 3, jobs=4).to_dict() == serial
         assert requested == [3, 2]
 
+    def test_witness_matches_sympy_scan(self):
+        # the size-6 interior-peak block, minor by minor in scan order
+        # (order, then row sets, then column sets, each lexicographic) with
+        # sympy: the first minor with a negative coefficient is the witness
+        fam = families.CATALOG["interior-peak"]()
+        block = hankel(build_triangle(fam.spec, 10).row_gfs(fam.gf_var), 6)
+        report = is_totally_positive(block, 6)
+        w = report.witness
+        assert (w.order, w.rows, w.cols, w.monomial, w.coeff) == (2, (0, 1), (1, 2), "q^2", -4)
+        assert report.minors_checked == 42
+        sym = sympy_matrix(block)
+        assert w.minor == sympy_minor(block.ctx, sym, w.rows, w.cols)
+        scan = ((rows, cols) for r in range(1, 7)
+                for rows in combinations(range(6), r) for cols in combinations(range(6), r))
+        for position, (rows, cols) in enumerate(scan, 1):
+            if not sympy_minor(block.ctx, sym, rows, cols).is_nonneg():
+                break
+        assert position == 42 and (rows, cols) == (w.rows, w.cols)
+
     def test_report_records_truncation(self, ctx):
         h = hankel(consts(ctx, [1, 1, 2, 6, 24]), 3)
         d = is_totally_positive(h, 2).to_dict()
@@ -279,18 +301,6 @@ class TestTridiagonalForms:
         assert all(
             m.entries[i][j].is_zero() for i in range(3) for j in range(3) if i != j
         )
-
-    def test_jstar_equivalence_random(self, ctx):
-        # J and its unit-superdiagonal variant pass or fail TP together
-        rng = random.Random(17)
-        for _ in range(12):
-            s = consts(ctx, [rng.randint(0, 4) for _ in range(5)])
-            r = consts(ctx, [rng.randint(0, 3) for _ in range(5)])
-            t = consts(ctx, [0] + [rng.randint(0, 3) for _ in range(5)])
-            for order in (2, 3):
-                a = is_totally_positive(tridiag(s, r, t, 5), order).ok
-                b = is_totally_positive(jstar(s, r, t, 5), order).ok
-                assert a == b
 
 
 class TestTridiagonalCriteria:
@@ -354,47 +364,6 @@ class TestTridiagonalCriteria:
         t = [ctx.zero] + [ctx.one] * 5
         with pytest.raises(HypothesisError):
             tridiagonal_tp_criteria(s, r, t, 3)
-
-
-class TestPerturbation:
-    def base(self, ctx):
-        s = consts(ctx, [3, 3, 3, 3, 3])
-        r = [ctx.one] * 5
-        t = [ctx.zero] + [ctx.one] * 5
-        return s, r, t
-
-    def test_zero_perturbation_equals_base(self, ctx):
-        s, r, t = self.base(ctx)
-        z = [ctx.zero] * 6
-        rep = check_perturbed_tridiagonal(s, r, t, z, z, z, 5, 3)
-        assert rep.ok
-
-    def test_symbolic_diagonal_bump(self, ctx):
-        s, r, t = self.base(ctx)
-        eps = ctx.var("eps")
-        rep = check_perturbed_tridiagonal(
-            s, r, t, [eps] * 5, [ctx.zero] * 5, [ctx.zero] * 6, 5, 3
-        )
-        assert rep.ok
-
-    def test_offdiagonal_decrease(self, ctx):
-        s, r, t = self.base(ctx)
-        half = ctx.const(mpq(1, 2))
-        rep = check_perturbed_tridiagonal(
-            s, r, t, [ctx.zero] * 5, [half] * 5, [ctx.zero] + [half] * 5, 5, 3
-        )
-        assert rep.ok
-
-    def test_hypothesis_violation_is_distinct(self, ctx):
-        s, r, t = self.base(ctx)
-        with pytest.raises(HypothesisError):
-            check_perturbed_tridiagonal(
-                s, r, t, [ctx.zero] * 5, [ctx.const(2)] * 5, [ctx.zero] * 6, 5, 3
-            )
-        with pytest.raises(HypothesisError):
-            check_perturbed_tridiagonal(
-                s, r, t, [-ctx.one] * 5, [ctx.zero] * 5, [ctx.zero] * 6, 5, 3
-            )
 
 
 class TestLOperator:
@@ -471,12 +440,13 @@ class TestHankelFactorization:
         r = [spec.walk_coeff(0, i) for i in range(5)]
         t = [spec.walk_coeff(2, i) for i in range(6)]
         assert "i" in tridiagonal_tp_criteria(s, r, t, 4)
-        assert is_totally_positive(walk_hankel(spec, 5), 4).ok
+        first_column = build_triangle(spec, 8, max_col=4).first_column()
+        assert is_totally_positive(hankel(first_column, 5), 4).ok
 
 
 class TestScanMemo:
     """The scan takes every minor from the memoized cofactor expansion;
-    fraction-free elimination is the reference at orders 5-7."""
+    sympy's Bareiss determinant is the reference at orders 5-7."""
 
     @pytest.fixture(scope="class")
     def block(self):
@@ -489,8 +459,9 @@ class TestScanMemo:
         assert _scan(block, row_subsets, False, memo) == (3431, None)
         high = [key for key in memo if len(key[0]) >= 5]
         assert len(high) == 21 * 21 + 7 * 7 + 1
+        sym = sympy_matrix(block)
         for rows, cols in high:
-            assert memo[rows, cols] == _det_bareiss(block.submatrix(rows, cols))
+            assert memo[rows, cols] == sympy_minor(block.ctx, sym, rows, cols)
 
     def test_contiguous_windows_match_bareiss(self, block):
         # the lower minors of a window are not scanned before it, so the
@@ -498,9 +469,10 @@ class TestScanMemo:
         windows = [tuple(range(i, i + size)) for size in range(1, 8) for i in range(8 - size)]
         memo = {}
         assert _scan(block, windows, True, memo) == (140, None)
+        sym = sympy_matrix(block)
         for rows in windows[-6:]:  # orders 5-7
             for cols in (w for w in windows if len(w) == len(rows)):
-                assert memo[rows, cols] == _det_bareiss(block.submatrix(rows, cols))
+                assert memo[rows, cols] == sympy_minor(block.ctx, sym, rows, cols)
         assert is_totally_positive(block, 7, contiguous_only=True).to_dict()["minors_checked"] == 140
 
     def test_workers_with_empty_memos_match_serial(self, block, monkeypatch):
