@@ -20,7 +20,7 @@ from .contfrac import (
     s_expand,
     triangle_jfraction,
 )
-from .polyring import Poly, RatFunc, SeriesPoly, VarContext
+from .polyring import Poly, RatFunc, VarContext
 from .totalpos import (
     PolyMatrix,
     TPReport,
@@ -53,7 +53,6 @@ __all__ = [
     "RatFunc",
     "RecurrenceSpec",
     "SFraction",
-    "SeriesPoly",
     "TPReport",
     "Triangle",
     "VarContext",

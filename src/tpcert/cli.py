@@ -221,9 +221,12 @@ class _PlanRunner:
     def run_tridiagonal_criteria(self, check: dict):
         upto = check["upto"]
         spec = self.plan.spec
-        s = [spec.walk_coeff(1, i) for i in range(upto + 1)]
-        r = [spec.walk_coeff(0, i) for i in range(upto + 1)]
-        t = [spec.walk_coeff(2, i) for i in range(upto + 2)]
+        # the true walk: the stored coefficients over the denominator, a
+        # constant (checked at load)
+        scale = spec.denominator or self.plan.ctx.one
+        s = [spec.walk_coeff(1, i) / scale for i in range(upto + 1)]
+        r = [spec.walk_coeff(0, i) / scale for i in range(upto + 1)]
+        t = [spec.walk_coeff(2, i) / scale for i in range(upto + 2)]
         held = sorted(tridiagonal_tp_criteria(s, r, t, upto))
         return set(check["expect"]) <= set(held), {"criteria": held}
 
@@ -543,9 +546,9 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
             field = "at" if kind == "row-gf" else "eval-at"
             at = ", ".join(f"{v} = {p}" for v, p in point.items())
             raise PlanError(f"{where} '{field}': the denominator {scale} vanishes at {at}")
-        if kind == "oracle-match" and not scale.is_constant():
-            raise PlanError(f"{where}: the oracle counts are integers, but the "
-                            f"denominator {scale} is symbolic")
+        if kind in ("oracle-match", "tridiagonal-criteria") and not scale.is_constant():
+            raise PlanError(f"{where} reads true values, but the denominator {scale} is "
+                            "symbolic; 'specialize' its variables")
         if entry["triangle"] not in (None, spec.kind):
             raise PlanError(f"{where} needs a {entry['triangle']} triangle, "
                             f"but the triangle 'kind' is {spec.kind!r}")

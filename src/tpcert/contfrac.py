@@ -24,17 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polyring import Poly, RatFunc, SeriesPoly, VarContext, _add_product, _map_polys
-from .triangles import COLUMN_WALK, _row_mismatch, _star_weights
+from .polyring import Poly, RatFunc, VarContext, _add_product, _map_polys
+from .triangles import COLUMN_WALK, RecurrenceSpec, _row_mismatch
 
 
 class DegenerateFraction(ValueError):
     """Raised when an operation needs a continued-fraction level that does
     not exist (terminated fraction or missing coefficient)."""
-
-
-def _value_at(form: Poly, level_var: str, i: int) -> Poly:
-    return form.specialize({level_var: i})
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,7 @@ class SFraction:
                 raise DegenerateFraction(f"alpha_{i} not provided")
             return self.alphas[i]
         form = self.even_form if i % 2 == 0 else self.odd_form
-        return _value_at(form, self.level_var, i // 2)
+        return form.specialize({self.level_var: i // 2})
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ class JFraction:
             if i >= len(self.s_list):
                 raise DegenerateFraction(f"s_{i} not provided")
             return self.s_list[i]
-        return _value_at(self.s_form, self.level_var, i)
+        return self.s_form.specialize({self.level_var: i})
 
     def r(self, i: int):
         if i < 1:
@@ -123,7 +119,7 @@ class JFraction:
             if i - 1 >= len(self.r_list):
                 raise DegenerateFraction(f"r_{i} not provided")
             return self.r_list[i - 1]
-        return _value_at(self.r_form, self.level_var, i)
+        return self.r_form.specialize({self.level_var: i})
 
     def is_polynomial(self) -> bool:
         """True when every listed coefficient is (narrowable to) a Poly."""
@@ -190,26 +186,25 @@ def _levels(jf: JFraction, depth: int) -> tuple[list[Poly], list[Poly]]:
     return s, r
 
 
-def j_expand(jf: JFraction, depth: int) -> SeriesPoly:
-    """First depth+1 series coefficients of a J-fraction.
+def _walk(jf: JFraction, depth: int):
+    """Rows 0..depth of the J-fraction's unit-upstep walk
+    D[n][k] = D[n-1][k-1] + s_k D[n-1][k] + r_(k+1) D[n-1][k+1], D[0][0] = 1,
+    yielded one at a time as lists of coefficient maps.
 
-    Implemented through the associated unit-upstep column walk
-    D[n][k] = D[n-1][k-1] + s_k D[n-1][k] + r_{k+1} D[n-1][k+1], whose first
-    column carries the series; coefficient n only involves s and r levels
-    up to n, and the walk is height-truncated at what depth can reach.
-    ``_levels`` gives the levels read, and caps the height at a zero r
-    level; an extracted terminated fraction ends in its zero r, so the cap
-    covers it too.
+    A walk entry that cannot return to column zero by row ``depth`` is left
+    out, so row n stops at height min(n, depth - n); every row up to half
+    the depth is complete.  ``_levels`` gives the levels read, and caps the
+    height at a zero r level; an extracted terminated fraction ends in its
+    zero r, so the cap covers it too.
     """
     ctx = jf.ctx
     s, r = _levels(jf, depth)
     cap = len(s) - 1 if r and not r[-1] else depth
 
-    # walk rows are kept as coefficient maps, and each entry is summed in
-    # one accumulator
+    # each entry is summed in one accumulator
     nvars = len(ctx.names)
-    out = [ctx.one]
     row = [ctx.one.terms]
+    yield row
     for n in range(1, depth + 1):
         # the walk rises at most one column per step
         width = min(n, depth - n, cap)
@@ -222,73 +217,79 @@ def j_expand(jf: JFraction, depth: int) -> SeriesPoly:
                 _add_product(acc, r[k].terms, row[k + 1], nvars)
             new.append({key: c for key, c in acc.items() if c})
         row = new
-        out.append(Poly(ctx, row[0]))
-    return SeriesPoly(ctx, out)
+        yield row
 
 
-def s_expand(sf: SFraction, depth: int) -> SeriesPoly:
+def j_expand(jf: JFraction, depth: int) -> list[Poly]:
+    """First depth+1 series coefficients of a J-fraction: the first column
+    of its walk (``_walk``); coefficient n only involves s and r levels up
+    to n."""
+    return [Poly(jf.ctx, row[0]) for row in _walk(jf, depth)]
+
+
+def s_expand(sf: SFraction, depth: int) -> list[Poly]:
     """First depth+1 series coefficients of an S-fraction."""
     return j_expand(contract(sf), depth)
 
 
-def extract_jfraction(f: SeriesPoly, levels: int) -> JFraction:
+def extract_jfraction(f: Sequence, levels: int) -> JFraction:
     """Recover J-fraction coefficients from a series with constant term 1.
 
-    At each level the defining relation 1/f_i = 1 - s_i z - r_{i+1} z^2 f_{i+1}
-    yields s_i and r_{i+1} over the coefficient fraction field; two series
-    orders are consumed per level, so ``f.depth >= 2*levels`` is required.
-    A level with r identically zero terminates the fraction: the prefix is
-    returned, ending in that zero r.
+    Runs the walk of ``j_expand`` backwards over the coefficient fraction
+    field.  With c_k[j] = D[k+j][k], so that c_0 is the series, c_(-1) = 0
+    and c_k[0] = 1, the walk recurrence at D[k+j+1][k] gives
+
+        s_k        = c_k[1] - c_(k-1)[1],
+        r_(k+1)    = c_k[2] - c_(k-1)[2] - s_k c_k[1],
+        c_(k+1)[j-1] = (c_k[j+1] - c_(k-1)[j+1] - s_k c_k[j]) / r_(k+1).
+
+    Two series orders are consumed per level, so ``len(f) > 2*levels`` is
+    required.  A level with r identically zero terminates the fraction: the
+    prefix is returned, ending in that zero r.
     """
-    ctx = f.ctx
-    if f.depth < 2 * levels:
-        raise ValueError(f"series depth {f.depth} < 2*levels = {2 * levels}")
-    one = RatFunc.from_poly(ctx.one)
-    first = f.coeffs[0]
-    if isinstance(first, Poly):
-        cur = [RatFunc.from_poly(c) for c in f.coeffs]
-    else:
-        cur = list(f.coeffs)
-    if cur[0] != one:
+    depth = len(f) - 1
+    if depth < 2 * levels:
+        raise ValueError(f"series depth {depth} < 2*levels = {2 * levels}")
+    ctx = f[0].ctx
+    cur = [c if isinstance(c, RatFunc) else RatFunc.from_poly(c) for c in f]
+    if cur[0] != RatFunc.from_poly(ctx.one):
         raise ValueError("extraction needs constant term 1")
+    prev = [RatFunc.from_poly(ctx.zero)] * len(cur)
     s: list[RatFunc] = []
     r: list[RatFunc] = []
-    i = 0
-    while i <= levels and len(cur) >= 2:
-        g = SeriesPoly(ctx, cur).reciprocal().coeffs
-        s.append(-g[1])
-        if i == levels or len(cur) < 3:
+    for k in range(levels + 1):
+        if len(cur) < 2:  # s_levels needs the order past 2*levels
             break
-        ri = -g[2]
-        r.append(ri)
-        if ri.is_zero():
+        s.append(cur[1] - prev[1])
+        if k == levels:
             break
-        cur = [-g[j] / ri for j in range(2, len(cur))]
-        i += 1
+        r.append(cur[2] - prev[2] - s[-1] * cur[1])
+        if r[-1].is_zero():
+            break
+        prev, cur = cur, [(cur[j + 1] - prev[j + 1] - s[-1] * cur[j]) / r[-1]
+                          for j in range(1, len(cur) - 1)]
     return JFraction.from_lists(ctx, s, r)
 
 
-def rising_product_series(a: Poly, b: Poly, c: Poly, depth: int) -> SeriesPoly:
+def rising_product_series(a: Poly, b: Poly, c: Poly, depth: int) -> list[Poly]:
     """Exact truncation of  1 + sum_{n>=1} z^n prod_{k=0}^{n-1} (a+bk)/(1-c(k+1)z).
 
-    Each geometric factor is expanded to the working depth before
-    multiplying, so the result is the honest series truncation.
+    The running product is kept as a truncated series; dividing it by
+    1 - w z is the running sum prod[m] += w prod[m-1].
     """
     ctx = a.ctx
-    out = [ctx.zero] * (depth + 1)
-    out[0] = ctx.one
-    prod = SeriesPoly.constant(ctx, 1, depth)
+    out = [ctx.one] + [ctx.zero] * depth
+    prod = [ctx.one] + [ctx.zero] * depth
     for n in range(1, depth + 1):
-        factor_num = a + b * (n - 1)
+        # term n reads prod to order depth - n
+        factor = a + b * (n - 1)
+        prod = [p * factor for p in prod[:depth - n + 1]]
         w = c * n
-        geo = [ctx.one]
-        for _ in range(depth):
-            geo.append(geo[-1] * w)
-        prod = prod.scale(factor_num).mul(SeriesPoly(ctx, geo))
-        for m in range(depth - n + 1):
-            if prod.coeffs[m]:
-                out[m + n] = out[m + n] + prod.coeffs[m]
-    return SeriesPoly(ctx, out)
+        for m in range(1, len(prod)):
+            prod[m] = prod[m] + w * prod[m - 1]
+        for m, p in enumerate(prod):
+            out[m + n] = out[m + n] + p
+    return out
 
 
 def cf_match(
@@ -316,7 +317,7 @@ def cf_match(
     else:
         series = j_expand(fraction, depth)
     at = None if eval_at is None else {var: eval_at}
-    return _row_mismatch(triangle, series.coeffs, depth, var, at, scaled=not prescaled) is None
+    return _row_mismatch(triangle, series, depth, var, at, scaled=not prescaled) is None
 
 
 def jfraction_split(jf: JFraction, sf: SFraction, levels: int) -> "Poly | None":
@@ -344,7 +345,21 @@ def jfraction_split(jf: JFraction, sf: SFraction, levels: int) -> "Poly | None":
     return sf.odd_form.specialize({lv: -1})
 
 
-def triangle_jfraction(spec) -> JFraction:
+def _star_weights(spec: RecurrenceSpec) -> "Poly | tuple":
+    """Downstep weights r_(k-1) t_k of the unit-upstep walk that shares the
+    column walk ``spec``'s first column: a polynomial in k when r and t are
+    closed forms, else a tuple from k = 1 over the levels both provide."""
+    ctx = spec.ctx
+    rc, _, tc = spec.coeffs
+    if isinstance(rc, Poly) and isinstance(tc, Poly):
+        return rc.substitute_poly("k", ctx.var("k") - 1) * tc
+    levels = min(
+        len(c) + shift for c, shift in ((rc, 1), (tc, 0)) if not isinstance(c, Poly)
+    )
+    return tuple(spec.walk_coeff(0, i - 1) * spec.walk_coeff(2, i) for i in range(1, levels))
+
+
+def triangle_jfraction(spec: RecurrenceSpec) -> JFraction:
     """J-fraction of a column walk's first-column generating function.
 
     For walk coefficients (r_k, s_k, t_k) the fraction has s-sequence s_k
@@ -357,7 +372,7 @@ def triangle_jfraction(spec) -> JFraction:
     return JFraction(
         spec.ctx,
         s_list=None if s_closed else sc,
-        r_list=None if r_closed else weights[1:],
+        r_list=None if r_closed else weights,
         s_form=sc if s_closed else None,
         r_form=weights if r_closed else None,
         level_var="k",

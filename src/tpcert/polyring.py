@@ -20,6 +20,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction as mpq
 from functools import reduce
 from itertools import combinations, repeat
@@ -403,8 +404,8 @@ class Poly:
         den_lcm = 1
         for c in self.terms.values():
             q = mpq(c)
-            num_gcd = _gcd(num_gcd, abs(q.numerator))
-            den_lcm = den_lcm * q.denominator // _gcd(den_lcm, q.denominator)
+            num_gcd = math.gcd(num_gcd, q.numerator)
+            den_lcm = math.lcm(den_lcm, q.denominator)
         return _as_rational(mpq(num_gcd, den_lcm))
 
     def leading(self) -> tuple[int, Rational]:
@@ -608,13 +609,6 @@ def _pack_fibers(fibers: dict, width: int, lo_shift: int) -> dict:
     return packed
 
 
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------------------
 # canonical text rendering and parsing
 # ---------------------------------------------------------------------------
@@ -808,8 +802,8 @@ class RatFunc:
                 num, den = q, den.ctx.one
             else:
                 cn, cd = num.content(), den.content()
-                g = mpq(_gcd(mpq(cn).numerator * mpq(cd).denominator,
-                             mpq(cd).numerator * mpq(cn).denominator),
+                g = mpq(math.gcd(mpq(cn).numerator * mpq(cd).denominator,
+                                 mpq(cd).numerator * mpq(cn).denominator),
                         mpq(cn).denominator * mpq(cd).denominator)
                 if den.leading_coeff() < 0:
                     g = -g
@@ -953,124 +947,3 @@ def _map_polys(value, fn):
             for f in dataclasses.fields(value) if f.init
         })
     return value
-
-
-# ---------------------------------------------------------------------------
-# truncated power series
-# ---------------------------------------------------------------------------
-
-
-class SeriesPoly:
-    """Truncated formal power series with polynomial coefficients.
-
-    ``coeffs[n]`` is the coefficient of z^n; arithmetic is exact modulo
-    z^(depth+1).  Coefficients may also be RatFunc values internally (the
-    continued-fraction extractor relies on that), but the public operations
-    below are stated for Poly coefficients.
-    """
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: VarContext, coeffs: Sequence):
-        if not coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-        self.ctx = ctx
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def constant(cls, ctx: VarContext, value, depth: int) -> SeriesPoly:
-        coeffs = [ctx.zero] * (depth + 1)
-        coeffs[0] = ctx.const(value)
-        return cls(ctx, coeffs)
-
-    @property
-    def depth(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int):
-        return self.coeffs[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesPoly):
-            return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def _check(self, other: SeriesPoly):
-        if self.ctx is not other.ctx:
-            raise ContextMismatch("series from different contexts")
-        if self.depth != other.depth:
-            raise ValueError(f"depth mismatch: {self.depth} vs {other.depth}")
-
-    def add(self, other: SeriesPoly) -> SeriesPoly:
-        self._check(other)
-        return SeriesPoly(self.ctx, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __add__ = add
-
-    def sub(self, other: SeriesPoly) -> SeriesPoly:
-        self._check(other)
-        return SeriesPoly(self.ctx, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __sub__ = sub
-
-    def mul(self, other: SeriesPoly) -> SeriesPoly:
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        n = self.depth
-        out = []
-        for m in range(n + 1):
-            acc = self.ctx.zero
-            for i in range(m + 1):
-                ai, bj = a[i], b[m - i]
-                if ai and bj:
-                    acc = acc + ai * bj
-            out.append(acc)
-        return SeriesPoly(self.ctx, out)
-
-    __mul__ = mul
-
-    def scale(self, c) -> SeriesPoly:
-        return SeriesPoly(self.ctx, [a * c for a in self.coeffs])
-
-    def reciprocal(self) -> SeriesPoly:
-        """Multiplicative inverse mod z^(depth+1).
-
-        The constant term must be a nonzero rational (a unit of the
-        coefficient ring); anything else is an error.
-        """
-        a0 = self.coeffs[0]
-        if isinstance(a0, Poly):
-            if not a0.is_constant() or a0.is_zero():
-                raise ValueError(
-                    f"series reciprocal needs a nonzero rational constant term, got {a0}"
-                )
-            inv0 = self.ctx.const(1 / mpq(a0.const_value()))
-            zero = self.ctx.zero
-        else:  # RatFunc coefficients (internal use by the CF extractor)
-            if a0.is_zero():
-                raise ValueError("series reciprocal of a series with zero constant term")
-            inv0 = 1 / a0
-            zero = RatFunc.from_poly(self.ctx.zero)
-        out = [inv0]
-        a = self.coeffs
-        for n in range(1, self.depth + 1):
-            acc = None
-            for k in range(1, n + 1):
-                if a[k] and out[n - k]:
-                    t = a[k] * out[n - k]
-                    acc = t if acc is None else acc + t
-            out.append(zero if acc is None else -(acc * inv0))
-        return SeriesPoly(self.ctx, out)
-
-    def truncate(self, depth: int) -> SeriesPoly:
-        if depth >= self.depth:
-            return self
-        return SeriesPoly(self.ctx, self.coeffs[: depth + 1])
-
-    def __str__(self):
-        return " ; ".join(str(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"SeriesPoly([{self}])"

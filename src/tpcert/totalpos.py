@@ -20,7 +20,8 @@ from math import comb
 from typing import Sequence
 
 from .polyring import Poly, VarContext, _monomial_text, render
-from .triangles import COLUMN_WALK, RecurrenceSpec, _star_weights, build_triangle
+from .contfrac import _levels, _walk, triangle_jfraction
+from .triangles import RecurrenceSpec
 
 PolySeq = Sequence[Poly]
 
@@ -421,27 +422,26 @@ def tridiagonal_tp_criteria(
 def check_hankel_factorization(spec: RecurrenceSpec, size: int) -> bool:
     """Entrywise identity D* V* (D*)^T = Hankel(first column) at ``size``.
 
-    D* is the unit-upstep walk associated with the given column walk and
-    V*_k = prod_{i<=k} t_i r_(i-1).  The build is column-truncated at
-    size-1, which is exact for every entry the identity reads (paths above
-    that height cannot return to column zero within 2(size-1) steps).
+    D* is the unit-upstep walk of the column walk's J-fraction
+    (``triangle_jfraction``), whose downstep weights are r_k = r_(k-1) t_k
+    of the column walk, and V*_k = r_1 ... r_k.  The walk to 2(size-1) has
+    every row below ``size`` complete, and its first column through
+    2(size-1); entries it leaves out (above a zero r, or unable to return to
+    column zero in time) are weighed by a zero V* or are never read.
     """
-    if spec.kind != COLUMN_WALK:
-        raise ValueError("the factorization check needs a column-walk spec")
     ctx = spec.ctx
-    star_spec = RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, spec.coeffs[1], _star_weights(spec)))
-    star = build_triangle(star_spec, 2 * (size - 1), max_col=size - 1)
+    jf = triangle_jfraction(spec)
+    depth = 2 * (size - 1)
+    star = [[Poly(ctx, e) for e in row] for row in _walk(jf, depth)]
     v = [ctx.one]
-    for i in range(1, size):
-        v.append(v[-1] * star_spec.walk_coeff(2, i))
+    for weight in _levels(jf, depth)[1]:
+        v.append(v[-1] * weight)
     for n in range(size):
         for m in range(n, size):
             acc = ctx.zero
-            for k in range(min(n, m) + 1):
-                a, b = star.entry(n, k), star.entry(m, k)
+            for a, b, w in zip(star[n], star[m], v):
                 if a and b:
-                    acc = acc + a * b * v[k]
-            if acc != star.entry(n + m, 0):
+                    acc = acc + a * b * w
+            if acc != star[n + m][0]:
                 return False
     return True
-

@@ -75,28 +75,10 @@ class RecurrenceSpec:
         return c[k]
 
 
-def _star_weights(spec: RecurrenceSpec) -> "Poly | tuple":
-    """Downstep weights r_(k-1) t_k of the unit-upstep walk that shares the
-    column walk ``spec``'s first column: a polynomial in k when r and t are
-    closed forms, else a tuple covering the levels both provide, with an
-    unused zero at index 0."""
-    ctx = spec.ctx
-    rc, _, tc = spec.coeffs
-    if isinstance(rc, Poly) and isinstance(tc, Poly):
-        return rc.substitute_poly("k", ctx.var("k") - 1) * tc
-    levels = min(
-        len(c) + shift for c, shift in ((rc, 1), (tc, 0)) if not isinstance(c, Poly)
-    )
-    return tuple(
-        spec.walk_coeff(0, i - 1) * spec.walk_coeff(2, i) if i else ctx.zero
-        for i in range(levels)
-    )
-
-
 @dataclass
 class Triangle:
-    """Materialized triangle rows; ``rows[n]`` has length n+1 (or less when
-    column-truncated).  Stored entries equal scale^n times the true entries."""
+    """Materialized triangle rows; ``rows[n]`` has length n+1.  Stored
+    entries equal scale^n times the true entries."""
 
     ctx: VarContext
     rows: list[list[Poly]]
@@ -171,24 +153,15 @@ def _step(spec: RecurrenceSpec, prev: list[Poly], n: int, k: int) -> Poly:
     return acc
 
 
-def build_triangle(
-    spec: RecurrenceSpec, depth: int, max_col: int | None = None
-) -> Triangle:
-    """Materialize rows 0..depth; entries outside 0 <= k <= n are zero.
-
-    ``max_col`` truncates columns.  Entries at k = max_col then miss the
-    inflow from column max_col+1, so a truncated build is only exact for
-    the entries a height-bounded use (first column, leading rows) can reach;
-    callers pick max_col accordingly.
-    """
+def build_triangle(spec: RecurrenceSpec, depth: int) -> Triangle:
+    """Materialize rows 0..depth; entries outside 0 <= k <= n are zero."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     ctx = spec.ctx
     rows = [[ctx.one]]
     for n in range(1, depth + 1):
         prev = rows[-1]
-        width = n if max_col is None else min(n, max_col)
-        rows.append([_step(spec, prev, n, k) for k in range(width + 1)])
+        rows.append([_step(spec, prev, n, k) for k in range(n + 1)])
     return Triangle(ctx, rows, spec=spec, scale=spec.denominator or ctx.one)
 
 
@@ -197,23 +170,14 @@ def build_triangle(
 # ---------------------------------------------------------------------------
 
 
-def _require_full(t: Triangle, what: str) -> None:
-    # transforms read every entry; a column-truncated build would silently
-    # contribute zeros where the true triangle has entries
-    if any(len(row) != n + 1 for n, row in enumerate(t.rows)):
-        raise ValueError(f"{what} needs a fully materialized triangle")
-
-
 def reciprocal(t: Triangle) -> Triangle:
     """Index-reversed triangle: entry (n, k) becomes entry (n, n-k)."""
-    _require_full(t, "index reversal")
     rows = [list(reversed(row)) for row in t.rows]
     return Triangle(t.ctx, rows, spec=None, scale=t.scale)
 
 
 def gamma_binomial(t: Triangle, gamma: Poly) -> Triangle:
     """Weighted binomial transform: out[n][k] = sum_i C(n,i) gamma^(n-i) t[i][k]."""
-    _require_full(t, "the binomial transform")
     if t.scale != t.ctx.one:
         raise ValueError("gamma-binomial transform needs an unscaled triangle")
     ctx = t.ctx
@@ -248,7 +212,6 @@ def shift_row_gf(
     output rows hold den^n * A_n((q*den + shift)/den); the output scale
     is multiplied by den accordingly.  ``den`` must not involve ``var``.
     """
-    _require_full(t, "the argument shift")
     ctx = t.ctx
     q = ctx.var(var)
     if den is not None and den.degree_in(var):

@@ -484,7 +484,7 @@ def test_cf_match_lists_that_load_are_enough(tmp_path):
             else:
                 got = j_expand(fraction, depth)
                 walk = JFraction.from_lists(ctx, fraction.s_list + pad, fraction.r_list + pad)
-            assert got.coeffs == reference_walk(walk, depth), (depth, case)
+            assert got == reference_walk(walk, depth), (depth, case)
 
 
 def test_gf_var_must_be_declared(tmp_path):
@@ -561,6 +561,7 @@ def _with_check(body):
                      "    size: 4\n    order: 1\n"), 2, "size"),
         (_with_check("  - kind: oracle-match\n    oracle: perms-by-descents\n    upto: 2\n"
                      "    row-offset: -2\n"), 2, "row-offset"),
+        (WALK.replace('  t: "k"\n', '  t: "k"\n  denominator: q\n'), 0, "specialize"),
         # plan sections
         (WALK.replace('  t: "k"\n', ""), None, "t"),
         (MINIMAL.replace("vars: [q]", "vars: [q, 3]"), None, "vars"),
@@ -583,7 +584,7 @@ def _with_check(body):
         "values-syntax", "at-rational", "at-undeclared", "at-specialized", "golden-name", "tridiagonal-on-row-shift",
         "factorization-on-row-shift", "alphas-short", "s-list-short", "r-list-short",
         "k-lcx-k-above-3", "eval-at-zero-of-denominator", "eval-at-specialized-to-zero",
-        "convolution-size-above-upto", "row-offset-below-minus-1",
+        "convolution-size-above-upto", "row-offset-below-minus-1", "criteria-symbolic-denominator",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "unknown-check-key", "unknown-triangle-key", "expect-names",
@@ -598,6 +599,20 @@ def test_bad_fields_are_load_errors(tmp_path, doc, index, field):
     if index is not None:
         assert f"check {index} " in message
     assert main(["verify", str(path)]) == 2
+
+
+# the bell walk r = 1, s = k + 1, t = k, stored doubled over denominator 2
+REPRO_CRITERIA = WALK.replace('  r: "1"\n  s: "k + 1"\n  t: "k"\n',
+                              '  r: "2"\n  s: "2*k + 2"\n  t: "2*k"\n  denominator: "2"\n'
+                              ).replace("expect: [i]", "expect: [i, iii]")
+
+
+def test_tridiagonal_criteria_judge_the_true_walk(tmp_path, capsys):
+    # criterion iii, s_n >= r_(n-1) t_n + 1, is not homogeneous: on the
+    # stored coefficients it reads 2k + 2 >= 4k + 1 and fails
+    assert main(["verify", str(write_plan(tmp_path, REPRO_CRITERIA)), "--format", "json"]) == 0
+    check = json.loads(capsys.readouterr().out)["plans"][0]["checks"][0]
+    assert check["detail"] == {"criteria": ["i", "iii"]}
 
 
 def test_readme_field_tables_match_the_code():
@@ -747,10 +762,8 @@ def _doubled(doc: dict) -> dict:
 
 
 def _reads_stored_rows(check: dict) -> bool:
-    """A golden file, a prescaled fraction and the tridiagonal criteria read
-    the stored coefficients by design."""
-    return bool(check.get("golden") or check.get("prescaled")
-                or check["kind"] == "tridiagonal-criteria")
+    """A golden file and a prescaled fraction read the stored rows by design."""
+    return bool(check.get("golden") or check.get("prescaled"))
 
 
 class TestShippedPlans:

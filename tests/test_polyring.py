@@ -11,7 +11,6 @@ from tpcert.polyring import (
     ParseError,
     Poly,
     RatFunc,
-    SeriesPoly,
     VarContext,
     _fiber_product,
     _horner,
@@ -232,43 +231,6 @@ class TestRatFunc:
     def test_as_poly_raises_on_true_fraction(self, ctx):
         with pytest.raises(ValueError):
             RatFunc(ctx.one, ctx.var("q")).as_poly()
-
-
-class TestSeries:
-    def test_reciprocal_geometric(self, ctx):
-        one, z = ctx.one, ctx.zero
-        s = SeriesPoly(ctx, [one, -one, z, z, z])
-        assert s.reciprocal().coeffs == [one] * 5
-
-    def test_mul_truncates(self, ctx):
-        one = ctx.one
-        a = SeriesPoly(ctx, [one, one, ctx.zero])
-        b = SeriesPoly(ctx, [one, -one, ctx.zero])
-        assert a.mul(b).coeffs == [one, ctx.zero, -one]
-
-    def test_reciprocal_non_unit_constant_term(self, ctx):
-        s = SeriesPoly(ctx, [ctx.var("q"), ctx.one])
-        with pytest.raises(ValueError):
-            s.reciprocal()
-
-    def test_reciprocal_is_inverse(self, ctx):
-        rng = random.Random(5)
-        coeffs = [ctx.const(rng.randint(1, 5))] + [
-            random_poly(ctx, rng, max_terms=3, max_exp=2) for _ in range(5)
-        ]
-        s = SeriesPoly(ctx, coeffs)
-        prod = s.mul(s.reciprocal())
-        assert prod.coeffs[0] == ctx.one
-        assert all(c.is_zero() for c in prod.coeffs[1:])
-
-    def test_depth_and_context_checks(self, ctx):
-        a = SeriesPoly(ctx, [ctx.one, ctx.one])
-        b = SeriesPoly(ctx, [ctx.one])
-        with pytest.raises(ValueError):
-            a.add(b)
-        other = VarContext(["x"])
-        with pytest.raises(ContextMismatch):
-            a.add(SeriesPoly(other, [other.one, other.one]))
 
 
 # ---------------------------------------------------------------------------

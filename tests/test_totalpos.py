@@ -440,7 +440,7 @@ class TestHankelFactorization:
         r = [spec.walk_coeff(0, i) for i in range(5)]
         t = [spec.walk_coeff(2, i) for i in range(6)]
         assert "i" in tridiagonal_tp_criteria(s, r, t, 4)
-        first_column = build_triangle(spec, 8, max_col=4).first_column()
+        first_column = build_triangle(spec, 8).first_column()
         assert is_totally_positive(hankel(first_column, 5), 4).ok
 
 

@@ -328,18 +328,6 @@ def test_golden_round_trip(tmp_path, ctx):
     assert read_golden(ctx, path) == t.rows
 
 
-def test_walk_column_truncation_keeps_first_column(ctx):
-    full = bell_walk(ctx, 8)
-    cut = build_triangle(full.spec, 8, max_col=4)
-    assert cut.first_column() == full.first_column()
-
-
-def test_reciprocal_rejects_truncated_triangle(ctx):
-    cut = build_triangle(bell_walk(ctx, 8).spec, 8, max_col=4)
-    with pytest.raises(ValueError):
-        reciprocal(cut)
-
-
 def test_depth_zero_triangle(ctx):
     t = build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (ctx.one, ctx.one)), 0)
     assert t.rows == [[ctx.one]] and t.satisfies()
