@@ -13,6 +13,7 @@ from .contfrac import (
     JFraction,
     SFraction,
     cf_match,
+    check_hankel_factorization,
     contract,
     extract_jfraction,
     j_expand,
@@ -24,7 +25,6 @@ from .polyring import Poly, RatFunc, VarContext
 from .totalpos import (
     PolyMatrix,
     TPReport,
-    check_hankel_factorization,
     check_k_log_convex,
     hankel,
     is_totally_positive,

@@ -25,11 +25,18 @@ from pathlib import Path
 import yaml
 
 from . import oracles
-from .contfrac import DegenerateFraction, JFraction, SFraction, _levels, cf_match, contract
+from .contfrac import (
+    DegenerateFraction,
+    JFraction,
+    SFraction,
+    _levels,
+    cf_match,
+    check_hankel_factorization,
+    contract,
+)
 from .polyring import Poly, VarContext, _map_polys, mpq
 from .totalpos import (
     _MAX_LCX_K,
-    check_hankel_factorization,
     check_k_log_convex,
     hankel,
     is_totally_positive,
@@ -231,7 +238,7 @@ class _PlanRunner:
         return set(check["expect"]) <= set(held), {"criteria": held}
 
     def run_hankel_factorization(self, check: dict):
-        return check_hankel_factorization(self.plan.spec, check["size"]), {"size": check["size"]}
+        return check_hankel_factorization(self._tri(), check["size"]), {"size": check["size"]}
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +420,10 @@ _CHECKS = {
         "upto": (_count, 4),
         "expect": (_criteria, ()),
     }, triangle=COLUMN_WALK),
-    "hankel-factorization": _kind(_PlanRunner.run_hankel_factorization, lambda c: 0, {
-        "size": (_positive, _REQUIRED),
-    }, triangle=COLUMN_WALK),
+    "hankel-factorization": _kind(
+        _PlanRunner.run_hankel_factorization, lambda c: 2 * (c["size"] - 1), {
+            "size": (_positive, _REQUIRED),
+        }, triangle=COLUMN_WALK),
 }
 _PLAN_KEYS = ("name", "vars", "gf-var", "triangle", "specialize", "checks")
 
@@ -549,6 +557,10 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         if kind in ("oracle-match", "tridiagonal-criteria") and not scale.is_constant():
             raise PlanError(f"{where} reads true values, but the denominator {scale} is "
                             "symbolic; 'specialize' its variables")
+        for key, c in zip(_TRIANGLES[spec.kind], spec.coeffs):
+            if kind == "oracle-match" and set(c.variables()) - set(RESERVED_VARS):
+                raise PlanError(f"{where} reads true values, but the coefficient {key!r} = "
+                                f"{c} is symbolic; 'specialize' its variables")
         if entry["triangle"] not in (None, spec.kind):
             raise PlanError(f"{where} needs a {entry['triangle']} triangle, "
                             f"but the triangle 'kind' is {spec.kind!r}")

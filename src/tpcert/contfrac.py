@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .polyring import Poly, RatFunc, VarContext, _add_product, _map_polys
-from .triangles import COLUMN_WALK, RecurrenceSpec, _row_mismatch
+from .triangles import COLUMN_WALK, RecurrenceSpec, Triangle, _row_mismatch
 
 
 class DegenerateFraction(ValueError):
@@ -186,16 +186,17 @@ def _levels(jf: JFraction, depth: int) -> tuple[list[Poly], list[Poly]]:
     return s, r
 
 
-def _walk(jf: JFraction, depth: int):
-    """Rows 0..depth of the J-fraction's unit-upstep walk
-    D[n][k] = D[n-1][k-1] + s_k D[n-1][k] + r_(k+1) D[n-1][k+1], D[0][0] = 1,
-    yielded one at a time as lists of coefficient maps.
+def j_expand(jf: JFraction, depth: int) -> list[Poly]:
+    """First depth+1 series coefficients of a J-fraction: the first column
+    of its unit-upstep walk
 
-    A walk entry that cannot return to column zero by row ``depth`` is left
-    out, so row n stops at height min(n, depth - n); every row up to half
-    the depth is complete.  ``_levels`` gives the levels read, and caps the
-    height at a zero r level; an extracted terminated fraction ends in its
-    zero r, so the cap covers it too.
+        D[n][k] = D[n-1][k-1] + s_k D[n-1][k] + r_(k+1) D[n-1][k+1],  D[0][0] = 1.
+
+    Coefficient n only involves s and r levels up to n.  A walk entry that
+    cannot return to column zero by row ``depth`` is left out, so row n stops
+    at height min(n, depth - n).  ``_levels`` gives the levels read, and caps
+    the height at a zero r level; an extracted terminated fraction ends in
+    its zero r, so the cap covers it too.
     """
     ctx = jf.ctx
     s, r = _levels(jf, depth)
@@ -204,7 +205,7 @@ def _walk(jf: JFraction, depth: int):
     # each entry is summed in one accumulator
     nvars = len(ctx.names)
     row = [ctx.one.terms]
-    yield row
+    out = [ctx.one]
     for n in range(1, depth + 1):
         # the walk rises at most one column per step
         width = min(n, depth - n, cap)
@@ -217,14 +218,8 @@ def _walk(jf: JFraction, depth: int):
                 _add_product(acc, r[k].terms, row[k + 1], nvars)
             new.append({key: c for key, c in acc.items() if c})
         row = new
-        yield row
-
-
-def j_expand(jf: JFraction, depth: int) -> list[Poly]:
-    """First depth+1 series coefficients of a J-fraction: the first column
-    of its walk (``_walk``); coefficient n only involves s and r levels up
-    to n."""
-    return [Poly(jf.ctx, row[0]) for row in _walk(jf, depth)]
+        out.append(Poly(ctx, row[0]))
+    return out
 
 
 def s_expand(sf: SFraction, depth: int) -> list[Poly]:
@@ -377,3 +372,20 @@ def triangle_jfraction(spec: RecurrenceSpec) -> JFraction:
         r_form=weights if r_closed else None,
         level_var="k",
     )
+
+
+def check_hankel_factorization(t: Triangle, size: int) -> bool:
+    """True iff the size-``size`` Hankel block of the column-walk triangle's
+    first column equals D* V* (D*)^T.
+
+    D* is the unit-upstep walk of the triangle's J-fraction
+    (``triangle_jfraction``), whose downstep weights are r_(k-1) t_k of the
+    column walk, and V*_k is the product of its first k weights.  For every
+    walk D* V* (D*)^T is the Hankel block of D*'s first column, the
+    fraction's series, so the block factors exactly when the triangle's
+    first column equals that series through row 2(size-1).
+    """
+    depth = 2 * (size - 1)
+    if depth > t.depth:
+        raise ValueError("triangle not materialized deep enough")
+    return t.first_column()[:depth + 1] == j_expand(triangle_jfraction(t.spec), depth)

@@ -116,6 +116,8 @@ class VarContext:
         return Poly(self, {0: c} if c else {})
 
     def var(self, name: str, power: int = 1) -> Poly:
+        if power < 0 or power > _MASK:
+            raise ValueError(f"exponent {power} out of range")
         key = (1 << self._shifts[self.index(name)]) + (1 << self._deg_shift)
         return Poly(self, {key * power: 1}) if power else self.one
 
@@ -766,6 +768,12 @@ def _parse_poly(ctx: VarContext, text: str) -> Poly:
     kind, val = tok.peek()
     if kind is not None:
         tok.error(f"trailing input {val!r}")
+    # an exponent above the packing width carries into the next field; it
+    # takes a total degree above the width, which the highest key holds
+    if max(result.terms, default=0) >> ctx._deg_shift > _MASK and any(
+        ctx.pack(ctx.unpack(key)) != key for key in result.terms
+    ):
+        raise ParseError(f"an exponent exceeds {_MASK}", text, 0)
     return result
 
 

@@ -20,8 +20,6 @@ from math import comb
 from typing import Sequence
 
 from .polyring import Poly, VarContext, _monomial_text, render
-from .contfrac import _levels, _walk, triangle_jfraction
-from .triangles import RecurrenceSpec
 
 PolySeq = Sequence[Poly]
 
@@ -412,36 +410,3 @@ def tridiagonal_tp_criteria(
     ):
         results.add("iv")
     return results
-
-
-# ---------------------------------------------------------------------------
-# Hankel factorization of a column walk
-# ---------------------------------------------------------------------------
-
-
-def check_hankel_factorization(spec: RecurrenceSpec, size: int) -> bool:
-    """Entrywise identity D* V* (D*)^T = Hankel(first column) at ``size``.
-
-    D* is the unit-upstep walk of the column walk's J-fraction
-    (``triangle_jfraction``), whose downstep weights are r_k = r_(k-1) t_k
-    of the column walk, and V*_k = r_1 ... r_k.  The walk to 2(size-1) has
-    every row below ``size`` complete, and its first column through
-    2(size-1); entries it leaves out (above a zero r, or unable to return to
-    column zero in time) are weighed by a zero V* or are never read.
-    """
-    ctx = spec.ctx
-    jf = triangle_jfraction(spec)
-    depth = 2 * (size - 1)
-    star = [[Poly(ctx, e) for e in row] for row in _walk(jf, depth)]
-    v = [ctx.one]
-    for weight in _levels(jf, depth)[1]:
-        v.append(v[-1] * weight)
-    for n in range(size):
-        for m in range(n, size):
-            acc = ctx.zero
-            for a, b, w in zip(star[n], star[m], v):
-                if a and b:
-                    acc = acc + a * b * w
-            if acc != star[n + m][0]:
-                return False
-    return True

@@ -15,6 +15,7 @@ import pytest
 from tpcert.contfrac import (
     SFraction,
     cf_match,
+    check_hankel_factorization,
     extract_jfraction,
     jfraction_split,
     rising_product_series,
@@ -44,7 +45,6 @@ from tpcert.oracles import (
 )
 from tpcert.polyring import RatFunc, VarContext
 from tpcert.totalpos import (
-    check_hankel_factorization,
     check_k_log_convex,
     hankel,
     is_totally_positive,
@@ -244,11 +244,14 @@ def test_11_hankel_factorization_symbolic():
             + [f"t{i}" for i in range(1, 6)]
         )
         ctx = VarContext(["n", "k"] + names)
-        r = tuple(ctx.var(f"r{i}") for i in range(5))
-        s = tuple(ctx.var(f"s{i}") for i in range(5))
-        t = (ctx.zero,) + tuple(ctx.var(f"t{i}") for i in range(1, 6))
+        # building to row 8 reads levels up to 7; the first column through
+        # row 8 reads levels up to 4 only, so the padding is never read
+        pad = (ctx.zero,) * 3
+        r = tuple(ctx.var(f"r{i}") for i in range(5)) + pad
+        s = tuple(ctx.var(f"s{i}") for i in range(5)) + pad
+        t = (ctx.zero,) + tuple(ctx.var(f"t{i}") for i in range(1, 6)) + pad[:2]
         spec = RecurrenceSpec(ctx, COLUMN_WALK, (r, s, t))
-        assert check_hankel_factorization(spec, 5)
+        assert check_hankel_factorization(build_triangle(spec, 8), 5)
         assert time.monotonic() - t0 < 60.0
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from tpcert import cli
+from tpcert import cli, contfrac
 from tpcert.cli import PlanError, emit_report, load_plan, main, run_plan
 from tpcert.contfrac import (
     DegenerateFraction,
@@ -175,6 +175,9 @@ def test_depth_inconsistency_rejected_at_load(tmp_path):
     doc2 = MINIMAL + "  - kind: k-lcx\n    k: 3\n"
     with pytest.raises(PlanError):
         load_plan(write_plan(tmp_path, doc2))
+    doc3 = WALK + "  - kind: hankel-factorization\n    size: 4\n"
+    with pytest.raises(PlanError, match="needs triangle depth 6"):
+        load_plan(write_plan(tmp_path, doc3))
 
 
 def test_row_gf_values_beyond_depth_rejected_at_load(tmp_path):
@@ -562,6 +565,7 @@ def _with_check(body):
         (_with_check("  - kind: oracle-match\n    oracle: perms-by-descents\n    upto: 2\n"
                      "    row-offset: -2\n"), 2, "row-offset"),
         (WALK.replace('  t: "k"\n', '  t: "k"\n  denominator: q\n'), 0, "specialize"),
+        (ORACLE.replace("vars: [q]", "vars: [q, a]").replace('c0: "k"', 'c0: "a*k"'), 0, "c0"),
         # plan sections
         (WALK.replace('  t: "k"\n', ""), None, "t"),
         (MINIMAL.replace("vars: [q]", "vars: [q, 3]"), None, "vars"),
@@ -573,6 +577,8 @@ def _with_check(body):
         (MINIMAL.replace("vars: [q]", "vars: [q, a]\nspecialise: {a: 2}"), None, "specialise"),
         (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  denominator: "n - 3"\n'),
          None, "denominator"),
+        (MINIMAL.replace("vars: [q]", "vars: [q, a]").replace('c0: "1"', 'c0: "a^65536"'),
+         None, "c0"),
         # unknown keys and criteria names
         (_with_check("  - kind: k-lcx\n    sorce: first-column\n    k: 1\n"), 2, "sorce"),
         (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  cc1: "1"\n'), None, "cc1"),
@@ -585,9 +591,11 @@ def _with_check(body):
         "factorization-on-row-shift", "alphas-short", "s-list-short", "r-list-short",
         "k-lcx-k-above-3", "eval-at-zero-of-denominator", "eval-at-specialized-to-zero",
         "convolution-size-above-upto", "row-offset-below-minus-1", "criteria-symbolic-denominator",
+        "oracle-symbolic-coefficient",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
-        "denominator-monomial", "unknown-check-key", "unknown-triangle-key", "expect-names",
+        "denominator-monomial", "exponent-overflow", "unknown-check-key", "unknown-triangle-key",
+        "expect-names",
     ],
 )
 def test_bad_fields_are_load_errors(tmp_path, doc, index, field):
@@ -613,6 +621,19 @@ def test_tridiagonal_criteria_judge_the_true_walk(tmp_path, capsys):
     assert main(["verify", str(write_plan(tmp_path, REPRO_CRITERIA)), "--format", "json"]) == 0
     check = json.loads(capsys.readouterr().out)["plans"][0]["checks"][0]
     assert check["detail"] == {"criteria": ["i", "iii"]}
+
+
+def test_hankel_factorization_reads_the_plans_triangle(monkeypatch):
+    # a J-fraction whose downstep weights are shifted up one level no longer
+    # expands to the triangle's first column
+    plan = load_plan(PLANS / "bell-walk.yaml")
+    assert run_plan(plan).status == "pass"
+    weights = contfrac._star_weights
+    monkeypatch.setattr(contfrac, "_star_weights",
+                        lambda spec: weights(spec).substitute_poly("k", spec.ctx.var("k") + 1))
+    report = run_plan(plan)
+    assert {c["kind"]: c["status"] for c in report.checks}["hankel-factorization"] == "fail"
+    assert report.status == "fail"
 
 
 def test_readme_field_tables_match_the_code():

@@ -6,6 +6,9 @@ the stored fraction's series expansion exactly, and the auxiliary closed
 forms must hold symbolically.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from tpcert.contfrac import cf_match, jfraction_split
@@ -19,6 +22,7 @@ from tpcert.families import (
     fixed_argument_family,
     four_term_family,
     four_term_mixed_branch,
+    general_four_term_spec,
     mixed_family,
 )
 from tpcert.polyring import VarContext, _map_polys
@@ -300,3 +304,47 @@ def test_symbolic_hankel_tp_size5(maker):
     t = build_triangle(fam.spec, 8)
     rep = is_totally_positive(hankel(t.row_gfs(fam.gf_var), 5), 4)
     assert rep.ok, rep.witness and rep.witness.to_dict()
+
+
+def test_master_recurrence_matches_the_paper():
+    # the symbolic triangle, stored cleared by lam, against a plain Fraction
+    # evaluation of the paper's recurrence
+    #   T[n][k] = lam (a0 n + a1 k + a2) T[n-1][k] + (b0 n + b1 k + b2) T[n-1][k-1]
+    #           + d (d a1 - b1) / lam (n - k + 1) T[n-1][k-2]
+    names = ("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam")
+    ctx = VarContext(["n", "k", *names])
+    t = build_triangle(general_four_term_spec(ctx, *map(ctx.var, names)), 6)
+    rng = random.Random(2007)
+    for _ in range(5):
+        point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in names}
+        a0, a1, a2, b0, b1, b2, d, lam = point.values()
+        want = [[Fraction(1)]]
+        for n in range(1, 7):
+            prev = [Fraction(0)] * 2 + want[-1] + [Fraction(0)]  # prev[k + 2] = T[n-1][k]
+            want.append([lam * (a0 * n + a1 * k + a2) * prev[k + 2]
+                         + (b0 * n + b1 * k + b2) * prev[k + 1]
+                         + d * (d * a1 - b1) / lam * (n - k + 1) * prev[k]
+                         for k in range(n + 1)])
+        got = [[e.eval(point) / lam**n for e in row] for n, row in enumerate(t.rows)]
+        assert got == want, point
+
+
+@pytest.mark.parametrize("name", ("affine-n", "diagonal", "whitney", "stirling-permutation"))
+def test_specialization_keeps_a_symbolic_pass(name):
+    # a coefficientwise pass stays a pass, with the same minors, at
+    # nonnegative integer points of q and the parameters
+    fam = CATALOG[name]()
+    block = hankel(build_triangle(fam.spec, 6).row_gfs(fam.gf_var), 4)
+    symbolic = is_totally_positive(block, 3)
+    assert symbolic.ok and symbolic.minors_checked == 68
+    free = [v for v in fam.ctx.names if v not in ("n", "k")]
+    rng = random.Random(name)
+    points = [dict.fromkeys(free, 0)] + [{v: rng.randint(0, 3) for v in free} for _ in range(3)]
+    for point in points:
+        # the gf-var enters with the row polynomials, so it is set last
+        spec = _map_polys(fam.spec, lambda p: p.specialize(point))
+        rows = [g.specialize(point) for g in build_triangle(spec, 6).row_gfs(fam.gf_var)]
+        special = hankel(rows, 4)
+        assert special.entries == [[e.specialize(point) for e in row] for row in block.entries]
+        rep = is_totally_positive(special, 3)
+        assert rep.ok and rep.minors_checked == symbolic.minors_checked, point

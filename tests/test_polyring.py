@@ -173,6 +173,18 @@ def test_parse_errors_carry_position(ctx):
         ctx.parse("q ^ q")
 
 
+@pytest.mark.parametrize("text", ["a^65536", "a^40000*a^40000", "n^65535*n"])
+def test_exponent_overflow_is_a_parse_error(text):
+    # exponents are packed 16 bits each; these used to read as q, q*a^14464
+    # and 1
+    ctx = VarContext(["n", "k", "q", "a"])
+    with pytest.raises(ParseError, match="exponent exceeds 65535"):
+        ctx.parse(text)
+    assert ctx.parse("n^65535*a^65535") == ctx.var("n", 65535) * ctx.var("a", 65535)
+    with pytest.raises(ValueError, match="out of range"):
+        ctx.var("a", 65536)
+
+
 def test_parse_accepts_double_star_and_parens(ctx):
     assert ctx.parse("(1 + q)**2") == ctx.parse("1 + 2*q + q^2")
     assert ctx.parse("-(q - 1)") == ctx.parse("1 - q")

@@ -10,13 +10,13 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from tpcert import families, polyring, totalpos
+from tpcert import contfrac, families, polyring, totalpos
+from tpcert.contfrac import check_hankel_factorization
 from tpcert.polyring import VarContext
 from tpcert.totalpos import (
     HypothesisError,
     PolyMatrix,
     _scan,
-    check_hankel_factorization,
     check_k_log_convex,
     hankel,
     is_totally_positive,
@@ -413,11 +413,11 @@ class TestHankelFactorization:
     def test_bell_walk(self, ctx):
         k = ctx.var("k")
         spec = RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, k + 1, k))
-        assert check_hankel_factorization(spec, 5)
+        assert check_hankel_factorization(build_triangle(spec, 8), 5)
 
     def test_all_zero_downweights(self, ctx):
         spec = RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, ctx.var("k") + 1, ctx.zero))
-        assert check_hankel_factorization(spec, 4)
+        assert check_hankel_factorization(build_triangle(spec, 6), 4)
 
     def test_symbolic_small(self):
         names = (
@@ -426,11 +426,31 @@ class TestHankelFactorization:
             + [f"t{i}" for i in range(1, 5)]
         )
         c = VarContext(["n", "k"] + names)
-        r = tuple(c.var(f"r{i}") for i in range(4))
-        s = tuple(c.var(f"s{i}") for i in range(4))
-        t = (c.zero,) + tuple(c.var(f"t{i}") for i in range(1, 5))
+        # building to row 6 reads levels up to 5; the first column through
+        # row 6 reads levels up to 3 only, so the padding is never read
+        pad = (c.zero,) * 2
+        r = tuple(c.var(f"r{i}") for i in range(4)) + pad
+        s = tuple(c.var(f"s{i}") for i in range(4)) + pad
+        t = (c.zero,) + tuple(c.var(f"t{i}") for i in range(1, 5)) + pad[:1]
         spec = RecurrenceSpec(c, COLUMN_WALK, (r, s, t))
-        assert check_hankel_factorization(spec, 4)
+        assert check_hankel_factorization(build_triangle(spec, 6), 4)
+
+    def test_a_fraction_one_level_off_fails(self, ctx, monkeypatch):
+        # the check compares with the triangle, so a J-fraction whose
+        # downstep weights are shifted up one level is caught
+        k = ctx.var("k")
+        t = build_triangle(RecurrenceSpec(ctx, COLUMN_WALK, (k + 2, k + 1, k)), 8)
+        assert check_hankel_factorization(t, 5)
+        weights = contfrac._star_weights
+        monkeypatch.setattr(contfrac, "_star_weights",
+                            lambda spec: weights(spec).substitute_poly("k", k + 1))
+        assert not check_hankel_factorization(t, 5)
+
+    def test_needs_the_rows_it_reads(self, ctx):
+        k = ctx.var("k")
+        t = build_triangle(RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, k + 1, k)), 7)
+        with pytest.raises(ValueError, match="deep enough"):
+            check_hankel_factorization(t, 5)
 
     def test_criteria_imply_hankel_tp_instancewise(self, ctx):
         # dominance certificate on the walk carries to the first-column Hankel
