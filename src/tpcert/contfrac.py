@@ -24,7 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polyring import Poly, RatFunc, VarContext, _add_product, _map_polys
+from .polyring import (
+    _MASK,
+    Poly,
+    RatFunc,
+    VarContext,
+    _add_product,
+    _check_exponents,
+    _map_polys,
+)
 from .triangles import COLUMN_WALK, RecurrenceSpec, Triangle, _row_mismatch
 
 
@@ -204,6 +212,9 @@ def j_expand(jf: JFraction, depth: int) -> list[Poly]:
 
     # each entry is summed in one accumulator
     nvars = len(ctx.names)
+    # an entry of row n has total degree at most n times the highest level
+    # degree, so below that bound no product can carry an exponent over
+    check = depth * max(p.total_degree() for p in (ctx.one, *s, *r)) > _MASK
     row = [ctx.one.terms]
     out = [ctx.one]
     for n in range(1, depth + 1):
@@ -213,8 +224,12 @@ def j_expand(jf: JFraction, depth: int) -> list[Poly]:
         for k in range(width + 1):
             acc = dict(row[k - 1]) if k >= 1 else {}
             if k < len(row) and row[k] and s[k]:
+                if check:
+                    _check_exponents(s[k].terms, row[k], nvars)
                 _add_product(acc, s[k].terms, row[k], nvars)
             if k + 1 < len(row) and row[k + 1] and r[k]:
+                if check:
+                    _check_exponents(r[k].terms, row[k + 1], nvars)
                 _add_product(acc, r[k].terms, row[k + 1], nvars)
             new.append({key: c for key, c in acc.items() if c})
         row = new
@@ -385,6 +400,8 @@ def check_hankel_factorization(t: Triangle, size: int) -> bool:
     fraction's series, so the block factors exactly when the triangle's
     first column equals that series through row 2(size-1).
     """
+    if t.spec is None:
+        raise ValueError("hankel factorization needs the triangle's recurrence spec")
     depth = 2 * (size - 1)
     if depth > t.depth:
         raise ValueError("triangle not materialized deep enough")

@@ -291,9 +291,12 @@ class Poly:
         # single-term shortcut: shift-and-scale
         if len(a) == 1:
             ((ea, ca),) = a.items()
+            if ea:
+                _check_exponents(a, b, len(self.ctx.names))
             if ca == 1:
                 return Poly(self.ctx, {eb + ea: cb for eb, cb in b.items()})
             return Poly(self.ctx, {eb + ea: cb * ca for eb, cb in b.items()})
+        _check_exponents(a, b, len(self.ctx.names))
         # not _add_product: a fiber product is kept as it comes, with no
         # copy into an accumulator and no zero filter
         out = _fiber_product(a, b, len(self.ctx.names))
@@ -469,6 +472,20 @@ class Poly:
         return f"Poly({render(self)})"
 
 
+def _check_exponents(a: dict, b: dict, nvars: int) -> None:
+    """Raise ValueError when an exponent of the product of two nonzero
+    coefficient maps would pass the packing width and carry into the next
+    field.  That takes total degrees summing past the width, and the highest
+    key of each map holds its total degree."""
+    deg_shift = _BITS * nvars
+    if (max(a) >> deg_shift) + (max(b) >> deg_shift) <= _MASK:
+        return
+    for i in range(nvars):
+        sh = _BITS * i
+        if max((k >> sh) & _MASK for k in a) + max((k >> sh) & _MASK for k in b) > _MASK:
+            raise ValueError(f"an exponent exceeds {_MASK}")
+
+
 def _add_term_products(acc: dict, a: dict, b: dict) -> None:
     """Add the product of two coefficient maps to ``acc`` term by term;
     entries of ``acc`` may be left at zero."""
@@ -483,7 +500,7 @@ def _add_term_products(acc: dict, a: dict, b: dict) -> None:
 def _add_product(acc: dict, a: dict, b: dict, nvars: int) -> None:
     """Add the product of two nonzero coefficient maps to ``acc``, through
     the fiber kernel when it takes the product; entries of ``acc`` may be
-    left at zero."""
+    left at zero.  It does not check exponents (``_check_exponents``)."""
     if len(a) > len(b):
         a, b = b, a
     out = _fiber_product(a, b, nvars)
@@ -764,16 +781,15 @@ def _parse_poly(ctx: VarContext, text: str) -> Poly:
             return -parse_atom()
         tok.error("expected a number, variable or '('")
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except ParseError:
+        raise
+    except ValueError as exc:  # a product's exponent past the packing width
+        raise ParseError(str(exc), text, tok.pos) from None
     kind, val = tok.peek()
     if kind is not None:
         tok.error(f"trailing input {val!r}")
-    # an exponent above the packing width carries into the next field; it
-    # takes a total degree above the width, which the highest key holds
-    if max(result.terms, default=0) >> ctx._deg_shift > _MASK and any(
-        ctx.pack(ctx.unpack(key)) != key for key in result.terms
-    ):
-        raise ParseError(f"an exponent exceeds {_MASK}", text, 0)
     return result
 
 

@@ -83,13 +83,18 @@ def _det_cofactor(m: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> Poly:
         return m.entries[rows[0]][cols[0]]
     key = (rows, cols)
     d = memo.get(key)
-    if d is not None:
-        return d
+    if d is None:
+        d = memo[key] = _expand(m, rows, cols, memo)
+    return d
+
+
+def _expand(m: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> Poly:
+    """Cofactor expansion along the last row of an order >= 2 minor; the
+    cofactors go through the memo, the minor itself is not stored."""
     rest = rows[:-1]
-    last = rows[-1]
     order = len(rows)
     d = m.ctx.zero
-    row_entries = m.entries[last]
+    row_entries = m.entries[rows[-1]]
     for idx in range(order):
         e = row_entries[cols[idx]]
         if not e:
@@ -99,7 +104,6 @@ def _det_cofactor(m: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> Poly:
             continue
         p = e * sub
         d = d + p if (order - 1 + idx) % 2 == 0 else d - p
-    memo[key] = d
     return d
 
 
@@ -185,23 +189,35 @@ def _subset_iter(n: int, m: int, contiguous: bool):
     return combinations(range(n), m)
 
 
-def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict):
+def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict, prune: bool = False):
     """Check each row subset against every column subset of its size, in
     order; returns (minors checked, first witness or None).
 
     Every minor comes from the memoized cofactor expansion.  An exhaustive
     scan reaches every order-r minor after all the order-(r-1) ones, so
     each costs r products; the lower minors of a contiguous window are
-    filled in by the recursion and shared by overlapping windows.
+    filled in by the recursion and shared by overlapping windows.  No minor
+    reads one of the highest order, so those are checked and dropped, not
+    memoized.  With ``prune`` (an exhaustive scan of every row subset),
+    starting order r deletes the memo entries of order r-2 and below: the
+    order-r minors read only order-(r-1) cofactors, all memoized by then.
     """
     checked = 0
+    top = len(row_subsets[-1]) if row_subsets else 0
+    order = 0
     for rows in row_subsets:
-        for cols in _subset_iter(m.ncols, len(rows), contiguous):
-            d = _det_cofactor(m, rows, cols, memo)
+        if len(rows) != order:
+            order = len(rows)
+            det = _expand if order == top > 1 else _det_cofactor
+            if prune:
+                for key in [key for key in memo if len(key[0]) < order - 1]:
+                    del memo[key]
+        for cols in _subset_iter(m.ncols, order, contiguous):
+            d = det(m, rows, cols, memo)
             checked += 1
             bad = _first_negative(d)
             if bad is not None:
-                return checked, TPWitness(len(rows), rows, cols, d, *bad)
+                return checked, TPWitness(order, rows, cols, d, *bad)
     return checked, None
 
 
@@ -233,7 +249,9 @@ def is_totally_positive(
     if jobs > 1 and not contiguous_only:
         checked, witness = _scan_parallel(m, row_subsets, jobs)
     else:
-        checked, witness = _scan(m, row_subsets, contiguous_only, {})
+        checked, witness = _scan(
+            m, row_subsets, contiguous_only, {}, prune=not contiguous_only
+        )
     return TPReport(
         m.nrows, m.ncols, order, witness is None, witness, contiguous_only, checked
     )
@@ -255,7 +273,7 @@ def _scan_parallel(m: PolyMatrix, row_subsets: list, jobs: int):
 
     workers = min(jobs, len(row_subsets), _usable_cpus())
     if workers < 2:
-        return _scan(m, row_subsets, False, {})
+        return _scan(m, row_subsets, False, {}, prune=True)
     shares = [(m, row_subsets[i::workers], False, {}) for i in range(workers)]
     with get_context("fork").Pool(workers) as pool:
         results = pool.starmap(_scan, shares)

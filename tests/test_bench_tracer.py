@@ -8,20 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from tpcert import cli, polyring, triangles
+from tpcert import cli, polyring, totalpos, triangles
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 POLY_METHODS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "exact_div")
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("module, attr, span", tracing.FUNCTION_SPANS)
@@ -66,3 +67,24 @@ def test_install_then_uninstall_restores_the_originals():
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert changed == []
+
+
+def test_traced_scan_keeps_the_pinned_counters():
+    # the symbolic-certificate item whose products the benchmark pins, traced
+    # as a traced pass traces it, so a change that moves them fails here too
+    item = "four-term[nk]/hankel-tp"
+    assert item in workloads.EXPECTED_COUNTERS
+    fam = workloads.seeded_family("four-term[nk]", 0)
+    tri = triangles.build_triangle(fam.spec, 8)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.item(item):
+            block = totalpos.hankel(tri.row_gfs(fam.gf_var), 5)
+            report = totalpos.is_totally_positive(block, 4)
+    finally:
+        tracer.uninstall()
+    assert report.ok and report.minors_checked == workloads.EXPECTED_MINORS[(5, 4)]
+    items = [{"item": item, "ok": True, "detail": {}}]
+    workloads.check_counters(items, tracer.spans)
+    assert items[0]["ok"], items[0]["detail"]

@@ -623,6 +623,27 @@ def test_tridiagonal_criteria_judge_the_true_walk(tmp_path, capsys):
     assert check["detail"] == {"criteria": ["i", "iii"]}
 
 
+def test_exponent_overflow_at_run_time_is_an_error(tmp_path):
+    # row 2 holds a^40000 * a^40000, which used to carry into q and report
+    # got "1 + 3"
+    doc = """\
+name: overflow
+vars: [q, a]
+triangle:
+  kind: row-shift
+  c0: "a^40000"
+  c1: "1"
+  depth: 2
+checks:
+  - kind: row-gf
+    at: {q: 1, a: 1}
+    values: ["1", "2", "4"]
+"""
+    report = run_plan(load_plan(write_plan(tmp_path, doc)))
+    assert report.checks == [{"kind": "row-gf", "status": "error",
+                              "detail": {"message": "ValueError: an exponent exceeds 65535"}}]
+
+
 def test_hankel_factorization_reads_the_plans_triangle(monkeypatch):
     # a J-fraction whose downstep weights are shifted up one level no longer
     # expands to the triangle's first column

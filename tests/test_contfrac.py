@@ -142,6 +142,21 @@ class TestExpand:
         assert a[:3] == b[:3] and a[3] != b[3]
         assert a[:4] == c[:4] and a[4] != c[4]
 
+    def test_exponent_overflow_raises(self, ctx):
+        # row 2 holds s_0^2 = a^80000; walks whose levels keep every product
+        # within the packing width skip the check
+        big = ctx.var("a", 40000)
+        jf = JFraction.from_lists(ctx, [big, big], [ctx.one])
+        assert j_expand(jf, 1) == [ctx.one, big]
+        with pytest.raises(ValueError, match="exponent exceeds 65535"):
+            j_expand(jf, 2)
+        jf = JFraction.from_lists(ctx, [ctx.var("a", 20000)] * 2, [ctx.one])
+        assert j_expand(jf, 3)[3] == ctx.var("a", 60000) + 3 * ctx.var("a", 20000)
+        # a total degree past the width with every exponent within it
+        mixed = ctx.var("a", 20000) * ctx.var("q", 20000)
+        jf = JFraction.from_lists(ctx, [mixed, mixed], [ctx.one])
+        assert j_expand(jf, 2)[2] == mixed * mixed + 1
+
     def test_missing_levels_raise(self, ctx):
         jf = JFraction.from_lists(ctx, consts(ctx, [1]), consts(ctx, []))
         with pytest.raises(DegenerateFraction):

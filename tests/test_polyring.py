@@ -185,6 +185,19 @@ def test_exponent_overflow_is_a_parse_error(text):
         ctx.var("a", 65536)
 
 
+def test_exponent_overflow_in_a_product_raises():
+    # a product used to carry the excess into the next field:
+    # a^40000 * a^40000 read as q*a^14464
+    ctx = VarContext(["n", "k", "q", "a"])
+    big = ctx.var("a", 40000)
+    for other in (big, big + ctx.var("q"), ctx.var("a", 25536) * ctx.var("q", 3)):
+        with pytest.raises(ValueError, match="exponent exceeds 65535"):
+            big * other
+    # total degrees past the width, every exponent within it
+    assert big * ctx.var("q", 30000) == ctx.from_terms([(1, {"a": 40000, "q": 30000})])
+    assert (big * ctx.var("a", 25535)).degree_in("a") == 65535
+
+
 def test_parse_accepts_double_star_and_parens(ctx):
     assert ctx.parse("(1 + q)**2") == ctx.parse("1 + 2*q + q^2")
     assert ctx.parse("-(q - 1)") == ctx.parse("1 - q")

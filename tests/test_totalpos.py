@@ -1,9 +1,9 @@
 """Tests for exact minors, TP certificates and the log-convexity ladder."""
 
+import collections
 import math
 import multiprocessing
 import random
-from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +16,6 @@ from tpcert.polyring import VarContext
 from tpcert.totalpos import (
     HypothesisError,
     PolyMatrix,
-    _scan,
     check_k_log_convex,
     hankel,
     is_totally_positive,
@@ -25,7 +24,7 @@ from tpcert.totalpos import (
     tridiag,
     tridiagonal_tp_criteria,
 )
-from tpcert.triangles import COLUMN_WALK, ROW_SHIFT, RecurrenceSpec, build_triangle
+from tpcert.triangles import COLUMN_WALK, ROW_SHIFT, RecurrenceSpec, build_triangle, reciprocal
 
 
 @pytest.fixture
@@ -110,15 +109,14 @@ class TestMinor:
             with pytest.raises(ValueError, match="out of range"):
                 minor(m, rows, cols)
 
-    def test_cofactor_and_bareiss_agree(self, ctx):
-        # against sympy's Bareiss determinant
+    def test_cofactor_and_sympy_agree(self, ctx):
         rng = random.Random(11)
         for _ in range(15):
             m = random_matrix(ctx, rng, 4)
             rows = cols = tuple(range(4))
             assert minor(m, rows, cols) == sympy_minor(ctx, sympy_matrix(m), rows, cols)
 
-    def test_bareiss_path_on_5x5(self, ctx):
+    def test_5x5_minor_matches_sympy(self, ctx):
         rng = random.Random(13)
         m = random_matrix(ctx, rng, 5)
         rows = cols = tuple(range(5))
@@ -260,9 +258,7 @@ class TestIsTotallyPositive:
         assert report.minors_checked == 42
         sym = sympy_matrix(block)
         assert w.minor == sympy_minor(block.ctx, sym, w.rows, w.cols)
-        scan = ((rows, cols) for r in range(1, 7)
-                for rows in combinations(range(6), r) for cols in combinations(range(6), r))
-        for position, (rows, cols) in enumerate(scan, 1):
+        for position, (rows, cols) in enumerate(scan_order(6, 6), 1):
             if not sympy_minor(block.ctx, sym, rows, cols).is_nonneg():
                 break
         assert position == 42 and (rows, cols) == (w.rows, w.cols)
@@ -452,6 +448,12 @@ class TestHankelFactorization:
         with pytest.raises(ValueError, match="deep enough"):
             check_hankel_factorization(t, 5)
 
+    def test_needs_the_triangles_spec(self, ctx):
+        k = ctx.var("k")
+        t = build_triangle(RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, k + 1, k)), 8)
+        with pytest.raises(ValueError, match="recurrence spec"):
+            check_hankel_factorization(reciprocal(t), 5)
+
     def test_criteria_imply_hankel_tp_instancewise(self, ctx):
         # dominance certificate on the walk carries to the first-column Hankel
         k = ctx.var("k")
@@ -464,36 +466,171 @@ class TestHankelFactorization:
         assert is_totally_positive(hankel(first_column, 5), 4).ok
 
 
+def scan_order(n, order, contiguous=False):
+    """(rows, cols) of every minor an order-``order`` scan of an n x n block
+    checks, in the order it checks them."""
+    return [(rows, cols) for size in range(1, order + 1)
+            for rows in totalpos._subset_iter(n, size, contiguous)
+            for cols in totalpos._subset_iter(n, size, contiguous)]
+
+
+def record_checked(monkeypatch):
+    """Patch the scan to append every minor it checks to the returned list."""
+    checked = []
+    first_negative = totalpos._first_negative
+
+    def record(d):
+        checked.append(d)
+        return first_negative(d)
+
+    monkeypatch.setattr(totalpos, "_first_negative", record)
+    return checked
+
+
+class OrderCountingMemo(dict):
+    """A scan memo that keeps count of the entries it holds per order."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = collections.Counter()
+
+    def __setitem__(self, key, value):
+        if key not in self:
+            self.held[len(key[0])] += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        super().__delitem__(key)
+        self.held[len(key[0])] -= 1
+
+    def orders(self):
+        return {order for order, count in self.held.items() if count}
+
+
+# products of the 7 x 7 order-7 scans as (products, term products, operand
+# terms), which a change to the memo must keep: the serial scan, the
+# contiguous windows and the two shares of jobs=2
+SCAN_PRODUCTS = {
+    "eulerian": {
+        "serial": (11963, 747900, 189833),
+        "contiguous": (1041, 45612, 13548),
+        "shares": [(8204, 481039, 125804), (7700, 441136, 116814)],
+    },
+    "bell-walk": {
+        "serial": (11963, 1390277, 260638),
+        "contiguous": (1041, 92940, 19599),
+        "shares": [(8204, 886088, 171682), (7700, 827092, 160706)],
+    },
+}
+
+
+def small_ring_block(name):
+    fam = families.CATALOG[name]()
+    return hankel(build_triangle(fam.spec, 12).row_gfs(fam.gf_var), 7)
+
+
 class TestScanMemo:
     """The scan takes every minor from the memoized cofactor expansion;
-    sympy's Bareiss determinant is the reference at orders 5-7."""
+    sympy's determinant is the reference at orders 5-7."""
 
     @pytest.fixture(scope="class")
     def block(self):
-        fam = families.CATALOG["eulerian"]()
-        return hankel(build_triangle(fam.spec, 12).row_gfs(fam.gf_var), 7)
+        return small_ring_block("eulerian")
 
-    def test_memoized_minors_match_bareiss(self, block):
-        row_subsets = [rows for size in range(1, 8) for rows in combinations(range(7), size)]
-        memo = {}
-        assert _scan(block, row_subsets, False, memo) == (3431, None)
-        high = [key for key in memo if len(key[0]) >= 5]
+    def test_scanned_minors_match_sympy(self, block, monkeypatch):
+        checked = record_checked(monkeypatch)
+        assert is_totally_positive(block, 7).to_dict()["minors_checked"] == 3431
+        scanned = dict(zip(scan_order(7, 7), checked, strict=True))
+        high = [key for key in scanned if len(key[0]) >= 5]
         assert len(high) == 21 * 21 + 7 * 7 + 1
         sym = sympy_matrix(block)
         for rows, cols in high:
-            assert memo[rows, cols] == sympy_minor(block.ctx, sym, rows, cols)
+            assert scanned[rows, cols] == sympy_minor(block.ctx, sym, rows, cols)
 
-    def test_contiguous_windows_match_bareiss(self, block):
+    def test_contiguous_windows_match_sympy(self, block, monkeypatch):
         # the lower minors of a window are not scanned before it, so the
         # recursion fills them in
-        windows = [tuple(range(i, i + size)) for size in range(1, 8) for i in range(8 - size)]
-        memo = {}
-        assert _scan(block, windows, True, memo) == (140, None)
+        checked = record_checked(monkeypatch)
+        report = is_totally_positive(block, 7, contiguous_only=True)
+        assert report.to_dict()["minors_checked"] == 140
+        scanned = dict(zip(scan_order(7, 7, contiguous=True), checked, strict=True))
+        high = [key for key in scanned if len(key[0]) >= 5]
+        assert len(high) == 3 * 3 + 2 * 2 + 1
         sym = sympy_matrix(block)
-        for rows in windows[-6:]:  # orders 5-7
-            for cols in (w for w in windows if len(w) == len(rows)):
-                assert memo[rows, cols] == sympy_minor(block.ctx, sym, rows, cols)
-        assert is_totally_positive(block, 7, contiguous_only=True).to_dict()["minors_checked"] == 140
+        for rows, cols in high:
+            assert scanned[rows, cols] == sympy_minor(block.ctx, sym, rows, cols)
+
+    def test_serial_memo_holds_only_the_cofactors_next_read(self, block, monkeypatch):
+        # at each checked order-r minor the memo holds orders r-1 and r, and
+        # at the top order only r-1: a top-order minor is never stored
+        memo = OrderCountingMemo()
+        scan = totalpos._scan
+
+        def scan_with_memo(m, row_subsets, contiguous, _, **kwargs):
+            return scan(m, row_subsets, contiguous, memo, **kwargs)
+
+        held = []
+        first_negative = totalpos._first_negative
+
+        def record(d):
+            held.append(memo.orders())
+            return first_negative(d)
+
+        monkeypatch.setattr(totalpos, "_scan", scan_with_memo)
+        monkeypatch.setattr(totalpos, "_first_negative", record)
+        assert is_totally_positive(block, 7).ok
+        for (rows, _), orders in zip(scan_order(7, 7), held, strict=True):
+            r = len(rows)
+            assert orders <= ({r - 1} if r == 7 else {r - 1, r}), (r, orders)
+        assert memo.orders() == {6}
+        assert memo.held[6] == 7 * 7
+
+    @pytest.mark.parametrize("name", sorted(SCAN_PRODUCTS))
+    def test_every_scan_forms_the_same_products(self, name, monkeypatch):
+        block = small_ring_block(name)
+        sizes = []
+        mul = polyring.Poly.__mul__
+
+        def counted(a, b):
+            sizes.append((len(a.terms), len(b.terms)))
+            return mul(a, b)
+
+        def products():
+            out = (len(sizes), sum(a * b for a, b in sizes), sum(a + b for a, b in sizes))
+            sizes.clear()
+            return out
+
+        shares = []
+
+        class Pool:
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args):
+                results = []
+                for share in args:
+                    results.append(fn(*share))
+                    shares.append(products())
+                return results
+
+        monkeypatch.setattr(polyring.Poly, "__mul__", counted)
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool)
+        )
+        monkeypatch.setattr(totalpos, "_usable_cpus", lambda: 2)
+        want = SCAN_PRODUCTS[name]
+        assert is_totally_positive(block, 7).ok
+        assert products() == want["serial"]
+        assert is_totally_positive(block, 7, contiguous_only=True).ok
+        assert products() == want["contiguous"]
+        assert is_totally_positive(block, 7, jobs=2).ok
+        assert shares == want["shares"]
 
     def test_workers_with_empty_memos_match_serial(self, block, monkeypatch):
         serial = is_totally_positive(block, 6).to_dict()
