@@ -17,21 +17,34 @@ whose indexing is pinned here by the executable contract
 ``expand(contract(s), N) == expand(s, N)`` rather than by subscript
 bookkeeping.  Coefficients can be given as explicit lists or as closed-form
 polynomials in a level variable.
+
+A J-fraction's series is the first column of its unit-upstep walk
+(``j_expand``).  The walk's entries are kept packed: the terms that differ
+only along one direction (a variable, or a pair of variables at a fixed
+exponent sum) form a fiber, held as one integer with each coefficient at
+its own bit offset, so a level times an entry is a few big-integer
+products.  Only the first column is unpacked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction as mpq
+from functools import reduce
+from itertools import combinations
+from operator import or_
+from typing import Callable, Iterator, Sequence
 
 from .polyring import (
     _MASK,
     Poly,
     RatFunc,
     VarContext,
-    _add_product,
+    _as_rational,
     _check_exponents,
     _map_polys,
+    _put_digits,
 )
 from .triangles import COLUMN_WALK, RecurrenceSpec, Triangle, _row_mismatch
 
@@ -205,36 +218,144 @@ def j_expand(jf: JFraction, depth: int) -> list[Poly]:
     at height min(n, depth - n).  ``_levels`` gives the levels read, and caps
     the height at a zero r level; an extracted terminated fraction ends in
     its zero r, so the cap covers it too.
+
+    The walk runs on packed fibers (``_walk``).  A path to row n takes a
+    s-steps and u r-steps with a + 2u = n, so with ``den`` the lcm of the
+    levels' denominators the walk on den s_k and den^2 r_k is integral and
+    its row n is den^n times the true one.  Along the packed direction
+    (``_direction``) a fiber's coefficients sit at bit ``width`` e_v of one
+    integer; the walk over the levels' absolute sums bounds every
+    coefficient of the first column, and ``width`` makes that bound a
+    balanced digit, so the first column reads back exactly.  No other entry
+    is read back.
     """
     ctx = jf.ctx
     s, r = _levels(jf, depth)
     cap = len(s) - 1 if r and not r[-1] else depth
-
-    # each entry is summed in one accumulator
-    nvars = len(ctx.names)
+    den = math.lcm(1, *(c.denominator for p in (*s, *r) for c in p.terms.values()))
+    s_int = [_scaled(p.terms, den) for p in s]
+    r_int = [_scaled(p.terms, den * den) for p in r]
     # an entry of row n has total degree at most n times the highest level
     # degree, so below that bound no product can carry an exponent over
     check = depth * max(p.total_degree() for p in (ctx.one, *s, *r)) > _MASK
-    row = [ctx.one.terms]
+
+    # B[n][k], the walk on the levels' absolute sums, bounds every
+    # coefficient of D[n][k]; the check reads back every entry and level
+    norms = [{0: sum(map(abs, t.values()))} if t else {} for t in (*s_int, *r_int)]
+    bounds = list(_walk(norms[:len(s)], norms[len(s):], depth, cap))
+    if check:
+        top = max((x for t in (*bounds, norms) for e in t for x in e.values()), default=0)
+    else:
+        top = max((row[0].get(0, 0) for row in bounds), default=0)
+    width = top.bit_length() + 1
+
+    sv, step = _direction(ctx, s_int + r_int)
+    guard = None
+    if check:
+        nvars = len(ctx.names)
+
+        def guard(level: dict, entry: dict) -> None:
+            _check_exponents(_unpack(level, step, width), _unpack(entry, step, width), nvars)
+
     out = [ctx.one]
+    for n, row in enumerate(
+        _walk([_pack(t, sv, step, width) for t in s_int],
+              [_pack(t, sv, step, width) for t in r_int], depth, cap, guard),
+        1,
+    ):
+        terms = _unpack(row[0], step, width)
+        if den > 1:
+            scale = den**n
+            terms = {key: _as_rational(mpq(c, scale)) for key, c in terms.items()}
+        out.append(Poly(ctx, terms))
+    return out
+
+
+def _scaled(terms: dict, factor: int) -> dict:
+    """``factor`` times a coefficient map that it makes integral."""
+    return {key: (c * factor).numerator for key, c in terms.items()}
+
+
+def _direction(ctx: VarContext, levels: list[dict]) -> tuple[int, int]:
+    """``(shift, step)`` of the packed direction, a single variable or a
+    pair, that leaves ``levels`` the fewest fibers; ties go to the earlier
+    candidate, single variables first.
+
+    The fiber of a monomial key is ``key - e_v * step`` with e_v the
+    exponent at ``shift``.  A single variable v has step e_v's field plus
+    the degree field, so its fibers are the monomials with v removed; a pair
+    (v, w) has step e_v's field minus e_w's, so its fibers hold e_v + e_w in
+    w's field.  Keys are added as integers and the monomial of digit e_v is
+    read back as ``fiber + e_v * step``, so a sum e_v + e_w past the field
+    width still reads back to the right monomial.  When no variable occurs
+    every e_v is zero and the step is never used.
+    """
+    occurring = reduce(or_, (key for t in levels for key in t), 0)
+    shifts = [sh for sh in ctx._shifts if (occurring >> sh) & _MASK]
+    degree = 1 << ctx._deg_shift
+    candidates = [(sv, (1 << sv) + degree) for sv in shifts]
+    candidates += [(sv, (1 << sv) - (1 << sw)) for sv, sw in combinations(shifts, 2)]
+    best, fewest = (0, 0), None
+    for sv, step in candidates:
+        count = sum(len({key - ((key >> sv) & _MASK) * step for key in t}) for t in levels)
+        if fewest is None or count < fewest:
+            best, fewest = (sv, step), count
+    return best
+
+
+def _pack(terms: dict, sv: int, step: int, width: int) -> dict:
+    """``{fiber key: sum c * 2^(width * e_v)}`` of an integer coefficient map."""
+    packed: dict[int, int] = {}
+    for key, c in terms.items():
+        e = (key >> sv) & _MASK
+        f = key - e * step
+        packed[f] = packed.get(f, 0) + (c << (width * e))
+    return packed
+
+
+def _unpack(packed: dict, step: int, width: int) -> dict:
+    """The coefficient map of a packed entry whose coefficients all lie
+    within ``width`` (``polyring._put_digits``)."""
+    out: dict[int, int] = {}
+    _put_digits(out, packed.items(), step, width)
+    return out
+
+
+def _walk(
+    s: list[dict], r: list[dict], depth: int, cap: int,
+    guard: Callable[[dict, dict], None] | None = None,
+) -> Iterator[list[dict]]:
+    """Rows 1 .. depth of the walk of ``j_expand``, each a list of entries by
+    height, over maps {fiber key: int} whose keys add and whose ints
+    multiply.  ``guard(level, entry)`` runs before each product."""
+    row = [{0: 1}]
     for n in range(1, depth + 1):
         # the walk rises at most one column per step
-        width = min(n, depth - n, cap)
+        height = min(n, depth - n, cap)
         new = []
-        for k in range(width + 1):
+        for k in range(height + 1):
             acc = dict(row[k - 1]) if k >= 1 else {}
-            if k < len(row) and row[k] and s[k]:
-                if check:
-                    _check_exponents(s[k].terms, row[k], nvars)
-                _add_product(acc, s[k].terms, row[k], nvars)
-            if k + 1 < len(row) and row[k + 1] and r[k]:
-                if check:
-                    _check_exponents(r[k].terms, row[k + 1], nvars)
-                _add_product(acc, r[k].terms, row[k + 1], nvars)
-            new.append({key: c for key, c in acc.items() if c})
+            if k < len(row):
+                _add_level_product(acc, s[k], row[k], guard)
+            if k + 1 < len(row):
+                _add_level_product(acc, r[k], row[k + 1], guard)
+            new.append({f: x for f, x in acc.items() if x})
         row = new
-        out.append(Poly(ctx, row[0]))
-    return out
+        yield row
+
+
+def _add_level_product(acc: dict, level: dict, entry: dict, guard) -> None:
+    """Add level * entry to ``acc``: one int product per pair of fibers."""
+    if not level or not entry:
+        return
+    if guard is not None:
+        guard(level, entry)
+    get = acc.get
+    for fl, xl in level.items():
+        for fe, xe in entry.items():
+            f = fl + fe
+            v = get(f)
+            acc[f] = xl * xe if v is None else v + xl * xe
 
 
 def s_expand(sf: SFraction, depth: int) -> list[Poly]:

@@ -12,7 +12,9 @@ by a 16-bit total-degree field, so that
 
 Large products of integer polynomials are computed fiber by fiber, one
 big-integer product per pair of fibers (``_fiber_product``); every other
-product runs the plain term-by-term dict kernel.
+product runs the plain term-by-term dict kernel.  A packed fiber is read
+back by ``_put_digits``, which the continued-fraction walk
+(``contfrac.j_expand``) uses too.
 
 All values are immutable after construction and safe to share.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction as mpq
 from functools import reduce
 from itertools import combinations, repeat
@@ -297,13 +300,16 @@ class Poly:
                 return Poly(self.ctx, {eb + ea: cb for eb, cb in b.items()})
             return Poly(self.ctx, {eb + ea: cb * ca for eb, cb in b.items()})
         _check_exponents(a, b, len(self.ctx.names))
-        # not _add_product: a fiber product is kept as it comes, with no
-        # copy into an accumulator and no zero filter
         out = _fiber_product(a, b, len(self.ctx.names))
         if out is not None:
             return Poly(self.ctx, out)
         out = {}
-        _add_term_products(out, a, b)
+        get = out.get
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                k = ea + eb
+                v = get(k)
+                out[k] = ca * cb if v is None else v + ca * cb
         return Poly(self.ctx, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
@@ -486,33 +492,6 @@ def _check_exponents(a: dict, b: dict, nvars: int) -> None:
             raise ValueError(f"an exponent exceeds {_MASK}")
 
 
-def _add_term_products(acc: dict, a: dict, b: dict) -> None:
-    """Add the product of two coefficient maps to ``acc`` term by term;
-    entries of ``acc`` may be left at zero."""
-    get = acc.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            k = ea + eb
-            v = get(k)
-            acc[k] = ca * cb if v is None else v + ca * cb
-
-
-def _add_product(acc: dict, a: dict, b: dict, nvars: int) -> None:
-    """Add the product of two nonzero coefficient maps to ``acc``, through
-    the fiber kernel when it takes the product; entries of ``acc`` may be
-    left at zero.  It does not check exponents (``_check_exponents``)."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = _fiber_product(a, b, nvars)
-    if out is None:
-        _add_term_products(acc, a, b)
-        return
-    get = acc.get
-    for k, c in out.items():
-        v = get(k)
-        acc[k] = c if v is None else v + c
-
-
 def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":
     """Terms of the product of two integer coefficient maps, computed with
     one big-integer product per pair of fibers; None when the plain dict
@@ -582,24 +561,42 @@ def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":
         f &= rest_mask
         v = get(f)
         merged[f] = x if v is None else v + x
-    full = 1 << width
-    half = full >> 1
-    digit = full - 1
     low = (1 << s_shift) - 1
     step = (1 << sv) - (1 << sw)  # from e_v to e_v + 1 at fixed s
     out: dict[int, int] = {}
-    for f, x in merged.items():
-        k = (f & low) + ((f >> s_shift) << sw)  # the monomial with e_v = 0
+    # each fiber is read from its monomial with e_v = 0
+    _put_digits(out, (((f & low) + ((f >> s_shift) << sw), x) for f, x in merged.items()),
+                step, width)
+    return out
+
+
+def _put_digits(out: dict, packed: Iterable[tuple[int, int]], step: int, width: int) -> None:
+    """For each ``(key, x)``, store the balanced base-2^width digits of
+    ``x``, lowest first, in ``out`` as the coefficients of ``key``,
+    ``key + step``, ...; zero digits are skipped.  Every digit must lie in
+    [-2^(width-1), 2^(width-1)).
+    """
+    full = 1 << width
+    half = full >> 1
+    digit = full - 1
+    # ``x & digit`` and ``d - full`` are allocated for the whole width; on
+    # 64-bit CPython an int of one or two limbs takes 32 bytes either way,
+    # so only a wider digit is worth copying to its own size (``-(-d)``)
+    compact = width > 2 * sys.int_info.bits_per_digit
+    for key, x in packed:
         while x:
             d = x & digit
+            if not d:  # a run of zero digits, skipped at once
+                skip = ((x & -x).bit_length() - 1) // width
+                x >>= skip * width
+                key += skip * step
+                continue
             x >>= width
             if d >= half:
                 d -= full
                 x += 1
-            if d:
-                out[k] = d
-            k += step
-    return out
+            out[key] = -(-d) if compact else d
+            key += step
 
 
 def _fibers(terms: dict, sv: int, sw: int, clear: int, s_shift: int) -> dict:

@@ -9,11 +9,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcert import polyring
 from tpcert.contfrac import (
     DegenerateFraction,
     JFraction,
     SFraction,
+    _direction,
     _levels,
     cf_match,
     contract,
@@ -271,6 +271,16 @@ def assert_series_of(series, fraction, z, symbols):
     assert not [c for (e,), c in residual.terms() if e < len(series) and c != 0]
 
 
+def assert_nested_series(jf, depth):
+    """``j_expand(jf, depth)`` is the series of sympy's finite fraction of
+    the levels the walk reads."""
+    symbols, z = sympy.symbols(jf.ctx.names), sympy.Dummy("z")
+    s, r = _levels(jf, depth)
+    fraction = nested_jfraction([to_sympy(v, symbols) for v in s],
+                                [to_sympy(v, symbols) for v in r], z)
+    assert_series_of(j_expand(jf, depth), fraction, z, symbols)
+
+
 # every catalog family with a J-fraction: the first group expands
 # symbolically in well under a second; the others, with many parameters,
 # are expanded at a seeded positive integer point of their parameters
@@ -284,11 +294,7 @@ class TestAgainstNestedFractions:
     the finite fraction, built from the levels the walk reads."""
 
     def check_jfraction(self, jf, depth):
-        symbols, z = sympy.symbols(jf.ctx.names), sympy.Dummy("z")
-        s, r = _levels(jf, depth)
-        fraction = nested_jfraction([to_sympy(v, symbols) for v in s],
-                                    [to_sympy(v, symbols) for v in r], z)
-        assert_series_of(j_expand(jf, depth), fraction, z, symbols)
+        assert_nested_series(jf, depth)
 
     def test_j_expand_matches_nested_fraction(self):
         rng = random.Random(2024)
@@ -346,8 +352,8 @@ def reference_walk(jf, depth):
 
 
 class TestWalkAgainstPolyArithmetic:
-    """``j_expand`` sums each walk entry in one coefficient map; the
-    reference walk uses the ``Poly`` operators."""
+    """``j_expand`` walks packed fibers; the reference walk uses the
+    ``Poly`` operators."""
 
     def test_integer_closed_forms(self, ctx):
         n, a, b, c = (ctx.var(v) for v in "nabc")
@@ -372,24 +378,162 @@ class TestWalkAgainstPolyArithmetic:
         )
         assert series == reference_walk(jf, 10)
 
-    def test_products_through_the_fiber_kernel(self, ctx, monkeypatch):
+    def test_wide_levels(self, ctx):
+        # levels of 26 and 22 terms, with entries of hundreds of terms
         n, a, b = (ctx.var(v) for v in "nab")
         jf = JFraction.from_forms(
             s_form=(n + 1) * (a + b) ** 24 + a,
             r_form=n * (a + 2 * b) ** 20 + b,
         )
-        want = reference_walk(jf, 5)
-        taken = []
-        fiber_product = polyring._fiber_product
+        assert j_expand(jf, 5) == reference_walk(jf, 5)
 
-        def spy(x, y, nvars):
-            out = fiber_product(x, y, nvars)
-            taken.append(out is not None)
-            return out
 
-        monkeypatch.setattr(polyring, "_fiber_product", spy)
-        assert j_expand(jf, 5) == want
-        assert any(taken) and not all(taken)
+def poly_of(ctx, terms):
+    """A Poly from ``(coefficient, exponent of a, exponent of b)`` triples."""
+    return ctx.from_terms((c, {"a": i, "b": j}) for c, i, j in terms)
+
+
+COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+LEVEL = st.lists(st.tuples(COEFFS, st.integers(0, 3), st.integers(0, 3)), max_size=4)
+
+
+class TestPackedWalk:
+    """The walk runs on packed fibers and reads back only the first column;
+    each case is compared with the ``Poly`` walk and with sympy."""
+
+    def check(self, jf, depth):
+        got = j_expand(jf, depth)
+        assert got == reference_walk(jf, depth)
+        assert_nested_series(jf, depth)
+        return got
+
+    def test_negative_coefficients(self, ctx):
+        # the levels' absolute sums bound the entries loosely here
+        n, a, b = (ctx.var(v) for v in "nab")
+        jf = JFraction.from_forms(
+            s_form=(a - 2 * b) * (n + 1) - 3 * a * a,
+            r_form=n * (5 * b * b - a) - 7,
+        )
+        self.check(jf, 6)
+
+    def test_rational_levels(self, ctx):
+        a, b = ctx.var("a"), ctx.var("b")
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        jf = JFraction.from_lists(
+            ctx, [a * third + 1, b * half - a, a * b * Fraction(2, 5)] * 2,
+            [a * half + b * third, b * Fraction(-3, 4), a * a] * 2,
+        )
+        series = self.check(jf, 6)
+        assert series[1] == a * third + 1
+
+    def test_zero_r_level(self, ctx):
+        a, b = ctx.var("a"), ctx.var("b")
+        jf = JFraction.from_lists(
+            ctx, [a + b, 2 * a - b, a * b, 3 + a] * 2, [a - 1, ctx.zero, b + 2] * 3,
+        )
+        series = self.check(jf, 7)
+        # with r_2 = 0 the walk stays in columns 0 and 1
+        capped = JFraction.from_lists(ctx, [a + b, 2 * a - b] * 4, [a - 1, ctx.zero] * 4)
+        assert series == j_expand(capped, 7)
+
+    @pytest.mark.parametrize("s0, r1", [(4, 0), (255, 0), (-8, 0), (3, 4), (-2, -4), (1, -1)])
+    def test_constant_levels(self, ctx, s0, r1):
+        # no variable occurs, so each walk entry is one integer; with every
+        # level positive the bound equals the coefficient, the widest digit
+        jf = JFraction.from_lists(ctx, consts(ctx, [s0] * 6), consts(ctx, [r1] * 6))
+        series = self.check(jf, 6)
+        if s0 > 0 and r1 == 0:
+            assert series == consts(ctx, [s0**n for n in range(7)])
+
+    def test_without_variables(self):
+        empty = VarContext([])
+        jf = JFraction.from_lists(empty, consts(empty, [1, 2, -3] * 2), consts(empty, [5, -1] * 3))
+        assert j_expand(jf, 5) == reference_walk(jf, 5)
+
+    def test_univariate(self):
+        zctx = VarContext(["z"])
+        z = zctx.var("z")
+        jf = JFraction.from_lists(zctx, [z + 1, 2 * z, z**3 - z] * 2, [z**2, 3 - z, z] * 2)
+        self.check(jf, 6)
+
+    def test_pair_homogeneous_levels(self, ctx):
+        # as in centered: every level is homogeneous in (a, b), so the pair
+        # (a, b) leaves each level one fiber and any single variable several
+        n, a, b, q = (ctx.var(v) for v in "nabq")
+        jf = JFraction.from_forms(
+            s_form=(a * n + b) * (a * q + 2),
+            r_form=(a * (n - 1) + 2 * b) * n * a * (a * q + 2),
+        )
+        s, r = _levels(jf, 6)
+        shift, step = _direction(ctx, [p.terms for p in s + r])
+        sa, sb = (ctx._shifts[ctx.index(v)] for v in "ab")
+        assert (shift, step) == (sa, (1 << sa) - (1 << sb))
+        self.check(jf, 6)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_shallow_depths(self, ctx, depth):
+        a, b = ctx.var("a"), ctx.var("b")
+        jf = JFraction.from_lists(ctx, [a - b, b * Fraction(1, 2)], [a * b + 1])
+        self.check(jf, depth)
+
+    @pytest.mark.parametrize("name, packed", [("minimax-tree", ("p",)),
+                                              ("centered", ("a1", "a2"))])
+    def test_direction_of_the_benchmark_fractions(self, name, packed):
+        fam = CATALOG[name]()
+        s, r = _levels(fam.jfraction, 40)
+        shift, step = _direction(fam.ctx, [p.terms for p in s + r])
+        shifts = [fam.ctx._shifts[fam.ctx.index(v)] for v in packed]
+        if len(shifts) == 1:
+            want = (shifts[0], (1 << shifts[0]) + (1 << fam.ctx._deg_shift))
+        else:
+            want = (shifts[0], (1 << shifts[0]) - (1 << shifts[1]))
+        assert (shift, step) == want
+
+    @given(st.integers(0, 7), st.lists(LEVEL, min_size=7, max_size=7),
+           st.lists(LEVEL, min_size=7, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_walk(self, depth, s_terms, r_terms):
+        ctx = VarContext(["a", "b"])
+        jf = JFraction.from_lists(ctx, [poly_of(ctx, t) for t in s_terms],
+                                  [poly_of(ctx, t) for t in r_terms])
+        assert j_expand(jf, depth) == reference_walk(jf, depth)
+
+    def test_overflow_in_the_packed_direction(self, ctx):
+        # a alone leaves the levels the fewest fibers, so e_a is packed
+        a, q = ctx.var("a"), ctx.var("q")
+        level = ctx.var("a", 40000) * (1 + a) + q
+        jf = JFraction.from_lists(ctx, [level, level], [ctx.one])
+        s, r = _levels(jf, 2)
+        shift, _ = _direction(ctx, [p.terms for p in s + r])
+        assert shift == ctx._shifts[ctx.index("a")]
+        with pytest.raises(ValueError, match="exponent exceeds 65535"):
+            j_expand(jf, 2)
+
+    def test_overflow_in_a_fiber_key_variable(self, ctx):
+        # a is packed again, so e_q lives in the fiber keys
+        a = ctx.var("a")
+        level = ctx.var("q", 40000) * (1 + a) ** 2
+        jf = JFraction.from_lists(ctx, [level, level], [ctx.one])
+        s, r = _levels(jf, 2)
+        shift, _ = _direction(ctx, [p.terms for p in s + r])
+        assert shift == ctx._shifts[ctx.index("a")]
+        with pytest.raises(ValueError, match="exponent exceeds 65535"):
+            j_expand(jf, 2)
+
+    def test_checked_walk_without_overflow(self, ctx):
+        # total degree 84000 at row 2 turns the exponent check on; every
+        # exponent stays within the width.  The pair (q, a) is packed, and
+        # row 2's fiber keys hold e_q + e_a = 84000, past a's field
+        a, q = ctx.var("a"), ctx.var("q")
+        level = ctx.var("a", 21000) * ctx.var("q", 20999) * (q - 2 * a) + 3 * q
+        jf = JFraction.from_lists(ctx, [level, -level], [a * q - 5])
+        s, r = _levels(jf, 2)
+        sq, sa = (ctx._shifts[ctx.index(v)] for v in "qa")
+        assert _direction(ctx, [p.terms for p in s + r]) == (sq, (1 << sq) - (1 << sa))
+        assert j_expand(jf, 2) == reference_walk(jf, 2)
 
 
 class TestRisingProductSeries:
