@@ -23,7 +23,10 @@ A J-fraction's series is the first column of its unit-upstep walk
 only along one direction (a variable, or a pair of variables at a fixed
 exponent sum) form a fiber, held as one integer with each coefficient at
 its own bit offset, so a level times an entry is a few big-integer
-products.  Only the first column is unpacked.
+products.  Only the first column is unpacked, one row at a time
+(``_series``): ``cf_match`` and ``check_hankel_factorization`` compare
+each row as the walk reaches it, so they hold one series row at a time
+and stop the walk at the first row that does not match.
 """
 
 from __future__ import annotations
@@ -213,11 +216,21 @@ def j_expand(jf: JFraction, depth: int) -> list[Poly]:
 
         D[n][k] = D[n-1][k-1] + s_k D[n-1][k] + r_(k+1) D[n-1][k+1],  D[0][0] = 1.
 
-    Coefficient n only involves s and r levels up to n.  A walk entry that
-    cannot return to column zero by row ``depth`` is left out, so row n stops
-    at height min(n, depth - n).  ``_levels`` gives the levels read, and caps
-    the height at a zero r level; an extracted terminated fraction ends in
-    its zero r, so the cap covers it too.
+    Coefficient n only involves s and r levels up to n.  The walk is
+    ``_series``, collected into a list.
+    """
+    return list(_series(jf, depth))
+
+
+def _series(jf: JFraction, depth: int) -> Iterator[Poly]:
+    """Yield the coefficients of ``j_expand`` one at a time, each as the
+    walk reaches its row, so a caller that compares them as they arrive
+    holds one at a time and can stop the walk at its first bad row.
+
+    A walk entry that cannot return to column zero by row ``depth`` is left
+    out, so row n stops at height min(n, depth - n).  ``_levels`` gives the
+    levels read, and caps the height at a zero r level; an extracted
+    terminated fraction ends in its zero r, so the cap covers it too.
 
     The walk runs on packed fibers (``_walk``).  A path to row n takes a
     s-steps and u r-steps with a + 2u = n, so with ``den`` the lcm of the
@@ -257,7 +270,7 @@ def j_expand(jf: JFraction, depth: int) -> list[Poly]:
         def guard(level: dict, entry: dict) -> None:
             _check_exponents(_unpack(level, step, width), _unpack(entry, step, width), nvars)
 
-    out = [ctx.one]
+    yield ctx.one
     for n, row in enumerate(
         _walk([_pack(t, sv, step, width) for t in s_int],
               [_pack(t, sv, step, width) for t in r_int], depth, cap, guard),
@@ -267,8 +280,7 @@ def j_expand(jf: JFraction, depth: int) -> list[Poly]:
         if den > 1:
             scale = den**n
             terms = {key: _as_rational(mpq(c, scale)) for key, c in terms.items()}
-        out.append(Poly(ctx, terms))
-    return out
+        yield Poly(ctx, terms)
 
 
 def _scaled(terms: dict, factor: int) -> dict:
@@ -438,15 +450,12 @@ def cf_match(
     scale^n, unless the fraction is already the cleared one (``prescaled``),
     in which case its expansion equals the stored rows directly.  With
     ``eval_at`` the rows and the scale are first evaluated at var = eval_at
-    (for fractions that describe the rows at a fixed argument).
+    (for fractions that describe the rows at a fixed argument).  Each row
+    is compared as the walk yields it, so a mismatch stops the walk there.
     """
-    # checked before the expansion, which is the costly part
-    if depth > triangle.depth:
-        raise ValueError("triangle not materialized deep enough")
     if isinstance(fraction, SFraction):
-        series = s_expand(fraction, depth)
-    else:
-        series = j_expand(fraction, depth)
+        fraction = contract(fraction)
+    series = _series(fraction, depth)
     at = None if eval_at is None else {var: eval_at}
     return _row_mismatch(triangle, series, depth, var, at, scaled=not prescaled) is None
 
@@ -519,11 +528,13 @@ def check_hankel_factorization(t: Triangle, size: int) -> bool:
     column walk, and V*_k is the product of its first k weights.  For every
     walk D* V* (D*)^T is the Hankel block of D*'s first column, the
     fraction's series, so the block factors exactly when the triangle's
-    first column equals that series through row 2(size-1).
+    first column equals that series through row 2(size-1).  The rows are
+    compared as the walk yields them, up to the first mismatch.
     """
     if t.spec is None:
         raise ValueError("hankel factorization needs the triangle's recurrence spec")
     depth = 2 * (size - 1)
     if depth > t.depth:
         raise ValueError("triangle not materialized deep enough")
-    return t.first_column()[:depth + 1] == j_expand(triangle_jfraction(t.spec), depth)
+    series = _series(triangle_jfraction(t.spec), depth)
+    return all(a == b for a, b in zip(t.first_column()[:depth + 1], series, strict=True))

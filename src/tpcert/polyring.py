@@ -496,7 +496,9 @@ def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":
     """Terms of the product of two integer coefficient maps, computed with
     one big-integer product per pair of fibers; None when the plain dict
     kernel should run instead (a rational coefficient, a product too small
-    or too lopsided to repay the packing, or fibers that do not collapse).
+    or too lopsided to repay the packing, fibers that do not collapse, or
+    total degrees summing past the degree field, which would carry into
+    the s field above it).
 
     ``a`` is the operand with fewer terms.  For a variable pair (v, w), the
     fiber of a monomial is the monomial with e_v and e_w replaced by their
@@ -511,6 +513,9 @@ def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":
     """
     la, lb = len(a), len(b)
     if la * lb < 16 * (la + lb):
+        return None
+    deg_shift = _BITS * nvars
+    if (max(a) >> deg_shift) + (max(b) >> deg_shift) > _MASK:
         return None
     for terms in (a, b):
         for c in terms.values():

@@ -196,22 +196,25 @@ def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict, prune: bool 
     Every minor comes from the memoized cofactor expansion.  An exhaustive
     scan reaches every order-r minor after all the order-(r-1) ones, so
     each costs r products; the lower minors of a contiguous window are
-    filled in by the recursion and shared by overlapping windows.  No minor
-    reads one of the highest order, so those are checked and dropped, not
-    memoized.  With ``prune`` (an exhaustive scan of every row subset),
+    filled in by the recursion and shared by overlapping windows.  A minor
+    is memoized only when a later one reads it: the expansion of (R, C)
+    reads cofactors with rows R[:-1], so no minor reads one of the highest
+    order, nor one whose rows hold the block's last row.  Those are checked
+    and dropped.  With ``prune`` (an exhaustive scan of every row subset),
     starting order r deletes the memo entries of order r-2 and below: the
     order-r minors read only order-(r-1) cofactors, all memoized by then.
     """
     checked = 0
     top = len(row_subsets[-1]) if row_subsets else 0
+    last = m.nrows - 1
     order = 0
     for rows in row_subsets:
         if len(rows) != order:
             order = len(rows)
-            det = _expand if order == top > 1 else _det_cofactor
             if prune:
                 for key in [key for key in memo if len(key[0]) < order - 1]:
                     del memo[key]
+        det = _expand if order > 1 and (order == top or rows[-1] == last) else _det_cofactor
         for cols in _subset_iter(m.ncols, order, contiguous):
             d = det(m, rows, cols, memo)
             checked += 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 from .polyring import Poly, RatFunc, VarContext, _horner
 
@@ -235,15 +235,17 @@ def _evaluate(p: Poly, at: Mapping[str, Poly]) -> Poly:
     return p
 
 
-def _row_mismatch(t: Triangle, want: PolySeq, upto: int, var: str,
+def _row_mismatch(t: Triangle, want: Iterable[Poly], upto: int, var: str,
                   at: Mapping[str, Poly] | None = None, scaled: bool = True):
     """First row n <= upto whose polynomial is not want[n] * scale^n, as
     (n, true row value), or None when every row matches.
 
-    Unless ``scaled``, want[n] is compared as it is.  With an assignment
-    ``at`` (variable -> value) given, the rows and the scale are both
-    evaluated there first; a scale that involves an assigned variable would
-    otherwise stay symbolic.
+    ``want`` may be any iterable: row n is compared as it arrives, and no
+    entry past the first mismatch is drawn.  One that ends before row
+    ``upto`` raises ValueError.  Unless ``scaled``, want[n] is compared as
+    it is.  With an assignment ``at`` (variable -> value) given, the rows
+    and the scale are both evaluated there first; a scale that involves an
+    assigned variable would otherwise stay symbolic.
     """
     if upto > t.depth:
         raise ValueError("triangle not materialized deep enough")
@@ -253,9 +255,13 @@ def _row_mismatch(t: Triangle, want: PolySeq, upto: int, var: str,
         point = ", ".join(f"{v} = {p}" for v, p in at.items())
         raise ValueError(f"the clearing denominator {t.scale} vanishes at {point}")
     spow = t.ctx.one
+    want = iter(want)
     for n in range(upto + 1):
+        w = next(want, None)
+        if w is None:
+            raise ValueError(f"the series ends before row {n} of the {upto + 1} to check")
         got = _evaluate(t.row_gf(n, var), at)
-        if got != want[n] * spow:
+        if got != w * spow:
             return n, RatFunc(got, spow)
         spow = spow * scale
     return None

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpcert import contfrac
 from tpcert.contfrac import (
     DegenerateFraction,
     JFraction,
@@ -634,6 +635,27 @@ class TestCfMatch:
         with pytest.raises(ValueError, match="vanishes"):
             cf_match(t, SFraction.from_list(ctx, consts(ctx, [3, 0, 0, 0, 0])), 5,
                      eval_at=ctx.zero)
+
+    def test_a_mismatch_stops_the_walk(self, ctx, monkeypatch):
+        # rows (1 + q)^n, while the fraction's s_0 = 2 + q differs at row 1
+        q, n = ctx.var("q"), ctx.var("n")
+        t = build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (ctx.one, ctx.one)), 40)
+        jf = JFraction.from_forms(2 + q + n, n * q)
+        walk = contfrac._walk
+        yielded = []
+
+        def counted(*args, **kwargs):
+            yielded.append(0)
+            for row in walk(*args, **kwargs):
+                yielded[-1] += 1
+                yield row
+
+        monkeypatch.setattr(contfrac, "_walk", counted)
+        assert not cf_match(t, jf, 40)
+        # the bound walk over the levels' absolute sums runs whole; the
+        # walk of the series stops at the bad row
+        assert len(yielded) == 2 and yielded[0] == 40
+        assert yielded[1] <= 2
 
     def test_split_helper(self, ctx):
         n = ctx.var("n")

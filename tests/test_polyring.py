@@ -365,6 +365,33 @@ class TestFiberProduct:
         assert (r * p).terms == dict_product(r, p)
         assert (r * p) - (p * p) == FIBER_CTX.parse("1/3*q^7") * p
 
+    def test_total_degree_past_the_degree_field(self):
+        # every exponent fits, but the product's total degree 80000 does not
+        # fit the 16-bit degree field of a fiber key
+        ctx = VarContext(["a", "q"])
+        p = ctx.from_terms([(i + 1, {"a": 20000 + i, "q": 20000 - i}) for i in range(40)])
+        assert fiber_product(p, p) is None
+        assert (p * p).terms == dict_product(p, p)
+        assert (p * p).total_degree() == 80000
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.integers(65535 - 40, 65535 + 40))
+    def test_total_degrees_near_the_degree_field(self, data, total):
+        ctx = VarContext(["a", "q", "x"])
+
+        def homogeneous(degree):
+            # one (a, q) fiber per power of x, each exponent near degree / 2
+            mid = degree // 2
+            terms = [(data.draw(SMALL), {"a": mid + i, "q": degree - j - mid - i, "x": j})
+                     for j in range(4) for i in range(-5, 5)]
+            return ctx.from_terms(terms)
+
+        first = data.draw(st.integers(total // 2 - 100, total // 2 + 100))
+        p, q = homogeneous(first), homogeneous(total - first)
+        assert (fiber_product(p, q) is None) == (total > 65535)
+        assert (p * q).terms == dict_product(p, q)
+        assert (p * q).total_degree() == total
+
     def test_small_and_lopsided_products_use_the_dict_kernel(self):
         q, d, lam = (FIBER_CTX.var(nm) for nm in ("q", "d", "lam"))
         big = (1 + q + d + lam) ** 12

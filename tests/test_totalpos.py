@@ -488,16 +488,21 @@ def record_checked(monkeypatch):
 
 
 class OrderCountingMemo(dict):
-    """A scan memo that keeps count of the entries it holds per order."""
+    """A scan memo that keeps count of the entries it holds per order, of
+    its largest size, and of every row set stored in it."""
 
     def __init__(self):
         super().__init__()
         self.held = collections.Counter()
+        self.largest = 0
+        self.stored_rows = set()
 
     def __setitem__(self, key, value):
         if key not in self:
             self.held[len(key[0])] += 1
+        self.stored_rows.add(key[0])
         super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
 
     def __delitem__(self, key):
         super().__delitem__(key)
@@ -562,7 +567,8 @@ class TestScanMemo:
 
     def test_serial_memo_holds_only_the_cofactors_next_read(self, block, monkeypatch):
         # at each checked order-r minor the memo holds orders r-1 and r, and
-        # at the top order only r-1: a top-order minor is never stored
+        # at the top order only r-1: a top-order minor is never stored, nor
+        # one whose rows hold the last row, which no cofactor expansion reads
         memo = OrderCountingMemo()
         scan = totalpos._scan
 
@@ -583,7 +589,11 @@ class TestScanMemo:
             r = len(rows)
             assert orders <= ({r - 1} if r == 7 else {r - 1, r}), (r, orders)
         assert memo.orders() == {6}
-        assert memo.held[6] == 7 * 7
+        # the one order-6 row set without row 6, times 7 column sets
+        assert memo.held[6] == 7
+        assert all(6 not in rows for rows in memo.stored_rows)
+        # orders 3 and 4 without row 6: C(6,3) C(7,3) + C(6,4) C(7,4)
+        assert memo.largest == 20 * 35 + 15 * 35 == 1225
 
     @pytest.mark.parametrize("name", sorted(SCAN_PRODUCTS))
     def test_every_scan_forms_the_same_products(self, name, monkeypatch):

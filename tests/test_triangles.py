@@ -10,6 +10,7 @@ from tpcert.triangles import (
     ROW_SHIFT,
     RecurrenceSpec,
     Triangle,
+    _row_mismatch,
     build_triangle,
     check_companion_relation,
     check_product_formula,
@@ -289,6 +290,28 @@ def two_to_the_n_cleared_by_q(ctx, depth=6):
     # true coefficients 1 and 1/q, cleared by q: stored rows 2^n q^n, true rows 2^n
     q = ctx.var("q")
     return build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (q, ctx.one), denominator=q), depth)
+
+
+class TestRowMismatch:
+    def test_a_series_that_ends_early_raises(self, ctx):
+        t = pascal(ctx)
+        series = [(1 + ctx.var("q")) ** n for n in range(5)]
+        assert _row_mismatch(t, series, 4, "q") is None
+        for short in (series, iter(series)):
+            with pytest.raises(ValueError, match="ends before row 5"):
+                _row_mismatch(t, short, 6, "q")
+
+    def test_rows_are_drawn_up_to_the_first_mismatch(self, ctx):
+        q = ctx.var("q")
+        drawn = []
+
+        def series():
+            for n in range(9):
+                drawn.append(n)
+                yield q if n == 3 else (1 + q) ** n
+
+        assert _row_mismatch(pascal(ctx), series(), 8, "q")[0] == 3
+        assert drawn == [0, 1, 2, 3]
 
 
 class TestProductFormula:
