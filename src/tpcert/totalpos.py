@@ -5,6 +5,17 @@ of order <= r has nonnegative coefficients.  Everything here is a statement
 about a finite truncation, and reports carry the truncation size so the
 certificates stay honest about what was actually checked.
 
+A minor scan whose block holds integer polynomials in at most one variable v
+runs on plain integers: the block is encoded once under the Kronecker
+substitution v -> 2^W (``_encode``), and since the scan uses only ``*``,
+``+``, ``-`` and truthiness, the same scan forms minor(2^W) for each minor.
+W is one bit longer than a bound on the l1 norm of every minor scanned, so
+every coefficient lies in (-2^(W-1), 2^(W-1)); one mask of the top bit of
+every W-bit digit then tells whether a minor has a negative coefficient,
+and only a failing minor is read back into a ``Poly``.  Blocks with a
+rational coefficient, two or more variables, sparse entries, or minors
+whose degree might pass 65535 are scanned on their ``Poly`` entries.
+
 Sequence containers follow the mathematical indexing of tridiagonal
 matrices: diagonal s_0, s_1, ..., superdiagonal r_0, r_1, ..., subdiagonal
 t_1, t_2, ...; list arguments for t therefore carry an unused placeholder at
@@ -15,11 +26,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, prod
+from operator import or_
 from typing import Sequence
 
-from .polyring import Poly, VarContext, _monomial_text, render
+from .polyring import _BITS, _MASK, Poly, VarContext, _monomial_text, _put_digits, render
 
 PolySeq = Sequence[Poly]
 
@@ -46,6 +59,10 @@ class PolyMatrix:
 
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]
+
+    @property
+    def _zero(self):
+        return self.ctx.zero
 
 
 def hankel(seq: PolySeq, size: int) -> PolyMatrix:
@@ -93,7 +110,7 @@ def _expand(m: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> Poly:
     cofactors go through the memo, the minor itself is not stored."""
     rest = rows[:-1]
     order = len(rows)
-    d = m.ctx.zero
+    d = m._zero
     row_entries = m.entries[rows[-1]]
     for idx in range(order):
         e = row_entries[cols[idx]]
@@ -118,6 +135,81 @@ def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> Poly:
     if min(rows + cols) < 0 or max(rows) >= m.nrows or max(cols) >= m.ncols:
         raise ValueError("row/column index out of range")
     return _det_cofactor(m, rows, cols, {})
+
+
+# ---------------------------------------------------------------------------
+# one-variable integer blocks
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _IntBlock(PolyMatrix):
+    """A block of integer polynomials in at most one variable v, each entry
+    replaced by its value at v = 2^width: the coefficient of v^i sits in
+    digit i.  ``high`` holds the top bit of every digit a scanned minor may
+    have, and ``step`` is v's packed key, so digit i decodes to the key
+    i * step."""
+
+    step: int
+    width: int
+    high: int
+
+    _zero = 0
+
+    def decode(self, x: int) -> Poly:
+        """The polynomial whose value at v = 2^width is ``x``; every
+        coefficient must lie in [-2^(width-1), 2^(width-1))."""
+        terms = {}
+        _put_digits(terms, ((0, x),), self.step, self.width)
+        return Poly(self.ctx, terms)
+
+
+def _encode(m: PolyMatrix, order: int) -> "_IntBlock | None":
+    """``m`` encoded for a scan of the minors of order <= ``order``, or None
+    when its entries keep ``Poly`` form: a rational coefficient, two or more
+    variables, entries much sparser than their degrees (more than four
+    digits per term), or minors whose degree might pass 65535 (the ``Poly``
+    product raises on those as it always has).
+
+    W is one bit longer than B, the product of the ``order`` largest row sums
+    of the entries' absolute coefficient sums (at least 1 each).  That norm
+    is submultiplicative and subadditive, so it is at most B for every
+    minor of order <= ``order``, and so is every coefficient.  A minor then
+    has degree at most order * (largest entry degree), and a nonnegative
+    integer whose digits up to there all lack the top bit has exactly those
+    digits as its coefficients.
+    """
+    deg_shift = m.ctx._deg_shift
+    occurring = degree = terms = digits = 0
+    norms = []
+    for row in m.entries:
+        norm = 0
+        for e in row:
+            if not e:
+                continue
+            for c in e.terms.values():
+                if type(c) is not int:
+                    return None
+                norm += abs(c)
+            top = max(e.terms) >> deg_shift
+            occurring |= reduce(or_, e.terms)
+            degree = max(degree, top)
+            terms += len(e.terms)
+            digits += top + 1
+        norms.append(max(norm, 1))
+    fields = occurring & ((1 << deg_shift) - 1)
+    shift = (fields.bit_length() - 1) // _BITS * _BITS if fields else 0
+    if fields & ((1 << shift) - 1) or digits > 4 * terms or order * degree > _MASK:
+        return None
+    width = prod(sorted(norms, reverse=True)[:order]).bit_length() + 1
+    digit = (1 << width) - 1
+    high = (1 << width * (order * degree + 1)) // digit << (width - 1)
+    entries = [
+        [sum(c << (key >> deg_shift) * width for key, c in e.terms.items()) for e in row]
+        for row in m.entries
+    ]
+    step = (1 << shift) + (1 << deg_shift) if fields else 0
+    return _IntBlock(m.ctx, entries, step, width, high)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +265,22 @@ class TPReport:
         }
 
 
-def _first_negative(p: Poly):
-    """(monomial, coefficient) of the first negative coefficient in
-    descending graded-lex order, or None."""
-    negative = [key for key, c in p.terms.items() if c < 0]
+def _first_negative(m: PolyMatrix, d):
+    """``(d as a Poly, monomial, coefficient)`` of the first negative
+    coefficient of the minor ``d`` in descending graded-lex order, or None.
+
+    An encoded minor (an int) has none exactly when it is nonnegative and
+    none of its digits has the top bit set; only then is it left unread.
+    """
+    if not isinstance(d, Poly):
+        if d >= 0 and not d & m.high:
+            return None
+        d = m.decode(d)
+    negative = [key for key, c in d.terms.items() if c < 0]
     if not negative:
         return None
     key = max(negative)
-    return _monomial_text(p.ctx.names, p.ctx.unpack(key)) or "1", p.terms[key]
+    return d, _monomial_text(d.ctx.names, d.ctx.unpack(key)) or "1", d.terms[key]
 
 
 def _subset_iter(n: int, m: int, contiguous: bool):
@@ -203,6 +303,16 @@ def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict, prune: bool 
     and dropped.  With ``prune`` (an exhaustive scan of every row subset),
     starting order r deletes the memo entries of order r-2 and below: the
     order-r minors read only order-(r-1) cofactors, all memoized by then.
+
+    ``m`` is a ``PolyMatrix`` or the ``_IntBlock`` that ``_encode`` makes of
+    a one-variable integer block: each entry is its value at v = 2^W, with W
+    one bit past a bound on the l1 norm of every minor scanned, so the same
+    expansion forms each minor's value at 2^W, with the same memo, order,
+    products and count.  ``_first_negative`` tests such a minor with one
+    mask of its digits' top bits and decodes it, for the witness, only when
+    it fails.  Blocks with a rational coefficient, two or more variables,
+    sparse entries or minors that might pass degree 65535 keep their
+    ``Poly`` entries.
     """
     checked = 0
     top = len(row_subsets[-1]) if row_subsets else 0
@@ -218,9 +328,9 @@ def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict, prune: bool 
         for cols in _subset_iter(m.ncols, order, contiguous):
             d = det(m, rows, cols, memo)
             checked += 1
-            bad = _first_negative(d)
+            bad = _first_negative(m, d)
             if bad is not None:
-                return checked, TPWitness(order, rows, cols, d, *bad)
+                return checked, TPWitness(order, rows, cols, *bad)
     return checked, None
 
 
@@ -240,10 +350,16 @@ def is_totally_positive(
     pre-filter, not a certificate).  ``jobs`` > 1 distributes the row
     subsets over at most ``jobs`` worker processes, no more than there are
     row subsets or CPUs.
+
+    A block of integer polynomials in at most one variable is scanned as
+    integers (see ``_encode``); the report is the same either way.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     order = min(order, m.nrows, m.ncols)
+    encoded = _encode(m, order)
+    if encoded is not None:
+        m = encoded
     row_subsets = [
         rows
         for size in range(1, order + 1)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Sequence
 
-from .polyring import Poly, RatFunc, VarContext, _horner
+from .polyring import Poly, RatFunc, VarContext, _check_exponents, _horner
 
 PolySeq = Sequence[Poly]
 
@@ -105,13 +105,30 @@ class Triangle:
         """Row generating function: sum of rows[n][k] * var^k."""
         if n > self.depth:
             raise IndexError(f"row {n} beyond materialized depth {self.depth}")
-        q = self.ctx.var(var)
-        acc = self.ctx.zero
-        # not _horner: times q**k only shifts keys, so each term is copied once
+        step = self.ctx.var(var).leading()[0]
+        nvars = len(self.ctx.names)
+        # times var**k only shifts keys by k * step, so every entry's terms
+        # go into one map, each copied once
+        out: dict = {}
+        get = out.get
         for k, e in enumerate(self.rows[n]):
-            if e:
-                acc = acc + e * q**k
-        return acc
+            if not e:
+                continue
+            shift = k * step
+            if shift:
+                _check_exponents({shift: 1}, e.terms, nvars)
+            for key, c in e.terms.items():
+                key += shift
+                v = get(key)
+                if v is None:
+                    out[key] = c
+                else:
+                    v = v + c
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        return Poly(self.ctx, out)
 
     def row_gfs(self, var: str = "q") -> list[Poly]:
         return [self.row_gf(n, var) for n in range(self.depth + 1)]

@@ -4,13 +4,18 @@ import collections
 import math
 import multiprocessing
 import random
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from tpcert import contfrac, families, polyring, totalpos
+from tpcert import cli, contfrac, families, polyring, totalpos
 from tpcert.contfrac import check_hankel_factorization
 from tpcert.polyring import VarContext
 from tpcert.totalpos import (
@@ -25,6 +30,9 @@ from tpcert.totalpos import (
     tridiagonal_tp_criteria,
 )
 from tpcert.triangles import COLUMN_WALK, ROW_SHIFT, RecurrenceSpec, build_triangle, reciprocal
+
+PLANS = Path(__file__).resolve().parent.parent / "plans"
+SMALL_RING = ("eulerian", "bell-walk", "stirling-partition", "stirling-permutation")
 
 
 @pytest.fixture
@@ -475,13 +483,14 @@ def scan_order(n, order, contiguous=False):
 
 
 def record_checked(monkeypatch):
-    """Patch the scan to append every minor it checks to the returned list."""
+    """Patch the scan to append every minor it checks to the returned list,
+    read back into a Poly when the scan runs on an encoded block."""
     checked = []
     first_negative = totalpos._first_negative
 
-    def record(d):
-        checked.append(d)
-        return first_negative(d)
+    def record(m, d):
+        checked.append(d if isinstance(d, polyring.Poly) else m.decode(d))
+        return first_negative(m, d)
 
     monkeypatch.setattr(totalpos, "_first_negative", record)
     return checked
@@ -536,11 +545,14 @@ def small_ring_block(name):
 
 class TestScanMemo:
     """The scan takes every minor from the memoized cofactor expansion;
-    sympy's determinant is the reference at orders 5-7."""
+    sympy's determinant is the reference at orders 5-7.  The small-ring
+    blocks are scanned encoded, so the hooks sit on the encoded seam."""
 
     @pytest.fixture(scope="class")
     def block(self):
-        return small_ring_block("eulerian")
+        block = small_ring_block("eulerian")
+        assert isinstance(totalpos._encode(block, 7), totalpos._IntBlock)
+        return block
 
     def test_scanned_minors_match_sympy(self, block, monkeypatch):
         checked = record_checked(monkeypatch)
@@ -578,9 +590,9 @@ class TestScanMemo:
         held = []
         first_negative = totalpos._first_negative
 
-        def record(d):
+        def record(m, d):
             held.append(memo.orders())
-            return first_negative(d)
+            return first_negative(m, d)
 
         monkeypatch.setattr(totalpos, "_scan", scan_with_memo)
         monkeypatch.setattr(totalpos, "_first_negative", record)
@@ -597,13 +609,32 @@ class TestScanMemo:
 
     @pytest.mark.parametrize("name", sorted(SCAN_PRODUCTS))
     def test_every_scan_forms_the_same_products(self, name, monkeypatch):
+        # the entries of the encoded block count each product they take part
+        # in, with both operands' terms read back, and no Poly product is
+        # formed at all
         block = small_ring_block(name)
         sizes = []
+        poly_products = []
         mul = polyring.Poly.__mul__
+        encode = totalpos._encode
 
-        def counted(a, b):
-            sizes.append((len(a.terms), len(b.terms)))
+        def poly_counted(a, b):
+            poly_products.append((a, b))
             return mul(a, b)
+
+        def encode_counted(m, order):
+            encoded = encode(m, order)
+
+            def terms(x):
+                return len(encoded.decode(x).terms)
+
+            class Counted(int):
+                def __mul__(a, b):
+                    sizes.append((terms(a), terms(b)))
+                    return int(a) * int(b)
+
+            encoded.entries = [[Counted(e) for e in row] for row in encoded.entries]
+            return encoded
 
         def products():
             out = (len(sizes), sum(a * b for a, b in sizes), sum(a + b for a, b in sizes))
@@ -629,7 +660,8 @@ class TestScanMemo:
                     shares.append(products())
                 return results
 
-        monkeypatch.setattr(polyring.Poly, "__mul__", counted)
+        monkeypatch.setattr(polyring.Poly, "__mul__", poly_counted)
+        monkeypatch.setattr(totalpos, "_encode", encode_counted)
         monkeypatch.setattr(
             multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool)
         )
@@ -641,9 +673,183 @@ class TestScanMemo:
         assert products() == want["contiguous"]
         assert is_totally_positive(block, 7, jobs=2).ok
         assert shares == want["shares"]
+        assert poly_products == []
 
     def test_workers_with_empty_memos_match_serial(self, block, monkeypatch):
         serial = is_totally_positive(block, 6).to_dict()
         assert serial["result"] == "pass"
         monkeypatch.setattr(totalpos, "_usable_cpus", lambda: 2)
         assert is_totally_positive(block, 6, jobs=2).to_dict() == serial
+
+
+def poly_report(m, order, **kwargs):
+    """``is_totally_positive`` with the block kept in Poly form."""
+    with mock.patch.object(totalpos, "_encode", lambda m, order: None):
+        return is_totally_positive(m, order, **kwargs)
+
+
+def first_negative_of(p):
+    """(monomial text, coefficient) of the highest negative term, or None."""
+    negative = [exps for exps, c in p.sorted_terms() if c < 0]
+    if not negative:
+        return None
+    exps = negative[0]
+    return polyring._monomial_text(p.ctx.names, exps) or "1", p.terms[p.ctx.pack(exps)]
+
+
+QCTX = VarContext(["n", "k", "q", "eps"])
+
+
+@st.composite
+def one_variable_blocks(draw):
+    """A square block of integer polynomials in q of degree <= 3, mixed signs,
+    coefficients up to 2^bits (that bound itself often), and an order."""
+    size = draw(st.integers(1, 4))
+    bits = draw(st.sampled_from((1, 3, 40, 70)))
+    coeff = st.one_of(st.integers(-(2**bits), 2**bits), st.sampled_from((2**bits, -(2**bits))))
+
+    def entry():
+        return QCTX.from_terms(
+            (draw(coeff), {"q": draw(st.integers(0, 3))})
+            for _ in range(draw(st.integers(0, 3)))
+        )
+
+    block = PolyMatrix(QCTX, [[entry() for _ in range(size)] for _ in range(size)])
+    return block, draw(st.integers(1, size))
+
+
+class TestEncodedScan:
+    """A one-variable integer block is scanned as integers at q = 2^W; the
+    Poly scan and sympy are the references."""
+
+    @pytest.mark.parametrize("name", SMALL_RING)
+    def test_small_ring_blocks_report_as_on_poly_entries(self, name):
+        block = small_ring_block(name)
+        assert isinstance(totalpos._encode(block, 7), totalpos._IntBlock)
+        assert is_totally_positive(block, 7).to_dict() == poly_report(block, 7).to_dict()
+
+    def test_interior_peak_witness_as_on_poly_entries(self):
+        fam = families.CATALOG["interior-peak"]()
+        block = hankel(build_triangle(fam.spec, 10).row_gfs(fam.gf_var), 6)
+        assert isinstance(totalpos._encode(block, 6), totalpos._IntBlock)
+        report = is_totally_positive(block, 6)
+        assert report.to_dict() == poly_report(block, 6).to_dict()
+        assert report.minors_checked == 42
+        assert report.witness.to_dict()["minor"] == "-4*q^2 + 16*q"
+
+    def test_shipped_one_variable_blocks_report_as_on_poly_entries(self, monkeypatch, capsys):
+        calls = []
+        scan = cli.is_totally_positive
+
+        def spy(m, order, **kwargs):
+            calls.append((m, order, kwargs.get("contiguous_only", False)))
+            return scan(m, order, **kwargs)
+
+        monkeypatch.setattr(cli, "is_totally_positive", spy)
+        monkeypatch.chdir(PLANS.parent)
+        plans = [f"plans/{p.name}" for p in sorted(PLANS.glob("*.yaml"))]
+        assert cli.main(["verify", *plans, "--format", "json"]) == 1
+        capsys.readouterr()
+        encoded = [
+            (m, order, contiguous) for m, order, contiguous in calls
+            if totalpos._encode(m, min(order, m.nrows, m.ncols)) is not None
+        ]
+        assert len(encoded) >= 5
+        for m, order, contiguous in encoded:
+            got = is_totally_positive(m, order, contiguous_only=contiguous).to_dict()
+            assert got == poly_report(m, order, contiguous_only=contiguous).to_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_variable_blocks())
+    def test_random_blocks_match_poly_entries_and_sympy(self, case):
+        block, order = case
+        assert isinstance(totalpos._encode(block, order), totalpos._IntBlock)
+        report = is_totally_positive(block, order)
+        assert report.to_dict() == poly_report(block, order).to_dict()
+        w = report.witness
+        if w is None:
+            return
+        sym = sympy_matrix(block)
+        assert w.minor == sympy_minor(QCTX, sym, w.rows, w.cols)
+        assert (w.monomial, w.coeff) == first_negative_of(w.minor)
+        size = block.nrows
+        earlier = scan_order(size, order)[: report.minors_checked - 1]
+        assert all(sympy_minor(QCTX, sym, r, c).is_nonneg() for r, c in earlier)
+
+    def test_coefficients_at_the_width_bound(self, ctx):
+        # a diagonal block: the full minor's one coefficient is the product
+        # of the row sums itself, so its digit needs the whole width
+        q = ctx.var("q")
+        c = [2**61 - 1, 3**40, 2**70 + 5]
+        for sign in (1, -1):
+            diag = [c[0] * q, ctx.const(c[1]), sign * c[2] * q**3]
+            z = ctx.zero
+            block = PolyMatrix(ctx, [[diag[i] if i == j else z for j in range(3)]
+                                     for i in range(3)])
+            encoded = totalpos._encode(block, 3)
+            assert encoded.width == math.prod(c).bit_length() + 1
+            report = is_totally_positive(block, 3)
+            assert report.to_dict() == poly_report(block, 3).to_dict()
+            assert report.ok == (sign == 1)
+            if sign == -1:
+                w = report.witness
+                assert (w.order, w.monomial, w.coeff) == (1, "q^3", -c[2])
+                full = minor(block, range(3), range(3))
+                assert encoded.decode(
+                    totalpos._det_cofactor(encoded, (0, 1, 2), (0, 1, 2), {})
+                ) == full == ctx.const(-math.prod(c)) * q**4
+
+    def test_a_negative_digit_above_the_entry_degrees(self, ctx):
+        # q^2 (q^2 + 1) - q * q^2: the minor's one negative coefficient sits
+        # at q^3, past every entry's degree and below its positive top term
+        q = ctx.var("q")
+        block = PolyMatrix(ctx, [[q**2, q], [q**2, q**2 + 1]])
+        report = is_totally_positive(block, 2)
+        assert report.to_dict() == poly_report(block, 2).to_dict()
+        w = report.witness
+        assert (w.order, w.monomial, w.coeff) == (2, "q^3", -1)
+        assert w.minor == q**4 - q**3 + q**2
+
+    def test_jobs_match_serial_on_an_encoded_block(self, monkeypatch):
+        fam = families.CATALOG["interior-peak"]()
+        block = hankel(build_triangle(fam.spec, 10).row_gfs(fam.gf_var), 6)
+        serial = is_totally_positive(block, 6).to_dict()
+        monkeypatch.setattr(totalpos, "_usable_cpus", lambda: 2)
+        assert is_totally_positive(block, 6, jobs=2).to_dict() == serial
+        passing = small_ring_block("stirling-partition")
+        assert (is_totally_positive(passing, 5, jobs=2).to_dict()
+                == is_totally_positive(passing, 5).to_dict())
+
+    def test_minors_past_the_degree_field_still_raise(self, ctx):
+        # dense entries of degree 33,000, so order-2 minors could reach
+        # degree 66,000: the scan keeps Poly entries and its first product
+        # raises
+        seq = [ctx.from_terms((1, {"q": e}) for e in range(33_000 + i + 1)) for i in range(3)]
+        block = hankel(seq, 2)
+        assert totalpos._encode(block, 2) is None
+        with pytest.raises(ValueError, match="an exponent exceeds 65535"):
+            is_totally_positive(block, 2)
+
+    def test_rational_two_variable_and_sparse_blocks_keep_poly_entries(self, ctx, monkeypatch):
+        q, eps = ctx.var("q"), ctx.var("eps")
+        blocks = {
+            "rational": hankel([ctx.const(Fraction(1, 2)) + q, q + 1, 2 * q + 1], 2),
+            "two variables": hankel([q + eps, q * eps + 1, q + 2 * eps], 2),
+            "sparse": hankel([q**40 + 1, q**41 + q, q**42 + 3], 2),
+        }
+        mul = polyring.Poly.__mul__
+        products = []
+
+        def counted(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(polyring.Poly, "__mul__", counted)
+        for name, block in blocks.items():
+            assert totalpos._encode(block, 2) is None, name
+            products.clear()
+            report = is_totally_positive(block, 2)
+            assert products, name
+            full = minor(block, (0, 1), (0, 1))
+            assert report.ok == (full.is_nonneg() and all(
+                e.is_nonneg() for row in block.entries for e in row)), name

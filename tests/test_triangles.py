@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tpcert import families
 from tpcert.polyring import VarContext
 from tpcert.triangles import (
     COLUMN_WALK,
@@ -90,6 +91,31 @@ def test_negative_depth_rejected(ctx):
 def test_row_gf_out_of_range(ctx):
     with pytest.raises(IndexError):
         pascal(ctx, 3).row_gf(4)
+
+
+def test_row_gf_is_the_sum_of_shifted_entries(ctx):
+    for name, make in families.CATALOG.items():
+        fam = make()
+        t = build_triangle(fam.spec, 8)
+        var = fam.ctx.var(fam.gf_var)
+        for n in range(9):
+            want = fam.ctx.zero
+            for k, e in enumerate(t.rows[n]):
+                want = want + e * var**k
+            assert t.row_gf(n, fam.gf_var) == want, (name, n)
+    # entries holding the variable itself: shifted terms meet and cancel
+    q = ctx.var("q")
+    t = Triangle(ctx, [[ctx.one], [q, -ctx.one], [q**2, 1 - q, q]])
+    assert t.row_gf(1).is_zero()
+    assert t.row_gf(2) == q**3 + q
+
+
+def test_row_gf_exponent_guard(ctx):
+    # times q**1 takes the q^65535 entry past the packing width
+    q = ctx.var("q")
+    t = Triangle(ctx, [[ctx.one], [ctx.one, q**65535]])
+    with pytest.raises(ValueError, match="an exponent exceeds 65535"):
+        t.row_gf(1)
 
 
 class TestReciprocal:
