@@ -23,10 +23,15 @@ A J-fraction's series is the first column of its unit-upstep walk
 only along one direction (a variable, or a pair of variables at a fixed
 exponent sum) form a fiber, held as one integer with each coefficient at
 its own bit offset, so a level times an entry is a few big-integer
-products.  Only the first column is unpacked, one row at a time
-(``_series``): ``cf_match`` and ``check_hankel_factorization`` compare
-each row as the walk reaches it, so they hold one series row at a time
-and stop the walk at the first row that does not match.
+products (the kernel is ``polyring._direction``, ``_pack`` and
+``_add_level_product``).  ``_series`` unpacks the first column, one row at
+a time, and ``check_hankel_factorization`` compares each row as the walk
+reaches it.  ``cf_match`` on a built triangle whose rows are unread, and
+with no evaluation, unpacks nothing: it runs the triangle's packed
+recurrence and the walk side by side in one direction and at one width,
+compares the packed row generating functions with the walk's first
+column row by row as integers, and stops both at the first row that
+differs (``_co_walk``).  Otherwise it compares the stored rows.
 """
 
 from __future__ import annotations
@@ -34,9 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as mpq
-from functools import reduce
-from itertools import combinations
-from operator import or_
 from typing import Callable, Iterator, Sequence
 
 from .polyring import (
@@ -44,12 +46,18 @@ from .polyring import (
     Poly,
     RatFunc,
     VarContext,
+    _add_level_product,
     _as_rational,
-    _check_exponents,
+    _degree,
+    _direction,
+    _exponent_guard,
     _map_polys,
-    _put_digits,
+    _pack,
+    _scaled,
+    _times_monomial,
+    _unpack,
 )
-from .triangles import COLUMN_WALK, RecurrenceSpec, Triangle, _row_mismatch
+from .triangles import COLUMN_WALK, RecurrenceSpec, Triangle, _packed_row_gfs, _row_mismatch
 
 
 class DegenerateFraction(ValueError):
@@ -232,48 +240,32 @@ def _series(jf: JFraction, depth: int) -> Iterator[Poly]:
     levels read, and caps the height at a zero r level; an extracted
     terminated fraction ends in its zero r, so the cap covers it too.
 
-    The walk runs on packed fibers (``_walk``).  A path to row n takes a
-    s-steps and u r-steps with a + 2u = n, so with ``den`` the lcm of the
-    levels' denominators the walk on den s_k and den^2 r_k is integral and
-    its row n is den^n times the true one.  Along the packed direction
-    (``_direction``) a fiber's coefficients sit at bit ``width`` e_v of one
-    integer; the walk over the levels' absolute sums bounds every
-    coefficient of the first column, and ``width`` makes that bound a
-    balanced digit, so the first column reads back exactly.  No other entry
-    is read back.
+    The walk runs on packed fibers (``_walk``) over the levels of
+    ``_integral_levels``, whose row n is den^n times the true one.  Along
+    the packed direction (``polyring._direction``) a fiber's coefficients
+    sit at bit ``width`` e_v of one integer; the walk over the levels'
+    absolute sums bounds every coefficient of the first column, and
+    ``width`` makes that bound a balanced digit, so the first column reads
+    back exactly.  No other entry is read back.
     """
     ctx = jf.ctx
-    s, r = _levels(jf, depth)
-    cap = len(s) - 1 if r and not r[-1] else depth
-    den = math.lcm(1, *(c.denominator for p in (*s, *r) for c in p.terms.values()))
-    s_int = [_scaled(p.terms, den) for p in s]
-    r_int = [_scaled(p.terms, den * den) for p in r]
+    s, r, den, cap = _integral_levels(jf, depth)
     # an entry of row n has total degree at most n times the highest level
     # degree, so below that bound no product can carry an exponent over
-    check = depth * max(p.total_degree() for p in (ctx.one, *s, *r)) > _MASK
-
-    # B[n][k], the walk on the levels' absolute sums, bounds every
-    # coefficient of D[n][k]; the check reads back every entry and level
-    norms = [{0: sum(map(abs, t.values()))} if t else {} for t in (*s_int, *r_int)]
-    bounds = list(_walk(norms[:len(s)], norms[len(s):], depth, cap))
-    if check:
+    check = depth * _degree(ctx, s + r) > _MASK
+    bounds, norms = _bound_walk(s, r, depth, cap)
+    if check:  # the check reads back every entry and level
         top = max((x for t in (*bounds, norms) for e in t for x in e.values()), default=0)
     else:
         top = max((row[0].get(0, 0) for row in bounds), default=0)
     width = top.bit_length() + 1
 
-    sv, step = _direction(ctx, s_int + r_int)
-    guard = None
-    if check:
-        nvars = len(ctx.names)
-
-        def guard(level: dict, entry: dict) -> None:
-            _check_exponents(_unpack(level, step, width), _unpack(entry, step, width), nvars)
-
+    sv, step = _direction(ctx, s + r)
+    guard = _exponent_guard(ctx, step, width) if check else None
     yield ctx.one
     for n, row in enumerate(
-        _walk([_pack(t, sv, step, width) for t in s_int],
-              [_pack(t, sv, step, width) for t in r_int], depth, cap, guard),
+        _walk([_pack(t, sv, step, width) for t in s],
+              [_pack(t, sv, step, width) for t in r], depth, cap, guard),
         1,
     ):
         terms = _unpack(row[0], step, width)
@@ -283,54 +275,25 @@ def _series(jf: JFraction, depth: int) -> Iterator[Poly]:
         yield Poly(ctx, terms)
 
 
-def _scaled(terms: dict, factor: int) -> dict:
-    """``factor`` times a coefficient map that it makes integral."""
-    return {key: (c * factor).numerator for key, c in terms.items()}
+def _integral_levels(jf: JFraction, depth: int) -> tuple[list[dict], list[dict], int, int]:
+    """The levels of ``_levels`` as integer coefficient maps for the packed
+    walk: ``(s, r, den, cap)``, with den the lcm of the levels'
+    denominators, s[k] = den s_k and r[k] = den^2 r_(k+1), and cap the
+    highest column the walk reaches.  A path to row n takes a s-steps and u
+    r-steps with a + 2u = n, so the walk on these levels is den^n times the
+    true one at row n."""
+    s, r = _levels(jf, depth)
+    cap = len(s) - 1 if r and not r[-1] else depth
+    den = math.lcm(1, *(c.denominator for p in (*s, *r) for c in p.terms.values()))
+    return [_scaled(p.terms, den) for p in s], [_scaled(p.terms, den * den) for p in r], den, cap
 
 
-def _direction(ctx: VarContext, levels: list[dict]) -> tuple[int, int]:
-    """``(shift, step)`` of the packed direction, a single variable or a
-    pair, that leaves ``levels`` the fewest fibers; ties go to the earlier
-    candidate, single variables first.
-
-    The fiber of a monomial key is ``key - e_v * step`` with e_v the
-    exponent at ``shift``.  A single variable v has step e_v's field plus
-    the degree field, so its fibers are the monomials with v removed; a pair
-    (v, w) has step e_v's field minus e_w's, so its fibers hold e_v + e_w in
-    w's field.  Keys are added as integers and the monomial of digit e_v is
-    read back as ``fiber + e_v * step``, so a sum e_v + e_w past the field
-    width still reads back to the right monomial.  When no variable occurs
-    every e_v is zero and the step is never used.
-    """
-    occurring = reduce(or_, (key for t in levels for key in t), 0)
-    shifts = [sh for sh in ctx._shifts if (occurring >> sh) & _MASK]
-    degree = 1 << ctx._deg_shift
-    candidates = [(sv, (1 << sv) + degree) for sv in shifts]
-    candidates += [(sv, (1 << sv) - (1 << sw)) for sv, sw in combinations(shifts, 2)]
-    best, fewest = (0, 0), None
-    for sv, step in candidates:
-        count = sum(len({key - ((key >> sv) & _MASK) * step for key in t}) for t in levels)
-        if fewest is None or count < fewest:
-            best, fewest = (sv, step), count
-    return best
-
-
-def _pack(terms: dict, sv: int, step: int, width: int) -> dict:
-    """``{fiber key: sum c * 2^(width * e_v)}`` of an integer coefficient map."""
-    packed: dict[int, int] = {}
-    for key, c in terms.items():
-        e = (key >> sv) & _MASK
-        f = key - e * step
-        packed[f] = packed.get(f, 0) + (c << (width * e))
-    return packed
-
-
-def _unpack(packed: dict, step: int, width: int) -> dict:
-    """The coefficient map of a packed entry whose coefficients all lie
-    within ``width`` (``polyring._put_digits``)."""
-    out: dict[int, int] = {}
-    _put_digits(out, packed.items(), step, width)
-    return out
+def _bound_walk(s: list[dict], r: list[dict], depth: int, cap: int):
+    """``(rows, norms)``: rows 1 .. depth of the walk over the absolute sums
+    ``norms`` of the levels ``s`` and ``r``.  Its entry B[n][k], held at
+    key 0, bounds every coefficient of the walk's entry D[n][k]."""
+    norms = [{0: sum(map(abs, t.values()))} if t else {} for t in (*s, *r)]
+    return list(_walk(norms[:len(s)], norms[len(s):], depth, cap)), norms
 
 
 def _walk(
@@ -354,20 +317,6 @@ def _walk(
             new.append({f: x for f, x in acc.items() if x})
         row = new
         yield row
-
-
-def _add_level_product(acc: dict, level: dict, entry: dict, guard) -> None:
-    """Add level * entry to ``acc``: one int product per pair of fibers."""
-    if not level or not entry:
-        return
-    if guard is not None:
-        guard(level, entry)
-    get = acc.get
-    for fl, xl in level.items():
-        for fe, xe in entry.items():
-            f = fl + fe
-            v = get(f)
-            acc[f] = xl * xe if v is None else v + xl * xe
 
 
 def s_expand(sf: SFraction, depth: int) -> list[Poly]:
@@ -436,7 +385,7 @@ def rising_product_series(a: Poly, b: Poly, c: Poly, depth: int) -> list[Poly]:
 
 
 def cf_match(
-    triangle,
+    triangle: Triangle,
     fraction,
     depth: int,
     var: str = "q",
@@ -451,13 +400,87 @@ def cf_match(
     in which case its expansion equals the stored rows directly.  With
     ``eval_at`` the rows and the scale are first evaluated at var = eval_at
     (for fractions that describe the rows at a fixed argument).  Each row
-    is compared as the walk yields it, so a mismatch stops the walk there.
+    is compared as the walk reaches it, so a mismatch stops the walk there.
+
+    Without ``eval_at``, a built triangle whose rows are not yet read is
+    compared packed, its recurrence beside the walk (``_co_walk``).
+    Otherwise each series coefficient is read back and compared with the
+    stored row (``_row_mismatch``).
     """
     if isinstance(fraction, SFraction):
         fraction = contract(fraction)
+    if eval_at is None:
+        matched = _co_walk(triangle, fraction, depth, var, prescaled)
+        if matched is not None:
+            return matched
     series = _series(fraction, depth)
     at = None if eval_at is None else {var: eval_at}
     return _row_mismatch(triangle, series, depth, var, at, scaled=not prescaled) is None
+
+
+def _co_walk(t: Triangle, jf: JFraction, depth: int, var: str, prescaled: bool) -> "bool | None":
+    """``cf_match`` without evaluation, with neither side read back; None
+    when the triangle holds rows rather than an unread packed recurrence,
+    the scale compared is not a single term, the contexts differ, or an
+    exponent might pass the packing width.  The rows path then compares
+    the rows themselves, and raises as it always has.
+
+    The triangle's packed recurrence (``triangles._Build``) and the walk of
+    ``_integral_levels`` run side by side along one direction chosen for
+    both sides' coefficients.  Packed row n of the triangle is M_n = L^n
+    times the stored row and walk row n is den^n times the series
+    coefficient, so with the compared scale u/v times a monomial m the
+    check of row n reads
+
+        den^n v^n P_n = M_n u^n m^n D_n
+
+    on the packed row generating function P_n and first walk entry D_n.
+    ``width`` makes the sum of both sides' coefficient bounds a balanced
+    digit, so each difference of coefficients is one, and the two sides
+    are equal integers fiber by fiber exactly when the polynomials are
+    equal.  The walk and the triangle's run stop at the first row that
+    differs.
+    """
+    if depth > t.depth:
+        raise ValueError("triangle not materialized deep enough")
+    ctx = jf.ctx
+    scale = ctx.one if prescaled else t.scale
+    source = t._build  # None once the rows are read
+    if source is None or t.ctx is not ctx or len(scale.terms) != 1:
+        return None
+    ((mono, coeff),) = scale.terms.items()
+    u, v = mpq(coeff).numerator, mpq(coeff).denominator
+    s, r, den, cap = _integral_levels(jf, depth)
+    key = ctx.var(var).leading()[0]
+    if (depth * (_degree(ctx, s + r) + (mono >> ctx._deg_shift)) > _MASK
+            or source.degree + depth > _MASK):
+        return None
+
+    sv, step = _direction(ctx, source.shapes + s + r)
+    bounds, _ = _bound_walk(s, r, depth, cap)
+    top = 0
+    for n in range(depth + 1):
+        walk_bound = bounds[n - 1][0].get(0, 0) if n else 1
+        lhs = (den * v) ** n * sum(source.bounds[n])
+        top = max(top, lhs + source.scales[n] * abs(u) ** n * walk_bound)
+    width = top.bit_length() + 1
+
+    rows = _packed_row_gfs(source, key, sv, step, width)
+    walk = _walk([_pack(p, sv, step, width) for p in s],
+                 [_pack(p, sv, step, width) for p in r], depth, cap)
+    for n in range(depth + 1):
+        got = next(rows)
+        want = next(walk)[0] if n else {0: 1}
+        lhs, rhs = (den * v) ** n, source.scales[n] * u**n
+        if lhs != 1:
+            got = {f: lhs * x for f, x in got.items()}
+        if mono:
+            want = _times_monomial(want, n * mono, sv, step, width)
+        if rhs != 1:
+            want = {f: rhs * x for f, x in want.items()}
+        if got != want:
+            return False
+    return True
 
 
 def jfraction_split(jf: JFraction, sf: SFraction, levels: int) -> "Poly | None":

@@ -13,8 +13,10 @@ by a 16-bit total-degree field, so that
 Large products of integer polynomials are computed fiber by fiber, one
 big-integer product per pair of fibers (``_fiber_product``); every other
 product runs the plain term-by-term dict kernel.  A packed fiber is read
-back by ``_put_digits``, which the continued-fraction walk
-(``contfrac.j_expand``) uses too.
+back by ``_put_digits``.  The continued-fraction walk
+(``contfrac.j_expand``) and the triangle build
+(``triangles.build_triangle``) keep their entries packed from step to step
+on the kernel of ``_direction``, ``_pack`` and ``_add_level_product``.
 
 All values are immutable after construction and safe to share.
 """
@@ -628,6 +630,143 @@ def _pack_fibers(fibers: dict, width: int, lo_shift: int) -> dict:
             x += c << (width * (ev - lo))
         packed[f + (lo << lo_shift)] = x
     return packed
+
+
+# ---------------------------------------------------------------------------
+# persistent packed fibers: the continued-fraction walk and the triangle build
+# ---------------------------------------------------------------------------
+
+# An integer coefficient map is packed along one direction, a variable v or
+# a pair (v, w), chosen by ``_direction``: the terms that differ only along
+# it form a fiber, held as one integer sum c * 2^(width * e_v) under the
+# fiber's key.  Fiber keys add and fiber integers multiply, so a product of
+# two packed maps is one integer product per pair of fibers
+# (``_add_level_product``), and a packed map stays packed across any number
+# of products.  It reads back exactly (``_unpack``) while every coefficient
+# lies within ``width`` as a balanced digit.
+
+
+def _direction(ctx: VarContext, levels: list[dict]) -> tuple[int, int]:
+    """``(shift, step)`` of the packed direction, a single variable or a
+    pair, that leaves ``levels`` the fewest fibers; ties go to the earlier
+    candidate, single variables first.
+
+    The fiber of a monomial key is ``key - e_v * step`` with e_v the
+    exponent at ``shift``.  A single variable v has step e_v's field plus
+    the degree field, so its fibers are the monomials with v removed; a pair
+    (v, w) has step e_v's field minus e_w's, so its fibers hold e_v + e_w in
+    w's field.  Keys are added as integers and the monomial of digit e_v is
+    read back as ``fiber + e_v * step``, so a sum e_v + e_w past the field
+    width still reads back to the right monomial.  When no variable occurs
+    every e_v is zero and the step is never used.
+    """
+    occurring = reduce(or_, (key for t in levels for key in t), 0)
+    shifts = [sh for sh in ctx._shifts if (occurring >> sh) & _MASK]
+    degree = 1 << ctx._deg_shift
+    candidates = [(sv, (1 << sv) + degree) for sv in shifts]
+    candidates += [(sv, (1 << sv) - (1 << sw)) for sv, sw in combinations(shifts, 2)]
+    best, fewest = (0, 0), None
+    for sv, step in candidates:
+        count = sum(len({key - ((key >> sv) & _MASK) * step for key in t}) for t in levels)
+        if fewest is None or count < fewest:
+            best, fewest = (sv, step), count
+    return best
+
+
+def _join(digits: list, width: int) -> int:
+    """``sum c * 2^(width * e)`` over the ``(e, c)`` pairs of ``digits``,
+    which it may reorder.  Neighbours in exponent order are combined
+    pairwise, round after round, so every round costs time linear in the
+    result's length; adding one shifted coefficient at a time would cost
+    time quadratic in it."""
+    if len(digits) == 1:
+        e, c = digits[0]
+        return c << (width * e)
+    if not digits:
+        return 0
+    digits.sort()
+    while len(digits) > 1:
+        merged = [(e0, c0 + (c1 << (width * (e1 - e0))))
+                  for (e0, c0), (e1, c1) in zip(digits[::2], digits[1::2])]
+        if len(digits) & 1:
+            merged.append(digits[-1])
+        digits = merged
+    e, c = digits[0]
+    return c << (width * e)
+
+
+def _pack(terms: dict, sv: int, step: int, width: int) -> dict:
+    """``{fiber key: sum c * 2^(width * e_v)}`` of an integer coefficient map.
+
+    The terms are grouped into fibers and each fiber's digits are combined
+    by ``_join``: summing them term by term would take time quadratic in a
+    fiber's length."""
+    fibers: dict[int, list] = {}
+    for key, c in terms.items():
+        e = (key >> sv) & _MASK
+        f = key - e * step
+        members = fibers.get(f)
+        if members is None:
+            fibers[f] = [(e, c)]
+        else:
+            members.append((e, c))
+    return {f: _join(members, width) for f, members in fibers.items()}
+
+
+def _unpack(packed: dict, step: int, width: int) -> dict:
+    """The coefficient map of a packed map whose coefficients all lie
+    within ``width`` (``_put_digits``)."""
+    out: dict[int, int] = {}
+    _put_digits(out, packed.items(), step, width)
+    return out
+
+
+def _times_monomial(packed: dict, key: int, sv: int, step: int, width: int) -> dict:
+    """A packed map times the monomial of ``key``: its e_v moves every
+    fiber integer up by that many digits, and the rest of it moves the
+    fiber keys."""
+    e = (key >> sv) & _MASK
+    move, up = key - e * step, width * e
+    if not up:
+        return {f + move: x for f, x in packed.items()}
+    return {f + move: x << up for f, x in packed.items()}
+
+
+def _scaled(terms: dict, factor: int) -> dict:
+    """``factor`` times a coefficient map that it makes integral."""
+    return {key: (c * factor).numerator for key, c in terms.items()}
+
+
+def _degree(ctx: VarContext, maps: Iterable[dict]) -> int:
+    """The highest total degree of any term of ``maps``."""
+    return max((max(t) >> ctx._deg_shift for t in maps if t), default=0)
+
+
+def _exponent_guard(ctx: VarContext, step: int, width: int):
+    """A guard for ``_add_level_product`` that raises ValueError, as ``Poly``
+    multiplication does, when an exponent of the product of a packed level
+    and entry would pass the packing width."""
+    nvars = len(ctx.names)
+
+    def guard(level: dict, entry: dict) -> None:
+        _check_exponents(_unpack(level, step, width), _unpack(entry, step, width), nvars)
+
+    return guard
+
+
+def _add_level_product(acc: dict, level: dict, entry: dict, guard) -> None:
+    """Add level * entry to ``acc``: one int product per pair of fibers.
+    ``guard(level, entry)``, when given, runs first."""
+    if not level or not entry:
+        return
+    if guard is not None:
+        guard(level, entry)
+    get = acc.get
+    for fl, xl in level.items():
+        for fe, xe in entry.items():
+            f = fl + fe
+            v = get(f)
+            acc[f] = xl * xe if v is None else v + xl * xe
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from math import comb, prod
 from operator import or_
 from typing import Sequence
 
-from .polyring import _BITS, _MASK, Poly, VarContext, _monomial_text, _put_digits, render
+from .polyring import _BITS, _MASK, Poly, VarContext, _join, _monomial_text, _put_digits, render
 
 PolySeq = Sequence[Poly]
 
@@ -205,7 +205,7 @@ def _encode(m: PolyMatrix, order: int) -> "_IntBlock | None":
     digit = (1 << width) - 1
     high = (1 << width * (order * degree + 1)) // digit << (width - 1)
     entries = [
-        [sum(c << (key >> deg_shift) * width for key, c in e.terms.items()) for e in row]
+        [_join([(key >> deg_shift, c) for key, c in e.terms.items()], width) for e in row]
         for row in m.entries
     ]
     step = (1 << shift) + (1 << deg_shift) if fields else 0

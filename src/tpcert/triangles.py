@@ -15,15 +15,41 @@ Specs whose true coefficients have a monomial denominator m (for example a
 bare parameter) are stored *cleared*: the stored coefficients equal m times
 the true ones, and the materialized rows then equal m^n times the true rows.
 The ``Triangle.scale`` field records m so checks can multiply through.
+
+``build_triangle`` runs the recurrence on packed fibers, the kernel of the
+continued-fraction walk (``polyring._direction``, ``_pack``,
+``_add_level_product``): each entry is a few big integers, and one step is
+one integer product per pair of fibers of a coefficient and an entry.  A
+built triangle reads its rows back into ``Poly`` entries only when they
+are first read.  Until then ``contfrac.cf_match`` compares its packed
+rows with the packed walk, so a triangle that only it reads is never read
+back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from fractions import Fraction as mpq
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
-from .polyring import Poly, RatFunc, VarContext, _check_exponents, _horner
+from .polyring import (
+    _MASK,
+    Poly,
+    RatFunc,
+    VarContext,
+    _add_level_product,
+    _as_rational,
+    _check_exponents,
+    _degree,
+    _direction,
+    _exponent_guard,
+    _horner,
+    _pack,
+    _scaled,
+    _times_monomial,
+    _unpack,
+)
 
 PolySeq = Sequence[Poly]
 
@@ -75,23 +101,51 @@ class RecurrenceSpec:
         return c[k]
 
 
-@dataclass
 class Triangle:
-    """Materialized triangle rows; ``rows[n]`` has length n+1.  Stored
-    entries equal scale^n times the true entries."""
+    """Triangle rows; ``rows[n]`` has length n+1.  Stored entries equal
+    scale^n times the true entries.
 
-    ctx: VarContext
-    rows: list[list[Poly]]
-    spec: RecurrenceSpec | None = None
-    scale: Poly | None = None
+    A triangle from ``build_triangle`` holds its recurrence on packed fibers
+    (``_Build``) until ``rows`` is first read, directly or through
+    ``entry``, ``first_column``, ``row_gf`` and the like.  The read turns
+    the recurrence into rows, which the triangle keeps and every later
+    check, ``cf_match`` included, reads.  Until then ``cf_match`` runs the
+    packed recurrence itself.
+    """
 
-    def __post_init__(self):
-        if self.scale is None:
-            self.scale = self.ctx.one
+    __hash__ = None  # mutable rows inside
+
+    def __init__(self, ctx: VarContext, rows: list[list[Poly]] | None,
+                 spec: RecurrenceSpec | None = None, scale: Poly | None = None):
+        self.ctx = ctx
+        self._rows = rows
+        self._build: _Build | None = None
+        self.spec = spec
+        self.scale = ctx.one if scale is None else scale
+
+    @property
+    def rows(self) -> list[list[Poly]]:
+        if self._rows is None:
+            self.rows = self._build.materialize()
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: list[list[Poly]]) -> None:
+        self._rows, self._build = rows, None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ctx, self.rows, self.spec, self.scale)
+                == (other.ctx, other.rows, other.spec, other.scale))
+
+    def __repr__(self):
+        return (f"Triangle(ctx={self.ctx!r}, rows={self.rows!r}, spec={self.spec!r}, "
+                f"scale={self.scale!r})")
 
     @property
     def depth(self) -> int:
-        return len(self.rows) - 1
+        return self._build.depth if self._rows is None else len(self._rows) - 1
 
     def entry(self, n: int, k: int) -> Poly:
         if 0 <= n <= self.depth and 0 <= k < len(self.rows[n]):
@@ -134,52 +188,156 @@ class Triangle:
         return [self.row_gf(n, var) for n in range(self.depth + 1)]
 
     def satisfies(self, spec: RecurrenceSpec | None = None) -> bool:
-        """Exact recurrence-residual check of every materialized entry."""
+        """True iff the rows are the ones ``spec`` builds to this depth.  By
+        induction on n that is the exact recurrence-residual check of every
+        entry, T[0][0] = 1 included."""
         spec = spec or self.spec
         if spec is None:
             raise ValueError("no recurrence spec to check against")
-        if self.entry(0, 0) != self.ctx.one:
-            return False
-        for n in range(1, self.depth + 1):
-            prev = self.rows[n - 1]
-            for k in range(len(self.rows[n])):
-                want = _step(spec, prev, n, k)
-                if self.rows[n][k] != want:
-                    return False
-        return True
+        return self.rows == build_triangle(spec, self.depth).rows
 
 
-def _step(spec: RecurrenceSpec, prev: list[Poly], n: int, k: int) -> Poly:
-    """One recurrence application producing entry (n, k) from row n-1."""
-    ctx = spec.ctx
-    acc = ctx.zero
-    if spec.kind == ROW_SHIFT:
-        for j in range(len(spec.coeffs)):
-            kk = k - j
-            if 0 <= kk < len(prev) and prev[kk]:
-                c = spec.shift_coeff(j, n, k)
-                if c:
-                    acc = acc + c * prev[kk]
-    else:
-        # r(k-1), s(k) and t(k+1) weigh the entries k-1, k and k+1 of row n-1
-        for which, kk in enumerate(range(k - 1, k + 2)):
-            if 0 <= kk < len(prev) and prev[kk]:
-                c = spec.walk_coeff(which, kk)
-                if c:
-                    acc = acc + c * prev[kk]
-    return acc
+class _Build:
+    """A triangle recurrence to ``depth``, ready to run on packed fibers.
+
+    ``maps`` are the recurrence's coefficients at every (n, k), as integer
+    coefficient maps, and ``feeds[n][k]`` lists the pairs (kk, i): entry
+    (n, k) is the sum of maps[i] times entry (n-1, kk).  A rational spec is
+    cleared by L, the lcm of its specialized coefficients' denominators, so
+    that packed row n is ``scales[n]`` = L^n times the stored row.
+    ``bounds[n][k]``, the same recurrence over the coefficients' absolute
+    sums, bounds every coefficient of packed entry (n, k), and ``degree``
+    bounds its total degree.  ``shapes`` are the maps' distinct key sets,
+    from which a packed direction is chosen.
+
+    The coefficients are read here, where the ``Poly`` recurrence reads
+    them, and in the order it first reads them: an entry that may be
+    nonzero reads the coefficients that weigh it into the next row.  A
+    column walk with listed levels short of the depth raises IndexError
+    here.
+    """
+
+    def __init__(self, spec: RecurrenceSpec, depth: int):
+        ctx = self.ctx = spec.ctx
+        self.depth = depth
+        row_shift = spec.kind == ROW_SHIFT
+        # a coefficient read once serves every (n, k) it does not depend on
+        uses = [c.variables() for c in spec.coeffs] if row_shift else ()
+        memo: dict = {}  # -> index into maps, or -1 for a zero coefficient
+        maps: list[dict] = []
+        self.feeds: list[list[list[tuple[int, int]]]] = [[[]]]
+        live = [True]  # the entries of the row above that may be nonzero
+        for n in range(1, depth + 1):
+            row = []
+            for k in range(n + 1):
+                feed = []
+                # row shift: c_j(n, k) weighs entry k-j; column walk: r, s
+                # and t at level kk weigh entry kk = k-1, k, k+1
+                for j in range(3):
+                    kk = k - j if row_shift else k - 1 + j
+                    if not (0 <= kk < n and live[kk]):
+                        continue
+                    if not row_shift:
+                        key = (j, kk)
+                    elif j < len(uses):
+                        key = (j, n if "n" in uses[j] else -1, k if "k" in uses[j] else -1)
+                    else:
+                        continue
+                    i = memo.get(key)
+                    if i is None:
+                        c = spec.shift_coeff(j, n, k) if row_shift else spec.walk_coeff(j, kk)
+                        i = memo[key] = len(maps) if c else -1
+                        if c:
+                            c._require_same_ctx(ctx.one)
+                            maps.append(c.terms)
+                    if i >= 0:
+                        feed.append((kk, i))
+                row.append(feed)
+            self.feeds.append(row)
+            live = [bool(feed) for feed in row]
+
+        lcm = math.lcm(1, *(c.denominator for t in maps for c in t.values() if type(c) is not int))
+        self.maps = [_scaled(t, lcm) for t in maps] if lcm > 1 else maps
+        self.shapes = list({frozenset(t) for t in self.maps})
+        self.scales = [lcm**n for n in range(depth + 1)]
+        norms = [sum(map(abs, t.values())) for t in self.maps]
+        self.bounds = [[1]]
+        for row in self.feeds[1:]:
+            prev = self.bounds[-1]
+            self.bounds.append([sum(norms[i] * prev[kk] for kk, i in feed) for feed in row])
+        self.degree = depth * _degree(ctx, self.maps)
+
+    def run(self, sv: int, step: int, width: int, guard=None) -> Iterator[list[dict]]:
+        """Rows 0 .. depth, each a list of packed entries, packed along
+        ``(sv, step)`` at ``width``; ``guard`` as in ``_add_level_product``."""
+        packed: list = [None] * len(self.maps)
+        row = [{0: 1}]
+        yield row
+        for feeds in self.feeds[1:]:
+            new = []
+            for feed in feeds:
+                acc: dict = {}
+                for kk, i in feed:
+                    level = packed[i]
+                    if level is None:
+                        level = packed[i] = _pack(self.maps[i], sv, step, width)
+                    _add_level_product(acc, level, row[kk], guard)
+                new.append({f: x for f, x in acc.items() if x})
+            row = new
+            yield row
+
+    def materialize(self) -> list[list[Poly]]:
+        """The stored rows, read back from a run in the direction that
+        leaves the coefficients the fewest fibers, at a width that makes
+        every coefficient a balanced digit.  When an entry's degree may pass
+        the packing width, every product is checked first and raises as a
+        ``Poly`` product would."""
+        ctx = self.ctx
+        sv, step = _direction(ctx, self.shapes)
+        width = max(map(max, self.bounds)).bit_length() + 1
+        guard = _exponent_guard(ctx, step, width) if self.degree > _MASK else None
+        rows = []
+        for packed, scale in zip(self.run(sv, step, width, guard), self.scales):
+            row = []
+            for entry in packed:
+                terms = _unpack(entry, step, width)
+                if scale > 1:
+                    terms = {key: _as_rational(mpq(c, scale)) for key, c in terms.items()}
+                row.append(Poly(ctx, terms))
+            rows.append(row)
+        return rows
+
+
+def _packed_row_gfs(build: _Build, key: int, sv: int, step: int, width: int) -> Iterator[dict]:
+    """The packed row generating functions sum_k entry(n, k) * v^k of a
+    ``_Build``'s run, with ``key`` the packed key of v, rows 0 up."""
+    for row in build.run(sv, step, width):
+        gf: dict = {}
+        get = gf.get
+        for k, entry in enumerate(row):
+            for f, x in _times_monomial(entry, k * key, sv, step, width).items():
+                v = get(f)
+                gf[f] = x if v is None else v + x
+        yield {f: x for f, x in gf.items() if x}
 
 
 def build_triangle(spec: RecurrenceSpec, depth: int) -> Triangle:
-    """Materialize rows 0..depth; entries outside 0 <= k <= n are zero."""
+    """Rows 0..depth of ``spec``'s triangle; entries outside 0 <= k <= n are
+    zero.
+
+    The triangle holds the recurrence on packed fibers (``_Build``) and
+    reads its rows back when they are first read.  When an entry's degree
+    may pass the packing width, the rows are read back here, so that an
+    exponent past it raises here as a ``Poly`` product would.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     ctx = spec.ctx
-    rows = [[ctx.one]]
-    for n in range(1, depth + 1):
-        prev = rows[-1]
-        rows.append([_step(spec, prev, n, k) for k in range(n + 1)])
-    return Triangle(ctx, rows, spec=spec, scale=spec.denominator or ctx.one)
+    t = Triangle(ctx, None, spec=spec, scale=spec.denominator or ctx.one)
+    t._build = _Build(spec, depth)
+    if t._build.degree > _MASK:
+        t.rows = t._build.materialize()
+    return t
 
 
 # ---------------------------------------------------------------------------

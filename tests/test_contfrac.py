@@ -2,14 +2,16 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcert import contfrac
+from tpcert import cli, contfrac, triangles
 from tpcert.contfrac import (
     DegenerateFraction,
     JFraction,
@@ -26,8 +28,15 @@ from tpcert.contfrac import (
     triangle_jfraction,
 )
 from tpcert.families import CATALOG
-from tpcert.polyring import RatFunc, VarContext, _map_polys
-from tpcert.triangles import COLUMN_WALK, ROW_SHIFT, RecurrenceSpec, build_triangle
+from tpcert.polyring import Poly, RatFunc, VarContext, _map_polys
+from tpcert.triangles import (
+    COLUMN_WALK,
+    ROW_SHIFT,
+    RecurrenceSpec,
+    Triangle,
+    _row_mismatch,
+    build_triangle,
+)
 
 
 @pytest.fixture
@@ -666,3 +675,206 @@ class TestCfMatch:
         assert leftover is not None and leftover.is_zero()
         wrong = SFraction.from_forms(even + 1, odd)
         assert jfraction_split(jf, wrong, 4) is None
+
+
+def row_path(t, fraction, depth, var="q", prescaled=False):
+    """cf_match's verdict from the series read back row by row."""
+    if isinstance(fraction, SFraction):
+        fraction = contract(fraction)
+    series = contfrac._series(fraction, depth)
+    return _row_mismatch(t, series, depth, var, scaled=not prescaled) is None
+
+
+def listed(jf, levels):
+    """The fraction's first levels as lists."""
+    return JFraction.from_lists(jf.ctx, [jf.s(i) for i in range(levels)],
+                                [jf.r(i) for i in range(1, levels + 1)])
+
+
+PLANS = sorted(Path(__file__).resolve().parent.parent.glob("plans/*.yaml"))
+
+
+class TestCoWalk:
+    """Without ``eval_at``, ``cf_match`` compares packed rows with the
+    packed walk; its verdict must be the one the rows read back give."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_verdicts(self, name):
+        fam = CATALOG[name]()
+        read = build_triangle(fam.spec, 8)
+        read.rows  # compared row by row from here on
+        fracs = [f for f in (fam.jfraction, fam.sfraction) if f is not None]
+        if fracs:
+            jf = fam.jfraction if fam.jfraction is not None else contract(fam.sfraction)
+        elif fam.spec.kind == COLUMN_WALK:
+            jf = triangle_jfraction(fam.spec)
+        else:  # the Touchard fraction, of some family's rows or of none
+            n, q = fam.ctx.var("n"), fam.ctx.var(fam.gf_var)
+            jf = JFraction.from_forms(n + q, n * q)
+        bumped = replace(jf, s_form=jf.s_form + 1) if jf.s_form is not None else None
+        for frac in (*fracs, jf, listed(jf, 5), bumped):
+            if frac is None:
+                continue
+            for prescaled in (False, True):
+                t = build_triangle(fam.spec, 8)
+                want = row_path(read, frac, 8, fam.gf_var, prescaled)
+                assert cf_match(t, frac, 8, fam.gf_var, prescaled) == want
+                assert t._rows is None  # matched packed
+        if fam.jfraction is not None and fam.product_eval_at is None:
+            t = build_triangle(fam.spec, 8)
+            assert cf_match(t, jf, 8, fam.gf_var, fam.cf_prescaled)
+            assert not cf_match(t, bumped, 8, fam.gf_var, fam.cf_prescaled)
+
+    @pytest.mark.parametrize("path", PLANS, ids=lambda p: p.stem)
+    def test_shipped_plan_verdicts(self, path):
+        plan = cli.load_plan(path)
+        read = build_triangle(plan.spec, plan.depth)
+        read.rows
+        for check in plan.checks:
+            if check["kind"] != "cf-match" or check["eval-at"] is not None:
+                continue
+            args = (check["fraction"], check["depth"], plan.gf_var, check["prescaled"])
+            t = build_triangle(plan.spec, plan.depth)
+            assert cf_match(t, *args) == cf_match(read, *args) == row_path(read, *args) is True
+            assert t._rows is None
+
+    def test_plans_cover_every_scaling(self):
+        seen = set()
+        for path in PLANS:
+            plan = cli.load_plan(path)
+            for check in plan.checks:
+                if check["kind"] == "cf-match" and check["eval-at"] is None:
+                    seen.add("prescaled" if check["prescaled"]
+                             else "denominator" if plan.spec.denominator is not None
+                             else "plain")
+        assert seen == {"plain", "prescaled", "denominator"}
+
+    def test_rational_rows_and_scale(self):
+        # affine-n with a0 -> a0/3 has rational rows; clearing its spec by
+        # 2 a2 / 3 scales row n by (2 a2 / 3)^n, which the match multiplies
+        # back into the series
+        fam = CATALOG["affine-n"]()
+        fam = fam.substituted("a0", fam.ctx.var("a0") / 3)
+        ctx = fam.ctx
+        scale = 2 * ctx.var("a2") / 3
+        cleared = RecurrenceSpec(ctx, ROW_SHIFT, tuple(c * scale for c in fam.spec.coeffs),
+                                 denominator=scale)
+        for spec in (fam.spec, cleared):
+            read = build_triangle(spec, 6)
+            assert any(type(c) is Fraction for row in read.rows for e in row
+                       for c in e.terms.values())
+            bumped = replace(fam.sfraction, odd_form=fam.sfraction.odd_form + 1)
+            for frac, want in ((fam.sfraction, True), (fam.jfraction, True), (bumped, False)):
+                t = build_triangle(spec, 6)
+                assert row_path(read, frac, 6) is want
+                assert cf_match(t, frac, 6) is want and t._rows is None
+                assert cf_match(read, frac, 6) is want
+
+    def test_perturbed_spec_fails(self):
+        # c1 + p k^2 changes row 1 on
+        fam = CATALOG["minimax-tree"]()
+        p, k = fam.ctx.var("p"), fam.ctx.var("k")
+        c0, c1 = fam.spec.coeffs
+        spec = replace(fam.spec, coeffs=(c0, c1 + p * k * k))
+        t = build_triangle(spec, 12)
+        assert not cf_match(t, fam.jfraction, 12, fam.gf_var)
+        assert not row_path(t, fam.jfraction, 12, fam.gf_var)
+        assert cf_match(build_triangle(fam.spec, 12), fam.jfraction, 12, fam.gf_var)
+
+    def test_a_bad_level_stops_both_runs_at_its_row(self, monkeypatch):
+        # r_3 first weighs row 6: the walk and the triangle stop there
+        fam = CATALOG["stirling-partition"]()
+        n, q = fam.ctx.var("n"), fam.ctx.var("q")
+        jf = listed(JFraction.from_forms(n + q, n * q), 8)
+        r = list(jf.r_list)
+        r[2] = r[2] + 1
+        bad = replace(jf, r_list=tuple(r))
+        t = build_triangle(fam.spec, 14)
+        walk, run = contfrac._walk, triangles._Build.run
+        yielded, ran = [], []
+
+        def counted_walk(*args, **kwargs):
+            yielded.append(0)
+            for row in walk(*args, **kwargs):
+                yielded[-1] += 1
+                yield row
+
+        def counted_run(self, *args, **kwargs):
+            ran.append(0)
+            for row in run(self, *args, **kwargs):
+                ran[-1] += 1
+                yield row
+
+        monkeypatch.setattr(contfrac, "_walk", counted_walk)
+        monkeypatch.setattr(triangles._Build, "run", counted_run)
+        assert cf_match(t, jf, 14, fam.gf_var)
+        assert yielded == [14, 14] and ran == [15]
+        yielded.clear(), ran.clear()
+        assert not cf_match(t, bad, 14, fam.gf_var)
+        assert yielded == [14, 6] and ran == [7]
+
+    def test_eval_at_reads_the_rows_back(self, ctx, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("at", args[4] if len(args) > 4 else None))
+            return _row_mismatch(*args, **kwargs)
+
+        monkeypatch.setattr(contfrac, "_row_mismatch", spy)
+        q = ctx.var("q")
+        t = build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (ctx.one, ctx.one)), 5)
+        sf = SFraction.from_list(ctx, [q + 1, ctx.zero, ctx.zero])
+        assert cf_match(t, sf, 5) and calls == []
+        assert cf_match(t, SFraction.from_list(ctx, consts(ctx, [3, 0, 0])), 5,
+                        eval_at=ctx.const(2))
+        assert calls == [{"q": ctx.const(2)}]
+
+    def test_read_rows_are_the_rows_matched(self):
+        # once read, the rows are what cf_match checks, changed or not
+        fam = CATALOG["minimax-tree"]()
+        args = (fam.jfraction, 10, fam.gf_var, fam.cf_prescaled)
+        t = build_triangle(fam.spec, 10)
+        assert cf_match(t, *args)
+        t.rows[7][3] = t.rows[7][3] + 1
+        assert not cf_match(t, *args)
+        t = build_triangle(fam.spec, 10)
+        t.rows = [list(row) for row in t.rows]
+        t.rows[9][0] = t.ctx.zero
+        assert not cf_match(t, *args)
+        explicit = Triangle(t.ctx, build_triangle(fam.spec, 10).rows, scale=t.scale)
+        assert cf_match(explicit, *args)
+
+    def test_unwalkable_cases_keep_the_row_path(self, ctx):
+        # a scale of two terms, and levels whose degree bound passes the
+        # width: both go through the rows, which raise as they always have
+        q, a = ctx.var("q"), ctx.var("a")
+        base = build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (ctx.one, ctx.one)), 3)
+        rows = [[e * (a + 1) ** n for e in row] for n, row in enumerate(base.rows)]
+        t = Triangle(ctx, rows, scale=a + 1)
+        assert cf_match(t, SFraction.from_list(ctx, [1 + q, ctx.zero, ctx.zero]), 3)
+        assert not cf_match(t, SFraction.from_list(ctx, [2 + q, ctx.zero, ctx.zero]), 3)
+        big = ctx.var("a", 40000)
+        jf = JFraction.from_lists(ctx, [big, big], [ctx.one])
+        t = Triangle(ctx, [[ctx.one], [big], [ctx.one, ctx.zero, ctx.zero]])
+        with pytest.raises(ValueError, match="exponent exceeds 65535"):
+            cf_match(t, jf, 2)
+
+    def test_deep_minimax_match_stays_packed(self, monkeypatch):
+        # the depth-40 benchmark match reads no row back and multiplies no
+        # two polynomials of two or more terms
+        fam = CATALOG["minimax-tree"]()
+        t = build_triangle(fam.spec, 40)
+        mul, products = Poly.__mul__, []
+
+        def counted(self, other):
+            if isinstance(other, Poly) and len(self.terms) > 1 and len(other.terms) > 1:
+                products.append((len(self.terms), len(other.terms)))
+            return mul(self, other)
+
+        def no_read_back(self):
+            raise AssertionError("rows read back")
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        monkeypatch.setattr(triangles._Build, "materialize", no_read_back)
+        assert cf_match(t, fam.jfraction, 40, fam.gf_var, fam.cf_prescaled)
+        assert products == [] and t._rows is None

@@ -12,8 +12,12 @@ from tpcert.polyring import (
     Poly,
     RatFunc,
     VarContext,
+    _direction,
     _fiber_product,
     _horner,
+    _join,
+    _pack,
+    _unpack,
     mpq,
 )
 
@@ -399,3 +403,24 @@ class TestFiberProduct:
         assert fiber_product(1 + q + d + lam, big) is None
         assert fiber_product((d + lam) ** 3, (d + lam) ** 4) is None
         assert ((1 + q + d + lam) * big).terms == dict_product(1 + q + d + lam, big)
+
+
+class TestPacking:
+    def test_dense_mixed_sign_fiber_round_trip(self):
+        # one fiber of 20,000 digits: y^3 times every power of x below 20000
+        ctx = VarContext(["x", "y"])
+        rng = random.Random(7)
+        terms = {ctx.pack([i, 3]): rng.choice((-1, 1)) * rng.randint(1, 10**6)
+                 for i in range(20000)}
+        sv, step = _direction(ctx, [terms])
+        width = (10**6).bit_length() + 1
+        packed = _pack(terms, sv, step, width)
+        assert len(packed) == 1
+        assert _unpack(packed, step, width) == terms
+
+    @pytest.mark.parametrize("digits", [
+        [], [(3, -5)], [(0, 1), (2, -3)], [(5, 7), (1, -1), (9, 2)],
+        [(e, (-1) ** e * (e + 1)) for e in range(17)],
+    ])
+    def test_join_is_the_sum_of_shifted_digits(self, digits):
+        assert _join(list(digits), 6) == sum(c << (6 * e) for e, c in digits)

@@ -1,10 +1,13 @@
 """Tests for triangle materialization and the triangle-level transforms."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpcert import families
+from tpcert import families, triangles
 from tpcert.polyring import VarContext
 from tpcert.triangles import (
     COLUMN_WALK,
@@ -402,3 +405,166 @@ def test_walk_list_coefficients_out_of_range(ctx):
     assert t.satisfies()
     with pytest.raises(IndexError):
         build_triangle(spec, 3)
+
+
+def reference_build(spec, depth):
+    """Rows 0..depth of the recurrence from ``Poly`` ``*`` and ``+``, entry
+    by entry, reading a coefficient only where the entry it weighs is
+    nonzero."""
+    ctx = spec.ctx
+    rows = [[ctx.one]]
+    for n in range(1, depth + 1):
+        prev = rows[-1]
+        row = []
+        for k in range(n + 1):
+            acc = ctx.zero
+            # row shift: c_j(n, k) weighs entry k-j; column walk: r, s and t
+            # at level kk weigh entry kk = k-1, k, k+1
+            for j in range(3):
+                kk = k - j if spec.kind == ROW_SHIFT else k - 1 + j
+                if 0 <= kk < len(prev) and prev[kk]:
+                    if spec.kind == COLUMN_WALK:
+                        c = spec.walk_coeff(j, kk)
+                    elif j < len(spec.coeffs):
+                        c = spec.coeffs[j].specialize({"n": n, "k": k})
+                    else:
+                        continue
+                    acc = acc + c * prev[kk]
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+class TestPackedBuild:
+    """``build_triangle`` runs the recurrence on packed fibers; each case
+    is compared with the ``Poly`` recurrence of ``reference_build``."""
+
+    @pytest.mark.parametrize("name", sorted(families.CATALOG))
+    def test_catalog_families(self, name):
+        spec = families.CATALOG[name]().spec
+        want = reference_build(spec, 10)
+        for depth in range(11):
+            t = build_triangle(spec, depth)
+            assert t.rows == want[:depth + 1], (name, depth)
+            assert t.depth == depth
+
+    def test_both_recurrence_shapes_are_covered(self):
+        kinds = {make().spec.kind for make in families.CATALOG.values()}
+        assert kinds == {ROW_SHIFT, COLUMN_WALK}
+
+    def test_column_walk_with_per_level_tuples(self, ctx):
+        k, q, lam = ctx.var("k"), ctx.var("q"), ctx.var("lam")
+        r = tuple(q + i for i in range(8))
+        s = tuple(lam * i - q for i in range(8))
+        t = (ctx.zero,) + tuple(i * q * lam - 2 for i in range(1, 8))
+        for coeffs in ((r, s, t), (r, k * q + 1, t), (k + lam, s, k * q)):
+            spec = RecurrenceSpec(ctx, COLUMN_WALK, coeffs)
+            assert build_triangle(spec, 8).rows == reference_build(spec, 8)
+
+    def test_zero_levels_cap_the_walk(self, ctx):
+        # r_1 = 0 keeps the walk in columns 0 and 1, and a zero level is
+        # never read past it: the lists stop at level 2
+        one, q = ctx.one, ctx.var("q")
+        spec = RecurrenceSpec(ctx, COLUMN_WALK, ((q, ctx.zero), (one, q + 1), (one, 2 * q)))
+        t = build_triangle(spec, 6)
+        assert t.rows == reference_build(spec, 6)
+        assert all(e.is_zero() for row in t.rows for e in row[2:])
+
+    def test_rational_and_negative_coefficients(self, ctx):
+        n, k, q, lam = (ctx.var(v) for v in ("n", "k", "q", "lam"))
+        third, half = Fraction(1, 3), Fraction(-1, 2)
+        spec = RecurrenceSpec(ctx, ROW_SHIFT, (
+            (k - n) * q * third + lam, half * n * lam - k * k * q + 3, q * q * Fraction(2, 5) - k,
+        ))
+        t = build_triangle(spec, 8)
+        assert t.rows == reference_build(spec, 8)
+        coefficients = [c for row in t.rows for e in row for c in e.terms.values()]
+        assert any(type(c) is Fraction for c in coefficients)
+        assert any(c < 0 for c in coefficients)
+        # an integral coefficient reads back as an int, as the Poly build gives
+        assert all(type(c) is int or c.denominator > 1 for c in coefficients)
+
+    def test_coefficients_integral_only_at_integer_points(self, ctx):
+        # n(n-1)/2 is an integer at every row: no row is cleared
+        n, q = ctx.var("n"), ctx.var("q")
+        spec = RecurrenceSpec(ctx, ROW_SHIFT, (n * (n - 1) / 2 + q, q * n))
+        t = build_triangle(spec, 7)
+        assert t._build.scales == [1] * 8
+        assert t.rows == reference_build(spec, 7)
+
+    def test_exponent_past_the_packing_width_raises(self, ctx):
+        q, k = ctx.var("q"), ctx.var("k")
+        spec = RecurrenceSpec(ctx, ROW_SHIFT, (ctx.var("q", 30000) * (1 + ctx.var("lam")), k + 1))
+        with pytest.raises(ValueError, match="an exponent exceeds 65535"):
+            reference_build(spec, 3)
+        with pytest.raises(ValueError, match="an exponent exceeds 65535"):
+            build_triangle(spec, 3)
+        # a column walk too
+        walk = RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, ctx.var("q", 40000) + k, q))
+        with pytest.raises(ValueError, match="an exponent exceeds 65535"):
+            build_triangle(walk, 2)
+        assert build_triangle(walk, 1).rows == reference_build(walk, 1)
+
+    def test_checked_build_without_overflow(self, ctx):
+        # the degree bound 3 * 22000 passes the width, so every product is
+        # checked; c0 vanishes in column 0, and no exponent passes 44000
+        k = ctx.var("k")
+        spec = RecurrenceSpec(ctx, ROW_SHIFT, (ctx.var("q", 22000) * k, ctx.one))
+        t = build_triangle(spec, 3)
+        assert t._rows is not None  # read back at build time
+        assert t.rows == reference_build(spec, 3)
+        assert t.rows[3][1] == ctx.var("q", 44000)
+
+    @given(
+        st.lists(st.tuples(st.one_of(st.integers(-5, 5),
+                                     st.fractions(-2, 2, max_denominator=3)),
+                           st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                           st.integers(0, 2)),
+                 max_size=4),
+        st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 2), st.integers(0, 2),
+                           st.integers(0, 2), st.integers(0, 2)),
+                 min_size=1, max_size=4),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_build(self, c0_terms, c1_terms, depth):
+        ctx = VarContext(["n", "k", "a", "b"])
+
+        def poly(terms):
+            return ctx.from_terms(
+                (c, {"n": i, "k": j, "a": x, "b": y}) for c, i, j, x, y in terms
+            )
+
+        spec = RecurrenceSpec(ctx, ROW_SHIFT, (poly(c0_terms), poly(c1_terms)))
+        assert build_triangle(spec, depth).rows == reference_build(spec, depth)
+
+
+class TestRowsOnFirstRead:
+    def test_a_built_triangle_reads_its_rows_back_once(self, ctx, monkeypatch):
+        reads = []
+        materialize = triangles._Build.materialize
+
+        def counted(self):
+            reads.append(self.depth)
+            return materialize(self)
+
+        monkeypatch.setattr(triangles._Build, "materialize", counted)
+        t = eulerian(ctx, 6)
+        assert reads == [] and t.depth == 6
+        assert ints(t.rows[4]) == [0, 1, 11, 11, 1]
+        assert t.entry(5, 3) == ctx.const(66)
+        assert t.rows is t.rows
+        assert reads == [6] and t._build is None and t.depth == 6
+
+    def test_equality_with_explicit_rows(self, ctx):
+        spec = RecurrenceSpec(ctx, ROW_SHIFT, (ctx.var("k"), ctx.var("n") - ctx.var("k") + 1))
+        t = build_triangle(spec, 5)
+        assert t == Triangle(ctx, reference_build(spec, 5), spec=spec)
+        assert t != Triangle(ctx, reference_build(spec, 5), spec=spec, scale=2 * ctx.one)
+
+    def test_satisfies_rejects_another_spec(self, ctx):
+        t = eulerian(ctx, 5)
+        assert t.satisfies()
+        n, k = ctx.var("n"), ctx.var("k")
+        assert not t.satisfies(RecurrenceSpec(ctx, ROW_SHIFT, (k, n - k + 2)))
+        assert not Triangle(ctx, [[2 * ctx.one]]).satisfies(t.spec)
