@@ -21,7 +21,7 @@ from .contfrac import (
     s_expand,
     triangle_jfraction,
 )
-from .polyring import Poly, RatFunc, VarContext
+from .polyring import Poly, VarContext
 from .totalpos import (
     PolyMatrix,
     TPReport,
@@ -50,7 +50,6 @@ __all__ = [
     "JFraction",
     "Poly",
     "PolyMatrix",
-    "RatFunc",
     "RecurrenceSpec",
     "SFraction",
     "TPReport",

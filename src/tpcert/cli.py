@@ -166,8 +166,10 @@ class _PlanRunner:
         point = _point(check, self.plan.ctx, self.plan.gf_var)
         bad = _row_mismatch(t, values, len(values) - 1, self.plan.gf_var, point)
         if bad is not None:
-            n, got = bad
-            detail["mismatch"] = {"row": n, "got": str(got), "want": str(values[n])}
+            n, got, spow = bad
+            true = got.exact_div(spow)
+            shown = str(true) if true is not None else f"({got}) / ({spow})"
+            detail["mismatch"] = {"row": n, "got": shown, "want": str(values[n])}
         return bad is None, detail
 
     def run_cf_match(self, check: dict):

@@ -44,14 +44,12 @@ from typing import Callable, Iterator, Sequence
 from .polyring import (
     _MASK,
     Poly,
-    RatFunc,
     VarContext,
     _add_level_product,
     _as_rational,
     _degree,
     _direction,
     _exponent_guard,
-    _map_polys,
     _pack,
     _scaled,
     _times_monomial,
@@ -109,7 +107,7 @@ class SFraction:
 
 @dataclass(frozen=True)
 class JFraction:
-    """J-fraction coefficients; values are Poly or (after extraction) RatFunc.
+    """J-fraction coefficients, each a Poly.
 
     ``r_list[i]`` stores r_{i+1}; accessors take the mathematical index.
     ``s0`` overrides the closed form at level 0, which is how contraction
@@ -153,15 +151,6 @@ class JFraction:
             return self.r_list[i - 1]
         return self.r_form.specialize({self.level_var: i})
 
-    def is_polynomial(self) -> bool:
-        """True when every listed coefficient is (narrowable to) a Poly."""
-        entries = list(self.s_list or ()) + list(self.r_list or ())
-        return all(not isinstance(e, RatFunc) or e.is_poly() for e in entries)
-
-    def narrowed(self) -> JFraction:
-        """Copy with RatFunc entries narrowed to Poly; raises if impossible."""
-        return _map_polys(self, lambda v: v.as_poly() if isinstance(v, RatFunc) else v)
-
 
 def contract(sf: SFraction) -> JFraction:
     """J-fraction equal, as a series, to the given S-fraction.
@@ -190,14 +179,6 @@ def contract(sf: SFraction) -> JFraction:
     return JFraction.from_lists(ctx, s, r)
 
 
-def _poly_coeff(value, what: str) -> Poly:
-    if isinstance(value, RatFunc):
-        if not value.is_poly():
-            raise ValueError(f"{what} is not polynomial: {value}")
-        return value.as_poly()
-    return value
-
-
 def _levels(jf: JFraction, depth: int) -> tuple[list[Poly], list[Poly]]:
     """The s and r levels the walk of ``j_expand`` to ``depth`` reads, as
     polynomials: ``(s, r)`` with ``s[k]`` = s_k and ``r[k]`` = r_(k+1).
@@ -210,11 +191,11 @@ def _levels(jf: JFraction, depth: int) -> tuple[list[Poly], list[Poly]]:
     """
     r: list[Poly] = []
     for k in range(1, depth // 2 + 1):
-        r.append(_poly_coeff(jf.r(k), f"r_{k}"))
+        r.append(jf.r(k))
         if not r[-1]:
             break
     top = len(r) - 1 if r and not r[-1] else (depth - 1) // 2
-    s = [_poly_coeff(jf.s(k), f"s_{k}") for k in range(top + 1)]
+    s = [jf.s(k) for k in range(top + 1)]
     return s, r
 
 
@@ -324,42 +305,61 @@ def s_expand(sf: SFraction, depth: int) -> list[Poly]:
     return j_expand(contract(sf), depth)
 
 
-def extract_jfraction(f: Sequence, levels: int) -> JFraction:
+def extract_jfraction(f: Sequence[Poly], levels: int) -> JFraction:
     """Recover J-fraction coefficients from a series with constant term 1.
 
-    Runs the walk of ``j_expand`` backwards over the coefficient fraction
-    field.  With c_k[j] = D[k+j][k], so that c_0 is the series, c_(-1) = 0
-    and c_k[0] = 1, the walk recurrence at D[k+j+1][k] gives
+    Runs the walk of ``j_expand`` backwards with exact polynomial division.
+    With c_k[j] = D[k+j][k], so that c_0 is the series, c_(-1) = 0 and
+    c_k[0] = 1, the walk recurrence at D[k+j+1][k] gives
 
         s_k        = c_k[1] - c_(k-1)[1],
         r_(k+1)    = c_k[2] - c_(k-1)[2] - s_k c_k[1],
         c_(k+1)[j-1] = (c_k[j+1] - c_(k-1)[j+1] - s_k c_k[j]) / r_(k+1).
 
     Two series orders are consumed per level, so ``len(f) > 2*levels`` is
-    required.  A level with r identically zero terminates the fraction: the
-    prefix is returned, ending in that zero r.
+    required, and only the first 2*levels + 2 are read: c_k[j] reads the
+    levels up to (2k + j) / 2, so a later order reads a level past
+    ``levels``, which need not be a polynomial.  A level with r identically
+    zero terminates the fraction: the prefix is returned, ending in that
+    zero r.  A division that is not exact ends its row there; a later
+    level that reads past that end is not a polynomial, and raises
+    DegenerateFraction naming the r whose division failed.
     """
+    if levels < 0:
+        raise ValueError(f"levels must be nonnegative, got {levels}")
     depth = len(f) - 1
     if depth < 2 * levels:
         raise ValueError(f"series depth {depth} < 2*levels = {2 * levels}")
+    f = list(f[:2 * levels + 2])
     ctx = f[0].ctx
-    cur = [c if isinstance(c, RatFunc) else RatFunc.from_poly(c) for c in f]
-    if cur[0] != RatFunc.from_poly(ctx.one):
+    if f[0] != ctx.one:
         raise ValueError("extraction needs constant term 1")
-    prev = [RatFunc.from_poly(ctx.zero)] * len(cur)
-    s: list[RatFunc] = []
-    r: list[RatFunc] = []
+    prev, cur = [ctx.zero] * len(f), f
+    s: list[Poly] = []
+    r: list[Poly] = []
+    failed = 0  # the r level whose division first failed
     for k in range(levels + 1):
-        if len(cur) < 2:  # s_levels needs the order past 2*levels
-            break
+        need = 2 if k == levels else 3  # s_k reads c_k[1], r_(k+1) c_k[2]
+        if len(cur) < need:
+            if len(f) - 2 * k < need:  # s_levels needs the order past 2*levels
+                break
+            raise DegenerateFraction(
+                f"r_{failed} = {r[failed - 1]} does not divide the series, "
+                f"so a level past r_{failed} is not a polynomial")
         s.append(cur[1] - prev[1])
         if k == levels:
             break
         r.append(cur[2] - prev[2] - s[-1] * cur[1])
-        if r[-1].is_zero():
+        if not r[-1]:
             break
-        prev, cur = cur, [(cur[j + 1] - prev[j + 1] - s[-1] * cur[j]) / r[-1]
-                          for j in range(1, len(cur) - 1)]
+        row = []
+        for j in range(1, len(cur) - 1):
+            c = (cur[j + 1] - prev[j + 1] - s[-1] * cur[j]).exact_div(r[-1])
+            if c is None:
+                failed = failed or k + 1
+                break
+            row.append(c)
+        prev, cur = cur, row
     return JFraction.from_lists(ctx, s, r)
 
 

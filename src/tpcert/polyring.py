@@ -24,7 +24,6 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import dataclasses
-import math
 import sys
 from fractions import Fraction as mpq
 from functools import reduce
@@ -409,27 +408,12 @@ class Poly:
 
     # -- arithmetic helpers used by exact linear algebra --------------------
 
-    def content(self) -> Rational:
-        """Positive rational c with self/c having coprime integer coefficients."""
-        if not self.terms:
-            return 0
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            q = mpq(c)
-            num_gcd = math.gcd(num_gcd, q.numerator)
-            den_lcm = math.lcm(den_lcm, q.denominator)
-        return _as_rational(mpq(num_gcd, den_lcm))
-
     def leading(self) -> tuple[int, Rational]:
         """(packed key, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         k = max(self.terms)
         return k, self.terms[k]
-
-    def leading_coeff(self) -> Rational:
-        return self.leading()[1] if self.terms else 0
 
     def exact_div(self, divisor: Poly) -> "Poly | None":
         """Exact quotient self/divisor, or None when divisor does not divide."""
@@ -934,152 +918,6 @@ def _parse_poly(ctx: VarContext, text: str) -> Poly:
     return result
 
 
-# ---------------------------------------------------------------------------
-# rational functions
-# ---------------------------------------------------------------------------
-
-
-class RatFunc:
-    """Quotient of two polynomials, normalized but not fully reduced.
-
-    Normalization removes the gcd of the numerator and denominator contents,
-    makes the denominator's leading coefficient positive, and clears the
-    denominator entirely whenever it divides the numerator exactly.  Full
-    multivariate gcd reduction is deliberately not attempted, so equality is
-    decided by cross-multiplication.
-    """
-
-    __slots__ = ("num", "den")
-    __hash__ = None
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        num._require_same_ctx(den)
-        if num.is_zero():
-            den = den.ctx.one
-        elif den.is_constant():
-            num = num.scale(1 / mpq(den.const_value()))
-            den = den.ctx.one
-        else:
-            q = num.exact_div(den)
-            if q is not None:
-                num, den = q, den.ctx.one
-            else:
-                cn, cd = num.content(), den.content()
-                g = mpq(math.gcd(mpq(cn).numerator * mpq(cd).denominator,
-                                 mpq(cd).numerator * mpq(cn).denominator),
-                        mpq(cn).denominator * mpq(cd).denominator)
-                if den.leading_coeff() < 0:
-                    g = -g
-                if g != 1:
-                    num = num.scale(1 / g)
-                    den = den.scale(1 / g)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> RatFunc:
-        rf = object.__new__(cls)
-        rf.num = p
-        rf.den = p.ctx.one
-        return rf
-
-    @property
-    def ctx(self):
-        return self.num.ctx
-
-    def is_poly(self) -> bool:
-        return self.den == self.ctx.one
-
-    def as_poly(self) -> Poly:
-        """Narrow to a polynomial; raises if the denominator is nontrivial."""
-        if not self.is_poly():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def _coerce(self, other) -> "RatFunc | None":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, Poly):
-            return RatFunc.from_poly(other)
-        if isinstance(other, (int, mpq)):
-            return RatFunc.from_poly(self.ctx.const(other))
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den is other.den or self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc.from_poly(-self.num) if self.is_poly() else RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
-
-    def __str__(self):
-        if self.is_poly():
-            return render(self.num)
-        return f"({render(self.num)}) / ({render(self.den)})"
-
-    def __repr__(self):
-        return f"RatFunc({self})"
-
-
 def _horner(coeffs: Sequence[Poly], x: Poly, y: Poly | None = None) -> Poly:
     """sum_e coeffs[e] x^e y^(d-e), with d = len(coeffs) - 1; y=None means 1.
 
@@ -1095,12 +933,12 @@ def _horner(coeffs: Sequence[Poly], x: Poly, y: Poly | None = None) -> Poly:
 
 
 def _map_polys(value, fn):
-    """``value`` with ``fn`` applied to every Poly and RatFunc inside it.
+    """``value`` with ``fn`` applied to every Poly inside it.
 
     Walks through tuples, lists, dict values and dataclass fields, rebuilding
     each container; every other value is returned unchanged.
     """
-    if isinstance(value, (Poly, RatFunc)):
+    if isinstance(value, Poly):
         return fn(value)
     if isinstance(value, (tuple, list)):
         return type(value)(_map_polys(v, fn) for v in value)

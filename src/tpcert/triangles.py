@@ -36,7 +36,6 @@ from typing import Iterable, Iterator, Literal, Mapping, Sequence
 from .polyring import (
     _MASK,
     Poly,
-    RatFunc,
     VarContext,
     _add_level_product,
     _as_rational,
@@ -413,7 +412,8 @@ def _evaluate(p: Poly, at: Mapping[str, Poly]) -> Poly:
 def _row_mismatch(t: Triangle, want: Iterable[Poly], upto: int, var: str,
                   at: Mapping[str, Poly] | None = None, scaled: bool = True):
     """First row n <= upto whose polynomial is not want[n] * scale^n, as
-    (n, true row value), or None when every row matches.
+    (n, row, scale^n), whose true value is row / scale^n, or None when
+    every row matches.
 
     ``want`` may be any iterable: row n is compared as it arrives, and no
     entry past the first mismatch is drawn.  One that ends before row
@@ -437,7 +437,7 @@ def _row_mismatch(t: Triangle, want: Iterable[Poly], upto: int, var: str,
             raise ValueError(f"the series ends before row {n} of the {upto + 1} to check")
         got = _evaluate(t.row_gf(n, var), at)
         if got != w * spow:
-            return n, RatFunc(got, spow)
+            return n, got, spow
         spow = spow * scale
     return None
 

@@ -1,6 +1,9 @@
 """Tests for plan loading, the check runners and report emission."""
 
+import importlib
 import json
+import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import tpcert
 from tpcert import cli, contfrac
 from tpcert.cli import PlanError, emit_report, load_plan, main, run_plan
 from tpcert.contfrac import (
@@ -424,6 +428,20 @@ def test_row_gf_compares_the_true_rows(tmp_path, capsys):
     assert main(["verify", str(zero)]) == 2
 
 
+def test_row_gf_shows_a_true_row_that_is_not_a_polynomial(tmp_path, capsys):
+    # true row 1 is (2q + 2) / (2q), shown unreduced
+    plan = write_plan(tmp_path, """\
+vars: [q]
+triangle: {c0: 2, c1: 2, denominator: "2*q", depth: 2}
+checks:
+  - kind: row-gf
+    values: [1, 2, 4]
+""")
+    assert main(["verify", str(plan), "--format", "json"]) == 1
+    detail = json.loads(capsys.readouterr().out)["plans"][0]["checks"][0]["detail"]
+    assert detail["mismatch"] == {"row": 1, "got": "(2*q + 2) / (2*q)", "want": "2"}
+
+
 # true rows: the unsigned Stirling numbers of the first kind
 REPRO_ORACLE = """\
 vars: [q, a]
@@ -680,6 +698,19 @@ def test_readme_field_tables_match_the_code():
         want += rows(kind, entry["fields"], entry["forms"])
     readme = (PLANS.parent / "README.md").read_text().splitlines()
     assert [line for line in readme if line.startswith("| `") and line.count("|") == 6] == want
+
+
+def test_readme_module_table_names_what_each_module_has():
+    readme = (PLANS.parent / "README.md").read_text()
+    section = readme.split("## What's inside\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `tpcert.")]
+    modules = {f"tpcert.{m.name}" for m in pkgutil.iter_modules(tpcert.__path__)}
+    assert {cell.strip(" `") for cell, _ in rows} == modules
+    for cell, contents in rows:
+        module = importlib.import_module(cell.strip(" `"))
+        for name in re.findall(r"`([^`]+)`", contents):
+            if name.isidentifier():  # not a type such as list[Poly]
+                assert hasattr(module, name), f"README lists {module.__name__}.{name}"
 
 
 @pytest.mark.parametrize(

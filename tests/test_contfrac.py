@@ -28,7 +28,7 @@ from tpcert.contfrac import (
     triangle_jfraction,
 )
 from tpcert.families import CATALOG
-from tpcert.polyring import Poly, RatFunc, VarContext, _map_polys
+from tpcert.polyring import Poly, VarContext, _map_polys
 from tpcert.triangles import (
     COLUMN_WALK,
     ROW_SHIFT,
@@ -177,9 +177,8 @@ class TestExtract:
     def test_factorial_levels(self, ctx):
         f = consts(ctx, [math.factorial(i) for i in range(11)])
         jf = extract_jfraction(f, 4)
-        assert [v.as_poly() for v in jf.s_list] == consts(ctx, [1, 3, 5, 7, 9])
-        assert [v.as_poly() for v in jf.r_list] == consts(ctx, [1, 4, 9, 16])
-        assert jf.is_polynomial() and not any(v.is_zero() for v in jf.r_list)
+        assert list(jf.s_list) == consts(ctx, [1, 3, 5, 7, 9])
+        assert list(jf.r_list) == consts(ctx, [1, 4, 9, 16])
 
     def test_geometric_degenerates(self, ctx):
         c = ctx.var("c")
@@ -187,10 +186,10 @@ class TestExtract:
         jf = extract_jfraction(f, 3)
         # the fraction ends at its zero r_1
         assert len(jf.r_list) == 1 and jf.r_list[-1].is_zero()
-        assert jf.s_list[0] == RatFunc.from_poly(c)
+        assert jf.s_list[0] == c
         assert jf.r_list[0].is_zero()
         # and the terminated fraction expands back to the series
-        assert j_expand(jf.narrowed(), 6) == [c**i for i in range(7)]
+        assert j_expand(jf, 6) == [c**i for i in range(7)]
 
     def test_constant_term_must_be_one(self, ctx):
         f = consts(ctx, [2, 1, 1])
@@ -202,6 +201,33 @@ class TestExtract:
         with pytest.raises(ValueError):
             extract_jfraction(f, 3)
 
+    def test_negative_levels_raise(self, ctx):
+        with pytest.raises(ValueError, match="levels must be nonnegative"):
+            extract_jfraction(consts(ctx, [1, 1, 1]), -1)
+
+    def test_non_dividing_level_raises(self, ctx):
+        # r_1 = q, and r_2 = (1 - q^2) / q is not a polynomial
+        q = ctx.var("q")
+        f = [ctx.one, ctx.zero, q, ctx.zero, ctx.one, ctx.zero]
+        with pytest.raises(DegenerateFraction, match="r_1 = q does not divide"):
+            extract_jfraction(f, 2)
+
+    def test_orders_past_the_levels_are_not_read(self, ctx):
+        # the orders past 2*levels + 1 would give c_1 the entry 1/q
+        q = ctx.var("q")
+        f = [ctx.one, ctx.zero, q] + [ctx.zero, ctx.one] * 3
+        jf = extract_jfraction(f, 1)
+        assert list(jf.s_list) == [ctx.zero, ctx.zero]
+        assert list(jf.r_list) == [q]
+
+    def test_terminated_fraction_ignores_the_tail(self, ctx):
+        # r_2 = 0 ends the fraction before any level reads c_1[4] = 1/q
+        q = ctx.var("q")
+        f = [ctx.one, ctx.zero, q, ctx.zero, q * q, ctx.zero, ctx.one]
+        jf = extract_jfraction(f, 3)
+        assert list(jf.s_list) == [ctx.zero, ctx.zero]
+        assert list(jf.r_list) == [q, ctx.zero]
+
     def test_round_trip_random_positive(self, ctx):
         rng = random.Random(7)
         for _ in range(10):
@@ -211,8 +237,8 @@ class TestExtract:
             jf = JFraction.from_lists(ctx, s, r)
             f = j_expand(jf, 2 * L + 1)
             back = extract_jfraction(f, L)
-            assert [v.as_poly() for v in back.s_list] == s
-            assert [v.as_poly() for v in back.r_list] == r
+            assert list(back.s_list) == s
+            assert list(back.r_list) == r
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 4).flatmap(lambda levels: st.tuples(
@@ -230,25 +256,21 @@ class TestExtract:
         back = extract_jfraction(series, levels)
         # the fraction comes back cut after its first zero r
         cut = next((i + 1 for i, v in enumerate(r) if not v), None)
-        assert [v.as_poly() for v in back.s_list] == s[:cut]
-        assert [v.as_poly() for v in back.r_list] == r[:cut]
-        assert j_expand(back.narrowed(), 2 * levels + 1) == series
+        assert list(back.s_list) == s[:cut]
+        assert list(back.r_list) == r[:cut]
+        assert j_expand(back, 2 * levels + 1) == series
 
     def test_symbolic_family_series(self):
         # the affine-n family's row-polynomial series extracts back to the
-        # contraction of its alpha forms, with all levels clearing to
-        # polynomials
+        # contraction of its alpha forms
         from tpcert.families import affine_n_family
 
         fam = affine_n_family()
         t = build_triangle(fam.spec, 6)
         jf = extract_jfraction(t.row_gfs(), 3)
         want = contract(fam.sfraction)
-        assert jf.is_polynomial()
-        for i in range(3):
-            assert jf.s_list[i] == RatFunc.from_poly(want.s(i))
-        for i in range(1, 4):
-            assert jf.r_list[i - 1] == RatFunc.from_poly(want.r(i))
+        assert list(jf.s_list) == [want.s(i) for i in range(3)]
+        assert list(jf.r_list) == [want.r(i) for i in range(1, 4)]
 
 
 def to_sympy(p, symbols):

@@ -10,7 +10,6 @@ from tpcert.polyring import (
     ContextMismatch,
     ParseError,
     Poly,
-    RatFunc,
     VarContext,
     _direction,
     _fiber_product,
@@ -225,41 +224,6 @@ def test_exact_div(ctx):
             continue
         assert (p * q).exact_div(q) == p
     assert ctx.parse("q^2 + 1").exact_div(ctx.parse("q + 1")) is None
-
-
-def test_content(ctx):
-    assert ctx.parse("6*q + 4").content() == 2
-    assert ctx.parse("3/2*q + 9/4").content() == mpq(3, 4)
-
-
-class TestRatFunc:
-    def test_normalization_clears_exact_quotients(self, ctx):
-        q = ctx.var("q")
-        rf = RatFunc(q**2 - 1, q - 1)
-        assert rf.is_poly() and rf.as_poly() == q + 1
-
-    def test_denominator_sign_and_content(self, ctx):
-        q = ctx.var("q")
-        rf = RatFunc(ctx.const(2) * q, ctx.const(-4) * q + ctx.const(-2))
-        assert rf.den.leading_coeff() > 0
-        assert rf == RatFunc(-q, 2 * q + 1)
-
-    def test_zero_denominator(self, ctx):
-        with pytest.raises(ZeroDivisionError):
-            RatFunc(ctx.one, ctx.zero)
-
-    def test_arithmetic_and_cross_equality(self, ctx):
-        q, lam = ctx.var("q"), ctx.var("lam")
-        a = RatFunc(ctx.one, q)
-        b = RatFunc(ctx.one, lam)
-        assert a + b == RatFunc(q + lam, q * lam)
-        assert a * b == RatFunc(ctx.one, q * lam)
-        assert (a / b) == RatFunc(lam, q)
-        assert a - a == RatFunc.from_poly(ctx.zero)
-
-    def test_as_poly_raises_on_true_fraction(self, ctx):
-        with pytest.raises(ValueError):
-            RatFunc(ctx.one, ctx.var("q")).as_poly()
 
 
 # ---------------------------------------------------------------------------
