@@ -12,11 +12,17 @@ by a 16-bit total-degree field, so that
 
 Large products of integer polynomials are computed fiber by fiber, one
 big-integer product per pair of fibers (``_fiber_product``); every other
-product runs the plain term-by-term dict kernel.  A packed fiber is read
-back by ``_put_digits``.  The continued-fraction walk
+product runs the plain term-by-term dict kernel.  Every packed kernel keys
+its fibers the same way: along a direction that moves e_v by one (a
+variable, a pair v - w, or in large products a signed triple such as
+v + w - x), the terms on one line share the key ``key - e_v * step``
+(``_lines``), and digit i of a packed fiber reads back at ``fiber + i *
+step`` (``_put_digits``).  The continued-fraction walk
 (``contfrac.j_expand``) and the triangle build
 (``triangles.build_triangle``) keep their entries packed from step to step
-on the kernel of ``_direction``, ``_pack`` and ``_add_level_product``.
+on the kernel of ``_direction``, ``_pack`` and ``_add_level_product``;
+``_fiber_product`` packs each fiber under the key of its lowest monomial
+instead (``_anchored``), so a fiber far from e_v = 0 costs no padding.
 
 All values are immutable after construction and safe to share.
 """
@@ -26,15 +32,23 @@ from __future__ import annotations
 import dataclasses
 import sys
 from fractions import Fraction as mpq
-from functools import reduce
-from itertools import combinations, repeat
-from operator import add, and_, or_
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, mpq]
 
 _BITS = 16
 _MASK = (1 << _BITS) - 1
+# ``_fiber_product`` also tries three-variable directions on products of
+# at least ``_LARGE`` term products whose operands' total degrees sum below
+# ``_TRIPLE_DEGREE``, and scores them on ``_SAMPLE`` keys
+_LARGE = 1 << 14
+_TRIPLE_DEGREE = 1 << (_BITS - 1)
+_SAMPLE = 12
+# ``_put_digits`` reads a fiber of more digits than this by halves
+_SPLIT = 128
 
 
 class ContextMismatch(ValueError):
@@ -483,81 +497,71 @@ def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":
     one big-integer product per pair of fibers; None when the plain dict
     kernel should run instead (a rational coefficient, a product too small
     or too lopsided to repay the packing, fibers that do not collapse, or
-    total degrees summing past the degree field, which would carry into
-    the s field above it).
+    total degrees summing past the degree field, where the keys of two
+    lines could coincide).
 
-    ``a`` is the operand with fewer terms.  For a variable pair (v, w), the
-    fiber of a monomial is the monomial with e_v and e_w replaced by their
-    sum s; polynomials homogeneous in (v, w) have few fibers.  A fiber is
-    packed by Kronecker substitution into one integer,
-    sum c * 2^(W*(e_v - lo)), and its key keeps lo, so fiber products are
-    integer products and fiber keys add like monomial keys.  Each
-    coefficient of the product is a sum of at most len(a) products of one
-    coefficient of ``a`` and one of ``b``, so its absolute value is below
-    2^(W-1); the balanced base-2^W digits of a summed fiber are therefore
-    exactly its coefficients.
+    ``a`` is the operand with fewer terms.  The fibers are the lines of the
+    walk's linear fiber key (``_lines``) along a direction that leaves
+    ``a`` few fibers (``_product_direction``).  A fiber is packed by
+    Kronecker substitution into one integer, sum c * 2^(W*(e_v - lo)),
+    under its anchor, the key of its monomial with e_v = lo.  Anchors are
+    monomial keys, so they add like them: the product of two fibers sits
+    under the anchor of the lowest monomial it holds.  Products whose
+    anchors share a line are shifted to the lowest anchor and added, and
+    each line is read back from there as balanced base-2^W digits
+    (``_put_digits``).  Each coefficient of the product is a sum of at most
+    len(a) products of one coefficient of ``a`` and one of ``b``, so its
+    absolute value is below 2^(W-1) and the digits are exactly the
+    coefficients.
     """
     la, lb = len(a), len(b)
     if la * lb < 16 * (la + lb):
         return None
     deg_shift = _BITS * nvars
-    if (max(a) >> deg_shift) + (max(b) >> deg_shift) > _MASK:
+    degree = (max(a) >> deg_shift) + (max(b) >> deg_shift)
+    if degree > _MASK:
         return None
     for terms in (a, b):
         for c in terms.values():
             if type(c) is not int:
                 return None
-    # the pair (v, w) of variables of ``a`` that leaves ``a`` the fewest fibers
-    keys = list(a)
-    occurring = reduce(or_, keys)
-    exps = {}
-    for i in range(nvars):
-        sh = _BITS * (nvars - 1 - i)
-        if (occurring >> sh) & _MASK:
-            exps[sh] = [(k >> sh) & _MASK for k in keys]
-    best = None
-    for sv, sw in combinations(exps, 2):
-        clear = ~((_MASK << sv) | (_MASK << sw))
-        count = len(set(zip(map(and_, keys, repeat(clear)), map(add, exps[sv], exps[sw]))))
-        if best is None or count < best[0]:
-            best = (count, sv, sw, clear)
-    if best is None:
+    direction = _product_direction(a, nvars, la * lb >= _LARGE and degree < _TRIPLE_DEGREE)
+    if direction is None:
         return None
-    _, sv, sw, clear = best
-    # fiber key: the monomial key with the v and w fields zeroed (the
-    # degree field kept), s in the field above the degree, lo above that
-    s_shift = _BITS * (nvars + 1)
-    lo_shift = s_shift + _BITS
-    fibers_a = _fibers(a, sv, sw, clear, s_shift)
-    fibers_b = _fibers(b, sv, sw, clear, s_shift)
-    if len(fibers_a) * len(fibers_b) * 4 > la * lb:
+    sv, step = direction
+    lines_a = _lines(a, sv, step)
+    lines_b = _lines(b, sv, step)
+    if len(lines_a) * len(lines_b) * 4 > la * lb:
         return None
     bound = max(max(a.values()), -min(a.values())) * max(max(b.values()), -min(b.values()))
     width = (bound * la).bit_length() + 1
-    packed_b = _pack_fibers(fibers_b, width, lo_shift).items()
+    packed_b = _anchored(lines_b, step, width).items()
     acc: dict[int, int] = {}
     get = acc.get
-    for fa, xa in _pack_fibers(fibers_a, width, lo_shift).items():
+    for fa, xa in _anchored(lines_a, step, width).items():
         for fb, xb in packed_b:
             f = fa + fb
             v = get(f)
             acc[f] = xa * xb if v is None else v + xa * xb
-    # fibers that differ only in lo hold the same monomials: align them to
-    # lo = 0 and add, then read each one back as balanced base-2^W digits
-    rest_mask = (1 << lo_shift) - 1
-    merged: dict[int, int] = {}
-    get = merged.get
-    for f, x in acc.items():
-        x <<= (f >> lo_shift) * width
-        f &= rest_mask
-        v = get(f)
-        merged[f] = x if v is None else v + x
-    low = (1 << s_shift) - 1
-    step = (1 << sv) - (1 << sw)  # from e_v to e_v + 1 at fixed s
+    # products whose anchors share a line hold digits of the same
+    # monomials: add each into the line's lowest anchor, in place
+    lowest: dict[int, int] = {}
+    get = lowest.get
+    for key, x in acc.items():
+        e = (key >> sv) & _MASK
+        f = key - e * step
+        low = get(f)
+        if low is None:
+            lowest[f] = key
+            continue
+        up = e - ((low >> sv) & _MASK)
+        if up > 0:
+            acc[low] += x << width * up
+        else:
+            acc[key] = x + (acc[low] << -width * up)
+            lowest[f] = key
     out: dict[int, int] = {}
-    # each fiber is read from its monomial with e_v = 0
-    _put_digits(out, (((f & low) + ((f >> s_shift) << sw), x) for f, x in merged.items()),
-                step, width)
+    _put_digits(out, ((key, acc[key]) for key in lowest.values()), step, width)
     return out
 
 
@@ -566,6 +570,11 @@ def _put_digits(out: dict, packed: Iterable[tuple[int, int]], step: int, width: 
     ``x``, lowest first, in ``out`` as the coefficients of ``key``,
     ``key + step``, ...; zero digits are skipped.  Every digit must lie in
     [-2^(width-1), 2^(width-1)).
+
+    Reading a digit shifts the rest of ``x``, so a fiber of more than
+    ``_SPLIT`` digits is first cut in halves (``_halves``), round after
+    round: a fiber of n digits then reads back in time O(n log n), not
+    O(n^2).
     """
     full = 1 << width
     half = full >> 1
@@ -574,7 +583,11 @@ def _put_digits(out: dict, packed: Iterable[tuple[int, int]], step: int, width: 
     # 64-bit CPython an int of one or two limbs takes 32 bytes either way,
     # so only a wider digit is worth copying to its own size (``-(-d)``)
     compact = width > 2 * sys.int_info.bits_per_digit
+    long = _SPLIT * width
     for key, x in packed:
+        if x.bit_length() > long:
+            _put_digits(out, _halves(key, x, step, width), step, width)
+            continue
         while x:
             d = x & digit
             if not d:  # a run of zero digits, skipped at once
@@ -590,30 +603,21 @@ def _put_digits(out: dict, packed: Iterable[tuple[int, int]], step: int, width: 
             key += step
 
 
-def _fibers(terms: dict, sv: int, sw: int, clear: int, s_shift: int) -> dict:
-    """``{fiber key without lo: [(e_v, coefficient), ...]}``."""
-    fibers: dict[int, list] = {}
-    for k, c in terms.items():
-        ev = (k >> sv) & _MASK
-        f = (k & clear) + ((ev + ((k >> sw) & _MASK)) << s_shift)
-        members = fibers.get(f)
-        if members is None:
-            fibers[f] = [(ev, c)]
-        else:
-            members.append((ev, c))
-    return fibers
-
-
-def _pack_fibers(fibers: dict, width: int, lo_shift: int) -> dict:
-    """``{fiber key with lo: sum c * 2^(width*(e_v - lo))}``."""
-    packed = {}
-    for f, members in fibers.items():
-        lo = min(members)[0]
-        x = 0
-        for ev, c in members:
-            x += c << (width * (ev - lo))
-        packed[f + (lo << lo_shift)] = x
-    return packed
+def _halves(key: int, x: int, step: int, width: int) -> tuple:
+    """``(key, low), (key + n * step, high)``, the two halves of the packed
+    fiber ``x`` at ``key``, cut after its n lowest balanced digits: ``low``
+    is their sum, negative when the highest nonzero one of them is, and
+    ``high`` carries that borrow."""
+    n = x.bit_length() // width // 2
+    bits = n * width
+    low, high = x & ((1 << bits) - 1), x >> bits
+    # the largest sum of n balanced digits is (2^(width-1) - 1) * R with
+    # R = 1 + 2^width + ... + 2^(width * (n-1)); a residue above it is the
+    # sum of digits whose top one is negative
+    if low > ((1 << (width - 1)) - 1) * (((1 << bits) - 1) // ((1 << width) - 1)):
+        low -= 1 << bits
+        high += 1
+    return (key, low), (key + n * step, high)
 
 
 # ---------------------------------------------------------------------------
@@ -645,29 +649,99 @@ def _direction(ctx: VarContext, levels: list[dict]) -> tuple[int, int]:
     every e_v is zero and the step is never used.
     """
     occurring = reduce(or_, (key for t in levels for key in t), 0)
-    shifts = [sh for sh in ctx._shifts if (occurring >> sh) & _MASK]
-    degree = 1 << ctx._deg_shift
-    candidates = [(sv, (1 << sv) + degree) for sv in shifts]
-    candidates += [(sv, (1 << sv) - (1 << sw)) for sv, sw in combinations(shifts, 2)]
-    best, fewest = (0, 0), None
-    for sv, step in candidates:
-        count = sum(len({key - ((key >> sv) & _MASK) * step for key in t}) for t in levels)
+    steps = _steps(_fields(occurring, len(ctx.names)), ctx._deg_shift, True, False)
+    return _fewest(levels, steps) or (0, 0)
+
+
+def _product_direction(a: dict, nvars: int, triples: bool) -> "tuple[int, int] | None":
+    """``(shift, step)`` of the direction along which ``_fiber_product``
+    packs, or None when ``a`` has a single field and so no pair.
+
+    The candidates are the pairs of ``_direction`` and, when ``triples``,
+    the signed three-variable steps of ``_steps``; their lines can follow
+    an affine lattice that no pair follows.  Counting every candidate's
+    fibers exactly would cost more than it saves, so with ``triples`` each
+    one is first scored on a fixed sample of ``_SAMPLE`` keys of ``a`` by
+    how many of ``key + step`` are keys too, and only the two best scores
+    are counted.  Otherwise the fewest fibers of ``a`` win, ties going to
+    the earlier candidate.
+    """
+    steps = _steps(_fields(reduce(or_, a), nvars), _BITS * nvars, False, triples)
+    if triples:
+        sample = list(a)[:: -(-len(a) // _SAMPLE)]
+        steps = sorted(steps, key=lambda c: -sum(k + c[1] in a for k in sample))[:2]
+    return _fewest([a], steps)
+
+
+def _fields(occurring: int, nvars: int) -> tuple:
+    """The shifts of the variable fields set in ``occurring``, in context
+    order."""
+    return tuple(sh for sh in range(_BITS * (nvars - 1), -1, -_BITS) if (occurring >> sh) & _MASK)
+
+
+@lru_cache(maxsize=256)
+def _steps(fields: tuple, deg_shift: int, singles: bool, triples: bool) -> tuple:
+    """The candidate directions over ``fields``, in this order: when
+    ``singles``, each variable v; the pairs v - w; when ``triples``, the
+    signed triples v + w - x, v - w + x, v + w + x and v - w - x.  v comes
+    before w and w before x in context order.
+
+    Every step moves e_v by one, so ``key - e_v * step`` keys a line, and
+    it moves the degree field by the sum of its signs.  A signed step takes
+    other fields below zero on part of a line; keys are added as integers,
+    so such a line key borrows from the field above and still reads back.
+    For two monomials of total degree D < 2^15 every variable field of
+    (key - key') - (e_v - e_v') * step lies within 2D < 2^16 of zero, so the
+    two share a line key only when they share a line; ``_fiber_product``
+    tries triples only below that degree.  A pair's fields stay within D.
+    """
+    degree = 1 << deg_shift
+    steps = [(sv, (1 << sv) + degree) for sv in fields] if singles else []
+    steps += [(sv, (1 << sv) - (1 << sw)) for sv, sw in combinations(fields, 2)]
+    if triples:
+        steps += [(sv, (1 << sv) + sw * (1 << w) + sx * (1 << x) + (1 + sw + sx) * degree)
+                  for sv, w, x in combinations(fields, 3)
+                  for sw, sx in ((1, -1), (-1, 1), (1, 1), (-1, -1))]
+    return tuple(steps)
+
+
+def _fewest(maps: list[dict], steps: Iterable[tuple[int, int]]) -> "tuple[int, int] | None":
+    """The ``(shift, step)`` of ``steps`` that leaves ``maps`` the fewest
+    lines of ``_lines``, the earlier one on a tie; None when there is none."""
+    best, fewest = None, None
+    for sv, step in steps:
+        count = sum(len({key - ((key >> sv) & _MASK) * step for key in t}) for t in maps)
         if fewest is None or count < fewest:
             best, fewest = (sv, step), count
     return best
 
 
-def _join(digits: list, width: int) -> int:
-    """``sum c * 2^(width * e)`` over the ``(e, c)`` pairs of ``digits``,
-    which it may reorder.  Neighbours in exponent order are combined
-    pairwise, round after round, so every round costs time linear in the
-    result's length; adding one shifted coefficient at a time would cost
-    time quadratic in it."""
-    if len(digits) == 1:
-        e, c = digits[0]
-        return c << (width * e)
-    if not digits:
-        return 0
+def _lines(terms: dict, sv: int, step: int) -> dict:
+    """``{line: [(e_v, c), ...]}``: the terms of a map grouped by their
+    fiber key ``key - e_v * step``."""
+    lines: dict[int, list] = {}
+    for key, c in terms.items():
+        e = (key >> sv) & _MASK
+        f = key - e * step
+        members = lines.get(f)
+        if members is None:
+            lines[f] = [(e, c)]
+        else:
+            members.append((e, c))
+    return lines
+
+
+def _join(digits: list, width: int, lo: int = 0) -> int:
+    """``sum c * 2^(width * (e - lo))`` over the ``(e, c)`` pairs of
+    ``digits``, which it may reorder.  Neighbours in exponent order are
+    combined pairwise, round after round, so every round costs time linear
+    in the result's length; adding one shifted coefficient at a time would
+    cost time quadratic in it, which only a few digits repay."""
+    if len(digits) <= 16:
+        x = 0
+        for e, c in digits:
+            x += c << (width * (e - lo))
+        return x
     digits.sort()
     while len(digits) > 1:
         merged = [(e0, c0 + (c1 << (width * (e1 - e0))))
@@ -676,25 +750,27 @@ def _join(digits: list, width: int) -> int:
             merged.append(digits[-1])
         digits = merged
     e, c = digits[0]
-    return c << (width * e)
+    return c << (width * (e - lo))
 
 
 def _pack(terms: dict, sv: int, step: int, width: int) -> dict:
     """``{fiber key: sum c * 2^(width * e_v)}`` of an integer coefficient map.
 
-    The terms are grouped into fibers and each fiber's digits are combined
-    by ``_join``: summing them term by term would take time quadratic in a
-    fiber's length."""
-    fibers: dict[int, list] = {}
-    for key, c in terms.items():
-        e = (key >> sv) & _MASK
-        f = key - e * step
-        members = fibers.get(f)
-        if members is None:
-            fibers[f] = [(e, c)]
-        else:
-            members.append((e, c))
-    return {f: _join(members, width) for f, members in fibers.items()}
+    Each fiber's digits are combined by ``_join``: summing them term by term
+    would take time quadratic in a fiber's length."""
+    return {f: _join(members, width) for f, members in _lines(terms, sv, step).items()}
+
+
+def _anchored(lines: dict, step: int, width: int) -> dict:
+    """``{anchor: sum c * 2^(width * (e_v - lo))}`` of the lines of
+    ``_lines``, the anchor being the key of a line's lowest monomial, at
+    e_v = lo.  Unlike a fiber key it is a monomial key, so a fiber whose
+    exponents start far from zero packs into no more digits than it holds."""
+    out = {}
+    for f, members in lines.items():
+        lo = min(members)[0]
+        out[f + lo * step] = _join(members, width, lo)
+    return out
 
 
 def _unpack(packed: dict, step: int, width: int) -> dict:

@@ -524,6 +524,59 @@ class TestPackedWalk:
             want = (shifts[0], (1 << shifts[0]) - (1 << shifts[1]))
         assert (shift, step) == want
 
+    # the direction each module packs every shipped plan's walk and build
+    # along, and the depth-40 benchmark fractions: () when no variable
+    # occurs, (v,) for v alone and (v, w) for the pair v - w
+    SHIPPED_DIRECTIONS = {
+        "bell-walk.yaml": {("contfrac", ()), ("triangles", ())},
+        "centered.yaml": {("contfrac", ("a1", "a2")), ("triangles", ("a1", "a2"))},
+        "convolution.yaml": {("triangles", ())},
+        "double-factorial.yaml": {("contfrac", ("q",)), ("triangles", ())},
+        "eulerian.yaml": {("triangles", ())},
+        "factorial.yaml": {("contfrac", ("q",)), ("triangles", ())},
+        "fixed-argument.yaml": {("contfrac", ("a0", "a2")), ("triangles", ("a0", "a2"))},
+        "four-term-mixed.yaml": {("contfrac", ("a1", "a2")), ("triangles", ("a1", "a2"))},
+        "left-peak.yaml": {("contfrac", ("q",)), ("triangles", ())},
+        "minimax-tree.yaml": {("contfrac", ("p",)), ("triangles", ("p",))},
+        "peak-interior-negative.yaml": {("contfrac", ("q",)), ("triangles", ())},
+        "stirling-permutation.yaml": {("contfrac", ("q",)), ("triangles", ())},
+        "whitney.yaml": {("contfrac", ("q", "r")), ("triangles", ("m", "r"))},
+        "minimax-tree@40": {("contfrac", ("p",))},
+        "centered@40": {("contfrac", ("a1", "a2"))},
+    }
+
+    def test_direction_of_every_shipped_walk(self, monkeypatch):
+        # the direction is chosen among single variables and pairs only, so
+        # a change to the product kernel's directions leaves these as they are
+        def named(ctx, direction):
+            sv, step = direction
+            if not step:
+                return ()
+            names = dict(zip(ctx._shifts, ctx.names))
+            rest = step - (1 << sv)
+            if rest == 1 << ctx._deg_shift:
+                return (names[sv],)
+            return names[sv], names[(-rest).bit_length() - 1]
+
+        seen = {}
+        for module in (contfrac, triangles):
+            def spy(ctx, levels, caller=module.__name__.rsplit(".", 1)[1]):
+                direction = _direction(ctx, levels)
+                seen.setdefault(current, set()).add((caller, named(ctx, direction)))
+                return direction
+
+            monkeypatch.setattr(module, "_direction", spy)
+        plans = Path(__file__).resolve().parent.parent / "plans"
+        for path in sorted(plans.glob("*.yaml")):
+            current = path.name
+            cli.run_plan(cli.load_plan(path))
+        for name in ("minimax-tree", "centered"):
+            current = f"{name}@40"
+            fam = CATALOG[name]()
+            assert cf_match(build_triangle(fam.spec, 40), fam.jfraction, 40, fam.gf_var,
+                            fam.cf_prescaled, fam.product_eval_at) is True
+        assert seen == self.SHIPPED_DIRECTIONS
+
     @given(st.integers(0, 7), st.lists(LEVEL, min_size=7, max_size=7),
            st.lists(LEVEL, min_size=7, max_size=7))
     @settings(max_examples=60, deadline=None)

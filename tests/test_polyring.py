@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpcert import polyring
+from tpcert.families import four_term_family
 from tpcert.polyring import (
     ContextMismatch,
     ParseError,
@@ -15,10 +17,14 @@ from tpcert.polyring import (
     _fiber_product,
     _horner,
     _join,
+    _lines,
     _pack,
+    _product_direction,
+    _put_digits,
     _unpack,
     mpq,
 )
+from tpcert.triangles import build_triangle
 
 
 @pytest.fixture
@@ -369,6 +375,135 @@ class TestFiberProduct:
         assert ((1 + q + d + lam) * big).terms == dict_product(1 + q + d + lam, big)
 
 
+# the sign patterns of a line's step on three variables in context order
+TRIPLE_SIGNS = {"+v+w-x": (1, 1, -1), "+v-w-x": (1, -1, -1)}
+
+
+def triple_step(ctx, names, signs):
+    """``(shift, step)`` of the line that moves the exponents of ``names``
+    by ``signs``, the first sign being +1."""
+    shifts = [ctx._shifts[ctx.index(nm)] for nm in names]
+    step = sum(sign << sh for sign, sh in zip(signs, shifts)) + (sum(signs) << ctx._deg_shift)
+    return shifts[0], step
+
+
+@st.composite
+def triple_lines(draw, names, signs, coeffs):
+    """A polynomial of 16-20 disjoint lines of 8-10 terms whose exponents
+    of ``names`` move by ``signs`` along a line, in a drawn term order.  A
+    line may start with e_v above e_w, so the fiber key of a +v+w-x line
+    has a negative w field, borrowed from the field above.  Term i of a
+    line has coefficient (-1)^i (i + 1) c for a drawn c."""
+    others = [nm for nm in FIBER_CTX.names if nm not in names][:3]
+    terms = []
+    for j in range(draw(st.integers(16, 20))):
+        base = {others[0]: j, **{nm: draw(st.integers(0, 3)) for nm in others[1:]}}
+        length = draw(st.integers(8, 10))
+        start = [draw(st.integers(0, 4)) + (length if sign < 0 else 0) for sign in signs]
+        c = draw(coeffs)
+        for i in range(length):
+            exps = {nm: e + sign * i for nm, e, sign in zip(names, start, signs)}
+            terms.append(((-1) ** i * (i + 1) * c, {**base, **exps}))
+    draw(st.randoms(use_true_random=False)).shuffle(terms)
+    return FIBER_CTX.from_terms(terms)
+
+
+@st.composite
+def triple_operands(draw, coeffs):
+    names = tuple(sorted(draw(st.permutations(FIBER_CTX.names))[:3], key=FIBER_CTX.index))
+    signs = TRIPLE_SIGNS[draw(st.sampled_from(sorted(TRIPLE_SIGNS)))]
+    p = draw(triple_lines(names, signs, coeffs))
+    q = draw(triple_lines(names, signs, coeffs))
+    return names, signs, p, q
+
+
+class TestThreeVariableDirections:
+    def check(self, names, signs, p, q):
+        a, b = sorted((p.terms, q.terms), key=len)
+        assert len(a) * len(b) >= 1 << 14
+        assert _product_direction(a, len(FIBER_CTX), True) == triple_step(FIBER_CTX, names, signs)
+        want = dict_product(p, q)
+        assert fiber_product(p, q) == want
+        assert (p * q).terms == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(triple_operands(SMALL))
+    def test_matches_dict_kernel(self, operands):
+        self.check(*operands)
+
+    @settings(max_examples=10, deadline=None)
+    @given(triple_operands(BIG))
+    def test_coefficients_of_200_bits(self, operands):
+        self.check(*operands)
+
+    @settings(max_examples=10, deadline=None)
+    @given(triple_operands(SMALL), st.integers(2, 5))
+    def test_cancelling_products(self, operands, k):
+        # a step along a line multiplies a monomial by up / down, and
+        # (down - up) * sum down^(k-1-i) up^i = down^k - up^k: most product
+        # coefficients cancel to zero
+        names, signs, p, q = operands
+        up = down = FIBER_CTX.one
+        for nm, sign in zip(names, signs):
+            if sign > 0:
+                up = up * FIBER_CTX.var(nm)
+            else:
+                down = down * FIBER_CTX.var(nm)
+        p = p * (down - up)
+        q = q * sum((down ** (k - 1 - i) * up**i for i in range(k)), FIBER_CTX.zero)
+        self.check(names, signs, p, q)
+
+    @pytest.mark.parametrize("total, triples", [(2**15 - 1, True), (2**15, False)])
+    def test_triples_only_below_half_the_degree_field(self, monkeypatch, total, triples):
+        # the line keys of a signed triple stay distinct below total degree
+        # 2^15; from there on the kernel packs along pairs
+        rng = random.Random(total)
+
+        def lines(degree):
+            # 16 lines along a0 + a1 - a2, of total degree up to ``degree``
+            return FIBER_CTX.from_terms(
+                (rng.choice((-1, 1)) * rng.randint(1, 9),
+                 {"b0": j, "a0": 2 + i, "a1": i, "a2": 8 - i, "lam": degree - 18 - j})
+                for j in range(16) for i in range(9)
+            )
+
+        p, q = lines(total // 2), lines(total - total // 2)
+        asked = []
+        product_direction = polyring._product_direction
+
+        def spy(a, nvars, offered):
+            asked.append(offered)
+            return product_direction(a, nvars, offered)
+
+        monkeypatch.setattr(polyring, "_product_direction", spy)
+        assert p.total_degree() + q.total_degree() == total
+        assert (p * q).terms == dict_product(p, q)
+        assert asked == [triples]
+
+    def test_four_term_products_take_a_triple(self):
+        # the Hankel entries of four-term[nk] lie on a 4-dimensional affine
+        # lattice, which a signed triple follows and no pair does
+        fam = four_term_family("nk")
+        ctx = fam.ctx
+        t = build_triangle(fam.spec, 8).row_gfs(fam.gf_var)
+        fields = [ctx._shifts[ctx.index(nm)] for nm in t[8].variables()]
+        pairs = [(sv, (1 << sv) - (1 << sw)) for sv in fields for sw in fields if sv > sw]
+        key = ctx.pack([5] * len(ctx))
+        # T_8 T_7, and T_8 times the order-2 minor of rows and columns
+        # (1, 2), as the cofactor expansion of a larger minor forms it
+        for p, q, most in ((t[8], t[7], 0.6), (t[8], t[2] * t[4] - t[3] * t[3], 0.5)):
+            a, b = sorted((p.terms, q.terms), key=len)
+            assert len(a) * len(b) >= 1 << 14
+            sv, step = _product_direction(a, len(ctx), True)
+            moved = [e1 - e0 for e0, e1 in zip(ctx.unpack(key), ctx.unpack(key + step))]
+            assert sorted(map(abs, moved)) == [0] * (len(ctx) - 3) + [1, 1, 1]
+
+            def fiber_pairs(sv, step):
+                return len(_lines(a, sv, step)) * len(_lines(b, sv, step))
+
+            assert fiber_pairs(sv, step) <= most * min(fiber_pairs(*pair) for pair in pairs)
+
+
 class TestPacking:
     def test_dense_mixed_sign_fiber_round_trip(self):
         # one fiber of 20,000 digits: y^3 times every power of x below 20000
@@ -381,6 +516,34 @@ class TestPacking:
         packed = _pack(terms, sv, step, width)
         assert len(packed) == 1
         assert _unpack(packed, step, width) == terms
+
+    def test_long_mixed_sign_fiber_round_trip(self):
+        # 40,000 digits, read back by halves; every fifth power is missing
+        ctx = VarContext(["x", "y"])
+        rng = random.Random(11)
+        terms = {ctx.pack([i, 2]): rng.choice((-1, 1)) * rng.randint(1, 10**9)
+                 for i in range(40000) if i % 5}
+        sv, step = _direction(ctx, [terms])
+        width = (10**9).bit_length() + 1
+        packed = _pack(terms, sv, step, width)
+        assert len(packed) == 1
+        assert _unpack(packed, step, width) == terms
+
+    @pytest.mark.parametrize("width", [2, 3, 21, 64, 65])
+    @pytest.mark.parametrize("pattern", ["lowest", "highest", "alternating", "random"])
+    def test_long_fibers_of_extreme_digits(self, width, pattern):
+        # the borrow of a cut half is right at either end of the digit range
+        half = 1 << (width - 1)
+        rng = random.Random(width)
+        digits = {
+            "lowest": [-half] * 700,
+            "highest": [half - 1] * 700,
+            "alternating": [-half if i % 2 else half - 1 for i in range(701)],
+            "random": [rng.randrange(-half, half) for _ in range(701)],
+        }[pattern]
+        out = {}
+        _put_digits(out, [(5, sum(d << (width * i) for i, d in enumerate(digits)))], 3, width)
+        assert out == {5 + 3 * i: d for i, d in enumerate(digits) if d}
 
     @pytest.mark.parametrize("digits", [
         [], [(3, -5)], [(0, 1), (2, -3)], [(5, 7), (1, -1), (9, 2)],

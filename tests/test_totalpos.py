@@ -161,6 +161,42 @@ class TestMinor:
         assert any(fiber_results)
         assert got == sympy_minor(hctx, sympy_matrix(block), range(4), range(4))
 
+    def test_every_fiber_product_of_a_symbolic_scan(self, monkeypatch):
+        # each product the fiber kernel takes in the affine-n size-5,
+        # order-4 scan, against the plain term loop; some of them run along
+        # three-variable directions
+        fam = families.CATALOG["affine-n"]()
+        ctx = fam.ctx
+        gfs = build_triangle(fam.spec, 8).row_gfs(fam.gf_var)
+        fiber_product = polyring._fiber_product
+        product_direction = polyring._product_direction
+        taken, moved = [], collections.Counter()
+        key = ctx.pack([5] * len(ctx))
+
+        def spy(a, b, nvars):
+            out = fiber_product(a, b, nvars)
+            if out is not None:
+                taken.append((a, b, out))
+            return out
+
+        def spy_direction(a, nvars, triples):
+            direction = product_direction(a, nvars, triples)
+            if direction is not None:
+                step = direction[1]
+                moved[sum(e1 != e0 for e0, e1 in zip(ctx.unpack(key), ctx.unpack(key + step)))] += 1
+            return direction
+
+        monkeypatch.setattr(polyring, "_fiber_product", spy)
+        monkeypatch.setattr(polyring, "_product_direction", spy_direction)
+        assert is_totally_positive(hankel(gfs, 5), 4).ok
+        assert len(taken) > 300 and moved[3] > 0
+        for a, b, out in taken:
+            want = {}
+            for ka, ca in a.items():
+                for kb, cb in b.items():
+                    want[ka + kb] = want.get(ka + kb, 0) + ca * cb
+            assert out == {k: c for k, c in want.items() if c}
+
 
 class TestIsTotallyPositive:
     def test_pascal_lower_block(self, ctx):
