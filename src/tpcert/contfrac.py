@@ -24,14 +24,17 @@ only along one direction (a variable, or a pair of variables at a fixed
 exponent sum) form a fiber, held as one integer with each coefficient at
 its own bit offset, so a level times an entry is a few big-integer
 products (the kernel is ``polyring._direction``, ``_pack`` and
-``_add_level_product``).  ``_series`` unpacks the first column, one row at
-a time, and ``check_hankel_factorization`` compares each row as the walk
-reaches it.  ``cf_match`` on a built triangle whose rows are unread, and
-with no evaluation, unpacks nothing: it runs the triangle's packed
-recurrence and the walk side by side in one direction and at one width,
-compares the packed row generating functions with the walk's first
-column row by row as integers, and stops both at the first row that
-differs (``_co_walk``).  Otherwise it compares the stored rows.
+``_add_level_products``).  The levels are products of linear forms, and
+their fibers often share one primitive factor up to content and shift:
+an entry of the walk multiplies each shared factor once per fiber, after
+summing what its s and r products feed it.  ``_series`` unpacks the first
+column, one row at a time, and ``check_hankel_factorization`` compares
+each row as the walk reaches it.  ``cf_match`` on a built triangle whose
+rows are unread, and with no evaluation, unpacks nothing: it runs the
+triangle's packed recurrence and the walk side by side in one direction
+and at one width, compares the packed row generating functions with the
+walk's first column row by row as integers, and stops both at the first
+row that differs (``_co_walk``).  Otherwise it compares the stored rows.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .polyring import (
     _MASK,
     Poly,
     VarContext,
-    _add_level_product,
+    _add_level_products,
     _as_rational,
     _degree,
     _direction,
@@ -271,9 +274,10 @@ def _integral_levels(jf: JFraction, depth: int) -> tuple[list[dict], list[dict],
 
 def _bound_walk(s: list[dict], r: list[dict], depth: int, cap: int):
     """``(rows, norms)``: rows 1 .. depth of the walk over the absolute sums
-    ``norms`` of the levels ``s`` and ``r``.  Its entry B[n][k], held at
-    key 0, bounds every coefficient of the walk's entry D[n][k]."""
-    norms = [{0: sum(map(abs, t.values()))} if t else {} for t in (*s, *r)]
+    ``norms`` of the levels ``s`` and ``r``, one-term levels at key 0.  Its
+    entry B[n][k], held at key 0, bounds every coefficient of the walk's
+    entry D[n][k]."""
+    norms = [_pack({0: sum(map(abs, t.values()))} if t else {}, 0, 0, 1) for t in (*s, *r)]
     return list(_walk(norms[:len(s)], norms[len(s):], depth, cap)), norms
 
 
@@ -283,19 +287,21 @@ def _walk(
 ) -> Iterator[list[dict]]:
     """Rows 1 .. depth of the walk of ``j_expand``, each a list of entries by
     height, over maps {fiber key: int} whose keys add and whose ints
-    multiply.  ``guard(level, entry)`` runs before each product."""
+    multiply, the levels ``s`` and ``r`` packed by ``polyring._pack``.
+    Entry (n, k) is one accumulator of ``polyring._add_level_products`` over
+    its s_k and r_(k+1) products, so a factor the two levels share is
+    multiplied once per fiber of the entry.  ``guard(level, entry)`` runs
+    before each product."""
     row = [{0: 1}]
     for n in range(1, depth + 1):
         # the walk rises at most one column per step
         height = min(n, depth - n, cap)
         new = []
         for k in range(height + 1):
-            acc = dict(row[k - 1]) if k >= 1 else {}
-            if k < len(row):
-                _add_level_product(acc, s[k], row[k], guard)
+            pairs = [(s[k], row[k])] if k < len(row) else []
             if k + 1 < len(row):
-                _add_level_product(acc, r[k], row[k + 1], guard)
-            new.append({f: x for f, x in acc.items() if x})
+                pairs.append((r[k], row[k + 1]))
+            new.append(_add_level_products(dict(row[k - 1]) if k >= 1 else {}, pairs, guard))
         row = new
         yield row
 

@@ -20,7 +20,12 @@ v + w - x), the terms on one line share the key ``key - e_v * step``
 step`` (``_put_digits``).  The continued-fraction walk
 (``contfrac.j_expand``) and the triangle build
 (``triangles.build_triangle``) keep their entries packed from step to step
-on the kernel of ``_direction``, ``_pack`` and ``_add_level_product``;
+on the kernel of ``_direction``, ``_pack`` and ``_add_level_products``.
+Their levels are products of linear forms, so many level fibers are one
+primitive P times a small content, shifted: ``_pack`` factors every level
+fiber so, and ``_add_level_products`` multiplies each P that several
+fibers share once per output fiber, after summing the scaled entry fibers
+it weighs.
 ``_fiber_product`` packs each fiber under the key of its lowest monomial
 instead (``_anchored``), so a fiber far from e_v = 0 costs no padding.
 
@@ -34,6 +39,7 @@ import sys
 from fractions import Fraction as mpq
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import gcd
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -628,10 +634,11 @@ def _halves(key: int, x: int, step: int, width: int) -> tuple:
 # a pair (v, w), chosen by ``_direction``: the terms that differ only along
 # it form a fiber, held as one integer sum c * 2^(width * e_v) under the
 # fiber's key.  Fiber keys add and fiber integers multiply, so a product of
-# two packed maps is one integer product per pair of fibers
-# (``_add_level_product``), and a packed map stays packed across any number
-# of products.  It reads back exactly (``_unpack``) while every coefficient
-# lies within ``width`` as a balanced digit.
+# two packed maps is a sum of integer products of fibers, and a packed map
+# stays packed across any number of products.  It reads back exactly
+# (``_unpack``) while every coefficient lies within ``width`` as a balanced
+# digit.  The levels that multiply the entries of a walk or a triangle are
+# factored when packed (``_Level``, ``_add_level_products``).
 
 
 def _direction(ctx: VarContext, levels: list[dict]) -> tuple[int, int]:
@@ -753,12 +760,32 @@ def _join(digits: list, width: int, lo: int = 0) -> int:
     return c << (width * (e - lo))
 
 
-def _pack(terms: dict, sv: int, step: int, width: int) -> dict:
-    """``{fiber key: sum c * 2^(width * e_v)}`` of an integer coefficient map.
+class _Level(dict):
+    """A packed level: ``{fiber key: x}``, with ``factors`` listing the
+    ``(fiber key, P, c, width * lo)`` of every fiber x = c * 2^(width * lo)
+    * P, in the level's order.  The content c is the signed gcd of x's
+    digits, lo its lowest occupied digit, and P is primitive with its lowest
+    digit positive."""
+
+    __slots__ = ("factors",)
+
+
+def _pack(terms: dict, sv: int, step: int, width: int) -> _Level:
+    """The ``_Level`` of an integer coefficient map, fibers keyed by
+    ``_lines`` as sum c * 2^(width * e_v).
 
     Each fiber's digits are combined by ``_join``: summing them term by term
     would take time quadratic in a fiber's length."""
-    return {f: _join(members, width) for f, members in _lines(terms, sv, step).items()}
+    level = _Level()
+    level.factors = []
+    for f, members in _lines(terms, sv, step).items():
+        lo, lowest = min(members)
+        c = gcd(*(d for _, d in members))
+        if lowest < 0:
+            c = -c
+        x = level[f] = _join(members, width)
+        level.factors.append((f, (x >> width * lo) // c, c, width * lo))
+    return level
 
 
 def _anchored(lines: dict, step: int, width: int) -> dict:
@@ -803,7 +830,7 @@ def _degree(ctx: VarContext, maps: Iterable[dict]) -> int:
 
 
 def _exponent_guard(ctx: VarContext, step: int, width: int):
-    """A guard for ``_add_level_product`` that raises ValueError, as ``Poly``
+    """A guard for ``_add_level_products`` that raises ValueError, as ``Poly``
     multiplication does, when an exponent of the product of a packed level
     and entry would pass the packing width."""
     nvars = len(ctx.names)
@@ -814,19 +841,58 @@ def _exponent_guard(ctx: VarContext, step: int, width: int):
     return guard
 
 
-def _add_level_product(acc: dict, level: dict, entry: dict, guard) -> None:
-    """Add level * entry to ``acc``: one int product per pair of fibers.
-    ``guard(level, entry)``, when given, runs first."""
-    if not level or not entry:
-        return
-    if guard is not None:
-        guard(level, entry)
+def _add_level_products(acc: dict, pairs: Iterable[tuple[_Level, dict]], guard) -> dict:
+    """``acc`` plus the sum of level * entry over the ``(level, entry)``
+    pairs, with its zero fibers dropped; ``guard(level, entry)``, when
+    given, runs before each product of a nonempty level and entry.
+
+    A P that one level fiber alone has among the pairs is multiplied in as
+    that fiber, by every entry fiber.  Any other P is multiplied once per
+    output fiber instead: for each of its fibers c * 2^(width * lo) * P, in
+    every pair, and each entry fiber x_e, c * (x_e << width * lo) is added
+    into u_P at the product's key, and P * u_P is then added into ``acc``.
+    Every fiber of ``acc`` is the sum of the same fiber products either
+    way.  ``acc`` also gains its keys in the order in which a loop over the
+    pairs, the level fibers and the entry fibers first reaches them, since
+    ``_product_direction`` samples an operand's terms in that order."""
+    pairs = [(level, entry) for level, entry in pairs if level and entry]
+    uses: dict[int, int] = {}
+    for level, _ in pairs:
+        for _, p, _, _ in level.factors:
+            uses[p] = uses.get(p, 0) + 1
     get = acc.get
-    for fl, xl in level.items():
-        for fe, xe in entry.items():
-            f = fl + fe
-            v = get(f)
-            acc[f] = xl * xe if v is None else v + xl * xe
+    sums: dict[int, dict] = {}
+    for level, entry in pairs:
+        if guard is not None:
+            guard(level, entry)
+        entry = entry.items()
+        for fl, p, c, up in level.factors:
+            if uses[p] == 1:
+                xl = level[fl]
+                for fe, xe in entry:
+                    f = fl + fe
+                    v = get(f)
+                    acc[f] = xl * xe if v is None else v + xl * xe
+                continue
+            u = sums.get(p)
+            if u is None:
+                u = sums[p] = {}
+            uget = u.get
+            # a shift copies an entry fiber, even by zero bits
+            for fe, xe in ((fe, xe << up) for fe, xe in entry) if up else entry:
+                f = fl + fe
+                v = uget(f)
+                if v is not None:
+                    u[f] = v + c * xe
+                    continue
+                u[f] = c * xe
+                if f not in acc:
+                    acc[f] = 0
+    for p, u in sums.items():
+        while u:  # each sum is freed as its product comes in
+            f, x = u.popitem()
+            acc[f] += p * x
+    return {f: x for f, x in acc.items() if x}
 
 
 # ---------------------------------------------------------------------------

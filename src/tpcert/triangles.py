@@ -18,8 +18,10 @@ The ``Triangle.scale`` field records m so checks can multiply through.
 
 ``build_triangle`` runs the recurrence on packed fibers, the kernel of the
 continued-fraction walk (``polyring._direction``, ``_pack``,
-``_add_level_product``): each entry is a few big integers, and one step is
-one integer product per pair of fibers of a coefficient and an entry.  A
+``_add_level_products``): each entry is a few big integers, and one step
+sums integer products of the fibers of a coefficient and an entry.  The
+coefficient fibers that share a primitive factor, up to content and shift,
+are multiplied by it once per fiber of the entry they feed.  A
 built triangle reads its rows back into ``Poly`` entries only when they
 are first read.  Until then ``contfrac.cf_match`` compares its packed
 rows with the packed walk, so a triangle that only it reads is never read
@@ -37,7 +39,7 @@ from .polyring import (
     _MASK,
     Poly,
     VarContext,
-    _add_level_product,
+    _add_level_products,
     _as_rational,
     _check_exponents,
     _degree,
@@ -268,20 +270,21 @@ class _Build:
 
     def run(self, sv: int, step: int, width: int, guard=None) -> Iterator[list[dict]]:
         """Rows 0 .. depth, each a list of packed entries, packed along
-        ``(sv, step)`` at ``width``; ``guard`` as in ``_add_level_product``."""
+        ``(sv, step)`` at ``width``; each entry is one accumulator of
+        ``_add_level_products`` over its feeds, and ``guard`` is as there."""
         packed: list = [None] * len(self.maps)
         row = [{0: 1}]
         yield row
         for feeds in self.feeds[1:]:
             new = []
             for feed in feeds:
-                acc: dict = {}
+                pairs = []
                 for kk, i in feed:
                     level = packed[i]
                     if level is None:
                         level = packed[i] = _pack(self.maps[i], sv, step, width)
-                    _add_level_product(acc, level, row[kk], guard)
-                new.append({f: x for f, x in acc.items() if x})
+                    pairs.append((level, row[kk]))
+                new.append(_add_level_products({}, pairs, guard))
             row = new
             yield row
 

@@ -80,6 +80,33 @@ def test_malformed_yaml_reports_location(tmp_path):
     assert "line" in str(err.value)
 
 
+def test_plan_that_is_not_utf8_is_a_load_error(tmp_path, capsys):
+    path = tmp_path / "plan.yaml"
+    path.write_bytes(b"name: x\nvars: [q]\n# \xff\n")
+    assert main(["verify", str(path), "--format", "json"]) == 2
+    (check,) = json.loads(capsys.readouterr().out)["plans"][0]["checks"]
+    assert (check["kind"], check["status"]) == ("load", "error")
+    assert "invalid YAML" in check["detail"]["message"]
+
+
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("path", sorted(PLANS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_both_yaml_loaders_read_the_same_plan(path):
+    text = path.read_bytes()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+def test_each_yaml_loader_locates_a_malformed_plan(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+    path = write_plan(tmp_path, "name: x\nvars: [q, a\ntriangle: {}\n")
+    with pytest.raises(PlanError, match="invalid YAML at line 3, column 9"):
+        load_plan(path)
+
+
 def test_unknown_check_kind_is_error(tmp_path):
     path = write_plan(tmp_path, MINIMAL + "  - kind: no-such-check\n")
     with pytest.raises(PlanError) as err:

@@ -1,5 +1,6 @@
 """Tests for continued-fraction expansion, contraction and extraction."""
 
+import collections
 import math
 import random
 from dataclasses import replace
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcert import cli, contfrac, triangles
+from tpcert import cli, contfrac, polyring, triangles
 from tpcert.contfrac import (
     DegenerateFraction,
     JFraction,
@@ -768,6 +769,17 @@ def listed(jf, levels):
 
 PLANS = sorted(Path(__file__).resolve().parent.parent.glob("plans/*.yaml"))
 
+# the fiber products of the depth-40 benchmark matches, per caller of the
+# level kernel (the walk with its bound walk, and the triangle build), as
+# (pairs of fibers a per-pair loop multiplies, level fibers multiplied
+# directly by entry fibers, products by a shared primitive factor P,
+# scalings of entry fibers by a content)
+WALK_PRODUCTS = {
+    "minimax-tree": {"contfrac": (186040, 20, 53740, 186020),
+                     "triangles": (25620, 8400, 9030, 17220)},
+    "centered": {"contfrac": (23780, 20, 11881, 23760), "triangles": (1640, 1640, 0, 0)},
+}
+
 
 class TestCoWalk:
     """Without ``eval_at``, ``cf_match`` compares packed rows with the
@@ -953,3 +965,32 @@ class TestCoWalk:
         monkeypatch.setattr(triangles._Build, "materialize", no_read_back)
         assert cf_match(t, fam.jfraction, 40, fam.gf_var, fam.cf_prescaled)
         assert products == [] and t._rows is None
+
+    @pytest.mark.parametrize("name", sorted(WALK_PRODUCTS))
+    def test_deep_matches_form_the_pinned_products(self, name, monkeypatch):
+        # a P that one level fiber alone has in an accumulator is multiplied
+        # directly; any other P once per output key, after the scalings
+        counts = {}
+        for module in (contfrac, triangles):
+            tally = counts[module.__name__.rsplit(".", 1)[1]] = [0, 0, 0, 0]
+
+            def counted(acc, pairs, guard, tally=tally):
+                pairs = [(level, entry) for level, entry in pairs if level and entry]
+                uses = collections.Counter(p for level, _ in pairs for _, p, _, _ in level.factors)
+                keys = set()
+                for level, entry in pairs:
+                    tally[0] += len(level) * len(entry)
+                    for fl, p, _, _ in level.factors:
+                        if uses[p] == 1:
+                            tally[1] += len(entry)
+                        else:
+                            tally[3] += len(entry)
+                            keys.update((p, fl + fe) for fe in entry)
+                tally[2] += len(keys)
+                return polyring._add_level_products(acc, pairs, guard)
+
+            monkeypatch.setattr(module, "_add_level_products", counted)
+        fam = CATALOG[name]()
+        t = build_triangle(fam.spec, 40)
+        assert cf_match(t, fam.jfraction, 40, fam.gf_var, fam.cf_prescaled)
+        assert {key: tuple(tally) for key, tally in counts.items()} == WALK_PRODUCTS[name]

@@ -1,5 +1,7 @@
 """Tests for the exact polynomial substrate."""
 
+import collections
+import math
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from tpcert.polyring import (
     ParseError,
     Poly,
     VarContext,
+    _add_level_products,
     _direction,
     _fiber_product,
     _horner,
@@ -551,3 +554,89 @@ class TestPacking:
     ])
     def test_join_is_the_sum_of_shifted_digits(self, digits):
         assert _join(list(digits), 6) == sum(c << (6 * e) for e, c in digits)
+
+
+def per_pair(acc, pairs):
+    """The level kernel's reference: one int product per pair of a level
+    fiber and an entry fiber, zero fibers dropped."""
+    acc = dict(acc)
+    for level, entry in pairs:
+        for fl, xl in level.items():
+            for fe, xe in entry.items():
+                acc[fl + fe] = acc.get(fl + fe, 0) + xl * xe
+    return {f: x for f, x in acc.items() if x}
+
+
+class TestFactoredLevelProducts:
+    """``_pack`` factors each fiber of a level into its primitive part P, a
+    content and a shift, and ``_add_level_products`` multiplies a shared P
+    once per output fiber; every accumulator must equal the per-pair
+    loop's, key order included."""
+
+    CTX = VarContext(["x", "y", "z"])
+    # along x: a fiber is a monomial in y and z times a polynomial in x
+    SV = CTX._shifts[0]
+    STEP = (1 << SV) + (1 << CTX._deg_shift)
+    WIDTH = 230
+    PRIMITIVES = [(1,), (1, 1), (1, -2, 1), (2, 0, 3), (1, 0, 0, -1), (3, 5)]
+
+    def level(self, rng):
+        """An integer map whose fibers are mostly a shared primitive times a
+        content of either sign, up to 200 bits, shifted up to three digits;
+        sometimes a random digit list."""
+        terms = {}
+        for j in rng.sample(range(9), rng.randint(0, 4)):
+            if rng.random() < 0.2:
+                digits = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+            else:
+                digits = rng.choice(self.PRIMITIVES)
+            c = rng.choice((-1, 1)) * rng.choice((1, 2, 3, rng.getrandbits(200) | 1))
+            lo = rng.randint(0, 3)
+            for i, d in enumerate(digits):
+                if d:
+                    terms[self.CTX.pack([lo + i, *divmod(j, 3)])] = c * d
+        return terms
+
+    def entry(self, rng):
+        return {self.CTX.pack([0, *divmod(j, 3)]): rng.choice((-1, 1)) * rng.getrandbits(300)
+                for j in rng.sample(range(9), rng.randint(0, 5))}
+
+    def test_grouping_reads_back_to_its_level(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            terms = self.level(rng)
+            level = _pack(terms, self.SV, self.STEP, self.WIDTH)
+            assert _unpack(level, self.STEP, self.WIDTH) == terms
+            for f, p, c, up in level.factors:
+                assert level[f] == c * (p << up)
+                digits = {}
+                _put_digits(digits, [(0, p)], 1, self.WIDTH)
+                assert math.gcd(*digits.values()) == 1 and digits[min(digits)] > 0
+            assert [f for f, _, _, _ in level.factors] == list(level)
+
+    def test_matches_the_per_pair_loop(self):
+        rng = random.Random(5)
+        shared = single = cancelled = 0
+        for _ in range(300):
+            levels = [_pack(self.level(rng), self.SV, self.STEP, self.WIDTH)
+                      for _ in range(rng.randint(1, 3))]
+            pairs = [(rng.choice(levels), self.entry(rng)) for _ in range(rng.randint(0, 4))]
+            if pairs and rng.random() < 0.3:  # the negated entry cancels its pair
+                level, entry = rng.choice(pairs)
+                pairs.append((level, {f: -x for f, x in entry.items()}))
+            acc = {f: rng.getrandbits(64) for f in self.entry(rng)}
+            if rng.random() < 0.2:  # the accumulator cancels every product
+                acc = {f: -x for f, x in per_pair({}, pairs).items()}
+            guarded = []
+            got = _add_level_products(dict(acc), pairs, lambda level, entry: guarded.append(
+                (level, entry)))
+            want = per_pair(acc, pairs)
+            # equal, and with the keys in the same order
+            assert list(got.items()) == list(want.items())
+            assert guarded == [(level, entry) for level, entry in pairs if level and entry]
+            uses = collections.Counter(p for level, entry in pairs if entry
+                                       for _, p, _, _ in level.factors)
+            shared += any(n > 1 for n in uses.values())
+            single += 1 in uses.values()
+            cancelled += not got
+        assert min(shared, single, cancelled) > 20

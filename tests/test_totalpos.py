@@ -889,3 +889,45 @@ class TestEncodedScan:
             full = minor(block, (0, 1), (0, 1))
             assert report.ok == (full.is_nonneg() and all(
                 e.is_nonneg() for row in block.entries for e in row)), name
+
+
+FRACTION_FAMILIES = sorted(name for name, make in families.CATALOG.items()
+                           if make().jfraction is not None)
+
+
+class TestHeilermannMinors:
+    """The leading k x k minor of the Hankel block of a J-fraction's moments
+    a_n is a_0^k prod_{i=1}^{k-1} (r_1 ... r_i) (Heilermann's formula): an
+    oracle that needs neither the walk nor a determinant kernel."""
+
+    @pytest.mark.parametrize("name", FRACTION_FAMILIES)
+    def test_leading_minors_of_catalog_fractions(self, name, monkeypatch):
+        jf = families.CATALOG[name]().jfraction
+        series = contfrac.j_expand(jf, 8)
+        block = hankel(series, 5)
+        want, weights, running = [], jf.ctx.one, jf.ctx.one
+        for k in range(1, 6):
+            want.append(series[0] ** k * running)
+            weights = weights * jf.r(k)
+            running = running * weights
+        fiber_products = []
+        fiber_product = polyring._fiber_product
+
+        def spy(a, b, nvars):
+            out = fiber_product(a, b, nvars)
+            fiber_products.append(out is not None)
+            return out
+
+        monkeypatch.setattr(polyring, "_fiber_product", spy)
+        assert [minor(block, range(k), range(k)) for k in range(1, 6)] == want
+        encoded = totalpos._encode(block, 5)
+        if encoded is not None:
+            leading = [tuple(range(k)) for k in range(1, 6)]
+            assert [encoded.decode(totalpos._det_cofactor(encoded, rows, rows, {}))
+                    for rows in leading] == want
+        # the one-variable fractions take the encoded scan, and the symbolic
+        # ones multiply fibers on the way
+        assert (encoded is not None) == (name in ("interior-peak", "left-peak",
+                                                  "stirling-permutation"))
+        if name in ("affine-n", "fixed-argument", "minimax-tree"):
+            assert any(fiber_products)
