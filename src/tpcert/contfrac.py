@@ -19,22 +19,21 @@ bookkeeping.  Coefficients can be given as explicit lists or as closed-form
 polynomials in a level variable.
 
 A J-fraction's series is the first column of its unit-upstep walk
-(``j_expand``).  The walk's entries are kept packed: the terms that differ
-only along one direction (a variable, or a pair of variables at a fixed
-exponent sum) form a fiber, held as one integer with each coefficient at
-its own bit offset, so a level times an entry is a few big-integer
-products (the kernel is ``polyring._direction``, ``_pack`` and
-``_add_level_products``).  The levels are products of linear forms, and
-their fibers often share one primitive factor up to content and shift:
-an entry of the walk multiplies each shared factor once per fiber, after
-summing what its s and r products feed it.  ``_series`` unpacks the first
-column, one row at a time, and ``check_hankel_factorization`` compares
-each row as the walk reaches it.  ``cf_match`` on a built triangle whose
-rows are unread, and with no evaluation, unpacks nothing: it runs the
-triangle's packed recurrence and the walk side by side in one direction
-and at one width, compares the packed row generating functions with the
-walk's first column row by row as integers, and stops both at the first
-row that differs (``_co_walk``).  Otherwise it compares the stored rows.
+(``j_expand``): a column walk whose up-steps weigh 1, its level steps s_k
+and its down-steps r_(k+1).  So the walk is one more packed recurrence.
+``_walk_build`` states it as a ``triangles._Build``, the runner the
+triangle build uses: every entry stays packed as a few big integers, one
+per fiber, and each level times an entry is a few integer products (the
+kernel of ``polyring._direction``, ``_pack`` and ``_add_level_products``).
+The same recurrence over plain integers bounds every coefficient, and
+``_series`` reads back the first column only, one row at a time.
+``check_hankel_factorization`` compares each row as the walk reaches it.
+``cf_match`` on a built triangle whose rows are unread, and with no
+evaluation, unpacks nothing: it runs the triangle's build and the walk
+side by side in one direction and at one width, compares the packed row
+generating functions with the walk's first column row by row as
+integers, and stops both at the first row that differs (``_co_walk``).
+Otherwise it compares the stored rows.
 """
 
 from __future__ import annotations
@@ -42,23 +41,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as mpq
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .polyring import (
-    _MASK,
-    Poly,
-    VarContext,
-    _add_level_products,
-    _as_rational,
-    _degree,
-    _direction,
-    _exponent_guard,
-    _pack,
-    _scaled,
-    _times_monomial,
-    _unpack,
+from .polyring import _MASK, Poly, VarContext, _direction, _scaled, _times_monomial
+from .triangles import (
+    COLUMN_WALK,
+    RecurrenceSpec,
+    Triangle,
+    _Build,
+    _packed_row_gfs,
+    _row_mismatch,
 )
-from .triangles import COLUMN_WALK, RecurrenceSpec, Triangle, _packed_row_gfs, _row_mismatch
 
 
 class DegenerateFraction(ValueError):
@@ -209,7 +202,8 @@ def j_expand(jf: JFraction, depth: int) -> list[Poly]:
         D[n][k] = D[n-1][k-1] + s_k D[n-1][k] + r_(k+1) D[n-1][k+1],  D[0][0] = 1.
 
     Coefficient n only involves s and r levels up to n.  The walk is
-    ``_series``, collected into a list.
+    ``_series``, collected into a list.  A negative depth raises
+    ValueError.
     """
     return list(_series(jf, depth))
 
@@ -219,91 +213,41 @@ def _series(jf: JFraction, depth: int) -> Iterator[Poly]:
     walk reaches its row, so a caller that compares them as they arrive
     holds one at a time and can stop the walk at its first bad row.
 
-    A walk entry that cannot return to column zero by row ``depth`` is left
-    out, so row n stops at height min(n, depth - n).  ``_levels`` gives the
-    levels read, and caps the height at a zero r level; an extracted
-    terminated fraction ends in its zero r, so the cap covers it too.
-
-    The walk runs on packed fibers (``_walk``) over the levels of
-    ``_integral_levels``, whose row n is den^n times the true one.  Along
-    the packed direction (``polyring._direction``) a fiber's coefficients
-    sit at bit ``width`` e_v of one integer; the walk over the levels'
-    absolute sums bounds every coefficient of the first column, and
-    ``width`` makes that bound a balanced digit, so the first column reads
-    back exactly.  No other entry is read back.
+    The walk is the packed recurrence of ``_walk_build``.  ``_Build.read``
+    runs it at a width that makes the first column's coefficient bounds
+    balanced digits, and reads back that column only, divided by den^n.
     """
-    ctx = jf.ctx
-    s, r, den, cap = _integral_levels(jf, depth)
-    # an entry of row n has total degree at most n times the highest level
-    # degree, so below that bound no product can carry an exponent over
-    check = depth * _degree(ctx, s + r) > _MASK
-    bounds, norms = _bound_walk(s, r, depth, cap)
-    if check:  # the check reads back every entry and level
-        top = max((x for t in (*bounds, norms) for e in t for x in e.values()), default=0)
-    else:
-        top = max((row[0].get(0, 0) for row in bounds), default=0)
-    width = top.bit_length() + 1
-
-    sv, step = _direction(ctx, s + r)
-    guard = _exponent_guard(ctx, step, width) if check else None
-    yield ctx.one
-    for n, row in enumerate(
-        _walk([_pack(t, sv, step, width) for t in s],
-              [_pack(t, sv, step, width) for t in r], depth, cap, guard),
-        1,
-    ):
-        terms = _unpack(row[0], step, width)
-        if den > 1:
-            scale = den**n
-            terms = {key: _as_rational(mpq(c, scale)) for key, c in terms.items()}
-        yield Poly(ctx, terms)
+    for row in _walk_build(jf, depth).read(1):
+        yield row[0]
 
 
-def _integral_levels(jf: JFraction, depth: int) -> tuple[list[dict], list[dict], int, int]:
-    """The levels of ``_levels`` as integer coefficient maps for the packed
-    walk: ``(s, r, den, cap)``, with den the lcm of the levels'
-    denominators, s[k] = den s_k and r[k] = den^2 r_(k+1), and cap the
-    highest column the walk reaches.  A path to row n takes a s-steps and u
-    r-steps with a + 2u = n, so the walk on these levels is den^n times the
-    true one at row n."""
+def _walk_build(jf: JFraction, depth: int) -> _Build:
+    """The walk of ``j_expand`` to ``depth`` as a packed recurrence.
+
+    A walk entry that cannot return to column zero by row ``depth`` is left
+    out, so row n stops at height min(n, depth - n); ``_levels`` gives the
+    levels read, and caps the height at a zero r level, which an extracted
+    terminated fraction ends in.  Entry (n, k) is fed by entry (n-1, k-1) at
+    unit weight, then by s_k times entry (n-1, k) and r_(k+1) times entry
+    (n-1, k+1).  The levels are cleared by den, the lcm of their
+    denominators: s_k by den and r_(k+1) by den^2.  A path to entry (n, k)
+    takes a s-steps and u r-steps with a + 2u = n - k, so packed entry
+    (n, k) is den^(n-k) times the true one, and the first entry of row n,
+    the one read back, den^n times the series coefficient.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     s, r = _levels(jf, depth)
     cap = len(s) - 1 if r and not r[-1] else depth
     den = math.lcm(1, *(c.denominator for p in (*s, *r) for c in p.terms.values()))
-    return [_scaled(p.terms, den) for p in s], [_scaled(p.terms, den * den) for p in r], den, cap
-
-
-def _bound_walk(s: list[dict], r: list[dict], depth: int, cap: int):
-    """``(rows, norms)``: rows 1 .. depth of the walk over the absolute sums
-    ``norms`` of the levels ``s`` and ``r``, one-term levels at key 0.  Its
-    entry B[n][k], held at key 0, bounds every coefficient of the walk's
-    entry D[n][k]."""
-    norms = [_pack({0: sum(map(abs, t.values()))} if t else {}, 0, 0, 1) for t in (*s, *r)]
-    return list(_walk(norms[:len(s)], norms[len(s):], depth, cap)), norms
-
-
-def _walk(
-    s: list[dict], r: list[dict], depth: int, cap: int,
-    guard: Callable[[dict, dict], None] | None = None,
-) -> Iterator[list[dict]]:
-    """Rows 1 .. depth of the walk of ``j_expand``, each a list of entries by
-    height, over maps {fiber key: int} whose keys add and whose ints
-    multiply, the levels ``s`` and ``r`` packed by ``polyring._pack``.
-    Entry (n, k) is one accumulator of ``polyring._add_level_products`` over
-    its s_k and r_(k+1) products, so a factor the two levels share is
-    multiplied once per fiber of the entry.  ``guard(level, entry)`` runs
-    before each product."""
-    row = [{0: 1}]
+    maps = [_scaled(p.terms, den) for p in s] + [_scaled(p.terms, den * den) for p in r]
+    feeds: list = [[[]]]
     for n in range(1, depth + 1):
-        # the walk rises at most one column per step
-        height = min(n, depth - n, cap)
-        new = []
-        for k in range(height + 1):
-            pairs = [(s[k], row[k])] if k < len(row) else []
-            if k + 1 < len(row):
-                pairs.append((r[k], row[k + 1]))
-            new.append(_add_level_products(dict(row[k - 1]) if k >= 1 else {}, pairs, guard))
-        row = new
-        yield row
+        below = len(feeds[-1])  # the entries of row n-1
+        feeds.append([[(kk, i) for kk, i in ((k - 1, None), (k, k), (k + 1, len(s) + k))
+                       if 0 <= kk < below]
+                      for k in range(min(n, depth - n, cap) + 1)])
+    return _Build(jf.ctx, maps, feeds, [den**n for n in range(depth + 1)])
 
 
 def s_expand(sf: SFraction, depth: int) -> list[Poly]:
@@ -431,21 +375,20 @@ def _co_walk(t: Triangle, jf: JFraction, depth: int, var: str, prescaled: bool) 
     exponent might pass the packing width.  The rows path then compares
     the rows themselves, and raises as it always has.
 
-    The triangle's packed recurrence (``triangles._Build``) and the walk of
-    ``_integral_levels`` run side by side along one direction chosen for
-    both sides' coefficients.  Packed row n of the triangle is M_n = L^n
-    times the stored row and walk row n is den^n times the series
+    The triangle's packed recurrence and the walk of ``_walk_build``, two
+    ``triangles._Build`` runs, go side by side along one direction chosen
+    for both sides' coefficients.  Packed row n of the triangle is M_n
+    times the stored row and walk row n is W_n times the series
     coefficient, so with the compared scale u/v times a monomial m the
     check of row n reads
 
-        den^n v^n P_n = M_n u^n m^n D_n
+        W_n v^n P_n = M_n u^n m^n D_n
 
     on the packed row generating function P_n and first walk entry D_n.
     ``width`` makes the sum of both sides' coefficient bounds a balanced
     digit, so each difference of coefficients is one, and the two sides
     are equal integers fiber by fiber exactly when the polynomials are
-    equal.  The walk and the triangle's run stop at the first row that
-    differs.
+    equal.  The two runs stop at the first row that differs.
     """
     if depth > t.depth:
         raise ValueError("triangle not materialized deep enough")
@@ -456,28 +399,23 @@ def _co_walk(t: Triangle, jf: JFraction, depth: int, var: str, prescaled: bool) 
         return None
     ((mono, coeff),) = scale.terms.items()
     u, v = mpq(coeff).numerator, mpq(coeff).denominator
-    s, r, den, cap = _integral_levels(jf, depth)
+    walk = _walk_build(jf, depth)
     key = ctx.var(var).leading()[0]
-    if (depth * (_degree(ctx, s + r) + (mono >> ctx._deg_shift)) > _MASK
+    if (walk.degree + depth * (mono >> ctx._deg_shift) > _MASK
             or source.degree + depth > _MASK):
         return None
 
-    sv, step = _direction(ctx, source.shapes + s + r)
-    bounds, _ = _bound_walk(s, r, depth, cap)
-    top = 0
-    for n in range(depth + 1):
-        walk_bound = bounds[n - 1][0].get(0, 0) if n else 1
-        lhs = (den * v) ** n * sum(source.bounds[n])
-        top = max(top, lhs + source.scales[n] * abs(u) ** n * walk_bound)
+    sv, step = _direction(ctx, source.shapes + walk.shapes)
+    top = max(walk.scales[n] * v**n * sum(source.bounds[n])
+              + source.scales[n] * abs(u) ** n * walk.bounds[n][0] for n in range(depth + 1))
     width = top.bit_length() + 1
 
     rows = _packed_row_gfs(source, key, sv, step, width)
-    walk = _walk([_pack(p, sv, step, width) for p in s],
-                 [_pack(p, sv, step, width) for p in r], depth, cap)
+    walked = walk.run(sv, step, width)
     for n in range(depth + 1):
-        got = next(rows)
-        want = next(walk)[0] if n else {0: 1}
-        lhs, rhs = (den * v) ** n, source.scales[n] * u**n
+        got = next(rows)  # the last row's is freed before the walk steps
+        want = next(walked)[0]
+        lhs, rhs = walk.scales[n] * v**n, source.scales[n] * u**n
         if lhs != 1:
             got = {f: lhs * x for f, x in got.items()}
         if mono:
@@ -562,6 +500,8 @@ def check_hankel_factorization(t: Triangle, size: int) -> bool:
     """
     if t.spec is None:
         raise ValueError("hankel factorization needs the triangle's recurrence spec")
+    if size < 1:
+        raise ValueError(f"size must be positive, got {size}")
     depth = 2 * (size - 1)
     if depth > t.depth:
         raise ValueError("triangle not materialized deep enough")

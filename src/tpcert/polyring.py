@@ -17,10 +17,11 @@ its fibers the same way: along a direction that moves e_v by one (a
 variable, a pair v - w, or in large products a signed triple such as
 v + w - x), the terms on one line share the key ``key - e_v * step``
 (``_lines``), and digit i of a packed fiber reads back at ``fiber + i *
-step`` (``_put_digits``).  The continued-fraction walk
-(``contfrac.j_expand``) and the triangle build
-(``triangles.build_triangle``) keep their entries packed from step to step
-on the kernel of ``_direction``, ``_pack`` and ``_add_level_products``.
+step`` (``_put_digits``).  The triangle build
+(``triangles.build_triangle``) and the continued-fraction walk
+(``contfrac.j_expand``), both runs of ``triangles._Build``, keep their
+entries packed from step to step on the kernel of ``_direction``, ``_pack``
+and ``_add_level_products``.
 Their levels are products of linear forms, so many level fibers are one
 primitive P times a small content, shifted: ``_pack`` factors every level
 fiber so, and ``_add_level_products`` multiplies each P that several
@@ -52,7 +53,7 @@ _MASK = (1 << _BITS) - 1
 # ``_TRIPLE_DEGREE``, and scores them on ``_SAMPLE`` keys
 _LARGE = 1 << 14
 _TRIPLE_DEGREE = 1 << (_BITS - 1)
-_SAMPLE = 12
+_SAMPLE = 24
 # ``_put_digits`` reads a fiber of more digits than this by halves
 _SPLIT = 128
 
@@ -668,15 +669,16 @@ def _product_direction(a: dict, nvars: int, triples: bool) -> "tuple[int, int] |
     the signed three-variable steps of ``_steps``; their lines can follow
     an affine lattice that no pair follows.  Counting every candidate's
     fibers exactly would cost more than it saves, so with ``triples`` each
-    one is first scored on a fixed sample of ``_SAMPLE`` keys of ``a`` by
-    how many of ``key + step`` are keys too, and only the two best scores
-    are counted.  Otherwise the fewest fibers of ``a`` win, ties going to
-    the earlier candidate.
+    one is first scored on a sample of about ``_SAMPLE`` keys of ``a``,
+    evenly spaced in key order, by how many of ``key + step`` are keys too,
+    and only the two best scores are counted.  Otherwise the fewest fibers
+    of ``a`` win, ties going to the earlier candidate.  Either way the
+    choice depends on the keys of ``a``, not on their order in the map.
     """
     steps = _steps(_fields(reduce(or_, a), nvars), _BITS * nvars, False, triples)
     if triples:
-        sample = list(a)[:: -(-len(a) // _SAMPLE)]
-        steps = sorted(steps, key=lambda c: -sum(k + c[1] in a for k in sample))[:2]
+        sample = sorted(a)[:: -(-len(a) // _SAMPLE)]
+        steps = sorted(steps, key=lambda c: -sum([k + c[1] in a for k in sample]))[:2]
     return _fewest([a], steps)
 
 
@@ -852,9 +854,7 @@ def _add_level_products(acc: dict, pairs: Iterable[tuple[_Level, dict]], guard) 
     every pair, and each entry fiber x_e, c * (x_e << width * lo) is added
     into u_P at the product's key, and P * u_P is then added into ``acc``.
     Every fiber of ``acc`` is the sum of the same fiber products either
-    way.  ``acc`` also gains its keys in the order in which a loop over the
-    pairs, the level fibers and the entry fibers first reaches them, since
-    ``_product_direction`` samples an operand's terms in that order."""
+    way."""
     pairs = [(level, entry) for level, entry in pairs if level and entry]
     uses: dict[int, int] = {}
     for level, _ in pairs:
@@ -882,16 +882,12 @@ def _add_level_products(acc: dict, pairs: Iterable[tuple[_Level, dict]], guard) 
             for fe, xe in ((fe, xe << up) for fe, xe in entry) if up else entry:
                 f = fl + fe
                 v = uget(f)
-                if v is not None:
-                    u[f] = v + c * xe
-                    continue
-                u[f] = c * xe
-                if f not in acc:
-                    acc[f] = 0
+                u[f] = c * xe if v is None else v + c * xe
     for p, u in sums.items():
         while u:  # each sum is freed as its product comes in
             f, x = u.popitem()
-            acc[f] += p * x
+            v = get(f)
+            acc[f] = p * x if v is None else v + p * x
     return {f: x for f, x in acc.items() if x}
 
 

@@ -16,16 +16,17 @@ bare parameter) are stored *cleared*: the stored coefficients equal m times
 the true ones, and the materialized rows then equal m^n times the true rows.
 The ``Triangle.scale`` field records m so checks can multiply through.
 
-``build_triangle`` runs the recurrence on packed fibers, the kernel of the
-continued-fraction walk (``polyring._direction``, ``_pack``,
-``_add_level_products``): each entry is a few big integers, and one step
-sums integer products of the fibers of a coefficient and an entry.  The
-coefficient fibers that share a primitive factor, up to content and shift,
-are multiplied by it once per fiber of the entry they feed.  A
-built triangle reads its rows back into ``Poly`` entries only when they
-are first read.  Until then ``contfrac.cf_match`` compares its packed
-rows with the packed walk, so a triangle that only it reads is never read
-back.
+``build_triangle`` states the recurrence as a ``_Build``, the one packed
+recurrence runner, which the continued-fraction walk shares
+(``contfrac._walk_build``).  It runs on the kernel of
+``polyring._direction``, ``_pack`` and ``_add_level_products``: each entry
+is a few big integers, and one step sums integer products of the fibers of
+a coefficient and an entry.  The coefficient fibers that share a primitive
+factor, up to content and shift, are multiplied by it once per fiber of
+the entry they feed.  A built triangle reads its rows back into ``Poly``
+entries only when they are first read.  Until then ``contfrac.cf_match``
+compares its packed rows with the packed walk, so a triangle that only it
+reads is never read back.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class Triangle:
     @property
     def rows(self) -> list[list[Poly]]:
         if self._rows is None:
-            self.rows = self._build.materialize()
+            self.rows = list(self._build.read())
         return self._rows
 
     @rows.setter
@@ -158,8 +159,8 @@ class Triangle:
 
     def row_gf(self, n: int, var: str = "q") -> Poly:
         """Row generating function: sum of rows[n][k] * var^k."""
-        if n > self.depth:
-            raise IndexError(f"row {n} beyond materialized depth {self.depth}")
+        if not 0 <= n <= self.depth:
+            raise IndexError(f"row {n} outside the materialized rows 0..{self.depth}")
         step = self.ctx.var(var).leading()[0]
         nvars = len(self.ctx.names)
         # times var**k only shifts keys by k * step, so every entry's terms
@@ -199,115 +200,138 @@ class Triangle:
 
 
 class _Build:
-    """A triangle recurrence to ``depth``, ready to run on packed fibers.
+    """A recurrence to ``depth``, ready to run on packed fibers: the one
+    runner of the triangle build and of the continued-fraction walk.
 
-    ``maps`` are the recurrence's coefficients at every (n, k), as integer
-    coefficient maps, and ``feeds[n][k]`` lists the pairs (kk, i): entry
-    (n, k) is the sum of maps[i] times entry (n-1, kk).  A rational spec is
-    cleared by L, the lcm of its specialized coefficients' denominators, so
-    that packed row n is ``scales[n]`` = L^n times the stored row.
-    ``bounds[n][k]``, the same recurrence over the coefficients' absolute
-    sums, bounds every coefficient of packed entry (n, k), and ``degree``
-    bounds its total degree.  ``shapes`` are the maps' distinct key sets,
-    from which a packed direction is chosen.
-
-    The coefficients are read here, where the ``Poly`` recurrence reads
-    them, and in the order it first reads them: an entry that may be
-    nonzero reads the coefficients that weigh it into the next row.  A
-    column walk with listed levels short of the depth raises IndexError
-    here.
+    ``maps`` are integer coefficient maps, and ``feeds[n][k]`` lists the
+    pairs (kk, i): entry (n, k) is the sum of maps[i] times entry (n-1, kk),
+    where i None is a unit weight.  ``read`` divides packed row n by
+    ``scales[n]``.  ``bounds[n][k]``, the same recurrence over the maps'
+    absolute sums with 1 for a unit weight, bounds every coefficient of
+    packed entry (n, k), and ``degree`` bounds its total degree.  ``shapes``
+    are the maps' distinct key sets, from which a packed direction is
+    chosen.
     """
 
-    def __init__(self, spec: RecurrenceSpec, depth: int):
-        ctx = self.ctx = spec.ctx
-        self.depth = depth
-        row_shift = spec.kind == ROW_SHIFT
-        # a coefficient read once serves every (n, k) it does not depend on
-        uses = [c.variables() for c in spec.coeffs] if row_shift else ()
-        memo: dict = {}  # -> index into maps, or -1 for a zero coefficient
-        maps: list[dict] = []
-        self.feeds: list[list[list[tuple[int, int]]]] = [[[]]]
-        live = [True]  # the entries of the row above that may be nonzero
-        for n in range(1, depth + 1):
-            row = []
-            for k in range(n + 1):
-                feed = []
-                # row shift: c_j(n, k) weighs entry k-j; column walk: r, s
-                # and t at level kk weigh entry kk = k-1, k, k+1
-                for j in range(3):
-                    kk = k - j if row_shift else k - 1 + j
-                    if not (0 <= kk < n and live[kk]):
-                        continue
-                    if not row_shift:
-                        key = (j, kk)
-                    elif j < len(uses):
-                        key = (j, n if "n" in uses[j] else -1, k if "k" in uses[j] else -1)
-                    else:
-                        continue
-                    i = memo.get(key)
-                    if i is None:
-                        c = spec.shift_coeff(j, n, k) if row_shift else spec.walk_coeff(j, kk)
-                        i = memo[key] = len(maps) if c else -1
-                        if c:
-                            c._require_same_ctx(ctx.one)
-                            maps.append(c.terms)
-                    if i >= 0:
-                        feed.append((kk, i))
-                row.append(feed)
-            self.feeds.append(row)
-            live = [bool(feed) for feed in row]
-
-        lcm = math.lcm(1, *(c.denominator for t in maps for c in t.values() if type(c) is not int))
-        self.maps = [_scaled(t, lcm) for t in maps] if lcm > 1 else maps
-        self.shapes = list({frozenset(t) for t in self.maps})
-        self.scales = [lcm**n for n in range(depth + 1)]
-        norms = [sum(map(abs, t.values())) for t in self.maps]
+    def __init__(self, ctx: VarContext, maps: list[dict],
+                 feeds: list[list[list[tuple[int, int | None]]]], scales: list[int]):
+        self.ctx = ctx
+        self.maps = maps
+        self.feeds = feeds
+        self.scales = scales
+        self.depth = len(feeds) - 1
+        self.shapes = list({frozenset(t) for t in maps})
+        norms = [sum(map(abs, t.values())) for t in maps]
         self.bounds = [[1]]
-        for row in self.feeds[1:]:
+        for row in feeds[1:]:
             prev = self.bounds[-1]
-            self.bounds.append([sum(norms[i] * prev[kk] for kk, i in feed) for feed in row])
-        self.degree = depth * _degree(ctx, self.maps)
+            self.bounds.append([sum(prev[kk] if i is None else norms[i] * prev[kk]
+                                    for kk, i in feed) for feed in row])
+        self.degree = self.depth * _degree(ctx, maps)
 
     def run(self, sv: int, step: int, width: int, guard=None) -> Iterator[list[dict]]:
         """Rows 0 .. depth, each a list of packed entries, packed along
-        ``(sv, step)`` at ``width``; each entry is one accumulator of
-        ``_add_level_products`` over its feeds, and ``guard`` is as there."""
+        ``(sv, step)`` at ``width``.  Each entry is one accumulator of
+        ``_add_level_products`` over its feeds, seeded with a copy of the
+        entry its unit feed names; ``guard`` is as there."""
         packed: list = [None] * len(self.maps)
         row = [{0: 1}]
         yield row
         for feeds in self.feeds[1:]:
             new = []
             for feed in feeds:
-                pairs = []
+                acc, pairs = {}, []
                 for kk, i in feed:
+                    if i is None:
+                        acc = dict(row[kk])
+                        continue
                     level = packed[i]
                     if level is None:
                         level = packed[i] = _pack(self.maps[i], sv, step, width)
                     pairs.append((level, row[kk]))
-                new.append(_add_level_products({}, pairs, guard))
+                new.append(_add_level_products(acc, pairs, guard))
             row = new
             yield row
 
-    def materialize(self) -> list[list[Poly]]:
-        """The stored rows, read back from a run in the direction that
-        leaves the coefficients the fewest fibers, at a width that makes
-        every coefficient a balanced digit.  When an entry's degree may pass
-        the packing width, every product is checked first and raises as a
-        ``Poly`` product would."""
+    def read(self, columns: int | None = None) -> Iterator[list[Poly]]:
+        """Rows 0 .. depth read back, each its first ``columns`` entries
+        (every entry when None) divided by the row's scale.
+
+        The run goes in the direction that leaves the maps the fewest
+        fibers, at a width that makes the bound of every entry read back a
+        balanced digit.  An entry left packed may then hold digits past the
+        width; it is still the exact integer of its fibers, and so are the
+        entries it feeds.  When an entry's degree may pass the packing
+        width, every entry is bounded, and every product is checked first
+        and raises as a ``Poly`` product would."""
         ctx = self.ctx
+        check = self.degree > _MASK
         sv, step = _direction(ctx, self.shapes)
-        width = max(map(max, self.bounds)).bit_length() + 1
-        guard = _exponent_guard(ctx, step, width) if self.degree > _MASK else None
-        rows = []
+        top = max(b for row in self.bounds for b in (row if check else row[:columns]))
+        width = top.bit_length() + 1
+        guard = _exponent_guard(ctx, step, width) if check else None
         for packed, scale in zip(self.run(sv, step, width, guard), self.scales):
             row = []
-            for entry in packed:
+            for entry in packed[:columns]:
                 terms = _unpack(entry, step, width)
                 if scale > 1:
                     terms = {key: _as_rational(mpq(c, scale)) for key, c in terms.items()}
                 row.append(Poly(ctx, terms))
-            rows.append(row)
-        return rows
+            yield row
+
+
+def _spec_build(spec: RecurrenceSpec, depth: int) -> _Build:
+    """``spec``'s recurrence to ``depth`` as a ``_Build``.
+
+    The coefficients are read here, where the ``Poly`` recurrence reads
+    them, and in the order it first reads them: an entry that may be
+    nonzero reads the coefficients that weigh it into the next row.  A
+    column walk with listed levels short of the depth raises IndexError
+    here.  A rational spec is cleared by L, the lcm of its specialized
+    coefficients' denominators, so that packed row n is L^n times the
+    stored row.
+    """
+    ctx = spec.ctx
+    row_shift = spec.kind == ROW_SHIFT
+    # a coefficient read once serves every (n, k) it does not depend on
+    uses = [c.variables() for c in spec.coeffs] if row_shift else ()
+    memo: dict = {}  # -> index into maps, or -1 for a zero coefficient
+    maps: list[dict] = []
+    feeds: list[list[list[tuple[int, int]]]] = [[[]]]
+    live = [True]  # the entries of the row above that may be nonzero
+    for n in range(1, depth + 1):
+        row = []
+        for k in range(n + 1):
+            feed = []
+            # row shift: c_j(n, k) weighs entry k-j; column walk: r, s
+            # and t at level kk weigh entry kk = k-1, k, k+1
+            for j in range(3):
+                kk = k - j if row_shift else k - 1 + j
+                if not (0 <= kk < n and live[kk]):
+                    continue
+                if not row_shift:
+                    key = (j, kk)
+                elif j < len(uses):
+                    key = (j, n if "n" in uses[j] else -1, k if "k" in uses[j] else -1)
+                else:
+                    continue
+                i = memo.get(key)
+                if i is None:
+                    c = spec.shift_coeff(j, n, k) if row_shift else spec.walk_coeff(j, kk)
+                    i = memo[key] = len(maps) if c else -1
+                    if c:
+                        c._require_same_ctx(ctx.one)
+                        maps.append(c.terms)
+                if i >= 0:
+                    feed.append((kk, i))
+            row.append(feed)
+        feeds.append(row)
+        live = [bool(feed) for feed in row]
+
+    lcm = math.lcm(1, *(c.denominator for t in maps for c in t.values() if type(c) is not int))
+    if lcm > 1:
+        maps = [_scaled(t, lcm) for t in maps]
+    return _Build(ctx, maps, feeds, [lcm**n for n in range(depth + 1)])
 
 
 def _packed_row_gfs(build: _Build, key: int, sv: int, step: int, width: int) -> Iterator[dict]:
@@ -336,9 +360,9 @@ def build_triangle(spec: RecurrenceSpec, depth: int) -> Triangle:
         raise ValueError("depth must be nonnegative")
     ctx = spec.ctx
     t = Triangle(ctx, None, spec=spec, scale=spec.denominator or ctx.one)
-    t._build = _Build(spec, depth)
+    t._build = _spec_build(spec, depth)
     if t._build.degree > _MASK:
-        t.rows = t._build.materialize()
+        t.rows = list(t._build.read())
     return t
 
 
@@ -427,6 +451,8 @@ def _row_mismatch(t: Triangle, want: Iterable[Poly], upto: int, var: str,
     """
     if upto > t.depth:
         raise ValueError("triangle not materialized deep enough")
+    if upto < 0:
+        raise ValueError(f"no rows up to row {upto} to check")
     at = at or {}
     scale = _evaluate(t.scale, at) if scaled else t.ctx.one
     if not scale:  # every row past the first would then compare 0 with 0

@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -125,6 +126,13 @@ class TestExpand:
         n = ctx.var("n")
         jf = JFraction.from_forms(2 * n + 1, n * n)
         assert j_expand(jf, 5) == consts(ctx, [1, 1, 2, 6, 24, 120])
+
+    def test_negative_depths_are_rejected(self, ctx):
+        n = ctx.var("n")
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            j_expand(JFraction.from_forms(2 * n + 1, n * n), -3)
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            s_expand(SFraction.from_forms(n + 1, n + 1), -1)
 
     def test_zero_fraction(self, ctx):
         jf = JFraction.from_forms(ctx.zero, ctx.zero)
@@ -363,15 +371,14 @@ class TestAgainstNestedFractions:
         self.check_jfraction(_map_polys(fam.jfraction, lambda p: p.specialize(point)), 8)
 
 
-def reference_walk(jf, depth):
-    """Series of the walk D[n][k] = D[n-1][k-1] + s_k D[n-1][k] +
+def reference_rows(jf, depth):
+    """Rows 0 .. depth of the walk D[n][k] = D[n-1][k-1] + s_k D[n-1][k] +
     r_(k+1) D[n-1][k+1], built from Poly ``*`` and ``+`` over every height
     up to n."""
     ctx = jf.ctx
-    row = [ctx.one]
-    out = [ctx.one]
+    rows = [[ctx.one]]
     for n in range(1, depth + 1):
-        new = []
+        row, new = rows[-1], []
         for k in range(n + 1):
             acc = row[k - 1] if k >= 1 else ctx.zero
             if k < len(row):
@@ -379,9 +386,46 @@ def reference_walk(jf, depth):
             if k + 1 < len(row):
                 acc = acc + jf.r(k + 1) * row[k + 1]
             new.append(acc)
-        row = new
-        out.append(row[0])
-    return out
+        rows.append(new)
+    return rows
+
+
+def reference_walk(jf, depth):
+    """Series of the walk of ``reference_rows``: its first column."""
+    return [row[0] for row in reference_rows(jf, depth)]
+
+
+class RunLog:
+    """Log every run of a packed recurrence (``triangles._Build.run``).
+
+    ``runs`` holds one record per run: ``kind`` ("walk" for a build of
+    ``contfrac._walk_build``, else "triangle"), ``ctx``, the packed
+    ``direction`` and the number of ``rows`` yielded so far.  ``stepping``
+    is the kind of the run that is computing a row right now."""
+
+    def __init__(self, monkeypatch):
+        self.runs, self.stepping, walks = [], None, []
+        walk_build, run = contfrac._walk_build, triangles._Build.run
+
+        def tagged(jf, depth):
+            walks.append(walk_build(jf, depth))
+            return walks[-1]
+
+        def logged(build, sv, step, width, guard=None):
+            kind = "walk" if any(build is w for w in walks) else "triangle"
+            record = SimpleNamespace(kind=kind, ctx=build.ctx, direction=(sv, step), rows=0)
+            self.runs.append(record)
+            rows = run(build, sv, step, width, guard)
+            while True:
+                self.stepping = kind
+                row = next(rows, None)
+                if row is None:
+                    return
+                record.rows += 1
+                yield row
+
+        monkeypatch.setattr(contfrac, "_walk_build", tagged)
+        monkeypatch.setattr(triangles._Build, "run", logged)
 
 
 class TestWalkAgainstPolyArithmetic:
@@ -525,25 +569,26 @@ class TestPackedWalk:
             want = (shifts[0], (1 << shifts[0]) - (1 << shifts[1]))
         assert (shift, step) == want
 
-    # the direction each module packs every shipped plan's walk and build
-    # along, and the depth-40 benchmark fractions: () when no variable
-    # occurs, (v,) for v alone and (v, w) for the pair v - w
+    # the direction each shipped plan's walk and triangle build, and the
+    # depth-40 benchmark matches, run along: () when no variable occurs,
+    # (v,) for v alone and (v, w) for the pair v - w
     SHIPPED_DIRECTIONS = {
-        "bell-walk.yaml": {("contfrac", ()), ("triangles", ())},
-        "centered.yaml": {("contfrac", ("a1", "a2")), ("triangles", ("a1", "a2"))},
-        "convolution.yaml": {("triangles", ())},
-        "double-factorial.yaml": {("contfrac", ("q",)), ("triangles", ())},
-        "eulerian.yaml": {("triangles", ())},
-        "factorial.yaml": {("contfrac", ("q",)), ("triangles", ())},
-        "fixed-argument.yaml": {("contfrac", ("a0", "a2")), ("triangles", ("a0", "a2"))},
-        "four-term-mixed.yaml": {("contfrac", ("a1", "a2")), ("triangles", ("a1", "a2"))},
-        "left-peak.yaml": {("contfrac", ("q",)), ("triangles", ())},
-        "minimax-tree.yaml": {("contfrac", ("p",)), ("triangles", ("p",))},
-        "peak-interior-negative.yaml": {("contfrac", ("q",)), ("triangles", ())},
-        "stirling-permutation.yaml": {("contfrac", ("q",)), ("triangles", ())},
-        "whitney.yaml": {("contfrac", ("q", "r")), ("triangles", ("m", "r"))},
-        "minimax-tree@40": {("contfrac", ("p",))},
-        "centered@40": {("contfrac", ("a1", "a2"))},
+        "bell-walk.yaml": {("walk", ()), ("triangle", ())},
+        "centered.yaml": {("walk", ("a1", "a2")), ("triangle", ("a1", "a2"))},
+        "convolution.yaml": {("triangle", ())},
+        "double-factorial.yaml": {("walk", ("q",)), ("triangle", ())},
+        "eulerian.yaml": {("triangle", ())},
+        "factorial.yaml": {("walk", ("q",)), ("triangle", ())},
+        "fixed-argument.yaml": {("walk", ("a0", "a2")), ("triangle", ("a0", "a2"))},
+        "four-term-mixed.yaml": {("walk", ("a1", "a2")), ("triangle", ("a1", "a2"))},
+        "left-peak.yaml": {("walk", ("q",)), ("triangle", ())},
+        "minimax-tree.yaml": {("walk", ("p",)), ("triangle", ("p",))},
+        "peak-interior-negative.yaml": {("walk", ("q",)), ("triangle", ())},
+        "stirling-permutation.yaml": {("walk", ("q",)), ("triangle", ())},
+        "whitney.yaml": {("walk", ("q", "r")), ("triangle", ("m", "r"))},
+        # the co-walk runs both sides along one direction
+        "minimax-tree@40": {("walk", ("p",)), ("triangle", ("p",))},
+        "centered@40": {("walk", ("a1", "a2")), ("triangle", ("a1", "a2"))},
     }
 
     def test_direction_of_every_shipped_walk(self, monkeypatch):
@@ -559,23 +604,23 @@ class TestPackedWalk:
                 return (names[sv],)
             return names[sv], names[(-rest).bit_length() - 1]
 
+        log = RunLog(monkeypatch)
         seen = {}
-        for module in (contfrac, triangles):
-            def spy(ctx, levels, caller=module.__name__.rsplit(".", 1)[1]):
-                direction = _direction(ctx, levels)
-                seen.setdefault(current, set()).add((caller, named(ctx, direction)))
-                return direction
 
-            monkeypatch.setattr(module, "_direction", spy)
+        def note(current):
+            seen.setdefault(current, set()).update(
+                (run.kind, named(run.ctx, run.direction)) for run in log.runs)
+            log.runs.clear()
+
         plans = Path(__file__).resolve().parent.parent / "plans"
         for path in sorted(plans.glob("*.yaml")):
-            current = path.name
             cli.run_plan(cli.load_plan(path))
+            note(path.name)
         for name in ("minimax-tree", "centered"):
-            current = f"{name}@40"
             fam = CATALOG[name]()
             assert cf_match(build_triangle(fam.spec, 40), fam.jfraction, 40, fam.gf_var,
                             fam.cf_prescaled, fam.product_eval_at) is True
+            note(f"{name}@40")
         assert seen == self.SHIPPED_DIRECTIONS
 
     @given(st.integers(0, 7), st.lists(LEVEL, min_size=7, max_size=7),
@@ -586,6 +631,26 @@ class TestPackedWalk:
         jf = JFraction.from_lists(ctx, [poly_of(ctx, t) for t in s_terms],
                                   [poly_of(ctx, t) for t in r_terms])
         assert j_expand(jf, depth) == reference_walk(jf, depth)
+
+    @given(st.integers(0, 7), st.lists(LEVEL, min_size=7, max_size=7),
+           st.lists(LEVEL, min_size=7, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_hold_every_entry(self, depth, s_terms, r_terms):
+        # with den clearing the levels, a path to entry (n, k) takes n - k
+        # more s-steps and r-steps, counted twice, than up-steps, so packed
+        # entry (n, k) is den^(n-k) times the true one.  The walk keeps the
+        # entries up to height min(n, depth - n), or below a zero r level
+        ctx = VarContext(["a", "b"])
+        jf = JFraction.from_lists(ctx, [poly_of(ctx, t) for t in s_terms],
+                                  [poly_of(ctx, t) for t in r_terms])
+        build = contfrac._walk_build(jf, depth)
+        den = build.scales[1] if depth else 1
+        rows = reference_rows(jf, depth)
+        assert len(build.bounds) == len(rows)
+        for n, (row, bounds) in enumerate(zip(rows, build.bounds)):
+            assert len(bounds) <= min(n, depth - n) + 1
+            for k, (entry, bound) in enumerate(zip(row, bounds)):
+                assert all(abs(c) * den ** (n - k) <= bound for c in entry.terms.values())
 
     def test_overflow_in_the_packed_direction(self, ctx):
         # a alone leaves the levels the fewest fibers, so e_a is packed
@@ -726,21 +791,24 @@ class TestCfMatch:
         q, n = ctx.var("q"), ctx.var("n")
         t = build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (ctx.one, ctx.one)), 40)
         jf = JFraction.from_forms(2 + q + n, n * q)
-        walk = contfrac._walk
-        yielded = []
-
-        def counted(*args, **kwargs):
-            yielded.append(0)
-            for row in walk(*args, **kwargs):
-                yielded[-1] += 1
-                yield row
-
-        monkeypatch.setattr(contfrac, "_walk", counted)
+        log = RunLog(monkeypatch)
         assert not cf_match(t, jf, 40)
-        # the bound walk over the levels' absolute sums runs whole; the
-        # walk of the series stops at the bad row
-        assert len(yielded) == 2 and yielded[0] == 40
-        assert yielded[1] <= 2
+        # the walk of the series stops by the bad row: it yields rows 0 up
+        # to at most row 2
+        (walk,) = [run for run in log.runs if run.kind == "walk"]
+        assert walk.rows <= 3
+
+    def test_a_negative_depth_is_rejected_on_both_paths(self, ctx):
+        # rows (1 + q)^n, the series of the S-fraction (1 + q, 0, 0)
+        sf = SFraction.from_list(ctx, [ctx.var("q") + 1, ctx.zero, ctx.zero])
+        spec = RecurrenceSpec(ctx, ROW_SHIFT, (ctx.one, ctx.one))
+        packed, read = build_triangle(spec, 4), build_triangle(spec, 4)
+        read.rows
+        assert cf_match(packed, sf, 4) and cf_match(read, sf, 4)
+        for t in (packed, read):
+            with pytest.raises(ValueError):
+                cf_match(t, sf, -1)
+        assert packed._rows is None
 
     def test_split_helper(self, ctx):
         n = ctx.var("n")
@@ -769,15 +837,14 @@ def listed(jf, levels):
 
 PLANS = sorted(Path(__file__).resolve().parent.parent.glob("plans/*.yaml"))
 
-# the fiber products of the depth-40 benchmark matches, per caller of the
-# level kernel (the walk with its bound walk, and the triangle build), as
-# (pairs of fibers a per-pair loop multiplies, level fibers multiplied
-# directly by entry fibers, products by a shared primitive factor P,
-# scalings of entry fibers by a content)
+# the fiber products of the depth-40 benchmark matches, per run (the walk
+# and the triangle build), as (pairs of fibers a per-pair loop multiplies,
+# level fibers multiplied directly by entry fibers, products by a shared
+# primitive factor P, scalings of entry fibers by a content)
 WALK_PRODUCTS = {
-    "minimax-tree": {"contfrac": (186040, 20, 53740, 186020),
-                     "triangles": (25620, 8400, 9030, 17220)},
-    "centered": {"contfrac": (23780, 20, 11881, 23760), "triangles": (1640, 1640, 0, 0)},
+    "minimax-tree": {"walk": (185220, 0, 53340, 185220),
+                     "triangle": (25620, 8400, 9030, 17220)},
+    "centered": {"walk": (22960, 0, 11481, 22960), "triangle": (1640, 1640, 0, 0)},
 }
 
 
@@ -877,28 +944,17 @@ class TestCoWalk:
         r[2] = r[2] + 1
         bad = replace(jf, r_list=tuple(r))
         t = build_triangle(fam.spec, 14)
-        walk, run = contfrac._walk, triangles._Build.run
-        yielded, ran = [], []
+        log = RunLog(monkeypatch)
 
-        def counted_walk(*args, **kwargs):
-            yielded.append(0)
-            for row in walk(*args, **kwargs):
-                yielded[-1] += 1
-                yield row
+        def ran():
+            rows = [(run.kind, run.rows) for run in log.runs]
+            log.runs.clear()
+            return rows
 
-        def counted_run(self, *args, **kwargs):
-            ran.append(0)
-            for row in run(self, *args, **kwargs):
-                ran[-1] += 1
-                yield row
-
-        monkeypatch.setattr(contfrac, "_walk", counted_walk)
-        monkeypatch.setattr(triangles._Build, "run", counted_run)
         assert cf_match(t, jf, 14, fam.gf_var)
-        assert yielded == [14, 14] and ran == [15]
-        yielded.clear(), ran.clear()
+        assert ran() == [("triangle", 15), ("walk", 15)]
         assert not cf_match(t, bad, 14, fam.gf_var)
-        assert yielded == [14, 6] and ran == [7]
+        assert ran() == [("triangle", 7), ("walk", 7)]
 
     def test_eval_at_reads_the_rows_back(self, ctx, monkeypatch):
         calls = []
@@ -958,11 +1014,11 @@ class TestCoWalk:
                 products.append((len(self.terms), len(other.terms)))
             return mul(self, other)
 
-        def no_read_back(self):
+        def no_read_back(self, columns=None):
             raise AssertionError("rows read back")
 
         monkeypatch.setattr(Poly, "__mul__", counted)
-        monkeypatch.setattr(triangles._Build, "materialize", no_read_back)
+        monkeypatch.setattr(triangles._Build, "read", no_read_back)
         assert cf_match(t, fam.jfraction, 40, fam.gf_var, fam.cf_prescaled)
         assert products == [] and t._rows is None
 
@@ -970,26 +1026,26 @@ class TestCoWalk:
     def test_deep_matches_form_the_pinned_products(self, name, monkeypatch):
         # a P that one level fiber alone has in an accumulator is multiplied
         # directly; any other P once per output key, after the scalings
-        counts = {}
-        for module in (contfrac, triangles):
-            tally = counts[module.__name__.rsplit(".", 1)[1]] = [0, 0, 0, 0]
+        counts = {"walk": [0, 0, 0, 0], "triangle": [0, 0, 0, 0]}
+        log = RunLog(monkeypatch)
 
-            def counted(acc, pairs, guard, tally=tally):
-                pairs = [(level, entry) for level, entry in pairs if level and entry]
-                uses = collections.Counter(p for level, _ in pairs for _, p, _, _ in level.factors)
-                keys = set()
-                for level, entry in pairs:
-                    tally[0] += len(level) * len(entry)
-                    for fl, p, _, _ in level.factors:
-                        if uses[p] == 1:
-                            tally[1] += len(entry)
-                        else:
-                            tally[3] += len(entry)
-                            keys.update((p, fl + fe) for fe in entry)
-                tally[2] += len(keys)
-                return polyring._add_level_products(acc, pairs, guard)
+        def counted(acc, pairs, guard):
+            tally = counts[log.stepping]
+            pairs = [(level, entry) for level, entry in pairs if level and entry]
+            uses = collections.Counter(p for level, _ in pairs for _, p, _, _ in level.factors)
+            keys = set()
+            for level, entry in pairs:
+                tally[0] += len(level) * len(entry)
+                for fl, p, _, _ in level.factors:
+                    if uses[p] == 1:
+                        tally[1] += len(entry)
+                    else:
+                        tally[3] += len(entry)
+                        keys.update((p, fl + fe) for fe in entry)
+            tally[2] += len(keys)
+            return polyring._add_level_products(acc, pairs, guard)
 
-            monkeypatch.setattr(module, "_add_level_products", counted)
+        monkeypatch.setattr(triangles, "_add_level_products", counted)
         fam = CATALOG[name]()
         t = build_triangle(fam.spec, 40)
         assert cf_match(t, fam.jfraction, 40, fam.gf_var, fam.cf_prescaled)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpcert import polyring
-from tpcert.families import four_term_family
+from tpcert.families import CATALOG, four_term_family
 from tpcert.polyring import (
     ContextMismatch,
     ParseError,
@@ -506,6 +506,42 @@ class TestThreeVariableDirections:
 
             assert fiber_pairs(sv, step) <= most * min(fiber_pairs(*pair) for pair in pairs)
 
+    def test_term_order_leaves_the_direction_and_the_work(self, monkeypatch):
+        # the direction is chosen on an operand's keys, so a Poly whose
+        # terms are inserted in another order is multiplied along the same
+        # direction with the same fiber pairs
+        product_direction, anchored = polyring._product_direction, polyring._anchored
+        chosen, lines = [], []
+
+        def spy_direction(a, nvars, triples):
+            chosen.append(product_direction(a, nvars, triples))
+            return chosen[-1]
+
+        def spy_anchored(fibers, step, width):
+            lines.append(len(fibers))
+            return anchored(fibers, step, width)
+
+        monkeypatch.setattr(polyring, "_product_direction", spy_direction)
+        monkeypatch.setattr(polyring, "_anchored", spy_anchored)
+
+        def work(a, b):
+            chosen.clear(), lines.clear()
+            product = a * b
+            return product, chosen[:], math.prod(lines)
+
+        rng = random.Random(8)
+        for fam in (CATALOG["affine-n"](), four_term_family("nk")):
+            t = build_triangle(fam.spec, 8).row_gfs(fam.gf_var)
+            want = work(t[8], t[7])
+            assert want[1][0] is not None
+            for _ in range(6):
+                shuffled = []
+                for poly in (t[8], t[7]):
+                    terms = list(poly.terms.items())
+                    rng.shuffle(terms)
+                    shuffled.append(Poly(poly.ctx, dict(terms)))
+                assert work(*shuffled) == want
+
 
 class TestPacking:
     def test_dense_mixed_sign_fiber_round_trip(self):
@@ -571,7 +607,7 @@ class TestFactoredLevelProducts:
     """``_pack`` factors each fiber of a level into its primitive part P, a
     content and a shift, and ``_add_level_products`` multiplies a shared P
     once per output fiber; every accumulator must equal the per-pair
-    loop's, key order included."""
+    loop's."""
 
     CTX = VarContext(["x", "y", "z"])
     # along x: a fiber is a monomial in y and z times a polynomial in x
@@ -630,9 +666,7 @@ class TestFactoredLevelProducts:
             guarded = []
             got = _add_level_products(dict(acc), pairs, lambda level, entry: guarded.append(
                 (level, entry)))
-            want = per_pair(acc, pairs)
-            # equal, and with the keys in the same order
-            assert list(got.items()) == list(want.items())
+            assert got == per_pair(acc, pairs)
             assert guarded == [(level, entry) for level, entry in pairs if level and entry]
             uses = collections.Counter(p for level, entry in pairs if entry
                                        for _, p, _, _ in level.factors)

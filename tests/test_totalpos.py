@@ -459,6 +459,12 @@ class TestHankelFactorization:
         spec = RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, ctx.var("k") + 1, ctx.zero))
         assert check_hankel_factorization(build_triangle(spec, 6), 4)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_a_block_without_rows_is_rejected(self, ctx, size):
+        spec = RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, ctx.var("k") + 1, ctx.var("k")))
+        with pytest.raises(ValueError, match="size must be positive"):
+            check_hankel_factorization(build_triangle(spec, 6), size)
+
     def test_symbolic_small(self):
         names = (
             [f"r{i}" for i in range(4)]
@@ -898,11 +904,14 @@ FRACTION_FAMILIES = sorted(name for name, make in families.CATALOG.items()
 class TestHeilermannMinors:
     """The leading k x k minor of the Hankel block of a J-fraction's moments
     a_n is a_0^k prod_{i=1}^{k-1} (r_1 ... r_i) (Heilermann's formula): an
-    oracle that needs neither the walk nor a determinant kernel."""
+    oracle that needs neither the walk nor a determinant kernel.  It checks
+    the leading minors of ``minor`` and those the scan itself forms."""
 
-    @pytest.mark.parametrize("name", FRACTION_FAMILIES)
+    @pytest.mark.parametrize("name", FRACTION_FAMILIES + ["four-term[nk]"])
     def test_leading_minors_of_catalog_fractions(self, name, monkeypatch):
-        jf = families.CATALOG[name]().jfraction
+        fam = (families.four_term_family("nk") if name == "four-term[nk]"
+               else families.CATALOG[name]())
+        jf = fam.jfraction if fam.jfraction is not None else contfrac.contract(fam.sfraction)
         series = contfrac.j_expand(jf, 8)
         block = hankel(series, 5)
         want, weights, running = [], jf.ctx.one, jf.ctx.one
@@ -929,5 +938,14 @@ class TestHeilermannMinors:
         # ones multiply fibers on the way
         assert (encoded is not None) == (name in ("interior-peak", "left-peak",
                                                   "stirling-permutation"))
-        if name in ("affine-n", "fixed-argument", "minimax-tree"):
+        if name in ("affine-n", "fixed-argument", "four-term[nk]", "minimax-tree"):
             assert any(fiber_products)
+        # the leading minors a contiguous scan forms, encoded or not; the
+        # blocks that are not TP (minimax-tree and the peak fractions) fail
+        # at their second order-2 minor, past the leading one
+        checked = record_checked(monkeypatch)
+        report = is_totally_positive(block, 5, contiguous_only=True)
+        formed = [d for (rows, cols), d in zip(scan_order(5, 5, contiguous=True), checked)
+                  if rows == cols == tuple(range(len(rows)))]
+        assert formed == want[:len(formed)]
+        assert len(formed) == (5 if report.ok else 2)

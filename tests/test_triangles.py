@@ -94,6 +94,9 @@ def test_negative_depth_rejected(ctx):
 def test_row_gf_out_of_range(ctx):
     with pytest.raises(IndexError):
         pascal(ctx, 3).row_gf(4)
+    # a negative row is not the last row counted from the end
+    with pytest.raises(IndexError):
+        pascal(ctx, 3).row_gf(-1)
 
 
 def test_row_gf_is_the_sum_of_shifted_entries(ctx):
@@ -435,6 +438,27 @@ def reference_build(spec, depth):
     return rows
 
 
+# random row-shift coefficients: c0 with rational coefficients, c1 nonzero
+SHIFT_C0 = st.lists(st.tuples(st.one_of(st.integers(-5, 5),
+                                        st.fractions(-2, 2, max_denominator=3)),
+                              st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                              st.integers(0, 2)),
+                    max_size=4)
+SHIFT_C1 = st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 2), st.integers(0, 2),
+                              st.integers(0, 2), st.integers(0, 2)),
+                    min_size=1, max_size=4)
+
+
+def shift_spec(c0_terms, c1_terms):
+    """The row-shift spec of ``(coefficient, e_n, e_k, e_a, e_b)`` terms."""
+    ctx = VarContext(["n", "k", "a", "b"])
+
+    def poly(terms):
+        return ctx.from_terms((c, {"n": i, "k": j, "a": x, "b": y}) for c, i, j, x, y in terms)
+
+    return RecurrenceSpec(ctx, ROW_SHIFT, (poly(c0_terms), poly(c1_terms)))
+
+
 class TestPackedBuild:
     """``build_triangle`` runs the recurrence on packed fibers; each case
     is compared with the ``Poly`` recurrence of ``reference_build``."""
@@ -515,40 +539,35 @@ class TestPackedBuild:
         assert t.rows == reference_build(spec, 3)
         assert t.rows[3][1] == ctx.var("q", 44000)
 
-    @given(
-        st.lists(st.tuples(st.one_of(st.integers(-5, 5),
-                                     st.fractions(-2, 2, max_denominator=3)),
-                           st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
-                           st.integers(0, 2)),
-                 max_size=4),
-        st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 2), st.integers(0, 2),
-                           st.integers(0, 2), st.integers(0, 2)),
-                 min_size=1, max_size=4),
-        st.integers(0, 6),
-    )
+    @given(SHIFT_C0, SHIFT_C1, st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_build(self, c0_terms, c1_terms, depth):
-        ctx = VarContext(["n", "k", "a", "b"])
-
-        def poly(terms):
-            return ctx.from_terms(
-                (c, {"n": i, "k": j, "a": x, "b": y}) for c, i, j, x, y in terms
-            )
-
-        spec = RecurrenceSpec(ctx, ROW_SHIFT, (poly(c0_terms), poly(c1_terms)))
+        spec = shift_spec(c0_terms, c1_terms)
         assert build_triangle(spec, depth).rows == reference_build(spec, depth)
+
+    @given(SHIFT_C0, SHIFT_C1, st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_hold_every_entry(self, c0_terms, c1_terms, depth):
+        # packed entry (n, k) is the built one times the row's scale
+        t = build_triangle(shift_spec(c0_terms, c1_terms), depth)
+        build = t._build
+        assert len(build.bounds) == len(t.rows) == depth + 1
+        for row, bounds, scale in zip(t.rows, build.bounds, build.scales):
+            assert len(bounds) == len(row)
+            for entry, bound in zip(row, bounds):
+                assert all(abs(c * scale) <= bound for c in entry.terms.values())
 
 
 class TestRowsOnFirstRead:
     def test_a_built_triangle_reads_its_rows_back_once(self, ctx, monkeypatch):
         reads = []
-        materialize = triangles._Build.materialize
+        read = triangles._Build.read
 
-        def counted(self):
+        def counted(self, columns=None):
             reads.append(self.depth)
-            return materialize(self)
+            return read(self, columns)
 
-        monkeypatch.setattr(triangles._Build, "materialize", counted)
+        monkeypatch.setattr(triangles._Build, "read", counted)
         t = eulerian(ctx, 6)
         assert reads == [] and t.depth == 6
         assert ints(t.rows[4]) == [0, 1, 11, 11, 1]
