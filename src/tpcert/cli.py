@@ -179,10 +179,7 @@ class _PlanRunner:
 
     def run_hankel_tp(self, check: dict):
         report = is_totally_positive(
-            hankel(self._row_seq(check), check["size"]),
-            check["order"],
-            contiguous_only=check["contiguous-only"],
-            jobs=self.jobs,
+            hankel(self._row_seq(check), check["size"]), check["order"], jobs=self.jobs
         )
         return report.ok, report.to_dict()
 
@@ -308,8 +305,8 @@ _polys = _type("non-empty list of polynomials", lambda v: isinstance(v, list) an
                lambda v, ctx, parsed: [_poly(p, ctx, parsed) for p in v])
 _rational_map = _type("mapping of variables to rationals", lambda v: isinstance(v, dict),
                       _rationals)
-_criteria = _type("list of i, ii, iii, iv",
-                  lambda v: isinstance(v, list) and all(c in ("i", "ii", "iii", "iv") for c in v))
+_criteria = _type("non-empty list of i, ii, iii, iv", lambda v: isinstance(v, list) and v
+                  and all(c in ("i", "ii", "iii", "iv") for c in v))
 _source = _name("source", ("row-gf", "first-column"))
 
 _BUILTIN_SEQUENCES = {
@@ -372,7 +369,7 @@ _CHECKS = {
     }),
     "row-gf": _kind(_PlanRunner.run_row_gf, lambda c: len(c["values"]) - 1, {
         "at": (_rational_map, {}),
-        "values": (_polys, ()),
+        "values": (_polys, _REQUIRED),
     }),
     "cf-match": _kind(_PlanRunner.run_cf_match, lambda c: c["depth"], {
         "depth": (_count, _DEPTH),
@@ -390,7 +387,6 @@ _CHECKS = {
         "source": (_source, "row-gf"),
         "size": (_positive, _REQUIRED),
         "order": (_positive, _REQUIRED),
-        "contiguous-only": (_flag, False),
     }),
     "k-lcx": _kind(_PlanRunner.run_k_lcx, lambda c: 2 * c["k"], {
         "source": (_source, "row-gf"),
@@ -420,7 +416,7 @@ _CHECKS = {
     }),
     "tridiagonal-criteria": _kind(_PlanRunner.run_tridiagonal_criteria, lambda c: 0, {
         "upto": (_count, 4),
-        "expect": (_criteria, ()),
+        "expect": (_criteria, _REQUIRED),
     }, triangle=COLUMN_WALK),
     "hankel-factorization": _kind(
         _PlanRunner.run_hankel_factorization, lambda c: 2 * (c["size"] - 1), {

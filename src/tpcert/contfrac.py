@@ -317,8 +317,11 @@ def rising_product_series(a: Poly, b: Poly, c: Poly, depth: int) -> list[Poly]:
     """Exact truncation of  1 + sum_{n>=1} z^n prod_{k=0}^{n-1} (a+bk)/(1-c(k+1)z).
 
     The running product is kept as a truncated series; dividing it by
-    1 - w z is the running sum prod[m] += w prod[m-1].
+    1 - w z is the running sum prod[m] += w prod[m-1].  A negative depth
+    raises ValueError.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     ctx = a.ctx
     out = [ctx.one] + [ctx.zero] * depth
     prod = [ctx.one] + [ctx.zero] * depth
@@ -436,8 +439,11 @@ def jfraction_split(jf: JFraction, sf: SFraction, levels: int) -> "Poly | None":
     Returns the leftover alpha_odd(-1) absorbed into s(0) when the split
     holds (zero for a literal contraction), or None when it does not.
     When the leftover and all alphas are coefficientwise nonnegative this
-    is exactly the dominance data the tridiagonal criteria consume.
+    is exactly the dominance data the tridiagonal criteria consume.  A
+    negative ``levels`` raises ValueError.
     """
+    if levels < 0:
+        raise ValueError(f"levels must be nonnegative, got {levels}")
     if sf.even_form is None or sf.odd_form is None:
         raise ValueError("split check needs closed-form alpha data")
     lv = sf.level_var

@@ -248,7 +248,6 @@ class TPReport:
     order: int
     ok: bool
     witness: TPWitness | None = None
-    contiguous_only: bool = False
     minors_checked: int = 0
 
     def __bool__(self) -> bool:
@@ -258,7 +257,8 @@ class TPReport:
         return {
             "truncation": [self.nrows, self.ncols],
             "order": self.order,
-            "contiguous_only": self.contiguous_only,
+            # every scan is exhaustive; the recorded plan-batch body keeps the key
+            "contiguous_only": False,
             "minors_checked": self.minors_checked,
             "result": "pass" if self.ok else "fail",
             "witness": self.witness.to_dict() if self.witness else None,
@@ -283,26 +283,20 @@ def _first_negative(m: PolyMatrix, d):
     return d, _monomial_text(d.ctx.names, d.ctx.unpack(key)) or "1", d.terms[key]
 
 
-def _subset_iter(n: int, m: int, contiguous: bool):
-    if contiguous:
-        return (tuple(range(i, i + m)) for i in range(n - m + 1))
-    return combinations(range(n), m)
-
-
-def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict, prune: bool = False):
+def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False):
     """Check each row subset against every column subset of its size, in
     order; returns (minors checked, first witness or None).
 
-    Every minor comes from the memoized cofactor expansion.  An exhaustive
-    scan reaches every order-r minor after all the order-(r-1) ones, so
-    each costs r products; the lower minors of a contiguous window are
-    filled in by the recursion and shared by overlapping windows.  A minor
-    is memoized only when a later one reads it: the expansion of (R, C)
-    reads cofactors with rows R[:-1], so no minor reads one of the highest
-    order, nor one whose rows hold the block's last row.  Those are checked
-    and dropped.  With ``prune`` (an exhaustive scan of every row subset),
-    starting order r deletes the memo entries of order r-2 and below: the
-    order-r minors read only order-(r-1) cofactors, all memoized by then.
+    Every minor comes from the memoized cofactor expansion.  The row
+    subsets come ordered by size, so every order-r minor of a serial scan
+    comes after all the order-(r-1) ones and costs r products; a ``--jobs``
+    share forms the lower minors it lacks in the recursion.  A minor is
+    memoized only when a later one reads it: the expansion of (R, C) reads
+    cofactors with rows R[:-1], so no minor reads one of the highest order,
+    nor one whose rows hold the block's last row.  Those are checked and
+    dropped.  With ``prune`` (a scan of every row subset), starting order r
+    deletes the memo entries of order r-2 and below: the order-r minors
+    read only order-(r-1) cofactors, all memoized by then.
 
     ``m`` is a ``PolyMatrix`` or the ``_IntBlock`` that ``_encode`` makes of
     a one-variable integer block: each entry is its value at v = 2^W, with W
@@ -325,7 +319,7 @@ def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict, prune: bool 
                 for key in [key for key in memo if len(key[0]) < order - 1]:
                     del memo[key]
         det = _expand if order > 1 and (order == top or rows[-1] == last) else _det_cofactor
-        for cols in _subset_iter(m.ncols, order, contiguous):
+        for cols in combinations(range(m.ncols), order):
             d = det(m, rows, cols, memo)
             checked += 1
             bad = _first_negative(m, d)
@@ -334,22 +328,15 @@ def _scan(m: PolyMatrix, row_subsets, contiguous: bool, memo: dict, prune: bool 
     return checked, None
 
 
-def is_totally_positive(
-    m: PolyMatrix,
-    order: int,
-    contiguous_only: bool = False,
-    jobs: int = 1,
-) -> TPReport:
+def is_totally_positive(m: PolyMatrix, order: int, jobs: int = 1) -> TPReport:
     """Check every minor of order <= ``order`` for nonnegative coefficients.
 
     Scans orders ascending, then row subsets, then column subsets, each in
     lexicographic order, so a failure report carries the minimal witness.
     ``minors_checked`` counts the minors in this scan order up to and
     including the witness (all of them on a pass), whatever ``jobs`` is.
-    ``contiguous_only`` restricts to contiguous row/column windows (a fast
-    pre-filter, not a certificate).  ``jobs`` > 1 distributes the row
-    subsets over at most ``jobs`` worker processes, no more than there are
-    row subsets or CPUs.
+    ``jobs`` > 1 distributes the row subsets over at most ``jobs`` worker
+    processes, no more than there are row subsets or CPUs.
 
     A block of integer polynomials in at most one variable is scanned as
     integers (see ``_encode``); the report is the same either way.
@@ -361,19 +348,10 @@ def is_totally_positive(
     if encoded is not None:
         m = encoded
     row_subsets = [
-        rows
-        for size in range(1, order + 1)
-        for rows in _subset_iter(m.nrows, size, contiguous_only)
+        rows for size in range(1, order + 1) for rows in combinations(range(m.nrows), size)
     ]
-    if jobs > 1 and not contiguous_only:
-        checked, witness = _scan_parallel(m, row_subsets, jobs)
-    else:
-        checked, witness = _scan(
-            m, row_subsets, contiguous_only, {}, prune=not contiguous_only
-        )
-    return TPReport(
-        m.nrows, m.ncols, order, witness is None, witness, contiguous_only, checked
-    )
+    checked, witness = _scan_parallel(m, row_subsets, jobs)
+    return TPReport(m.nrows, m.ncols, order, witness is None, witness, checked)
 
 
 def _usable_cpus() -> int:
@@ -386,14 +364,15 @@ def _usable_cpus() -> int:
 
 def _scan_parallel(m: PolyMatrix, row_subsets: list, jobs: int):
     """``_scan`` with the row subsets dealt round-robin to
-    min(jobs, row subsets, CPUs) workers; the count is that of the serial
+    min(jobs, row subsets, CPUs) workers, or run serially, with the memo
+    pruned, when that is fewer than two; the count is that of the serial
     scan."""
-    from multiprocessing import get_context
-
     workers = min(jobs, len(row_subsets), _usable_cpus())
     if workers < 2:
-        return _scan(m, row_subsets, False, {}, prune=True)
-    shares = [(m, row_subsets[i::workers], False, {}) for i in range(workers)]
+        return _scan(m, row_subsets, {}, prune=True)
+    from multiprocessing import get_context
+
+    shares = [(m, row_subsets[i::workers], {}) for i in range(workers)]
     with get_context("fork").Pool(workers) as pool:
         results = pool.starmap(_scan, shares)
     witnesses = [w for _, w in results if w is not None]

@@ -284,8 +284,10 @@ def test_oracle_match_beyond_guard_is_load_error(tmp_path):
 
 # a complete check of each kind that reads fields unconditionally
 COMPLETE = {
+    "row-gf": {"values": "[1]"},
     "hankel-tp": {"size": 2, "order": 2},
     "hankel-factorization": {"size": 2},
+    "tridiagonal-criteria": {"expect": "[i]"},
     "k-lcx": {"k": 1},
     "oracle-match": {"oracle": "perms-by-descents", "upto": 2},
     "product-formula": {"factor": 1},
@@ -304,7 +306,7 @@ COMPLETE = {
 def test_required_fields_are_load_errors(tmp_path, kind, field):
     def plan(fields):
         body = "".join(f"    {key}: {value}\n" for key, value in fields.items())
-        head = WALK if kind == "hankel-factorization" else MINIMAL
+        head = WALK if kind in ("hankel-factorization", "tridiagonal-criteria") else MINIMAL
         return head.split("checks:")[0] + f"checks:\n  - kind: {kind}\n{body}"
 
     load_plan(write_plan(tmp_path, plan(COMPLETE[kind])))
@@ -594,7 +596,8 @@ def _with_check(body):
         (MINIMAL.replace("vars: [q]", "vars: [q, a]\nspecialize: {a: 2}")
          + "  - kind: row-gf\n    at: {q: 1, a: 1}\n    values: [1]\n", 2, "at"),
         (_with_check("  - kind: triangle-build\n    golden: 3\n"), 2, "golden"),
-        (_with_check("  - kind: tridiagonal-criteria\n    upto: 2\n"), 2, "kind"),
+        (_with_check("  - kind: tridiagonal-criteria\n    upto: 2\n    expect: [i]\n"),
+         2, "kind"),
         (_with_check("  - kind: hankel-factorization\n    size: 2\n"), 2, "kind"),
         (_with_check("  - kind: cf-match\n    alphas: [1, 2, 3]\n"), 2, "alphas"),
         (_with_check("  - kind: cf-match\n    s-list: [1]\n    r-list: [1, 2]\n"), 2, "s-list"),
@@ -628,6 +631,7 @@ def _with_check(body):
         (_with_check("  - kind: k-lcx\n    sorce: first-column\n    k: 1\n"), 2, "sorce"),
         (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  cc1: "1"\n'), None, "cc1"),
         (WALK.replace("expect: [i]", "expect: [i, v]"), 0, "expect"),
+        (WALK.replace("expect: [i]", "expect: []"), 0, "expect"),
     ],
     ids=[
         "hankel-tp-source", "k-lcx-source", "builtin-sequence", "short-sequence",
@@ -640,7 +644,7 @@ def _with_check(body):
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "exponent-overflow", "unknown-check-key", "unknown-triangle-key",
-        "expect-names",
+        "expect-names", "expect-empty",
     ],
 )
 def test_bad_fields_are_load_errors(tmp_path, doc, index, field):
@@ -775,16 +779,27 @@ def test_integer_fields_of_every_kind_are_checked_at_load(tmp_path):
 
 
 def test_flags_must_be_booleans(tmp_path):
-    tp = MINIMAL + "  - kind: hankel-tp\n    size: 2\n    order: 2\n    contiguous-only: "
-    for value in ('"no"', "0", "yes please"):
+    cf = MINIMAL + "  - kind: cf-match\n    s: n + 1\n    r: n^2\n    prescaled: "
+    for value in ('"no"', "0", "yes please", "'false'"):
         with pytest.raises(PlanError) as err:
-            load_plan(write_plan(tmp_path, tp + value + "\n"))
-        assert "'contiguous-only'" in str(err.value)
-    doc = MINIMAL + "  - kind: cf-match\n    s: n + 1\n    r: n^2\n    prescaled: 'false'\n"
-    with pytest.raises(PlanError):
-        load_plan(write_plan(tmp_path, doc))
-    report = run_plan(load_plan(write_plan(tmp_path, tp + "false\n")))
+            load_plan(write_plan(tmp_path, cf + value + "\n"))
+        assert "'prescaled'" in str(err.value)
+    assert load_plan(write_plan(tmp_path, cf + "false\n")).checks[-1]["prescaled"] is False
+
+
+def test_every_hankel_tp_scan_is_exhaustive(tmp_path):
+    # the contiguous-window pre-filter is gone: a plan naming it is a load
+    # error, and the report key it set stays, always false
+    path = write_plan(tmp_path, MINIMAL + "    contiguous-only: false\n")
+    with pytest.raises(PlanError, match=r"\(hankel-tp\) has unknown key 'contiguous-only'"):
+        load_plan(path)
+    assert main(["verify", str(path)]) == 2
+    block = tpcert.hankel([VarContext(["q"]).one] * 3, 2)
+    with pytest.raises(TypeError):
+        tpcert.is_totally_positive(block, 2, contiguous_only=True)
+    report = run_plan(load_plan(write_plan(tmp_path, MINIMAL)))
     assert report.checks[-1]["detail"]["contiguous_only"] is False
+    assert report.checks[-1]["detail"]["minors_checked"] == 5
 
 
 @pytest.mark.parametrize("flag", ["--depth", "--hankel-size", "--tp-order", "--jobs"])

@@ -698,6 +698,12 @@ class TestRisingProductSeries:
         ser = rising_product_series(a, ctx.zero, ctx.zero, 4)
         assert ser == [a**i for i in range(5)]
 
+    def test_negative_depths_are_rejected(self, ctx):
+        one, zero = ctx.one, ctx.zero
+        assert rising_product_series(one, one, zero, 0) == [one]
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            rising_product_series(one, one, zero, -1)
+
     def test_symbolic_closed_form(self, ctx):
         a, b, c, n = ctx.var("a"), ctx.var("b"), ctx.var("c"), ctx.var("n")
         ser = rising_product_series(a, b, c, 6)
@@ -819,6 +825,14 @@ class TestCfMatch:
         assert leftover is not None and leftover.is_zero()
         wrong = SFraction.from_forms(even + 1, odd)
         assert jfraction_split(jf, wrong, 4) is None
+
+    def test_split_rejects_negative_levels(self, ctx):
+        # checking no level would read a wrong split as holding
+        n = ctx.var("n")
+        sf = SFraction.from_forms(n + 1, n + 1)
+        for split in (sf, SFraction.from_forms(n + 2, n + 1)):
+            with pytest.raises(ValueError, match="levels must be nonnegative"):
+                jfraction_split(contract(sf), split, -1)
 
 
 def row_path(t, fraction, depth, var="q", prescaled=False):

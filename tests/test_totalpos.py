@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -224,16 +225,6 @@ class TestIsTotallyPositive:
             assert all(
                 not (results[i] and not results[i - 1]) for i in range(1, 4)
             )
-
-    def test_contiguous_prefilter_is_implied(self, ctx):
-        rng = random.Random(5)
-        for _ in range(10):
-            m = random_matrix(ctx, rng, 4)
-            full = is_totally_positive(m, 3)
-            contig = is_totally_positive(m, 3, contiguous_only=True)
-            if full.ok:
-                assert contig.ok
-            assert contig.minors_checked <= full.minors_checked
 
     def test_parallel_matches_serial(self, ctx):
         seq = consts(ctx, [1, 1, 2, 6, 24, 120, 720])
@@ -516,12 +507,12 @@ class TestHankelFactorization:
         assert is_totally_positive(hankel(first_column, 5), 4).ok
 
 
-def scan_order(n, order, contiguous=False):
+def scan_order(n, order):
     """(rows, cols) of every minor an order-``order`` scan of an n x n block
     checks, in the order it checks them."""
     return [(rows, cols) for size in range(1, order + 1)
-            for rows in totalpos._subset_iter(n, size, contiguous)
-            for cols in totalpos._subset_iter(n, size, contiguous)]
+            for rows in combinations(range(n), size)
+            for cols in combinations(range(n), size)]
 
 
 def record_checked(monkeypatch):
@@ -564,17 +555,15 @@ class OrderCountingMemo(dict):
 
 
 # products of the 7 x 7 order-7 scans as (products, term products, operand
-# terms), which a change to the memo must keep: the serial scan, the
-# contiguous windows and the two shares of jobs=2
+# terms), which a change to the memo must keep: the serial scan and the two
+# shares of jobs=2
 SCAN_PRODUCTS = {
     "eulerian": {
         "serial": (11963, 747900, 189833),
-        "contiguous": (1041, 45612, 13548),
         "shares": [(8204, 481039, 125804), (7700, 441136, 116814)],
     },
     "bell-walk": {
         "serial": (11963, 1390277, 260638),
-        "contiguous": (1041, 92940, 19599),
         "shares": [(8204, 886088, 171682), (7700, 827092, 160706)],
     },
 }
@@ -606,19 +595,6 @@ class TestScanMemo:
         for rows, cols in high:
             assert scanned[rows, cols] == sympy_minor(block.ctx, sym, rows, cols)
 
-    def test_contiguous_windows_match_sympy(self, block, monkeypatch):
-        # the lower minors of a window are not scanned before it, so the
-        # recursion fills them in
-        checked = record_checked(monkeypatch)
-        report = is_totally_positive(block, 7, contiguous_only=True)
-        assert report.to_dict()["minors_checked"] == 140
-        scanned = dict(zip(scan_order(7, 7, contiguous=True), checked, strict=True))
-        high = [key for key in scanned if len(key[0]) >= 5]
-        assert len(high) == 3 * 3 + 2 * 2 + 1
-        sym = sympy_matrix(block)
-        for rows, cols in high:
-            assert scanned[rows, cols] == sympy_minor(block.ctx, sym, rows, cols)
-
     def test_serial_memo_holds_only_the_cofactors_next_read(self, block, monkeypatch):
         # at each checked order-r minor the memo holds orders r-1 and r, and
         # at the top order only r-1: a top-order minor is never stored, nor
@@ -626,8 +602,8 @@ class TestScanMemo:
         memo = OrderCountingMemo()
         scan = totalpos._scan
 
-        def scan_with_memo(m, row_subsets, contiguous, _, **kwargs):
-            return scan(m, row_subsets, contiguous, memo, **kwargs)
+        def scan_with_memo(m, row_subsets, _, **kwargs):
+            return scan(m, row_subsets, memo, **kwargs)
 
         held = []
         first_negative = totalpos._first_negative
@@ -711,8 +687,6 @@ class TestScanMemo:
         want = SCAN_PRODUCTS[name]
         assert is_totally_positive(block, 7).ok
         assert products() == want["serial"]
-        assert is_totally_positive(block, 7, contiguous_only=True).ok
-        assert products() == want["contiguous"]
         assert is_totally_positive(block, 7, jobs=2).ok
         assert shares == want["shares"]
         assert poly_products == []
@@ -724,10 +698,10 @@ class TestScanMemo:
         assert is_totally_positive(block, 6, jobs=2).to_dict() == serial
 
 
-def poly_report(m, order, **kwargs):
+def poly_report(m, order):
     """``is_totally_positive`` with the block kept in Poly form."""
     with mock.patch.object(totalpos, "_encode", lambda m, order: None):
-        return is_totally_positive(m, order, **kwargs)
+        return is_totally_positive(m, order)
 
 
 def first_negative_of(p):
@@ -784,7 +758,7 @@ class TestEncodedScan:
         scan = cli.is_totally_positive
 
         def spy(m, order, **kwargs):
-            calls.append((m, order, kwargs.get("contiguous_only", False)))
+            calls.append((m, order))
             return scan(m, order, **kwargs)
 
         monkeypatch.setattr(cli, "is_totally_positive", spy)
@@ -792,14 +766,11 @@ class TestEncodedScan:
         plans = [f"plans/{p.name}" for p in sorted(PLANS.glob("*.yaml"))]
         assert cli.main(["verify", *plans, "--format", "json"]) == 1
         capsys.readouterr()
-        encoded = [
-            (m, order, contiguous) for m, order, contiguous in calls
-            if totalpos._encode(m, min(order, m.nrows, m.ncols)) is not None
-        ]
+        encoded = [(m, order) for m, order in calls
+                   if totalpos._encode(m, min(order, m.nrows, m.ncols)) is not None]
         assert len(encoded) >= 5
-        for m, order, contiguous in encoded:
-            got = is_totally_positive(m, order, contiguous_only=contiguous).to_dict()
-            assert got == poly_report(m, order, contiguous_only=contiguous).to_dict()
+        for m, order in encoded:
+            assert is_totally_positive(m, order).to_dict() == poly_report(m, order).to_dict()
 
     @settings(max_examples=60, deadline=None)
     @given(one_variable_blocks())
@@ -940,12 +911,15 @@ class TestHeilermannMinors:
                                                   "stirling-permutation"))
         if name in ("affine-n", "fixed-argument", "four-term[nk]", "minimax-tree"):
             assert any(fiber_products)
-        # the leading minors a contiguous scan forms, encoded or not; the
-        # blocks that are not TP (minimax-tree and the peak fractions) fail
-        # at their second order-2 minor, past the leading one
+        # the leading minors the scan forms over the leading row subsets,
+        # encoded and in Poly form; the blocks that are not TP (minimax-tree
+        # and the peak fractions) fail at an order-2 minor past the leading one
         checked = record_checked(monkeypatch)
-        report = is_totally_positive(block, 5, contiguous_only=True)
-        formed = [d for (rows, cols), d in zip(scan_order(5, 5, contiguous=True), checked)
-                  if rows == cols == tuple(range(len(rows)))]
-        assert formed == want[:len(formed)]
-        assert len(formed) == (5 if report.ok else 2)
+        leading = [tuple(range(k)) for k in range(1, 6)]
+        minors = [(rows, cols) for rows in leading for cols in combinations(range(5), len(rows))]
+        for scanned in [block] + ([encoded] if encoded is not None else []):
+            checked.clear()
+            _, witness = totalpos._scan(scanned, leading, {})
+            formed = [d for (rows, cols), d in zip(minors, checked) if rows == cols]
+            assert formed == want[:len(formed)]
+            assert len(formed) == (5 if witness is None else 2)
