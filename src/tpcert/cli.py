@@ -272,11 +272,11 @@ def _name(what: str, choices):
     return parse
 
 
-def _monomial(value, ctx, parsed) -> Poly:
-    """monomial"""
+def _denominator(value, ctx, parsed) -> Poly:
+    """monomial free of n and k, its coefficient positive"""
     p = _poly(value, ctx, parsed)
-    if len(p.terms) != 1:
-        raise ValueError(f"expected a single monomial, got {value!r}")
+    if len(p.terms) != 1 or set(RESERVED_VARS) & set(p.variables()):
+        raise ValueError(f"expected a single monomial free of n and k, got {value!r}")
     return p
 
 
@@ -346,7 +346,7 @@ def _oracle_upto(value, ctx, parsed):
 
 # Fields of the triangle section by triangle kind, name -> (type, default).
 # Besides depth and denominator they are the recurrence coefficients, in order.
-_TRIANGLE_COMMON = {"denominator": (_monomial, None), "depth": (_count, 8)}
+_TRIANGLE_COMMON = {"denominator": (_denominator, None), "depth": (_count, 8)}
 _TRIANGLES = {
     ROW_SHIFT: {"c0": (_poly, _REQUIRED), "c1": (_poly, _REQUIRED), "c2": (_poly, None),
                 **_TRIANGLE_COMMON},
@@ -512,6 +512,11 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         spec = _map_polys(spec, lambda p: p.specialize(specialize))
     except ValueError as exc:  # e.g. a clearing denominator driven to zero
         raise PlanError(f"{path}: specialization breaks the spec: {exc}") from exc
+    # stored row n is denominator^n times the true one, so a negative
+    # coefficient would flip the sign of every odd row
+    if spec.denominator is not None and spec.denominator.leading()[1] < 0:
+        raise PlanError(f"{path}: triangle 'denominator': {spec.denominator} has a negative "
+                        "coefficient after specialization")
 
     checks = doc.get("checks") or []
     if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):

@@ -639,7 +639,7 @@ def _halves(key: int, x: int, step: int, width: int) -> tuple:
 # stays packed across any number of products.  It reads back exactly
 # (``_unpack``) while every coefficient lies within ``width`` as a balanced
 # digit.  The levels that multiply the entries of a walk or a triangle are
-# factored when packed (``_Level``, ``_add_level_products``).
+# factored when packed (``_pack``, ``_add_level_products``).
 
 
 def _direction(ctx: VarContext, levels: list[dict]) -> tuple[int, int]:
@@ -762,31 +762,23 @@ def _join(digits: list, width: int, lo: int = 0) -> int:
     return c << (width * (e - lo))
 
 
-class _Level(dict):
-    """A packed level: ``{fiber key: x}``, with ``factors`` listing the
-    ``(fiber key, P, c, width * lo)`` of every fiber x = c * 2^(width * lo)
-    * P, in the level's order.  The content c is the signed gcd of x's
-    digits, lo its lowest occupied digit, and P is primitive with its lowest
-    digit positive."""
-
-    __slots__ = ("factors",)
-
-
-def _pack(terms: dict, sv: int, step: int, width: int) -> _Level:
-    """The ``_Level`` of an integer coefficient map, fibers keyed by
-    ``_lines`` as sum c * 2^(width * e_v).
+def _pack(terms: dict, sv: int, step: int, width: int) -> list[tuple]:
+    """An integer coefficient map packed as a level: one ``(fiber key, x,
+    P, c, width * lo)`` per fiber of ``_lines``, in the map's order, with
+    x = sum c_e * 2^(width * e_v) = c * 2^(width * lo) * P.  The content c
+    is the signed gcd of x's digits, lo its lowest occupied digit, and P is
+    primitive with its lowest digit positive.
 
     Each fiber's digits are combined by ``_join``: summing them term by term
     would take time quadratic in a fiber's length."""
-    level = _Level()
-    level.factors = []
+    level = []
     for f, members in _lines(terms, sv, step).items():
         lo, lowest = min(members)
         c = gcd(*(d for _, d in members))
         if lowest < 0:
             c = -c
-        x = level[f] = _join(members, width)
-        level.factors.append((f, (x >> width * lo) // c, c, width * lo))
+        x = _join(members, width)
+        level.append((f, x, (x >> width * lo) // c, c, width * lo))
     return level
 
 
@@ -831,22 +823,9 @@ def _degree(ctx: VarContext, maps: Iterable[dict]) -> int:
     return max((max(t) >> ctx._deg_shift for t in maps if t), default=0)
 
 
-def _exponent_guard(ctx: VarContext, step: int, width: int):
-    """A guard for ``_add_level_products`` that raises ValueError, as ``Poly``
-    multiplication does, when an exponent of the product of a packed level
-    and entry would pass the packing width."""
-    nvars = len(ctx.names)
-
-    def guard(level: dict, entry: dict) -> None:
-        _check_exponents(_unpack(level, step, width), _unpack(entry, step, width), nvars)
-
-    return guard
-
-
-def _add_level_products(acc: dict, pairs: Iterable[tuple[_Level, dict]], guard) -> dict:
+def _add_level_products(acc: dict, pairs: Iterable[tuple[list, dict]]) -> dict:
     """``acc`` plus the sum of level * entry over the ``(level, entry)``
-    pairs, with its zero fibers dropped; ``guard(level, entry)``, when
-    given, runs before each product of a nonempty level and entry.
+    pairs, each level from ``_pack``, with its zero fibers dropped.
 
     A P that one level fiber alone has among the pairs is multiplied in as
     that fiber, by every entry fiber.  Any other P is multiplied once per
@@ -854,21 +833,19 @@ def _add_level_products(acc: dict, pairs: Iterable[tuple[_Level, dict]], guard) 
     every pair, and each entry fiber x_e, c * (x_e << width * lo) is added
     into u_P at the product's key, and P * u_P is then added into ``acc``.
     Every fiber of ``acc`` is the sum of the same fiber products either
-    way."""
+    way.  No exponent is checked here; ``triangles._Build.run`` checks the
+    operands of every product when their degrees may pass the width."""
     pairs = [(level, entry) for level, entry in pairs if level and entry]
     uses: dict[int, int] = {}
     for level, _ in pairs:
-        for _, p, _, _ in level.factors:
+        for _, _, p, _, _ in level:
             uses[p] = uses.get(p, 0) + 1
     get = acc.get
     sums: dict[int, dict] = {}
     for level, entry in pairs:
-        if guard is not None:
-            guard(level, entry)
         entry = entry.items()
-        for fl, p, c, up in level.factors:
+        for fl, xl, p, c, up in level:
             if uses[p] == 1:
-                xl = level[fl]
                 for fe, xe in entry:
                     f = fl + fe
                     v = get(f)

@@ -45,7 +45,6 @@ from .polyring import (
     _check_exponents,
     _degree,
     _direction,
-    _exponent_guard,
     _horner,
     _pack,
     _scaled,
@@ -190,13 +189,34 @@ class Triangle:
         return [self.row_gf(n, var) for n in range(self.depth + 1)]
 
     def satisfies(self, spec: RecurrenceSpec | None = None) -> bool:
-        """True iff the rows are the ones ``spec`` builds to this depth.  By
-        induction on n that is the exact recurrence-residual check of every
-        entry, T[0][0] = 1 included."""
+        """True iff T[0][0] = 1 and every entry of rows 1 .. depth is
+        ``spec``'s recurrence over the row above: the exact
+        recurrence-residual check, in ``Poly`` arithmetic, so that it does
+        not share the packed runner that builds the rows.  Coefficients are
+        read only where they weigh a nonzero entry."""
         spec = spec or self.spec
         if spec is None:
             raise ValueError("no recurrence spec to check against")
-        return self.rows == build_triangle(spec, self.depth).rows
+        rows = self.rows
+        if rows[0] != [self.ctx.one]:
+            return False
+        row_shift = spec.kind == ROW_SHIFT
+        for n in range(1, len(rows)):
+            above = rows[n - 1]
+            if len(rows[n]) != n + 1:
+                return False
+            for k, entry in enumerate(rows[n]):
+                want = self.ctx.zero
+                # as in _spec_build: c_j(n, k) weighs entry k-j; r, s and t
+                # at level kk weigh entry kk = k-1, k, k+1
+                for j in range(3):
+                    kk = k - j if row_shift else k - 1 + j
+                    if 0 <= kk < n and above[kk]:
+                        c = spec.shift_coeff(j, n, k) if row_shift else spec.walk_coeff(j, kk)
+                        want = want + c * above[kk]
+                if entry != want:
+                    return False
+        return True
 
 
 class _Build:
@@ -229,11 +249,15 @@ class _Build:
                                     for kk, i in feed) for feed in row])
         self.degree = self.depth * _degree(ctx, maps)
 
-    def run(self, sv: int, step: int, width: int, guard=None) -> Iterator[list[dict]]:
+    def run(self, sv: int, step: int, width: int, check: bool = False) -> Iterator[list[dict]]:
         """Rows 0 .. depth, each a list of packed entries, packed along
         ``(sv, step)`` at ``width``.  Each entry is one accumulator of
         ``_add_level_products`` over its feeds, seeded with a copy of the
-        entry its unit feed names; ``guard`` is as there."""
+        entry its unit feed names.  With ``check``, each product of a
+        nonzero map and a nonzero entry is checked first, on the map and
+        the entry read back, and raises ValueError as a ``Poly`` product
+        would when an exponent passes the packing width."""
+        nvars = len(self.ctx.names)
         packed: list = [None] * len(self.maps)
         row = [{0: 1}]
         yield row
@@ -245,11 +269,13 @@ class _Build:
                     if i is None:
                         acc = dict(row[kk])
                         continue
+                    if check and self.maps[i] and row[kk]:
+                        _check_exponents(self.maps[i], _unpack(row[kk], step, width), nvars)
                     level = packed[i]
                     if level is None:
                         level = packed[i] = _pack(self.maps[i], sv, step, width)
                     pairs.append((level, row[kk]))
-                new.append(_add_level_products(acc, pairs, guard))
+                new.append(_add_level_products(acc, pairs))
             row = new
             yield row
 
@@ -262,15 +288,14 @@ class _Build:
         balanced digit.  An entry left packed may then hold digits past the
         width; it is still the exact integer of its fibers, and so are the
         entries it feeds.  When an entry's degree may pass the packing
-        width, every entry is bounded, and every product is checked first
-        and raises as a ``Poly`` product would."""
+        width, every entry is bounded, so that each reads back exactly, and
+        the run checks every product (``run``'s ``check``)."""
         ctx = self.ctx
         check = self.degree > _MASK
         sv, step = _direction(ctx, self.shapes)
         top = max(b for row in self.bounds for b in (row if check else row[:columns]))
         width = top.bit_length() + 1
-        guard = _exponent_guard(ctx, step, width) if check else None
-        for packed, scale in zip(self.run(sv, step, width, guard), self.scales):
+        for packed, scale in zip(self.run(sv, step, width, check), self.scales):
             row = []
             for entry in packed[:columns]:
                 terms = _unpack(entry, step, width)

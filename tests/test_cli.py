@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import tpcert
-from tpcert import cli, contfrac
+from tpcert import cli, contfrac, triangles
 from tpcert.cli import PlanError, emit_report, load_plan, main, run_plan
 from tpcert.contfrac import (
     DegenerateFraction,
@@ -58,6 +58,24 @@ def test_load_and_run_minimal(tmp_path):
     report = run_plan(plan)
     assert report.status == "pass"
     assert [c["status"] for c in report.checks] == ["pass", "pass"]
+
+
+def test_triangle_build_does_not_trust_the_packed_runner(tmp_path, monkeypatch):
+    # the kernel adds the first product of every entry that sums two of
+    # them twice, alike on every run, so a second build would agree with
+    # the first; the Poly recurrence of satisfies does not
+    add = triangles._add_level_products
+
+    def corrupted(acc, pairs):
+        pairs = [(level, entry) for level, entry in pairs if level and entry]
+        return add(acc, pairs + pairs[:1] if len(pairs) > 1 else pairs)
+
+    monkeypatch.setattr(triangles, "_add_level_products", corrupted)
+    plan = load_plan(write_plan(tmp_path, MINIMAL))
+    assert not triangles.build_triangle(plan.spec, plan.depth).satisfies()
+    check = run_plan(plan).checks[0]
+    assert check["kind"] == "triangle-build" and check["status"] == "fail"
+    assert check["detail"]["recurrence-residual"] is False
 
 
 def test_reserved_variable_rejected(tmp_path):
@@ -625,6 +643,11 @@ def _with_check(body):
         (MINIMAL.replace("vars: [q]", "vars: [q, a]\nspecialise: {a: 2}"), None, "specialise"),
         (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  denominator: "n - 3"\n'),
          None, "denominator"),
+        (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  denominator: "-1"\n'),
+         None, "denominator"),
+        (MINIMAL.replace("vars: [q]", "vars: [q, a]\nspecialize: {a: -1}").replace(
+            '  c1: "1"\n', '  c1: "1"\n  denominator: a\n'), None, "denominator"),
+        (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  denominator: k\n'), None, "denominator"),
         (MINIMAL.replace("vars: [q]", "vars: [q, a]").replace('c0: "1"', 'c0: "a^65536"'),
          None, "c0"),
         # unknown keys and criteria names
@@ -643,7 +666,8 @@ def _with_check(body):
         "oracle-symbolic-coefficient",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
-        "denominator-monomial", "exponent-overflow", "unknown-check-key", "unknown-triangle-key",
+        "denominator-monomial", "denominator-negative", "denominator-specialized-negative",
+        "denominator-in-k", "exponent-overflow", "unknown-check-key", "unknown-triangle-key",
         "expect-names", "expect-empty",
     ],
 )

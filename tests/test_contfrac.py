@@ -411,11 +411,11 @@ class RunLog:
             walks.append(walk_build(jf, depth))
             return walks[-1]
 
-        def logged(build, sv, step, width, guard=None):
+        def logged(build, sv, step, width, check=False):
             kind = "walk" if any(build is w for w in walks) else "triangle"
             record = SimpleNamespace(kind=kind, ctx=build.ctx, direction=(sv, step), rows=0)
             self.runs.append(record)
-            rows = run(build, sv, step, width, guard)
+            rows = run(build, sv, step, width, check)
             while True:
                 self.stepping = kind
                 row = next(rows, None)
@@ -1043,21 +1043,21 @@ class TestCoWalk:
         counts = {"walk": [0, 0, 0, 0], "triangle": [0, 0, 0, 0]}
         log = RunLog(monkeypatch)
 
-        def counted(acc, pairs, guard):
+        def counted(acc, pairs):
             tally = counts[log.stepping]
             pairs = [(level, entry) for level, entry in pairs if level and entry]
-            uses = collections.Counter(p for level, _ in pairs for _, p, _, _ in level.factors)
+            uses = collections.Counter(p for level, _ in pairs for _, _, p, _, _ in level)
             keys = set()
             for level, entry in pairs:
                 tally[0] += len(level) * len(entry)
-                for fl, p, _, _ in level.factors:
+                for fl, _, p, _, _ in level:
                     if uses[p] == 1:
                         tally[1] += len(entry)
                     else:
                         tally[3] += len(entry)
                         keys.update((p, fl + fe) for fe in entry)
             tally[2] += len(keys)
-            return polyring._add_level_products(acc, pairs, guard)
+            return polyring._add_level_products(acc, pairs)
 
         monkeypatch.setattr(triangles, "_add_level_products", counted)
         fam = CATALOG[name]()

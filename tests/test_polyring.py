@@ -554,7 +554,7 @@ class TestPacking:
         width = (10**6).bit_length() + 1
         packed = _pack(terms, sv, step, width)
         assert len(packed) == 1
-        assert _unpack(packed, step, width) == terms
+        assert _unpack({f: x for f, x, *_ in packed}, step, width) == terms
 
     def test_long_mixed_sign_fiber_round_trip(self):
         # 40,000 digits, read back by halves; every fifth power is missing
@@ -566,7 +566,7 @@ class TestPacking:
         width = (10**9).bit_length() + 1
         packed = _pack(terms, sv, step, width)
         assert len(packed) == 1
-        assert _unpack(packed, step, width) == terms
+        assert _unpack({f: x for f, x, *_ in packed}, step, width) == terms
 
     @pytest.mark.parametrize("width", [2, 3, 21, 64, 65])
     @pytest.mark.parametrize("pattern", ["lowest", "highest", "alternating", "random"])
@@ -597,7 +597,7 @@ def per_pair(acc, pairs):
     fiber and an entry fiber, zero fibers dropped."""
     acc = dict(acc)
     for level, entry in pairs:
-        for fl, xl in level.items():
+        for fl, xl, *_ in level:
             for fe, xe in entry.items():
                 acc[fl + fe] = acc.get(fl + fe, 0) + xl * xe
     return {f: x for f, x in acc.items() if x}
@@ -642,13 +642,13 @@ class TestFactoredLevelProducts:
         for _ in range(200):
             terms = self.level(rng)
             level = _pack(terms, self.SV, self.STEP, self.WIDTH)
-            assert _unpack(level, self.STEP, self.WIDTH) == terms
-            for f, p, c, up in level.factors:
-                assert level[f] == c * (p << up)
+            assert _unpack({f: x for f, x, *_ in level}, self.STEP, self.WIDTH) == terms
+            for f, x, p, c, up in level:
+                assert x == c * (p << up)
                 digits = {}
                 _put_digits(digits, [(0, p)], 1, self.WIDTH)
                 assert math.gcd(*digits.values()) == 1 and digits[min(digits)] > 0
-            assert [f for f, _, _, _ in level.factors] == list(level)
+            assert [f for f, *_ in level] == list(_lines(terms, self.SV, self.STEP))
 
     def test_matches_the_per_pair_loop(self):
         rng = random.Random(5)
@@ -663,13 +663,10 @@ class TestFactoredLevelProducts:
             acc = {f: rng.getrandbits(64) for f in self.entry(rng)}
             if rng.random() < 0.2:  # the accumulator cancels every product
                 acc = {f: -x for f, x in per_pair({}, pairs).items()}
-            guarded = []
-            got = _add_level_products(dict(acc), pairs, lambda level, entry: guarded.append(
-                (level, entry)))
+            got = _add_level_products(dict(acc), pairs)
             assert got == per_pair(acc, pairs)
-            assert guarded == [(level, entry) for level, entry in pairs if level and entry]
             uses = collections.Counter(p for level, entry in pairs if entry
-                                       for _, p, _, _ in level.factors)
+                                       for _, _, p, _, _ in level)
             shared += any(n > 1 for n in uses.values())
             single += 1 in uses.values()
             cancelled += not got

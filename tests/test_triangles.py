@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpcert import families, triangles
+from tpcert.contfrac import JFraction, j_expand
 from tpcert.polyring import VarContext
 from tpcert.triangles import (
     COLUMN_WALK,
@@ -538,6 +539,65 @@ class TestPackedBuild:
         assert t._rows is not None  # read back at build time
         assert t.rows == reference_build(spec, 3)
         assert t.rows[3][1] == ctx.var("q", 44000)
+
+    def spy_checks(self, monkeypatch):
+        """Record the operands of every ``_check_exponents`` call, and the
+        build, packing and rows of every ``_Build.run``."""
+        calls, runs = [], []
+        check_exponents, run = triangles._check_exponents, triangles._Build.run
+
+        def spied(a, b, nvars):
+            calls.append((a, b))
+            check_exponents(a, b, nvars)
+
+        def logged(build, sv, step, width, check=False):
+            rows = []
+            runs.append((build, step, width, check, rows))
+            for row in run(build, sv, step, width, check):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(triangles, "_check_exponents", spied)
+        monkeypatch.setattr(triangles._Build, "run", logged)
+        return calls, runs
+
+    @staticmethod
+    def fed_products(run):
+        """``(maps[i], entry read back)`` of every feed of a nonzero map and
+        a nonzero entry, in the order the run forms them, and the number of
+        feeds that are not a unit weight."""
+        build, step, width, _, rows = run
+        feeds = [(build.maps[i], rows[n - 1][kk])
+                 for n in range(1, len(rows)) for feed in build.feeds[n]
+                 for kk, i in feed if i is not None]
+        return [(m, triangles._unpack(e, step, width)) for m, e in feeds if m and e], len(feeds)
+
+    def test_a_checked_run_checks_each_fed_product(self, ctx, monkeypatch):
+        calls, runs = self.spy_checks(monkeypatch)
+        k = ctx.var("k")
+        t = build_triangle(RecurrenceSpec(ctx, ROW_SHIFT, (ctx.var("q", 22000) * k, ctx.one)), 3)
+        (run,) = runs
+        want, fed = self.fed_products(run)
+        assert run[3] and len(want) == fed > 0
+        assert calls == want and all(a is m for (a, _), (m, _) in zip(calls, want))
+        # c0 vanishes in column 0, so entries (n, 0) feed nothing past row 0
+        rows = t.rows
+        assert [e for _, e in want] == [rows[n][k].terms for n, k in (
+            (0, 0), (1, 1), (1, 1), (2, 1), (2, 2), (2, 1), (2, 2))]
+
+    def test_a_checked_walk_skips_only_zero_operands(self, ctx, monkeypatch):
+        # s_0 = 0 is an empty map, and r_2 = -(r_1 + s_1^2) makes entry
+        # (3, 1) of the walk zero while r_1 still weighs it into row 4
+        calls, runs = self.spy_checks(monkeypatch)
+        q, lam = ctx.var("q"), ctx.var("lam")
+        level = ctx.var("lam", 21000) * ctx.var("q", 20999) * (q - 2 * lam) + 3 * q
+        r1 = lam * q - 5
+        jf = JFraction.from_lists(ctx, [ctx.zero, level, level], [r1, -(r1 + level * level)])
+        assert j_expand(jf, 4) == [ctx.one, ctx.zero, r1, r1 * level, ctx.zero]
+        (run,) = runs
+        want, fed = self.fed_products(run)
+        assert run[3] and 0 < len(want) < fed
+        assert calls == want and all(a is m for (a, _), (m, _) in zip(calls, want))
 
     @given(SHIFT_C0, SHIFT_C1, st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
