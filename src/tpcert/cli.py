@@ -44,6 +44,7 @@ from .totalpos import (
 )
 from .triangles import (
     COLUMN_WALK,
+    RESERVED_VARS,
     ROW_SHIFT,
     RecurrenceSpec,
     Triangle,
@@ -57,8 +58,6 @@ from .triangles import (
     triangle_convolution,
     write_golden,
 )
-
-RESERVED_VARS = ("n", "k")
 
 ORACLES = {
     "perms-by-descents": oracles.perms_by_descents,
@@ -101,12 +100,7 @@ class RunReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "plan": self.plan,
-            "status": self.status,
-            "checks": self.checks,
-            "timings": self.timings,
-        }
+        return dict(vars(self))  # the fields, in order
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +266,6 @@ def _name(what: str, choices):
     return parse
 
 
-def _denominator(value, ctx, parsed) -> Poly:
-    """monomial free of n and k, its coefficient positive"""
-    p = _poly(value, ctx, parsed)
-    if len(p.terms) != 1 or set(RESERVED_VARS) & set(p.variables()):
-        raise ValueError(f"expected a single monomial free of n and k, got {value!r}")
-    return p
-
-
 def _rationals(mapping: dict, ctx, parsed) -> dict:
     out = {}
     for var, value in mapping.items():
@@ -337,16 +323,17 @@ def _block_size(value, ctx, parsed):
 
 
 def _oracle_upto(value, ctx, parsed):
-    """integer >= 0, at most the oracle's size limit"""
+    """integer >= 1, at most the oracle's size limit"""
     limit = _ORACLE_LIMITS[parsed["oracle"]]
-    if _count(value, ctx, parsed) > limit:
+    if _positive(value, ctx, parsed) > limit:
         raise ValueError(f"{value} is beyond the {parsed['oracle']} oracle's limit {limit}")
     return value
 
 
 # Fields of the triangle section by triangle kind, name -> (type, default).
-# Besides depth and denominator they are the recurrence coefficients, in order.
-_TRIANGLE_COMMON = {"denominator": (_denominator, None), "depth": (_count, 8)}
+# Besides depth and denominator they are the recurrence coefficients, in
+# order; RecurrenceSpec decides which polynomials make a recurrence.
+_TRIANGLE_COMMON = {"denominator": (_poly, None), "depth": (_count, 8)}
 _TRIANGLES = {
     ROW_SHIFT: {"c0": (_poly, _REQUIRED), "c1": (_poly, _REQUIRED), "c2": (_poly, None),
                 **_TRIANGLE_COMMON},
@@ -495,9 +482,8 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
     if overrides.get("depth") is not None:
         tri = {**tri, "depth": overrides["depth"]}
     coeffs = _parse_fields(_TRIANGLES[kind], tri, ctx, f"{path}: triangle")
-    depth = coeffs.pop("depth")
-    den = coeffs.pop("denominator")
-    spec = RecurrenceSpec(ctx, kind, tuple(c for c in coeffs.values() if c is not None), den)
+    depth, den = coeffs.pop("depth"), coeffs.pop("denominator")
+    coeffs = tuple(c for c in coeffs.values() if c is not None)
 
     try:
         specialize = {**_rational_map(doc.get("specialize") or {}, ctx, None),
@@ -508,15 +494,11 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         if var in specialize:
             raise PlanError(f"{path}: 'specialize': cannot specialize {var!r}; n and k are "
                             f"the recurrence indices and {gf_var!r} is the gf-var")
-    try:
-        spec = _map_polys(spec, lambda p: p.specialize(specialize))
-    except ValueError as exc:  # e.g. a clearing denominator driven to zero
-        raise PlanError(f"{path}: specialization breaks the spec: {exc}") from exc
-    # stored row n is denominator^n times the true one, so a negative
-    # coefficient would flip the sign of every odd row
-    if spec.denominator is not None and spec.denominator.leading()[1] < 0:
-        raise PlanError(f"{path}: triangle 'denominator': {spec.denominator} has a negative "
-                        "coefficient after specialization")
+    try:  # the spec checks itself as given and again as specialized
+        spec = _map_polys(RecurrenceSpec(ctx, kind, coeffs, den),
+                          lambda p: p.specialize(specialize))
+    except ValueError as exc:  # the message names the field
+        raise PlanError(f"{path}: triangle {exc}") from exc
 
     checks = doc.get("checks") or []
     if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):

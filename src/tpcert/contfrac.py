@@ -374,16 +374,15 @@ def cf_match(
 def _co_walk(t: Triangle, jf: JFraction, depth: int, var: str, prescaled: bool) -> "bool | None":
     """``cf_match`` without evaluation, with neither side read back; None
     when the triangle holds rows rather than an unread packed recurrence,
-    the scale compared is not a single term, the contexts differ, or an
-    exponent might pass the packing width.  The rows path then compares
-    the rows themselves, and raises as it always has.
+    the contexts differ, or an exponent might pass the packing width; the
+    rows path then compares the rows, and raises as it always has.
 
     The triangle's packed recurrence and the walk of ``_walk_build``, two
     ``triangles._Build`` runs, go side by side along one direction chosen
     for both sides' coefficients.  Packed row n of the triangle is M_n
     times the stored row and walk row n is W_n times the series
-    coefficient, so with the compared scale u/v times a monomial m the
-    check of row n reads
+    coefficient.  The compared scale, 1 or the spec's denominator, is u/v
+    times a monomial m with u, v > 0, so the check of row n reads
 
         W_n v^n P_n = M_n u^n m^n D_n
 
@@ -398,7 +397,7 @@ def _co_walk(t: Triangle, jf: JFraction, depth: int, var: str, prescaled: bool) 
     ctx = jf.ctx
     scale = ctx.one if prescaled else t.scale
     source = t._build  # None once the rows are read
-    if source is None or t.ctx is not ctx or len(scale.terms) != 1:
+    if source is None or t.ctx is not ctx:
         return None
     ((mono, coeff),) = scale.terms.items()
     u, v = mpq(coeff).numerator, mpq(coeff).denominator
@@ -410,7 +409,7 @@ def _co_walk(t: Triangle, jf: JFraction, depth: int, var: str, prescaled: bool) 
 
     sv, step = _direction(ctx, source.shapes + walk.shapes)
     top = max(walk.scales[n] * v**n * sum(source.bounds[n])
-              + source.scales[n] * abs(u) ** n * walk.bounds[n][0] for n in range(depth + 1))
+              + source.scales[n] * u**n * walk.bounds[n][0] for n in range(depth + 1))
     width = top.bit_length() + 1
 
     rows = _packed_row_gfs(source, key, sv, step, width)

@@ -9,12 +9,14 @@ and a *column-walk* triangle reads
     D[n][k] = r(k-1) * D[n-1][k-1] + s(k) * D[n-1][k] + t(k+1) * D[n-1][k+1],
 
 both with T[0][0] = 1 and entries zero unless 0 <= k <= n.  Coefficients are
-polynomials in the reserved indeterminates ``n``/``k`` plus any parameters.
+polynomials in the parameters and the indices ``n``/``k``, a walk's in k alone.
 
 Specs whose true coefficients have a monomial denominator m (for example a
 bare parameter) are stored *cleared*: the stored coefficients equal m times
 the true ones, and the materialized rows then equal m^n times the true rows.
-The ``Triangle.scale`` field records m so checks can multiply through.
+The ``Triangle.scale`` field records m so checks can multiply through, and
+``RecurrenceSpec`` holds m to one monomial free of n and k with a positive
+coefficient, so that certificates on the stored rows carry over.
 
 ``build_triangle`` states the recurrence as a ``_Build``, the one packed
 recurrence runner, which the continued-fraction walk shares
@@ -56,6 +58,7 @@ PolySeq = Sequence[Poly]
 
 ROW_SHIFT = "row-shift"
 COLUMN_WALK = "column-walk"
+RESERVED_VARS = ("n", "k")  # the recurrence indices
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,10 @@ class RecurrenceSpec:
 
     For ``row-shift``, ``coeffs`` is (c0, c1, c2), polynomials in n, k and
     parameters.  For ``column-walk`` it is (r, s, t), each either a
-    polynomial in k or an explicit per-level tuple of polynomials.
+    polynomial in k or an explicit per-level tuple of polynomials free of
+    n and k.  ``denominator`` is one monomial free of n and k with a
+    positive coefficient.  All belong to ``ctx``, or ValueError names the
+    field that does not fit.
     """
 
     ctx: VarContext
@@ -79,8 +85,24 @@ class RecurrenceSpec:
             raise ValueError("row-shift spec needs coefficients (c0, c1[, c2])")
         if self.kind == COLUMN_WALK and len(self.coeffs) != 3:
             raise ValueError("column-walk spec needs coefficients (r, s, t)")
-        if self.denominator is not None and len(self.denominator.terms) != 1:
-            raise ValueError("denominator must be a single monomial")
+        walk = self.kind == COLUMN_WALK
+        polys = []  # (field, polynomial, the indices it may involve)
+        for name, c in zip(("r", "s", "t") if walk else ("c0", "c1", "c2"), self.coeffs):
+            if isinstance(c, Poly) or not walk:
+                polys.append((name, c, ("k",) if walk else RESERVED_VARS))
+            else:
+                polys += [(f"{name}[{i}]", level, ()) for i, level in enumerate(c)]
+        d = self.denominator
+        if d is not None:
+            polys.append(("denominator", d, ()))
+        for name, p, indices in polys:
+            if not isinstance(p, Poly) or p.ctx is not self.ctx:
+                raise ValueError(f"{name!r}: {p!r} is not a polynomial of the spec's context")
+            bad = [v for v in p.variables() if v in RESERVED_VARS and v not in indices]
+            if bad:
+                raise ValueError(f"{name!r}: {p} involves the recurrence index {bad[0]}")
+        if d is not None and (len(d.terms) != 1 or d.leading()[1] < 0):
+            raise ValueError(f"'denominator': {d} is not one monomial with a positive coefficient")
 
     # -- coefficient access ------------------------------------------------
 
@@ -96,9 +118,7 @@ class RecurrenceSpec:
         if isinstance(c, Poly):
             return c.specialize({"k": k})
         if k < 0 or k >= len(c):
-            raise IndexError(
-                f"walk coefficient {('r', 's', 't')[which]}[{k}] not provided"
-            )
+            raise IndexError(f"walk coefficient {'rst'[which]}[{k}] not provided")
         return c[k]
 
 
@@ -345,7 +365,6 @@ def _spec_build(spec: RecurrenceSpec, depth: int) -> _Build:
                     c = spec.shift_coeff(j, n, k) if row_shift else spec.walk_coeff(j, kk)
                     i = memo[key] = len(maps) if c else -1
                     if c:
-                        c._require_same_ctx(ctx.one)
                         maps.append(c.terms)
                 if i >= 0:
                     feed.append((kk, i))

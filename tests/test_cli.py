@@ -632,6 +632,8 @@ def _with_check(body):
                      "    row-offset: -2\n"), 2, "row-offset"),
         (WALK.replace('  t: "k"\n', '  t: "k"\n  denominator: q\n'), 0, "specialize"),
         (ORACLE.replace("vars: [q]", "vars: [q, a]").replace('c0: "k"', 'c0: "a*k"'), 0, "c0"),
+        # no row is compared, so any triangle would pass
+        (ORACLE.replace('c0: "k"', 'c0: "k + 5"').replace("upto: 4", "upto: 0"), 0, "upto"),
         # plan sections
         (WALK.replace('  t: "k"\n', ""), None, "t"),
         (MINIMAL.replace("vars: [q]", "vars: [q, 3]"), None, "vars"),
@@ -648,6 +650,7 @@ def _with_check(body):
         (MINIMAL.replace("vars: [q]", "vars: [q, a]\nspecialize: {a: -1}").replace(
             '  c1: "1"\n', '  c1: "1"\n  denominator: a\n'), None, "denominator"),
         (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  denominator: k\n'), None, "denominator"),
+        (WALK.replace('s: "k + 1"', 's: "k + 1 + n"'), None, "s"),
         (MINIMAL.replace("vars: [q]", "vars: [q, a]").replace('c0: "1"', 'c0: "a^65536"'),
          None, "c0"),
         # unknown keys and criteria names
@@ -663,11 +666,11 @@ def _with_check(body):
         "factorization-on-row-shift", "alphas-short", "s-list-short", "r-list-short",
         "k-lcx-k-above-3", "eval-at-zero-of-denominator", "eval-at-specialized-to-zero",
         "convolution-size-above-upto", "row-offset-below-minus-1", "criteria-symbolic-denominator",
-        "oracle-symbolic-coefficient",
+        "oracle-symbolic-coefficient", "oracle-upto-0",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "denominator-negative", "denominator-specialized-negative",
-        "denominator-in-k", "exponent-overflow", "unknown-check-key", "unknown-triangle-key",
+        "denominator-in-k", "walk-s-in-n", "exponent-overflow", "unknown-check-key", "unknown-triangle-key",
         "expect-names", "expect-empty",
     ],
 )

@@ -401,6 +401,37 @@ def test_spec_validation():
         RecurrenceSpec(c, ROW_SHIFT, (c.one, c.one), denominator=c.parse("q + 1"))
 
 
+def _refused_specs():
+    """Specs whose stored rows certify nothing about the true ones, each
+    made by a call that must raise ValueError."""
+    c, other = VarContext(["n", "k", "q"]), VarContext(["n", "k", "q"])
+    n, k, one = c.var("n"), c.var("k"), c.one
+    ones = (one,) * 5
+    centered = families.centered_family()
+    return {
+        # stored row n of (n - 1, 1) over -1 is (-1)^n times the true one,
+        # yet a Hankel block of the stored rows is totally positive
+        "denominator-negative":
+            lambda: RecurrenceSpec(c, ROW_SHIFT, (n - 1, one), denominator=c.const(-1)),
+        "denominator-k": lambda: RecurrenceSpec(c, ROW_SHIFT, (n - 1, one), denominator=k),
+        "denominator-n": lambda: RecurrenceSpec(c, ROW_SHIFT, (n - 1, one), denominator=n),
+        "walk-form-in-n": lambda: RecurrenceSpec(c, COLUMN_WALK, (one, n + k, k)),
+        "walk-level-in-k": lambda: RecurrenceSpec(c, COLUMN_WALK, (ones, (one, k, one, one), ones)),
+        "other-context": lambda: RecurrenceSpec(c, ROW_SHIFT, (other.var("k"), one)),
+        "substituted-negative-denominator":
+            lambda: centered.substituted("a1", -centered.ctx.var("a1")),
+    }
+
+
+REFUSED = _refused_specs()
+
+
+@pytest.mark.parametrize("make", REFUSED.values(), ids=list(REFUSED))
+def test_a_spec_that_certifies_nothing_is_refused(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_walk_list_coefficients_out_of_range(ctx):
     spec = RecurrenceSpec(
         ctx, COLUMN_WALK, ((ctx.one,), (ctx.one, ctx.one), (ctx.zero, ctx.one))
