@@ -359,7 +359,7 @@ _CHECKS = {
         "values": (_polys, _REQUIRED),
     }),
     "cf-match": _kind(_PlanRunner.run_cf_match, lambda c: c["depth"], {
-        "depth": (_count, _DEPTH),
+        "depth": (_positive, _DEPTH),
         "prescaled": (_flag, False),
         "eval-at": (_poly, None),
         **dict.fromkeys(("alpha-even", "alpha-odd", "s", "r"), (_poly, None)),
@@ -381,12 +381,12 @@ _CHECKS = {
     }),
     "product-formula": _kind(_PlanRunner.run_product_formula, lambda c: c["upto"], {
         "factor": (_poly, _REQUIRED),
-        "upto": (_count, _DEPTH),
+        "upto": (_positive, _DEPTH),
         "eval-at": (_poly, None),
     }),
     "companion-relation": _kind(_PlanRunner.run_companion_relation, lambda c: c["upto"], {
         **dict.fromkeys(("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam"), (_poly, _REQUIRED)),
-        "upto": (_count, _DEPTH),
+        "upto": (_positive, _DEPTH),
     }),
     "convolution-sm": _kind(
         _PlanRunner.run_convolution_sm, lambda c: c["upto"], {

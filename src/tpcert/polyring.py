@@ -30,7 +30,10 @@ it weighs.
 ``_fiber_product`` packs each fiber under the key of its lowest monomial
 instead (``_anchored``), so a fiber far from e_v = 0 costs no padding.
 
-All values are immutable after construction and safe to share.
+All values are immutable after construction and safe to share.  The one
+slot written later, ``Poly._directions``, is a memo that ``_fiber_product``
+fills: per triples flag, the fiber direction chosen for the keys of
+``terms``, so it stays valid as long as the value does.
 """
 
 from __future__ import annotations
@@ -176,7 +179,7 @@ class Poly:
     polynomial has an empty map.  Equality is coefficientwise.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_directions")
     __hash__ = None  # mutable dict inside; identity hashing would mislead
 
     def __init__(self, ctx: VarContext, terms: dict):
@@ -308,11 +311,10 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
+        small, large = (other, self) if len(self.terms) > len(other.terms) else (self, other)
+        a, b = small.terms, large.terms
+        if not a:
             return self.ctx.zero
-        if len(a) > len(b):
-            a, b = b, a
         # single-term shortcut: shift-and-scale
         if len(a) == 1:
             ((ea, ca),) = a.items()
@@ -322,7 +324,7 @@ class Poly:
                 return Poly(self.ctx, {eb + ea: cb for eb, cb in b.items()})
             return Poly(self.ctx, {eb + ea: cb * ca for eb, cb in b.items()})
         _check_exponents(a, b, len(self.ctx.names))
-        out = _fiber_product(a, b, len(self.ctx.names))
+        out = _fiber_product(small, large)
         if out is not None:
             return Poly(self.ctx, out)
         out = {}
@@ -499,20 +501,22 @@ def _check_exponents(a: dict, b: dict, nvars: int) -> None:
             raise ValueError(f"an exponent exceeds {_MASK}")
 
 
-def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":
-    """Terms of the product of two integer coefficient maps, computed with
-    one big-integer product per pair of fibers; None when the plain dict
-    kernel should run instead (a rational coefficient, a product too small
-    or too lopsided to repay the packing, fibers that do not collapse, or
-    total degrees summing past the degree field, where the keys of two
-    lines could coincide).
+def _fiber_product(p: Poly, q: Poly) -> "dict | None":
+    """Terms of the product of two polynomials with integer coefficients,
+    computed with one big-integer product per pair of fibers; None when the
+    plain dict kernel should run instead (a rational coefficient, a product
+    too small or too lopsided to repay the packing, fibers that do not
+    collapse, or total degrees summing past the degree field, where the keys
+    of two lines could coincide).
 
-    ``a`` is the operand with fewer terms.  The fibers are the lines of the
-    walk's linear fiber key (``_lines``) along a direction that leaves
-    ``a`` few fibers (``_product_direction``).  A fiber is packed by
-    Kronecker substitution into one integer, sum c * 2^(W*(e_v - lo)),
-    under its anchor, the key of its monomial with e_v = lo.  Anchors are
-    monomial keys, so they add like them: the product of two fibers sits
+    ``p`` is the operand with fewer terms, ``a`` its terms and ``b`` those
+    of ``q``.  The fibers are the lines of the walk's linear fiber key
+    (``_lines``) along a direction that leaves ``a`` few fibers
+    (``_product_direction``), chosen once for ``p`` per triples flag and
+    kept on it (``Poly._directions``).  A fiber is packed by Kronecker
+    substitution into one integer, sum c * 2^(W*(e_v - lo)), under its
+    anchor, the key of its monomial with e_v = lo.  Anchors are monomial
+    keys, so they add like them: the product of two fibers sits
     under the anchor of the lowest monomial it holds.  Products whose
     anchors share a line are shifted to the lowest anchor and added, and
     each line is read back from there as balanced base-2^W digits
@@ -521,9 +525,11 @@ def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":
     absolute value is below 2^(W-1) and the digits are exactly the
     coefficients.
     """
+    a, b = p.terms, q.terms
     la, lb = len(a), len(b)
     if la * lb < 16 * (la + lb):
         return None
+    nvars = len(p.ctx.names)
     deg_shift = _BITS * nvars
     degree = (max(a) >> deg_shift) + (max(b) >> deg_shift)
     if degree > _MASK:
@@ -532,7 +538,14 @@ def _fiber_product(a: dict, b: dict, nvars: int) -> "dict | None":
         for c in terms.values():
             if type(c) is not int:
                 return None
-    direction = _product_direction(a, nvars, la * lb >= _LARGE and degree < _TRIPLE_DEGREE)
+    triples = la * lb >= _LARGE and degree < _TRIPLE_DEGREE
+    try:
+        directions = p._directions
+    except AttributeError:
+        directions = p._directions = {}
+    if triples not in directions:
+        directions[triples] = _product_direction(a, nvars, triples)
+    direction = directions[triples]
     if direction is None:
         return None
     sv, step = direction
@@ -673,7 +686,9 @@ def _product_direction(a: dict, nvars: int, triples: bool) -> "tuple[int, int] |
     evenly spaced in key order, by how many of ``key + step`` are keys too,
     and only the two best scores are counted.  Otherwise the fewest fibers
     of ``a`` win, ties going to the earlier candidate.  Either way the
-    choice depends on the keys of ``a``, not on their order in the map.
+    choice depends on the keys of ``a``, not on their order in the map, so
+    ``_fiber_product`` makes it once per operand and flag and keeps it on
+    the operand.
     """
     steps = _steps(_fields(reduce(or_, a), nvars), _BITS * nvars, False, triples)
     if triples:

@@ -385,7 +385,7 @@ def test_cf_match_list_lengths_load_exactly_when_they_expand(tmp_path):
         return write_plan(tmp_path, f"vars: [q]\ntriangle: {{c0: 1, c1: 1, depth: 10}}\n"
                                     f"checks: [{body}]\n")
 
-    for depth in range(11):
+    for depth in range(1, 11):
         good = [case for case in cases if expands(case, depth)]
         assert len(load_plan(plan(depth, good)).checks) == len(good)
         for case in cases:
@@ -402,7 +402,7 @@ def test_short_alphas_name_the_first_missing_alpha(tmp_path):
     # whatever level of the contraction is missing, the first alpha missing
     # is the one after the list
     for alphas in (a for n in range(1, 10) for a in _lists_with_zero(n, 2)):
-        for depth in range(11):
+        for depth in range(1, 11):
             doc = ("vars: [q]\ntriangle: {c0: 1, c1: 1, depth: 10}\n"
                    f"checks: [{{kind: cf-match, depth: {depth}, alphas: {alphas}}}]\n")
             try:
@@ -526,7 +526,7 @@ def test_cf_match_lists_that_load_are_enough(tmp_path):
     cases = [{"alphas": a} for n in range(1, 12) for a in _lists_with_zero(n, 2)]
     cases += [{"s-list": list(range(2, 2 + ns)), "r-list": r}
               for ns in range(1, 7) for nr in range(1, 7) for r in _lists_with_zero(nr, 3)]
-    for depth in range(11):
+    for depth in range(1, 11):
         for case in cases:
             fields = ", ".join(f"{k}: {v}" for k, v in case.items())
             path = write_plan(tmp_path, "vars: [q, x]\ntriangle: {c0: 1, c1: 1, depth: 10}\n"
@@ -537,9 +537,9 @@ def test_cf_match_lists_that_load_are_enough(tmp_path):
                 plan = None
             if all(v for values in case.values() for v in values):
                 if "alphas" in case:
-                    loads = len(case["alphas"]) >= max(1, depth)
+                    loads = len(case["alphas"]) >= depth
                 else:
-                    loads = (len(case["s-list"]) >= max(1, (depth + 1) // 2)
+                    loads = (len(case["s-list"]) >= (depth + 1) // 2
                              and len(case["r-list"]) >= depth // 2)
                 assert (plan is not None) == loads, (depth, case)
             if plan is None:
@@ -590,6 +590,10 @@ def _with_check(body):
     return MINIMAL + body  # the new check is check 2
 
 
+# no Eulerian triangle, yet its row 0 is 1 like that of every triangle
+SHIFTED = ORACLE.replace('c0: "k"', 'c0: "k + 5"').split("  - kind:")[0]
+
+
 @pytest.mark.parametrize(
     "doc, index, field",
     [
@@ -634,6 +638,12 @@ def _with_check(body):
         (ORACLE.replace("vars: [q]", "vars: [q, a]").replace('c0: "k"', 'c0: "a*k"'), 0, "c0"),
         # no row is compared, so any triangle would pass
         (ORACLE.replace('c0: "k"', 'c0: "k + 5"').replace("upto: 4", "upto: 0"), 0, "upto"),
+        # only row 0 is compared, so any triangle would pass
+        (SHIFTED + '  - kind: cf-match\n    depth: 0\n    alphas: ["5"]\n', 0, "depth"),
+        (SHIFTED + '  - kind: product-formula\n    factor: "k + 100"\n    upto: 0\n', 0, "upto"),
+        (SHIFTED + "  - kind: companion-relation\n"
+         + "".join(f'    {nm}: "1"\n' for nm in ("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam"))
+         + "    upto: 0\n", 0, "upto"),
         # plan sections
         (WALK.replace('  t: "k"\n', ""), None, "t"),
         (MINIMAL.replace("vars: [q]", "vars: [q, 3]"), None, "vars"),
@@ -666,7 +676,8 @@ def _with_check(body):
         "factorization-on-row-shift", "alphas-short", "s-list-short", "r-list-short",
         "k-lcx-k-above-3", "eval-at-zero-of-denominator", "eval-at-specialized-to-zero",
         "convolution-size-above-upto", "row-offset-below-minus-1", "criteria-symbolic-denominator",
-        "oracle-symbolic-coefficient", "oracle-upto-0",
+        "oracle-symbolic-coefficient", "oracle-upto-0", "cf-match-depth-0",
+        "product-formula-upto-0", "companion-relation-upto-0",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "denominator-negative", "denominator-specialized-negative",

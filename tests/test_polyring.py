@@ -257,8 +257,7 @@ def dict_product(p, q):
 
 
 def fiber_product(p, q):
-    a, b = sorted((p.terms, q.terms), key=len)
-    return _fiber_product(a, b, len(p.ctx))
+    return _fiber_product(*sorted((p, q), key=lambda r: len(r.terms)))
 
 
 @st.composite
@@ -368,6 +367,40 @@ class TestFiberProduct:
         assert (fiber_product(p, q) is None) == (total > 65535)
         assert (p * q).terms == dict_product(p, q)
         assert (p * q).total_degree() == total
+
+    def test_an_operand_keeps_each_direction(self, monkeypatch):
+        # one Poly is the smaller operand of a product below 2^14 term
+        # products, then of one above, from either side: each direction is
+        # chosen once, and every product matches the schoolbook one
+        rng = random.Random(5)
+
+        def lines(count, s):
+            # one (d, lam) fiber of s + 1 terms per power of q
+            return FIBER_CTX.from_terms(
+                (rng.randint(-9, 9) or 1, {"q": j, "b0": j % 3, "d": i, "lam": s - i})
+                for j in range(count) for i in range(s + 1)
+            )
+
+        p, below, above = lines(6, 8), lines(8, 12), lines(20, 19)
+        assert len(p.terms) * len(below.terms) < 1 << 14 <= len(p.terms) * len(above.terms)
+        product_direction, kernel = polyring._product_direction, polyring._fiber_product
+        chosen, taken = [], []
+
+        def spy_direction(a, nvars, triples):
+            chosen.append((a is p.terms, triples))
+            return product_direction(a, nvars, triples)
+
+        def spy(small, large):
+            out = kernel(small, large)
+            taken.append(small is p and out is not None)
+            return out
+
+        monkeypatch.setattr(polyring, "_product_direction", spy_direction)
+        monkeypatch.setattr(polyring, "_fiber_product", spy)
+        for left, right in ((p, below), (below, p), (p, above), (above, p)):
+            assert (left * right).terms == dict_product(left, right)
+        assert taken == [True] * 4
+        assert chosen == [(True, False), (True, True)]
 
     def test_small_and_lopsided_products_use_the_dict_kernel(self):
         q, d, lam = (FIBER_CTX.var(nm) for nm in ("q", "d", "lam"))

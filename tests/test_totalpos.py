@@ -151,8 +151,8 @@ class TestMinor:
         fiber_product = polyring._fiber_product
         fiber_results = []
 
-        def spy(a, b, nvars):
-            out = fiber_product(a, b, nvars)
+        def spy(p, q):
+            out = fiber_product(p, q)
             fiber_results.append(out is not None)
             return out
 
@@ -174,10 +174,10 @@ class TestMinor:
         taken, moved = [], collections.Counter()
         key = ctx.pack([5] * len(ctx))
 
-        def spy(a, b, nvars):
-            out = fiber_product(a, b, nvars)
+        def spy(p, q):
+            out = fiber_product(p, q)
             if out is not None:
-                taken.append((a, b, out))
+                taken.append((p.terms, q.terms, out))
             return out
 
         def spy_direction(a, nvars, triples):
@@ -197,6 +197,56 @@ class TestMinor:
                 for kb, cb in b.items():
                     want[ka + kb] = want.get(ka + kb, 0) + ca * cb
             assert out == {k: c for k, c in want.items() if c}
+
+    @pytest.mark.parametrize("name, choices, lined, pairs", [
+        ("four-term[nk]", 66, 489, 1_877_936),
+        ("affine-n", 55, 378, 319_049),
+    ])
+    def test_symbolic_scans_choose_each_direction_once(self, monkeypatch, name, choices,
+                                                       lined, pairs):
+        # the size-5, order-4 scans choose each operand's direction once and
+        # keep it on the operand: every product packs along the direction a
+        # fresh choice makes, and the scan multiplies the fiber pairs the
+        # README quotes
+        fam = (families.four_term_family("nk") if name == "four-term[nk]"
+               else families.CATALOG[name]())
+        ctx = fam.ctx
+        gfs = build_triangle(fam.spec, 8).row_gfs(fam.gf_var)
+        fiber_product, product_direction = polyring._fiber_product, polyring._product_direction
+        lines, anchored = polyring._lines, polyring._anchored
+        chosen, grouped, agreed, fibers = [], [], [], []
+
+        def spy(p, q):
+            grouped.clear()
+            out = fiber_product(p, q)
+            if grouped:  # the kernel took a direction and grouped p's terms
+                terms, direction = grouped[0]
+                assert terms is p.terms
+                triples = (len(p.terms) * len(q.terms) >= polyring._LARGE
+                           and p.total_degree() + q.total_degree() < polyring._TRIPLE_DEGREE)
+                agreed.append(direction == product_direction(p.terms, len(ctx), triples))
+            return out
+
+        def spy_lines(terms, sv, step):
+            grouped.append((terms, (sv, step)))
+            return lines(terms, sv, step)
+
+        def spy_direction(a, nvars, triples):
+            chosen.append(triples)
+            return product_direction(a, nvars, triples)
+
+        def spy_anchored(by_line, step, width):
+            fibers.append(len(by_line))
+            return anchored(by_line, step, width)
+
+        monkeypatch.setattr(polyring, "_fiber_product", spy)
+        monkeypatch.setattr(polyring, "_lines", spy_lines)
+        monkeypatch.setattr(polyring, "_product_direction", spy_direction)
+        monkeypatch.setattr(polyring, "_anchored", spy_anchored)
+        assert is_totally_positive(hankel(gfs, 5), 4).ok
+        assert len(chosen) == choices and any(chosen)
+        assert len(agreed) == lined and all(agreed)
+        assert sum(b * a for b, a in zip(fibers[::2], fibers[1::2])) == pairs
 
 
 class TestIsTotallyPositive:
@@ -893,8 +943,8 @@ class TestHeilermannMinors:
         fiber_products = []
         fiber_product = polyring._fiber_product
 
-        def spy(a, b, nvars):
-            out = fiber_product(a, b, nvars)
+        def spy(p, q):
+            out = fiber_product(p, q)
             fiber_products.append(out is not None)
             return out
 
