@@ -243,7 +243,7 @@ class _PlanRunner:
 # Its docstring is the type as README's field tables print it.
 
 _REQUIRED = object()  # default of a field the check cannot run without
-_DEPTH = object()  # default: the triangle depth
+_DEPTH = object()  # default: the triangle depth, parsed by the field's type
 
 
 def _type(doc: str, accepts, parse=lambda value, ctx, parsed: value):
@@ -421,14 +421,18 @@ def _parse_fields(fields: dict, raw: dict, ctx: VarContext, where: str, depth=No
     parsed = {}
     for key, (parse, default) in fields.items():
         if key in raw:
-            try:
-                parsed[key] = parse(raw[key], ctx, parsed)
-            except ValueError as exc:
-                raise PlanError(f"{where} {key!r}: {exc}") from exc
+            value, origin = raw[key], ""
         elif default is _REQUIRED:
             raise PlanError(f"{where} needs {key!r}")
+        elif default is _DEPTH:
+            value, origin = depth, " (from the triangle depth)"
         else:
-            parsed[key] = depth if default is _DEPTH else default
+            parsed[key] = default
+            continue
+        try:
+            parsed[key] = parse(value, ctx, parsed)
+        except ValueError as exc:
+            raise PlanError(f"{where} {key!r}{origin}: {exc}") from exc
     return parsed
 
 

@@ -30,6 +30,13 @@ it weighs.
 ``_fiber_product`` packs each fiber under the key of its lowest monomial
 instead (``_anchored``), so a fiber far from e_v = 0 costs no padding.
 
+A coefficient map holds nonzero coefficients only: every sum of maps goes
+through ``_add_terms``, which deletes a key whose sum is zero.  The
+multiply-accumulate kernels drop zeros once at the end instead, which is
+cheaper there: the dict kernel of ``Poly.__mul__`` and
+``_add_level_products`` filter their sums, and ``_put_digits`` skips zero
+digits.
+
 All values are immutable after construction and safe to share.  The one
 slot written later, ``Poly._directions``, is a memo that ``_fiber_product``
 fills: per triples flag, the fiber direction chosen for the keys of
@@ -44,7 +51,7 @@ from fractions import Fraction as mpq
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
-from operator import or_
+from operator import neg, or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, mpq]
@@ -151,22 +158,16 @@ class VarContext:
 
     def from_terms(self, terms: Iterable[tuple]) -> Poly:
         """Build a polynomial from ``(coeff, {name: exp, ...})`` pairs."""
-        acc: dict[int, Rational] = {}
-        for coeff, exps in terms:
-            c = _as_rational(coeff)
-            if not c:
-                continue
-            vec = [0] * len(self.names)
-            for nm, e in exps.items():
-                vec[self.index(nm)] = e
-            key = self.pack(vec)
-            v = acc.get(key)
-            v = c if v is None else v + c
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
-        return Poly(self, acc)
+        def monomials():
+            for coeff, exps in terms:
+                c = _as_rational(coeff)
+                if c:
+                    vec = [0] * len(self.names)
+                    for nm, e in exps.items():
+                        vec[self.index(nm)] = e
+                    yield self.pack(vec), c
+
+        return Poly(self, {k: _as_rational(c) for k, c in _add_terms({}, monomials()).items()})
 
     def parse(self, text: str) -> Poly:
         return _parse_poly(self, text)
@@ -176,7 +177,8 @@ class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
     ``terms`` maps packed monomial keys to nonzero coefficients; the zero
-    polynomial has an empty map.  Equality is coefficientwise.
+    polynomial has an empty map; sums keep it so through ``_add_terms``.
+    Equality is coefficientwise.
     """
 
     __slots__ = ("ctx", "terms", "_directions")
@@ -261,19 +263,7 @@ class Poly:
             return self
         if len(a) < len(b):
             a, b = b, a
-        out = dict(a)
-        get = out.get
-        for k, c in b.items():
-            v = get(k)
-            if v is None:
-                out[k] = c
-            else:
-                v = v + c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, _add_terms(dict(a), b.items()))
 
     __radd__ = __add__
 
@@ -284,22 +274,10 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.terms, other.terms
+        b = other.terms
         if not b:
             return self
-        out = dict(a)
-        get = out.get
-        for k, c in b.items():
-            v = get(k)
-            if v is None:
-                out[k] = -c
-            else:
-                v = v - c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, _add_terms(dict(self.terms), zip(b, map(neg, b.values()))))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -403,23 +381,18 @@ class Poly:
             return self
         shifts = [ctx._shifts[i] for i in idxs]
         deg_sh = ctx._deg_shift
-        out: dict[int, Rational] = {}
-        get = out.get
-        for key, c in self.terms.items():
-            for sh, val in zip(shifts, vals):
-                e = (key >> sh) & _MASK
-                if e:
-                    key -= (e << sh) + (e << deg_sh)
-                    c = c * val**e
-            if not c:
-                continue
-            v = get(key)
-            v = c if v is None else v + c
-            if v:
-                out[key] = _as_rational(v)
-            else:
-                del out[key]
-        return Poly(ctx, out)
+
+        def images():
+            for key, c in self.terms.items():
+                for sh, val in zip(shifts, vals):
+                    e = (key >> sh) & _MASK
+                    if e:
+                        key -= (e << sh) + (e << deg_sh)
+                        c = c * val**e
+                if c:
+                    yield key, c
+
+        return Poly(ctx, {k: _as_rational(c) for k, c in _add_terms({}, images()).items()})
 
     def eval(self, assignment: Mapping[str, Rational]):
         """Exact rational value; every variable occurring must be assigned."""
@@ -463,14 +436,7 @@ class Poly:
                     return None
             qc = _as_rational(mpq(rem[lr_key]) / ld_c)
             quot[diff] = qc
-            for k, c in div_items:
-                kk = k + diff
-                v = rem.get(kk)
-                v = -qc * c if v is None else v - qc * c
-                if v:
-                    rem[kk] = v
-                else:
-                    rem.pop(kk, None)
+            _add_terms(rem, ((k + diff, -qc * c) for k, c in div_items))
         return Poly(self.ctx, quot)
 
     # -- text form -----------------------------------------------------------
@@ -485,6 +451,21 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({render(self)})"
+
+
+def _add_terms(out: dict, terms: Iterable[tuple[int, Rational]]) -> dict:
+    """``out`` with each ``(key, c)`` of ``terms``, none of them zero, added
+    in, in place; a key whose sum is zero is deleted."""
+    get = out.get
+    for k, c in terms:
+        v = get(k)
+        if v is None:
+            out[k] = c
+        elif v := v + c:
+            out[k] = v
+        else:
+            del out[k]
+    return out
 
 
 def _check_exponents(a: dict, b: dict, nvars: int) -> None:

@@ -43,6 +43,7 @@ from .polyring import (
     Poly,
     VarContext,
     _add_level_products,
+    _add_terms,
     _as_rational,
     _check_exponents,
     _degree,
@@ -182,28 +183,14 @@ class Triangle:
             raise IndexError(f"row {n} outside the materialized rows 0..{self.depth}")
         step = self.ctx.var(var).leading()[0]
         nvars = len(self.ctx.names)
+        row = self.rows[n]
+        for k, e in enumerate(row):
+            if k and e:
+                _check_exponents({k * step: 1}, e.terms, nvars)
         # times var**k only shifts keys by k * step, so every entry's terms
         # go into one map, each copied once
-        out: dict = {}
-        get = out.get
-        for k, e in enumerate(self.rows[n]):
-            if not e:
-                continue
-            shift = k * step
-            if shift:
-                _check_exponents({shift: 1}, e.terms, nvars)
-            for key, c in e.terms.items():
-                key += shift
-                v = get(key)
-                if v is None:
-                    out[key] = c
-                else:
-                    v = v + c
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, _add_terms({}, ((key + k * step, c) for k, e in enumerate(row)
+                                              for key, c in e.terms.items())))
 
     def row_gfs(self, var: str = "q") -> list[Poly]:
         return [self.row_gf(n, var) for n in range(self.depth + 1)]
@@ -332,9 +319,10 @@ def _spec_build(spec: RecurrenceSpec, depth: int) -> _Build:
     them, and in the order it first reads them: an entry that may be
     nonzero reads the coefficients that weigh it into the next row.  A
     column walk with listed levels short of the depth raises IndexError
-    here.  A rational spec is cleared by L, the lcm of its specialized
-    coefficients' denominators, so that packed row n is L^n times the
-    stored row.
+    here.  Every map is scaled by L, the lcm of the specialized
+    coefficients' denominators, so that its coefficients are ``int``s, also
+    where L is 1 and a coefficient is an integral ``Fraction``; packed row
+    n is then L^n times the stored row.
     """
     ctx = spec.ctx
     row_shift = spec.kind == ROW_SHIFT
@@ -372,10 +360,8 @@ def _spec_build(spec: RecurrenceSpec, depth: int) -> _Build:
         feeds.append(row)
         live = [bool(feed) for feed in row]
 
-    lcm = math.lcm(1, *(c.denominator for t in maps for c in t.values() if type(c) is not int))
-    if lcm > 1:
-        maps = [_scaled(t, lcm) for t in maps]
-    return _Build(ctx, maps, feeds, [lcm**n for n in range(depth + 1)])
+    lcm = math.lcm(1, *(c.denominator for t in maps for c in t.values()))
+    return _Build(ctx, [_scaled(t, lcm) for t in maps], feeds, [lcm**n for n in range(depth + 1)])
 
 
 def _packed_row_gfs(build: _Build, key: int, sv: int, step: int, width: int) -> Iterator[dict]:
@@ -383,12 +369,9 @@ def _packed_row_gfs(build: _Build, key: int, sv: int, step: int, width: int) -> 
     ``_Build``'s run, with ``key`` the packed key of v, rows 0 up."""
     for row in build.run(sv, step, width):
         gf: dict = {}
-        get = gf.get
         for k, entry in enumerate(row):
-            for f, x in _times_monomial(entry, k * key, sv, step, width).items():
-                v = get(f)
-                gf[f] = x if v is None else v + x
-        yield {f: x for f, x in gf.items() if x}
+            _add_terms(gf, _times_monomial(entry, k * key, sv, step, width).items())
+        yield gf
 
 
 def build_triangle(spec: RecurrenceSpec, depth: int) -> Triangle:

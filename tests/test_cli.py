@@ -592,6 +592,7 @@ def _with_check(body):
 
 # no Eulerian triangle, yet its row 0 is 1 like that of every triangle
 SHIFTED = ORACLE.replace('c0: "k"', 'c0: "k + 5"').split("  - kind:")[0]
+SHIFTED_0 = SHIFTED.replace("depth: 4", "depth: 0")
 
 
 @pytest.mark.parametrize(
@@ -644,6 +645,12 @@ SHIFTED = ORACLE.replace('c0: "k"', 'c0: "k + 5"').split("  - kind:")[0]
         (SHIFTED + "  - kind: companion-relation\n"
          + "".join(f'    {nm}: "1"\n' for nm in ("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam"))
          + "    upto: 0\n", 0, "upto"),
+        # an omitted range is the triangle depth, here 0, so only row 0 is compared
+        (SHIFTED_0 + '  - kind: cf-match\n    alphas: ["5"]\n', 0, "depth"),
+        (SHIFTED_0 + '  - kind: product-formula\n    factor: "k + 100"\n', 0, "upto"),
+        (SHIFTED_0 + "  - kind: companion-relation\n"
+         + "".join(f'    {nm}: "1"\n' for nm in ("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam")),
+         0, "upto"),
         # plan sections
         (WALK.replace('  t: "k"\n', ""), None, "t"),
         (MINIMAL.replace("vars: [q]", "vars: [q, 3]"), None, "vars"),
@@ -677,7 +684,8 @@ SHIFTED = ORACLE.replace('c0: "k"', 'c0: "k + 5"').split("  - kind:")[0]
         "k-lcx-k-above-3", "eval-at-zero-of-denominator", "eval-at-specialized-to-zero",
         "convolution-size-above-upto", "row-offset-below-minus-1", "criteria-symbolic-denominator",
         "oracle-symbolic-coefficient", "oracle-upto-0", "cf-match-depth-0",
-        "product-formula-upto-0", "companion-relation-upto-0",
+        "product-formula-upto-0", "companion-relation-upto-0", "cf-match-depth-from-depth-0",
+        "product-formula-upto-from-depth-0", "companion-relation-upto-from-depth-0",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "denominator-negative", "denominator-specialized-negative",
@@ -1023,6 +1031,9 @@ class TestShippedPlans:
              str(PLANS / "bell-walk.yaml")],
             capture_output=True,
             text=True,
+            # -m imports from the working directory: the package under test,
+            # installed or not
+            cwd=Path(tpcert.__file__).resolve().parents[1],
         )
         assert proc.returncode == 0
         assert "bell-walk: PASS" in proc.stdout

@@ -235,6 +235,56 @@ def test_exact_div(ctx):
     assert ctx.parse("q^2 + 1").exact_div(ctx.parse("q + 1")) is None
 
 
+def test_sums_are_plain_sums_without_zeros(ctx):
+    """Every sum of coefficient maps is a plain ``defaultdict`` sum with its
+    zeros filtered out, on operands built to cancel term by term, with
+    ``int`` and ``Fraction`` coefficients.  ``from_terms`` and
+    ``specialize`` give integral coefficients as ``int``, which the packed
+    kernels need."""
+    rng = random.Random(27)
+
+    def key(exps):
+        return ctx.pack([exps.get(nm, 0) for nm in ctx.names])
+
+    def plain(*signed):
+        acc = collections.defaultdict(int)
+        for sign, terms in signed:
+            for k, c in terms:
+                acc[k] += sign * c
+        return {k: c for k, c in acc.items() if c}
+
+    def check(p, want, integral=False):
+        assert p.terms == want
+        assert all(p.terms.values())
+        if integral:
+            assert all(type(c) is int or c.denominator > 1 for c in p.terms.values())
+
+    def image(k, c, val):
+        exps = list(ctx.unpack(k))
+        e, exps[0] = exps[0], 0
+        return ctx.pack(exps), c * val**e
+
+    for _ in range(200):
+        monomials = [{"a0": rng.randint(0, 2), "q": rng.randint(0, 2)} for _ in range(5)]
+        raw_p = [(rng.choice((rng.randint(-3, 3), mpq(rng.randint(-3, 3), 2))),
+                  rng.choice(monomials)) for _ in range(8)]
+        # q repeats terms of p, negated to cancel in p + q or as is in p - q
+        raw_q = [(rng.choice((c, -c)), e) for c, e in raw_p if rng.random() < 0.7]
+        raw_q += [(mpq(rng.randint(-3, 3), 3), rng.choice(monomials)) for _ in range(2)]
+        p, q = ctx.from_terms(raw_p), ctx.from_terms(raw_q)
+        check(p, plain((1, [(key(e), c) for c, e in raw_p])), integral=True)
+        check(q, plain((1, [(key(e), c) for c, e in raw_q])), integral=True)
+        check(p + q, plain((1, p.terms.items()), (1, q.terms.items())))
+        check(p - q, plain((1, p.terms.items()), (-1, q.terms.items())))
+        check(q - p, plain((1, q.terms.items()), (-1, p.terms.items())))
+        val = rng.choice((rng.randint(-2, 2), mpq(rng.choice((-1, 1)), 2)))
+        check(p.specialize({"a0": val}),
+              plain((1, [image(k, c, val) for k, c in p.terms.items()])), integral=True)
+        d = ctx.from_terms([(rng.choice((1, -2, mpq(1, 3))), {"q": 1}),
+                            (rng.randint(1, 3), {"a0": rng.randint(0, 2)})])
+        check((p * d).exact_div(d), p.terms)
+
+
 # ---------------------------------------------------------------------------
 # the fiber product kernel against the plain dict kernel
 # ---------------------------------------------------------------------------

@@ -540,6 +540,17 @@ class TestPackedBuild:
         # an integral coefficient reads back as an int, as the Poly build gives
         assert all(type(c) is int or c.denominator > 1 for c in coefficients)
 
+    def test_integral_fraction_levels(self, ctx):
+        # h + h keeps the Fraction 1/1, which the packed build scales to an
+        # int like any other rational level
+        h = ctx.parse("1/2")
+        assert type((h + h).terms[0]) is Fraction
+        spec = RecurrenceSpec(ctx, COLUMN_WALK, ((h + h,) * 6,) * 3)
+        want = build_triangle(RecurrenceSpec(ctx, COLUMN_WALK, ((ctx.one,) * 6,) * 3), 5)
+        t = build_triangle(spec, 5)
+        assert t.rows == want.rows == reference_build(spec, 5)
+        assert all(type(c) is int for row in t.rows for e in row for c in e.terms.values())
+
     def test_coefficients_integral_only_at_integer_points(self, ctx):
         # n(n-1)/2 is an integer at every row: no row is cleared
         n, q = ctx.var("n"), ctx.var("q")
