@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import wraps
 from itertools import permutations
+from operator import gt
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,7 @@ def perms_by_descents(n: int) -> CountVector:
     the empty statistic column 0 is zero for n >= 1."""
     if n == 0:
         return CountVector(0, (1,))
-
-    def descents(p):
-        return sum(1 for i in range(n - 1) if p[i] > p[i + 1])
-
-    return _vector(n, (descents(p) + 1 for p in permutations(range(1, n + 1))))
+    return _vector(n, (sum(map(gt, p, p[1:])) + 1 for p in permutations(range(1, n + 1))))
 
 
 @_guard(7, "permutation")
@@ -123,31 +120,34 @@ def stirling_permutations(n: int):
     between the two copies of i exceeds i.
 
     Found by depth-first search over prefixes.  A value is open when one
-    copy of it is placed; v may be appended only if every open value other
-    than v is smaller than v, since a letter below an open i can never
-    leave the stretch between i's copies.  Every finished word is still
-    checked against the definition."""
+    copy of it is placed; a letter below an open i can never leave the
+    stretch between i's copies, so the open values always form an
+    increasing stack.  A prefix therefore grows only by closing the top of
+    that stack or by opening an unused value above it, and the search
+    carries the stack and a bit mask of the used values with each prefix.
+    Every finished word is still checked against the definition."""
 
     def ok(word):
-        pos: dict[int, list[int]] = {}
-        for idx, v in enumerate(word):
-            pos.setdefault(v, []).append(idx)
-        for v, (a, b) in pos.items():
-            if any(word[j] < v for j in range(a + 1, b)):
+        for v in range(1, n + 1):
+            a = word.index(v)
+            # the stretch starts at v itself, which is never below v
+            if min(word[a : word.index(v, a + 1)]) < v:
                 return False
         return True
 
-    stack = [()]
+    stack = [((), (), 0)]  # (prefix, open values ascending, used-value mask)
     while stack:
-        word = stack.pop()
+        word, opened, used = stack.pop()
         if len(word) == 2 * n:
             if ok(word):
                 yield word
             continue
-        opened = {v for v in word if word.count(v) == 1}
-        for v in range(n, 0, -1):  # pushed downwards, so popped in lex order
-            if word.count(v) < 2 and all(u < v for u in opened - {v}):
-                stack.append(word + (v,))
+        top = opened[-1] if opened else 0
+        for v in range(n, top, -1):  # pushed downwards, so popped in lex order
+            if not used >> v & 1:
+                stack.append((word + (v,), opened + (v,), used | 1 << v))
+        if opened:  # closing the top is the smallest letter, so it is pushed last
+            stack.append((word + (top,), opened[:-1], used))
 
 
 @_guard(stirling_permutations.limit, "Stirling permutation")

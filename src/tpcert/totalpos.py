@@ -424,11 +424,6 @@ class LCXReport:
 _MAX_LCX_K = 3
 
 
-def _hankel_window_det(seq: PolySeq, center: int, size: int) -> Poly:
-    lo = center - (size - 1)
-    return minor(hankel(seq[lo:], size), range(size), range(size))
-
-
 def check_k_log_convex(seq: PolySeq, k: int) -> LCXReport:
     """Iterate the log-convexity operator k times, requiring nonnegative
     coefficients at every stage.
@@ -440,19 +435,37 @@ def check_k_log_convex(seq: PolySeq, k: int) -> LCXReport:
         L^3 at c = g * (seq[c]^2 * det4(c) + det3(c-1) * det3(c+1)),
                    g = seq[c-1] seq[c+1] - seq[c]^2
 
-    and both evaluation routes are asserted equal.
+    and both evaluation routes are asserted equal.  det_s(c) is the
+    determinant of the size-s Hankel block of seq[c-s+1:], which is the
+    minor of B[i][j] = seq[i+j] (j <= 3) on rows c-s+1..c and columns
+    0..s-1.  Every window comes from one cofactor memo on B that lives for
+    this call: stage 3 reads det3(c-1) and det3(c+1) from stage 2, and
+    det4(c)'s leading 3x3 cofactor is det3(c-1).  B is zero where i+j runs
+    past ``seq``; no window reads those entries.  g is formed here rather
+    than taken from the first stage, so the check shares no product with
+    the operator it checks.
     """
     if not 1 <= k <= _MAX_LCX_K:
         raise ValueError(f"k must be between 1 and {_MAX_LCX_K}")
     if len(seq) < 2 * k + 1:
         raise ValueError(f"need at least {2 * k + 1} entries for k={k}")
+    ctx = seq[0].ctx
+    end = len(seq)
+    block = PolyMatrix(
+        ctx, [[seq[i + j] if i + j < end else ctx.zero for j in range(4)] for i in range(end)]
+    )
+    memo: dict = {}
+
+    def det(c: int, size: int) -> Poly:
+        return _det_cofactor(block, tuple(range(c - size + 1, c + 1)), tuple(range(size)), memo)
+
     cur = list(seq)
     for stage in range(1, k + 1):
         cur = l_operator(cur)
         if stage == 2:
             for j, v in enumerate(cur):
                 c = j + 2
-                want = seq[c] * _hankel_window_det(seq, c, 3)
+                want = seq[c] * det(c, 3)
                 if v != want:
                     raise ArithmeticError(
                         "second-stage determinant identity failed; "
@@ -461,12 +474,9 @@ def check_k_log_convex(seq: PolySeq, k: int) -> LCXReport:
         if stage == 3:
             for j, v in enumerate(cur):
                 c = j + 3
-                gap = seq[c - 1] * seq[c + 1] - seq[c] * seq[c]
-                want = gap * (
-                    seq[c] * seq[c] * _hankel_window_det(seq, c, 4)
-                    + _hankel_window_det(seq, c - 1, 3)
-                    * _hankel_window_det(seq, c + 1, 3)
-                )
+                square = seq[c] * seq[c]
+                gap = seq[c - 1] * seq[c + 1] - square
+                want = gap * (square * det(c, 4) + det(c - 1, 3) * det(c + 1, 3))
                 if v != want:
                     raise ArithmeticError(
                         "third-stage determinant identity failed; "

@@ -1,9 +1,11 @@
 """Tests for the brute-force enumeration oracles."""
 
 import math
+from collections import Counter
 from itertools import permutations
 
 import pytest
+from sympy.utilities.iterables import multiset_permutations
 
 from tpcert import oracles
 from tpcert.polyring import VarContext
@@ -61,7 +63,7 @@ class TestExamples:
 
 
 class TestStirlingSearch:
-    @pytest.mark.parametrize("n", range(0, 5))
+    @pytest.mark.parametrize("n", range(0, 6))
     def test_matches_filtered_arrangements(self, n):
         # every distinct arrangement of {1,1,...,n,n}, kept when everything
         # between the two copies of each i exceeds i
@@ -74,10 +76,24 @@ class TestStirlingSearch:
             return True
 
         multiset = [i for i in range(1, n + 1) for _ in range(2)]
-        want = {w for w in set(permutations(multiset)) if stirling(w)}
+        arrangements = [tuple(w) for w in multiset_permutations(multiset)]
+        assert len(arrangements) == math.factorial(2 * n) // 2**n
+        want = {w for w in arrangements if stirling(w)}
         got = list(oracles.stirling_permutations(n))
         assert len(got) == len(set(got)) == dfact(n)
         assert set(got) == want
+        assert got == sorted(got)
+
+
+class TestDescents:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_index_loop(self, n):
+        tally = Counter(
+            sum(1 for i in range(n - 1) if p[i] > p[i + 1]) + 1
+            for p in permutations(range(1, n + 1))
+        )
+        want = tuple(tally[k] for k in range(max(tally) + 1))
+        assert oracles.perms_by_descents(n).counts == want
 
 
 class TestTotals:

@@ -489,6 +489,76 @@ class TestKLogConvex:
         seq = [(1 + q) ** i for i in range(8)]
         assert check_k_log_convex(seq, 3).ok
 
+    @pytest.mark.parametrize("stage", [2, 3])
+    def test_a_wrong_operator_stage_is_caught(self, ctx, stage, monkeypatch):
+        # the determinant route does not read the operator's outputs, so
+        # one entry off by 1 at a checked stage raises
+        q = ctx.var("q")
+        seq = [(1 + q) ** i for i in range(8)]
+        operator = totalpos.l_operator
+        calls = []
+
+        def off_by_one(cur):
+            out = operator(cur)
+            calls.append(None)
+            if len(calls) == stage:
+                out[1] = out[1] + ctx.one
+            return out
+
+        monkeypatch.setattr(totalpos, "l_operator", off_by_one)
+        name = {2: "second", 3: "third"}[stage]
+        with pytest.raises(ArithmeticError, match=f"{name}-stage determinant identity failed"):
+            check_k_log_convex(seq, 3)
+
+    @pytest.mark.parametrize("source", ["binomial", "whitney"])
+    def test_windows_are_hankel_minors(self, ctx, source, monkeypatch):
+        # every window the check reads (rows lo..lo+s-1, columns 0..s-1 of
+        # its one block) is the leading minor of the Hankel block of seq[lo:]
+        if source == "binomial":
+            q = ctx.var("q")
+            seq = [(1 + q) ** i for i in range(8)]
+        else:
+            fam = families.CATALOG["whitney"]()
+            seq = build_triangle(fam.spec, 8).row_gfs(fam.gf_var)
+        windows = {}
+        cofactor = totalpos._det_cofactor
+
+        def record(m, rows, cols, memo):
+            d = cofactor(m, rows, cols, memo)
+            if len(rows) >= 3 and cols == tuple(range(len(rows))):
+                windows[rows[0], len(rows)] = d
+            return d
+
+        monkeypatch.setattr(totalpos, "_det_cofactor", record)
+        assert check_k_log_convex(seq, 3).ok
+        end = len(seq)
+        # det3(c) for c = 2..end-3 and det4(c) for c = 3..end-4, keyed by c-s+1
+        assert set(windows) == {(lo, 3) for lo in range(end - 4)} | {
+            (lo, 4) for lo in range(end - 6)
+        }
+        for (lo, s), d in windows.items():
+            assert d == minor(hankel(seq[lo:], s), range(s), range(s)), (lo, s)
+        block = hankel(seq[1:], 4)
+        assert windows[1, 4] == sympy_minor(block.ctx, sympy_matrix(block), range(4), range(4))
+
+    def test_k3_check_forms_148_multi_term_products(self, monkeypatch):
+        # counted as the benchmark tracer counts them: both operands with
+        # two or more terms; building each window afresh formed 228
+        fam = families.CATALOG["whitney"]()
+        rows = build_triangle(fam.spec, 8).row_gfs(fam.gf_var)
+        assert len(rows) == 9
+        count = []
+        mul = polyring.Poly.__mul__
+
+        def counted(a, b):
+            if isinstance(b, polyring.Poly) and len(a.terms) >= 2 and len(b.terms) >= 2:
+                count.append(None)
+            return mul(a, b)
+
+        monkeypatch.setattr(polyring.Poly, "__mul__", counted)
+        assert check_k_log_convex(rows, 3).ok
+        assert len(count) == 148
+
 
 class TestHankelFactorization:
     def test_bell_walk(self, ctx):
