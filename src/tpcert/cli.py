@@ -532,16 +532,19 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
             raise PlanError(f"{where} needs continued-fraction data: exactly one of "
                             + " or ".join("+".join(keys) for keys in forms))
         if given:
-            fraction = forms[given[0]](ctx, *(check[key] for key in given[0]))
+            keys = ", ".join(map(repr, given[0]))
             try:
+                fraction = forms[given[0]](ctx, *(check[key] for key in given[0]))
                 _levels(contract(fraction) if isinstance(fraction, SFraction) else fraction,
                         check["depth"])
             except DegenerateFraction as exc:
                 # every missing contracted level needs the alpha after the list
-                missing = (f"alpha_{len(fraction.alphas)} not provided"
+                missing = (f"alpha_{len(fraction.even) + len(fraction.odd)} not provided"
                            if isinstance(fraction, SFraction) else exc)
-                raise PlanError(f"{where} {', '.join(map(repr, given[0]))}: depth "
+                raise PlanError(f"{where} {keys}: depth "
                                 f"{check['depth']} needs more values ({missing})") from exc
+            except ValueError as exc:  # the message names the fraction's field
+                raise PlanError(f"{where} {keys}: {exc}") from exc
             check["fraction"] = fraction
         scale, point = spec.denominator or ctx.one, _point(check, ctx, gf_var)
         if point and not check.get("prescaled") and not _evaluate(scale, point):

@@ -15,8 +15,8 @@ The two are linked by the contraction identity
 
 whose indexing is pinned here by the executable contract
 ``expand(contract(s), N) == expand(s, N)`` rather than by subscript
-bookkeeping.  Coefficients can be given as explicit lists or as closed-form
-polynomials in a level variable.
+bookkeeping.  Each fraction holds two level sequences, each a closed form
+in ``n`` or a tuple of levels.
 
 A J-fraction's series is the first column of its unit-upstep walk
 (``j_expand``): a column walk whose up-steps weigh 1, its level steps s_k
@@ -49,6 +49,7 @@ from .triangles import (
     RecurrenceSpec,
     Triangle,
     _Build,
+    _check_indices,
     _packed_row_gfs,
     _row_mismatch,
 )
@@ -59,120 +60,115 @@ class DegenerateFraction(ValueError):
     not exist (terminated fraction or missing coefficient)."""
 
 
+def _level(seq: "Poly | tuple", i: int, first: int, name: str) -> Poly:
+    """Level ``i`` of a sequence that starts at level ``first``: a closed
+    form at n = i, or tuple entry i - first.  IndexError below the first
+    level, DegenerateFraction past a tuple's end."""
+    if i < first:
+        raise IndexError(f"{name} is below the first level, {first}")
+    if isinstance(seq, Poly):
+        return seq.specialize({"n": i})
+    if i - first >= len(seq):
+        raise DegenerateFraction(f"{name} not provided")
+    return seq[i - first]
+
+
+def _check_levels(ctx: VarContext, *named) -> None:
+    """ValueError unless each (field, level sequence) is a closed form of
+    ``ctx`` free of k or a tuple of levels free of n and k."""
+    fields = []
+    for name, seq in named:
+        if isinstance(seq, Poly):
+            fields.append((name, seq, ("n",)))
+        else:
+            fields += [(f"{name}[{i}]", level, ()) for i, level in enumerate(seq)]
+    _check_indices(ctx, fields, "fraction")
+
+
 @dataclass(frozen=True)
 class SFraction:
-    """S-fraction coefficients, list-backed or closed-form-backed.
+    """S-fraction coefficients as two level sequences, ``even`` (alpha_0,
+    alpha_2, ...) and ``odd`` (alpha_1, alpha_3, ...).
 
-    Closed forms give alpha_{2n} and alpha_{2n+1} as polynomials in
-    ``level_var``; both backings may be present (they must then agree,
-    which the tests assert).
+    Both are closed forms in n, valued alpha_{2n} and alpha_{2n+1}, free
+    of k, or both tuples of levels free of n and k, ``even`` not empty;
+    ValueError names the field that does not fit.
     """
 
     ctx: VarContext
-    alphas: tuple | None = None
-    even_form: Poly | None = None
-    odd_form: Poly | None = None
-    level_var: str = "n"
+    even: "Poly | tuple"
+    odd: "Poly | tuple"
 
     def __post_init__(self):
-        if self.alphas is None and (self.even_form is None or self.odd_form is None):
-            raise ValueError("need either an alpha list or both closed forms")
-        if self.alphas is not None and not self.alphas:
+        if isinstance(self.even, Poly) != isinstance(self.odd, Poly):
+            raise ValueError("'even' and 'odd' must both be closed forms or both tuples")
+        if self.even == ():
             raise ValueError("alpha list must not be empty")
+        _check_levels(self.ctx, ("even", self.even), ("odd", self.odd))
 
     @classmethod
     def from_list(cls, ctx: VarContext, alphas: Sequence) -> SFraction:
-        return cls(ctx, alphas=tuple(alphas))
+        return cls(ctx, tuple(alphas[0::2]), tuple(alphas[1::2]))
 
     @classmethod
-    def from_forms(
-        cls, even_form: Poly, odd_form: Poly, level_var: str = "n"
-    ) -> SFraction:
-        return cls(even_form.ctx, even_form=even_form, odd_form=odd_form,
-                   level_var=level_var)
+    def from_forms(cls, even_form: Poly, odd_form: Poly) -> SFraction:
+        return cls(even_form.ctx, even_form, odd_form)
 
     def alpha(self, i: int) -> Poly:
-        """alpha_i; prefers the explicit list when present."""
-        if self.alphas is not None:
-            if i >= len(self.alphas):
-                raise DegenerateFraction(f"alpha_{i} not provided")
-            return self.alphas[i]
-        form = self.even_form if i % 2 == 0 else self.odd_form
-        return form.specialize({self.level_var: i // 2})
+        return _level(self.odd if i % 2 else self.even, i // 2, 0, f"alpha_{i}")
 
 
 @dataclass(frozen=True)
 class JFraction:
-    """J-fraction coefficients, each a Poly.
+    """J-fraction coefficients as two level sequences, ``s_levels`` (s_0,
+    s_1, ...) and ``r_levels`` (r_1, r_2, ...), each a closed form in n
+    free of k, valued s_n or r_n, or a tuple of levels free of n and k.
 
-    ``r_list[i]`` stores r_{i+1}; accessors take the mathematical index.
-    ``s0`` overrides the closed form at level 0, which is how contraction
-    records s_0 = alpha_0 when the closed form does not specialize to it.
+    ``s0``, free of n and k, overrides s_0: contraction records
+    s_0 = alpha_0 there when the closed form does not specialize to it.
     """
 
     ctx: VarContext
-    s_list: tuple | None = None
-    r_list: tuple | None = None
-    s_form: Poly | None = None
-    r_form: Poly | None = None
+    s_levels: "Poly | tuple"
+    r_levels: "Poly | tuple"
     s0: Poly | None = None
-    level_var: str = "n"
+
+    def __post_init__(self):
+        s0 = () if self.s0 is None else (self.s0,)
+        _check_levels(self.ctx, ("s", self.s_levels), ("r", self.r_levels), ("s0", s0))
 
     @classmethod
     def from_lists(cls, ctx: VarContext, s: Sequence, r: Sequence) -> JFraction:
-        return cls(ctx, s_list=tuple(s), r_list=tuple(r))
+        return cls(ctx, tuple(s), tuple(r))
 
     @classmethod
-    def from_forms(
-        cls, s_form: Poly, r_form: Poly, level_var: str = "n", s0: Poly | None = None
-    ) -> JFraction:
-        return cls(s_form.ctx, s_form=s_form, r_form=r_form,
-                   level_var=level_var, s0=s0)
+    def from_forms(cls, s_form: Poly, r_form: Poly, s0: Poly | None = None) -> JFraction:
+        return cls(s_form.ctx, s_form, r_form, s0)
 
-    def s(self, i: int):
+    def s(self, i: int) -> Poly:
         if i == 0 and self.s0 is not None:
             return self.s0
-        if self.s_list is not None:
-            if i >= len(self.s_list):
-                raise DegenerateFraction(f"s_{i} not provided")
-            return self.s_list[i]
-        return self.s_form.specialize({self.level_var: i})
+        return _level(self.s_levels, i, 0, f"s_{i}")
 
-    def r(self, i: int):
-        if i < 1:
-            raise IndexError("r coefficients start at index 1")
-        if self.r_list is not None:
-            if i - 1 >= len(self.r_list):
-                raise DegenerateFraction(f"r_{i} not provided")
-            return self.r_list[i - 1]
-        return self.r_form.specialize({self.level_var: i})
+    def r(self, i: int) -> Poly:
+        return _level(self.r_levels, i, 1, f"r_{i}")
 
 
 def contract(sf: SFraction) -> JFraction:
-    """J-fraction equal, as a series, to the given S-fraction.
+    """J-fraction equal, as a series, to the given S-fraction, with the
+    convention alpha_{-1} = 0, so s_0 = alpha_0.
 
-    Uses the convention alpha_{-1} = 0, so s_0 = alpha_0.
+    Closed forms give the closed forms s_n = odd(n-1) + even(n) and
+    r_n = even(n-1) odd(n-1), with ``s0`` = alpha_0; tuples give tuples.
     """
-    ctx = sf.ctx
-    if sf.alphas is None:
-        n = ctx.var(sf.level_var)
-        odd_prev = sf.odd_form.substitute_poly(sf.level_var, n - 1)
-        even_prev = sf.even_form.substitute_poly(sf.level_var, n - 1)
-        return JFraction.from_forms(
-            s_form=odd_prev + sf.even_form,
-            r_form=even_prev * odd_prev,
-            level_var=sf.level_var,
-            s0=sf.alpha(0),
-        )
-    alphas = sf.alphas
-    top = len(alphas) - 1
-    s = [alphas[0]]
-    for m in range(1, top // 2 + 1):
-        s.append(alphas[2 * m - 1] + alphas[2 * m])
-    r = []
-    for m in range(1, (top + 1) // 2 + 1):
-        r.append(alphas[2 * m - 2] * alphas[2 * m - 1])
-    return JFraction.from_lists(ctx, s, r)
+    even, odd = sf.even, sf.odd
+    if isinstance(even, Poly):
+        n = sf.ctx.var("n")
+        odd_prev = odd.substitute_poly("n", n - 1)
+        even_prev = even.substitute_poly("n", n - 1)
+        return JFraction(sf.ctx, odd_prev + even, even_prev * odd_prev, s0=sf.alpha(0))
+    return JFraction(sf.ctx, (even[0], *(o + e for o, e in zip(odd, even[1:]))),
+                     tuple(e * o for e, o in zip(even, odd)))
 
 
 def _levels(jf: JFraction, depth: int) -> tuple[list[Poly], list[Poly]]:
@@ -429,32 +425,28 @@ def _co_walk(t: Triangle, jf: JFraction, depth: int, var: str, prescaled: bool) 
     return True
 
 
-def jfraction_split(jf: JFraction, sf: SFraction, levels: int) -> "Poly | None":
-    """Check that the S-fraction data splits the J-fraction coefficients:
+def jfraction_split(jf: JFraction, sf: SFraction) -> "Poly | None":
+    """Check that the closed-form S-fraction data splits the closed-form
+    J-fraction coefficients (else ValueError):
 
         s(i) = alpha_even(i) + alpha_odd(i-1)   (i >= 0, odd evaluated at -1)
         r(m) = alpha_even(m-1) * alpha_odd(m-1) (m >= 1).
 
-    Returns the leftover alpha_odd(-1) absorbed into s(0) when the split
-    holds (zero for a literal contraction), or None when it does not.
-    When the leftover and all alphas are coefficientwise nonnegative this
-    is exactly the dominance data the tridiagonal criteria consume.  A
-    negative ``levels`` raises ValueError.
+    These are ``contract(sf)``'s forms, compared with ``jf``'s as
+    polynomials in n, so every level is checked; then s(0), which ``s0``
+    may override.  Returns the leftover alpha_odd(-1) absorbed into s(0)
+    when the split holds (zero for a literal contraction), or None.  When
+    the leftover and all alphas are coefficientwise nonnegative this is
+    exactly the dominance data the tridiagonal criteria consume.
     """
-    if levels < 0:
-        raise ValueError(f"levels must be nonnegative, got {levels}")
-    if sf.even_form is None or sf.odd_form is None:
-        raise ValueError("split check needs closed-form alpha data")
-    lv = sf.level_var
-    for i in range(levels + 1):
-        want = sf.even_form.specialize({lv: i}) + sf.odd_form.specialize({lv: i - 1})
-        if jf.s(i) != want:
-            return None
-    for m in range(1, levels + 1):
-        want = sf.even_form.specialize({lv: m - 1}) * sf.odd_form.specialize({lv: m - 1})
-        if jf.r(m) != want:
-            return None
-    return sf.odd_form.specialize({lv: -1})
+    if not all(isinstance(seq, Poly) for seq in (sf.even, jf.s_levels, jf.r_levels)):
+        raise ValueError("split check needs closed-form data")
+    whole = contract(sf)
+    leftover = sf.odd.specialize({"n": -1})
+    if (jf.s_levels != whole.s_levels or jf.r_levels != whole.r_levels
+            or jf.s(0) != sf.alpha(0) + leftover):
+        return None
+    return leftover
 
 
 def _star_weights(spec: RecurrenceSpec) -> "Poly | tuple":
@@ -475,20 +467,15 @@ def triangle_jfraction(spec: RecurrenceSpec) -> JFraction:
     """J-fraction of a column walk's first-column generating function.
 
     For walk coefficients (r_k, s_k, t_k) the fraction has s-sequence s_k
-    and r-sequence r_{k-1} t_k; closed forms in k stay closed forms.
+    and r-sequence r_{k-1} t_k; a closed form in k becomes one in n, the
+    level variable, which a column-walk form never names.
     """
     if spec.kind != COLUMN_WALK:
         raise ValueError("triangle_jfraction needs a column-walk spec")
-    sc, weights = spec.coeffs[1], _star_weights(spec)
-    s_closed, r_closed = isinstance(sc, Poly), isinstance(weights, Poly)
-    return JFraction(
-        spec.ctx,
-        s_list=None if s_closed else sc,
-        r_list=None if r_closed else weights,
-        s_form=sc if s_closed else None,
-        r_form=weights if r_closed else None,
-        level_var="k",
-    )
+    levels = (spec.coeffs[1], _star_weights(spec))
+    s, r = (c.substitute_poly("k", spec.ctx.var("n")) if isinstance(c, Poly) else c
+            for c in levels)
+    return JFraction(spec.ctx, s, r)
 
 
 def check_hankel_factorization(t: Triangle, size: int) -> bool:

@@ -49,7 +49,7 @@ def _shifted_contraction(even: Poly, odd: Poly, shift: Poly) -> JFraction:
     """Contraction of the S-fraction with alpha forms (even, odd), with
     ``shift`` added to every s level (a binomial-transform shift)."""
     jf = contract(SFraction.from_forms(even, odd))
-    return replace(jf, s_form=jf.s_form + shift, s0=jf.s0 + shift)
+    return replace(jf, s_levels=jf.s_levels + shift, s0=jf.s0 + shift)
 
 
 # ---------------------------------------------------------------------------

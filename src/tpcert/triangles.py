@@ -62,6 +62,18 @@ COLUMN_WALK = "column-walk"
 RESERVED_VARS = ("n", "k")  # the recurrence indices
 
 
+def _check_indices(ctx: VarContext, polys, owner: str) -> None:
+    """Raise ValueError naming the first of ``polys``, triples (field,
+    polynomial, the recurrence indices it may involve), that is not a
+    polynomial of ``ctx`` or involves another recurrence index."""
+    for name, p, indices in polys:
+        if not isinstance(p, Poly) or p.ctx is not ctx:
+            raise ValueError(f"{name!r}: {p!r} is not a polynomial of the {owner}'s context")
+        bad = [v for v in p.variables() if v in RESERVED_VARS and v not in indices]
+        if bad:
+            raise ValueError(f"{name!r}: {p} involves the recurrence index {bad[0]}")
+
+
 @dataclass(frozen=True)
 class RecurrenceSpec:
     """Declarative description of a triangle recurrence.
@@ -96,12 +108,7 @@ class RecurrenceSpec:
         d = self.denominator
         if d is not None:
             polys.append(("denominator", d, ()))
-        for name, p, indices in polys:
-            if not isinstance(p, Poly) or p.ctx is not self.ctx:
-                raise ValueError(f"{name!r}: {p!r} is not a polynomial of the spec's context")
-            bad = [v for v in p.variables() if v in RESERVED_VARS and v not in indices]
-            if bad:
-                raise ValueError(f"{name!r}: {p} involves the recurrence index {bad[0]}")
+        _check_indices(self.ctx, polys, "spec")
         if d is not None and (len(d.terms) != 1 or d.leading()[1] < 0):
             raise ValueError(f"'denominator': {d} is not one monomial with a positive coefficient")
 

@@ -129,7 +129,7 @@ def test_04_remaining_two_term_families():
             ), fam.name
             if fam.sfraction is not None:
                 if fam.sf_split_only:
-                    leftover = jfraction_split(fam.jfraction, fam.sfraction, 6)
+                    leftover = jfraction_split(fam.jfraction, fam.sfraction)
                     assert leftover is not None and leftover.is_nonneg(), fam.name
                 else:
                     assert cf_match(
@@ -157,7 +157,7 @@ def test_05_four_term_families():
             fam = four_term_mixed_branch(branch)
             t = build_triangle(fam.spec, 6)
             if fam.sf_split_only:
-                leftover = jfraction_split(fam.jfraction, fam.sfraction, 6)
+                leftover = jfraction_split(fam.jfraction, fam.sfraction)
                 assert leftover is not None and leftover.is_nonneg(), fam.name
             else:
                 assert cf_match(t, fam.sfraction, 6), fam.name
@@ -183,8 +183,8 @@ def test_07_rising_product_series():
         jf = extract_jfraction(ser, 3)
         want_s = [a, a + 2 * b + c, a + 2 * (2 * b + c)]
         want_r = [a * (c + b), (a + b) * (c + b) * 2, (a + 2 * b) * (c + b) * 3]
-        assert list(jf.s_list) == want_s
-        assert list(jf.r_list) == want_r
+        assert list(jf.s_levels) == want_s
+        assert list(jf.r_levels) == want_r
 
 
 def test_08_stirling_permutations():

@@ -548,10 +548,10 @@ def test_cf_match_lists_that_load_are_enough(tmp_path):
             pad = tuple(ctx.var("x") + i for i in range(2 * depth + 2))
             if "alphas" in case:
                 got = s_expand(fraction, depth)
-                walk = contract(SFraction.from_list(ctx, fraction.alphas + pad))
+                walk = contract(SFraction(ctx, fraction.even + pad, fraction.odd + pad))
             else:
                 got = j_expand(fraction, depth)
-                walk = JFraction.from_lists(ctx, fraction.s_list + pad, fraction.r_list + pad)
+                walk = JFraction(ctx, fraction.s_levels + pad, fraction.r_levels + pad)
             assert got == reference_walk(walk, depth), (depth, case)
 
 
@@ -625,6 +625,13 @@ SHIFTED_0 = SHIFTED.replace("depth: 4", "depth: 0")
         (_with_check("  - kind: cf-match\n    alphas: [1, 2, 3]\n"), 2, "alphas"),
         (_with_check("  - kind: cf-match\n    s-list: [1]\n    r-list: [1, 2]\n"), 2, "s-list"),
         (_with_check("  - kind: cf-match\n    s-list: [1, 2]\n    r-list: [1]\n"), 2, "r-list"),
+        # a closed form may name n but not k; a listed level names neither
+        (_with_check('  - kind: cf-match\n    s: "k + 1"\n    r: "n"\n'), 2, "s"),
+        (_with_check('  - kind: cf-match\n    alpha-even: "n + 1"\n    alpha-odd: "k + 1"\n'),
+         2, "alpha-odd"),
+        (_with_check('  - kind: cf-match\n    depth: 1\n    alphas: ["n"]\n'), 2, "alphas"),
+        (_with_check('  - kind: cf-match\n    s-list: [1, 2]\n    r-list: ["k", 1]\n'),
+         2, "r-list"),
         (_with_check("  - kind: k-lcx\n    k: 4\n"), 2, "k"),
         (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  denominator: q\n')
          + '  - kind: product-formula\n    factor: "3"\n    eval-at: "0"\n', 2, "eval-at"),
@@ -681,6 +688,7 @@ SHIFTED_0 = SHIFTED.replace("depth: 4", "depth: 0")
         "alphas-shape", "r-list-shape", "alpha-even-syntax", "eval-at-syntax", "factor-syntax",
         "values-syntax", "at-rational", "at-undeclared", "at-specialized", "golden-name", "tridiagonal-on-row-shift",
         "factorization-on-row-shift", "alphas-short", "s-list-short", "r-list-short",
+        "s-in-k", "alpha-odd-in-k", "alphas-in-n", "r-list-in-k",
         "k-lcx-k-above-3", "eval-at-zero-of-denominator", "eval-at-specialized-to-zero",
         "convolution-size-above-upto", "row-offset-below-minus-1", "criteria-symbolic-denominator",
         "oracle-symbolic-coefficient", "oracle-upto-0", "cf-match-depth-0",

@@ -3,6 +3,7 @@
 import collections
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -85,28 +86,55 @@ class TestContract:
         explicit = SFraction.from_list(ctx, [sf.alpha(i) for i in range(9)])
         assert s_expand(sf, 4) == s_expand(explicit, 4)
 
-    def test_both_backings_must_agree_when_present(self, ctx):
-        # a fraction carrying both a list and closed forms answers from the
-        # list; the forms must specialize to the same values
-        n = ctx.var("n")
-        both = SFraction(
-            ctx,
-            alphas=tuple(
-                (i // 2 + 1) * ctx.one if i % 2 == 0 else (i // 2 + 1) * ctx.one
-                for i in range(6)
-            ),
-            even_form=n + 1,
-            odd_form=n + 1,
-        )
-        for i in range(6):
-            form = both.even_form if i % 2 == 0 else both.odd_form
-            assert both.alpha(i) == form.specialize({"n": i // 2})
-
     def test_missing_both_backings_rejected(self, ctx):
-        with pytest.raises(ValueError):
-            SFraction(ctx)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="both be closed forms or both tuples"):
+            SFraction(ctx, ctx.var("n") + 1, ())
+        with pytest.raises(ValueError, match="must not be empty"):
             SFraction.from_list(ctx, [])
+
+    def test_levels_name_only_the_level_variable(self, ctx):
+        # a closed form may name n, a listed level neither n nor k
+        n, k, q = ctx.var("n"), ctx.var("k"), ctx.var("q")
+        bad = [
+            (lambda: SFraction.from_forms(n + 1, k + 1), "'odd'", "k"),
+            (lambda: SFraction.from_list(ctx, [q, n]), "'odd[0]'", "n"),
+            (lambda: JFraction.from_forms(k * q, n), "'s'", "k"),
+            (lambda: JFraction.from_lists(ctx, [q], [k]), "'r[0]'", "k"),
+            (lambda: JFraction.from_forms(n, n, s0=n + 1), "'s0[0]'", "n"),
+        ]
+        for make, field, index in bad:
+            with pytest.raises(ValueError, match=re.escape(field) + f": .* recurrence index {index}"):
+                make()
+        other = VarContext(["n", "q"])
+        with pytest.raises(ValueError, match="not a polynomial of the fraction's context"):
+            JFraction(ctx, n, other.var("n"))
+        # a one-alpha list has an empty odd tuple, and a J-fraction may list no level
+        assert SFraction.from_list(ctx, [q]).odd == ()
+        assert JFraction.from_lists(ctx, [], []).r_levels == ()
+
+    def test_from_list_splits_by_parity(self, ctx):
+        alphas = consts(ctx, range(1, 8))
+        sf = SFraction.from_list(ctx, alphas)
+        assert (sf.even, sf.odd) == (tuple(alphas[0::2]), tuple(alphas[1::2]))
+        assert [sf.alpha(i) for i in range(7)] == alphas
+        with pytest.raises(DegenerateFraction, match="alpha_7 not provided"):
+            sf.alpha(7)
+
+    def test_a_level_below_the_first_raises(self, ctx):
+        # a negative index used to wrap to the end of a list
+        n = ctx.var("n")
+        fractions = [
+            (SFraction.from_list(ctx, consts(ctx, [1, 2, 3])), "alpha", -1),
+            (SFraction.from_forms(n + 1, n + 2), "alpha", -1),
+            (JFraction.from_lists(ctx, consts(ctx, [1, 2]), consts(ctx, [3])), "s", -1),
+            (JFraction.from_forms(n + 1, n, s0=ctx.one), "s", -1),
+            (JFraction.from_lists(ctx, consts(ctx, [1, 2]), consts(ctx, [3])), "r", 0),
+            (JFraction.from_forms(n + 1, n), "r", 0),
+        ]
+        for fraction, name, first_bad in fractions:
+            for i in (first_bad, first_bad - 1):
+                with pytest.raises(IndexError, match="below the first level"):
+                    getattr(fraction, name)(i)
 
 
 class TestExpand:
@@ -186,17 +214,17 @@ class TestExtract:
     def test_factorial_levels(self, ctx):
         f = consts(ctx, [math.factorial(i) for i in range(11)])
         jf = extract_jfraction(f, 4)
-        assert list(jf.s_list) == consts(ctx, [1, 3, 5, 7, 9])
-        assert list(jf.r_list) == consts(ctx, [1, 4, 9, 16])
+        assert list(jf.s_levels) == consts(ctx, [1, 3, 5, 7, 9])
+        assert list(jf.r_levels) == consts(ctx, [1, 4, 9, 16])
 
     def test_geometric_degenerates(self, ctx):
         c = ctx.var("c")
         f = [c**i for i in range(7)]
         jf = extract_jfraction(f, 3)
         # the fraction ends at its zero r_1
-        assert len(jf.r_list) == 1 and jf.r_list[-1].is_zero()
-        assert jf.s_list[0] == c
-        assert jf.r_list[0].is_zero()
+        assert len(jf.r_levels) == 1 and jf.r_levels[-1].is_zero()
+        assert jf.s_levels[0] == c
+        assert jf.r_levels[0].is_zero()
         # and the terminated fraction expands back to the series
         assert j_expand(jf, 6) == [c**i for i in range(7)]
 
@@ -226,16 +254,16 @@ class TestExtract:
         q = ctx.var("q")
         f = [ctx.one, ctx.zero, q] + [ctx.zero, ctx.one] * 3
         jf = extract_jfraction(f, 1)
-        assert list(jf.s_list) == [ctx.zero, ctx.zero]
-        assert list(jf.r_list) == [q]
+        assert list(jf.s_levels) == [ctx.zero, ctx.zero]
+        assert list(jf.r_levels) == [q]
 
     def test_terminated_fraction_ignores_the_tail(self, ctx):
         # r_2 = 0 ends the fraction before any level reads c_1[4] = 1/q
         q = ctx.var("q")
         f = [ctx.one, ctx.zero, q, ctx.zero, q * q, ctx.zero, ctx.one]
         jf = extract_jfraction(f, 3)
-        assert list(jf.s_list) == [ctx.zero, ctx.zero]
-        assert list(jf.r_list) == [q, ctx.zero]
+        assert list(jf.s_levels) == [ctx.zero, ctx.zero]
+        assert list(jf.r_levels) == [q, ctx.zero]
 
     def test_round_trip_random_positive(self, ctx):
         rng = random.Random(7)
@@ -246,8 +274,8 @@ class TestExtract:
             jf = JFraction.from_lists(ctx, s, r)
             f = j_expand(jf, 2 * L + 1)
             back = extract_jfraction(f, L)
-            assert list(back.s_list) == s
-            assert list(back.r_list) == r
+            assert list(back.s_levels) == s
+            assert list(back.r_levels) == r
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 4).flatmap(lambda levels: st.tuples(
@@ -265,8 +293,8 @@ class TestExtract:
         back = extract_jfraction(series, levels)
         # the fraction comes back cut after its first zero r
         cut = next((i + 1 for i, v in enumerate(r) if not v), None)
-        assert list(back.s_list) == s[:cut]
-        assert list(back.r_list) == r[:cut]
+        assert list(back.s_levels) == s[:cut]
+        assert list(back.r_levels) == r[:cut]
         assert j_expand(back, 2 * levels + 1) == series
 
     def test_symbolic_family_series(self):
@@ -278,8 +306,8 @@ class TestExtract:
         t = build_triangle(fam.spec, 6)
         jf = extract_jfraction(t.row_gfs(), 3)
         want = contract(fam.sfraction)
-        assert list(jf.s_list) == [want.s(i) for i in range(3)]
-        assert list(jf.r_list) == [want.r(i) for i in range(1, 4)]
+        assert list(jf.s_levels) == [want.s(i) for i in range(3)]
+        assert list(jf.r_levels) == [want.r(i) for i in range(1, 4)]
 
 
 def to_sympy(p, symbols):
@@ -821,18 +849,39 @@ class TestCfMatch:
         even, odd = n + 1, n + 1
         sf = SFraction.from_forms(even, odd)
         jf = contract(sf)
-        leftover = jfraction_split(jf, sf, 4)
+        leftover = jfraction_split(jf, sf)
         assert leftover is not None and leftover.is_zero()
         wrong = SFraction.from_forms(even + 1, odd)
-        assert jfraction_split(jf, wrong, 4) is None
+        assert jfraction_split(jf, wrong) is None
 
-    def test_split_rejects_negative_levels(self, ctx):
-        # checking no level would read a wrong split as holding
-        n = ctx.var("n")
-        sf = SFraction.from_forms(n + 1, n + 1)
-        for split in (sf, SFraction.from_forms(n + 2, n + 1)):
-            with pytest.raises(ValueError, match="levels must be nonnegative"):
-                jfraction_split(contract(sf), split, -1)
+    def test_split_is_an_identity_in_n(self, ctx):
+        # P vanishes at n = -1 .. 5, so the two S-fractions agree on every
+        # alpha that levels 0 .. 6 of the J-fraction read, yet differ beyond
+        n, q = ctx.var("n"), ctx.var("q")
+        even, odd = n + q, n + 1
+        p = math.prod((n - j for j in range(-1, 6)), start=ctx.one)
+        jf = contract(SFraction.from_forms(even, odd))
+        off = SFraction.from_forms(even, odd + p)
+        assert all(jf.s(i) == off.alpha(2 * i) + (off.alpha(2 * i - 1) if i else 0)
+                   for i in range(7))
+        assert all(jf.r(m) == off.alpha(2 * m - 2) * off.alpha(2 * m - 1) for m in range(1, 7))
+        assert jf.s(7) != contract(off).s(7)
+        assert jfraction_split(jf, off) is None
+
+    def test_split_reads_s0(self, ctx):
+        # s_0 = alpha_0 + odd(-1): the leftover odd(-1) = 2 sits in s_0,
+        # through the closed form or through the s0 override
+        n, q = ctx.var("n"), ctx.var("q")
+        sf = SFraction.from_forms(n + q, n + 3)
+        whole = contract(sf)
+        plain = JFraction.from_forms(whole.s_levels, whole.r_levels)
+        assert plain.s(0) == q + 2
+        assert jfraction_split(plain, sf) == 2 * ctx.one
+        assert jfraction_split(replace(plain, s0=q + 2), sf) == 2 * ctx.one
+        # contraction's own s0 = alpha_0 leaves no room for the leftover
+        assert whole.s0 == q and jfraction_split(whole, sf) is None
+        with pytest.raises(ValueError, match="closed-form"):
+            jfraction_split(contract(SFraction.from_list(ctx, [q, q, q])), sf)
 
 
 def row_path(t, fraction, depth, var="q", prescaled=False):
@@ -879,7 +928,7 @@ class TestCoWalk:
         else:  # the Touchard fraction, of some family's rows or of none
             n, q = fam.ctx.var("n"), fam.ctx.var(fam.gf_var)
             jf = JFraction.from_forms(n + q, n * q)
-        bumped = replace(jf, s_form=jf.s_form + 1) if jf.s_form is not None else None
+        bumped = replace(jf, s_levels=jf.s_levels + 1) if isinstance(jf.s_levels, Poly) else None
         for frac in (*fracs, jf, listed(jf, 5), bumped):
             if frac is None:
                 continue
@@ -931,7 +980,7 @@ class TestCoWalk:
             read = build_triangle(spec, 6)
             assert any(type(c) is Fraction for row in read.rows for e in row
                        for c in e.terms.values())
-            bumped = replace(fam.sfraction, odd_form=fam.sfraction.odd_form + 1)
+            bumped = replace(fam.sfraction, odd=fam.sfraction.odd + 1)
             for frac, want in ((fam.sfraction, True), (fam.jfraction, True), (bumped, False)):
                 t = build_triangle(spec, 6)
                 assert row_path(read, frac, 6) is want
@@ -954,9 +1003,9 @@ class TestCoWalk:
         fam = CATALOG["stirling-partition"]()
         n, q = fam.ctx.var("n"), fam.ctx.var("q")
         jf = listed(JFraction.from_forms(n + q, n * q), 8)
-        r = list(jf.r_list)
+        r = list(jf.r_levels)
         r[2] = r[2] + 1
-        bad = replace(jf, r_list=tuple(r))
+        bad = replace(jf, r_levels=tuple(r))
         t = build_triangle(fam.spec, 14)
         log = RunLog(monkeypatch)
 

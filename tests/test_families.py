@@ -7,11 +7,12 @@ forms must hold symbolically.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tpcert.contfrac import cf_match, jfraction_split
+from tpcert.contfrac import JFraction, SFraction, cf_match, jfraction_split
 from tpcert.families import (
     CATALOG,
     MIXED_BRANCHES,
@@ -64,7 +65,7 @@ def verify_family(fam: Family, depth: int = 6) -> None:
         ), f"{fam.name}: J-fraction mismatch"
     if fam.sfraction is not None:
         if fam.sf_split_only:
-            leftover = jfraction_split(fam.jfraction, fam.sfraction, depth)
+            leftover = jfraction_split(fam.jfraction, fam.sfraction)
             assert leftover is not None, f"{fam.name}: split mismatch"
             assert leftover.is_nonneg(), f"{fam.name}: split leftover not nonneg"
         else:
@@ -215,6 +216,24 @@ def test_family_substitution_consistency():
     verify_family(base.substituted("a2", base.ctx.var("a1")))
     four = four_term_family("nk")
     verify_family(four.substituted("d", 2 * four.ctx.var("d")))
+    # every free parameter doubled, as the benchmark seeds its families:
+    # each level sequence, closed form or tuple, and s0 follow the spec
+    for make in CATALOG.values():
+        fam = make()
+        jf, sf, ctx = fam.jfraction, fam.sfraction, fam.ctx
+        if jf is None and sf is None:
+            continue
+        listed = replace(
+            fam,
+            jfraction=jf and JFraction.from_lists(ctx, [jf.s(i) for i in range(4)],
+                                                  [jf.r(i) for i in range(1, 5)]),
+            sfraction=sf and SFraction.from_list(ctx, [sf.alpha(i) for i in range(8)]),
+        )
+        for scaled in (fam, listed):
+            for name in ctx.names:
+                if name not in ("n", "k", fam.gf_var):
+                    scaled = scaled.substituted(name, 2 * ctx.var(name))
+            verify_family(scaled)
 
 
 class TestClassicalSpecializations:
