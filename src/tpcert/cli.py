@@ -289,6 +289,10 @@ _poly = _type("polynomial", lambda v: type(v) is int or isinstance(v, str),
               lambda v, ctx, parsed: ctx.parse(str(v)))  # a ParseError is a ValueError
 _polys = _type("non-empty list of polynomials", lambda v: isinstance(v, list) and v,
                lambda v, ctx, parsed: [_poly(p, ctx, parsed) for p in v])
+# row 0 is 1 on every triangle, so one row value or a 1x1 Hankel block checks nothing
+_row_values = _type("list of at least 2 polynomials", lambda v: isinstance(v, list) and len(v) > 1,
+                    _polys)
+_hankel_size = _type("integer >= 2", lambda v: type(v) is int and v >= 2)
 _rational_map = _type("mapping of variables to rationals", lambda v: isinstance(v, dict),
                       _rationals)
 _criteria = _type("non-empty list of i, ii, iii, iv", lambda v: isinstance(v, list) and v
@@ -356,7 +360,7 @@ _CHECKS = {
     }),
     "row-gf": _kind(_PlanRunner.run_row_gf, lambda c: len(c["values"]) - 1, {
         "at": (_rational_map, {}),
-        "values": (_polys, _REQUIRED),
+        "values": (_row_values, _REQUIRED),
     }),
     "cf-match": _kind(_PlanRunner.run_cf_match, lambda c: c["depth"], {
         "depth": (_positive, _DEPTH),
@@ -372,7 +376,7 @@ _CHECKS = {
     }),
     "hankel-tp": _kind(_PlanRunner.run_hankel_tp, lambda c: 2 * (c["size"] - 1), {
         "source": (_source, "row-gf"),
-        "size": (_positive, _REQUIRED),
+        "size": (_hankel_size, _REQUIRED),
         "order": (_positive, _REQUIRED),
     }),
     "k-lcx": _kind(_PlanRunner.run_k_lcx, lambda c: 2 * c["k"], {
@@ -407,7 +411,7 @@ _CHECKS = {
     }, triangle=COLUMN_WALK),
     "hankel-factorization": _kind(
         _PlanRunner.run_hankel_factorization, lambda c: 2 * (c["size"] - 1), {
-            "size": (_positive, _REQUIRED),
+            "size": (_hankel_size, _REQUIRED),
         }, triangle=COLUMN_WALK),
 }
 _PLAN_KEYS = ("name", "vars", "gf-var", "triangle", "specialize", "checks")

@@ -91,8 +91,9 @@ class SFraction:
     alpha_2, ...) and ``odd`` (alpha_1, alpha_3, ...).
 
     Both are closed forms in n, valued alpha_{2n} and alpha_{2n+1}, free
-    of k, or both tuples of levels free of n and k, ``even`` not empty;
-    ValueError names the field that does not fit.
+    of k, or both tuples of levels free of n and k, ``even`` not empty and
+    ``odd`` as long or one shorter; ValueError names the field that does
+    not fit.
     """
 
     ctx: VarContext
@@ -104,6 +105,8 @@ class SFraction:
             raise ValueError("'even' and 'odd' must both be closed forms or both tuples")
         if self.even == ():
             raise ValueError("alpha list must not be empty")
+        if not isinstance(self.even, Poly) and len(self.even) - len(self.odd) not in (0, 1):
+            raise ValueError("'odd' must hold as many levels as 'even' or one fewer")
         _check_levels(self.ctx, ("even", self.even), ("odd", self.odd))
 
     @classmethod

@@ -898,134 +898,99 @@ def _monomial_text(names: Sequence[str], exps: Sequence[int]) -> str:
     return "*".join(nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, exps) if e)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg):
-        raise ParseError(msg, self.text, self.pos)
-
-    def peek(self):
-        t = self.text
-        i = self.pos
-        while i < len(t) and t[i].isspace():
-            i += 1
-        self.pos = i
-        if i >= len(t):
-            return None, None
-        ch = t[i]
-        if ch.isdigit():
-            j = i
-            while j < len(t) and t[j].isdigit():
-                j += 1
-            return "int", t[i:j]
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                j += 1
-            return "name", t[i:j]
-        if t.startswith("**", i):
-            return "op", "^"
-        if ch in "+-*/^()":
-            return "op", ch
-        self.error(f"unexpected character {ch!r}")
-
-    def take(self):
-        kind, val = self.peek()
-        if kind is None:
-            return None, None
-        if kind == "op" and val == "^" and self.text.startswith("**", self.pos):
-            self.pos += 2
-        else:
-            self.pos += len(val)
-        return kind, val
-
-
 def _parse_poly(ctx: VarContext, text: str) -> Poly:
-    tok = _Tokenizer(text)
+    """Recursive descent over the tokens of ``text``, each lexed once, when first looked at:
+    expr := [+|-] term (('+'|'-') term)*;  term := power (('*'|'/') power)*, each divisor a
+    nonzero rational constant;  power := atom ['^' INT], '**' read as '^', INT a run of
+    ``str.isdigit``;  atom := INT | NAME | '(' expr ')' | '-' atom.  ParseError's column is
+    the cursor: the start of the token last looked at, or the end of the token last taken."""
+    def lex(i, size=len(text)):  # (kind, value, start, end) from i; an operator is its kind
+        while i < size and text[i].isspace():
+            i += 1
+        if i == size:
+            return None, None, i, i
+        ch, j = text[i], i + 1
+        if ch.isdigit():
+            while j < size and text[j].isdigit():
+                j += 1
+            return "int", text[i:j], i, j
+        if ch.isalpha() or ch == "_":
+            while j < size and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            return "name", text[i:j], i, j
+        if ch in "+-*/^()":
+            return ("^", "^", i, i + 2) if text.startswith("**", i) else (ch, ch, i, j)
+        raise ParseError(f"unexpected character {ch!r}", text, i)
 
-    def parse_expr() -> Poly:
-        kind, val = tok.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            tok.take()
-            negate = val == "-"
-        acc = parse_term()
-        if negate:
-            acc = -acc
-        while True:
-            kind, val = tok.peek()
-            if kind == "op" and val in "+-":
-                tok.take()
-                rhs = parse_term()
-                acc = acc - rhs if val == "-" else acc + rhs
-            else:
-                return acc
+    look, pos = None, 0  # the token looked at, not yet taken; the cursor, where lexing resumes
 
-    def parse_term() -> Poly:
-        acc = parse_power()
-        while True:
-            kind, val = tok.peek()
-            if kind == "op" and val == "*":
-                tok.take()
-                acc = acc * parse_power()
-            elif kind == "op" and val == "/":
-                tok.take()
-                at = tok.pos
-                rhs = parse_power()
-                if not rhs.is_constant():
-                    raise ParseError(
-                        "division is only allowed by a rational constant", text, at
-                    )
-                if rhs.is_zero():
-                    raise ParseError("division by zero", text, at)
-                acc = acc / rhs
-            else:
-                return acc
+    def peek():
+        nonlocal look, pos
+        look = look or lex(pos)
+        pos = look[2]
+        return look[0]
 
-    def parse_power() -> Poly:
-        base = parse_atom()
-        kind, val = tok.peek()
-        if kind == "op" and val == "^":
-            tok.take()
-            kind, val = tok.take()
-            if kind != "int":
-                tok.error("expected an integer exponent")
-            return base ** int(val)
-        return base
+    def take():
+        nonlocal look, pos
+        token, look = look or lex(pos), None
+        pos = token[3]
+        return token
 
-    def parse_atom() -> Poly:
-        kind, val = tok.take()
+    def expr() -> Poly:
+        acc = -term() if peek() in ("+", "-") and take()[0] == "-" else term()
+        while peek() in ("+", "-"):
+            acc = acc - term() if take()[0] == "-" else acc + term()
+        return acc
+
+    def term() -> Poly:
+        acc = power()
+        while peek() in ("*", "/"):
+            acc = acc * power() if take()[0] == "*" else acc / divisor()
+        return acc
+
+    def divisor() -> Poly:
+        at, rhs = pos, power()
+        if not rhs.is_constant():
+            raise ParseError("division is only allowed by a rational constant", text, at)
+        if rhs.is_zero():
+            raise ParseError("division by zero", text, at)
+        return rhs
+
+    def power() -> Poly:
+        base = atom()
+        if peek() != "^":
+            return base
+        take()
+        kind, digits, _, _ = take()
+        if kind != "int":
+            raise ParseError("expected an integer exponent", text, pos)
+        return base ** int(digits)
+
+    def atom() -> Poly:
+        kind, value, start, _ = take()
         if kind == "int":
-            return ctx.const(int(val))
+            return ctx.const(int(value))
+        if kind == "name" and value not in ctx._pos:
+            raise ParseError(f"unknown variable {value!r} (context has {ctx.names})", text, start)
         if kind == "name":
-            if val not in ctx._pos:
-                raise ParseError(
-                    f"unknown variable {val!r} (context has {ctx.names})",
-                    text,
-                    tok.pos - len(val),
-                )
-            return ctx.var(val)
-        if kind == "op" and val == "(":
-            inner = parse_expr()
-            kind, val = tok.take()
-            if val != ")":
-                tok.error("expected ')'")
+            return ctx.var(value)
+        if kind == "(":
+            inner = expr()
+            if take()[0] != ")":
+                raise ParseError("expected ')'", text, pos)
             return inner
-        if kind == "op" and val == "-":
-            return -parse_atom()
-        tok.error("expected a number, variable or '('")
+        if kind == "-":
+            return -atom()
+        raise ParseError("expected a number, variable or '('", text, pos)
 
     try:
-        result = parse_expr()
+        result = expr()
     except ParseError:
         raise
-    except ValueError as exc:  # a product's exponent past the packing width
-        raise ParseError(str(exc), text, tok.pos) from None
-    kind, val = tok.peek()
-    if kind is not None:
-        tok.error(f"trailing input {val!r}")
+    except ValueError as exc:  # int() of a digit such as '²', or an exponent past the width
+        raise ParseError(str(exc), text, pos) from None
+    if peek() is not None:
+        raise ParseError(f"trailing input {look[1]!r}", text, pos)
     return result
 
 

@@ -82,8 +82,8 @@ class RecurrenceSpec:
     parameters.  For ``column-walk`` it is (r, s, t), each either a
     polynomial in k or an explicit per-level tuple of polynomials free of
     n and k.  ``denominator`` is one monomial free of n and k with a
-    positive coefficient.  All belong to ``ctx``, or ValueError names the
-    field that does not fit.
+    positive coefficient.  ``ctx`` names both n and k, and all belong to
+    it, or ValueError names the field or index that does not fit.
     """
 
     ctx: VarContext
@@ -98,6 +98,9 @@ class RecurrenceSpec:
             raise ValueError("row-shift spec needs coefficients (c0, c1[, c2])")
         if self.kind == COLUMN_WALK and len(self.coeffs) != 3:
             raise ValueError("column-walk spec needs coefficients (r, s, t)")
+        for index in RESERVED_VARS:
+            if index not in self.ctx.names:
+                raise ValueError(f"the spec's context lacks the recurrence index {index!r}")
         walk = self.kind == COLUMN_WALK
         polys = []  # (field, polynomial, the indices it may involve)
         for name, c in zip(("r", "s", "t") if walk else ("c0", "c1", "c2"), self.coeffs):

@@ -302,7 +302,7 @@ def test_oracle_match_beyond_guard_is_load_error(tmp_path):
 
 # a complete check of each kind that reads fields unconditionally
 COMPLETE = {
-    "row-gf": {"values": "[1]"},
+    "row-gf": {"values": "[1, 1]"},
     "hankel-tp": {"size": 2, "order": 2},
     "hankel-factorization": {"size": 2},
     "tridiagonal-criteria": {"expect": "[i]"},
@@ -593,6 +593,9 @@ def _with_check(body):
 # no Eulerian triangle, yet its row 0 is 1 like that of every triangle
 SHIFTED = ORACLE.replace('c0: "k"', 'c0: "k + 5"').split("  - kind:")[0]
 SHIFTED_0 = SHIFTED.replace("depth: 4", "depth: 0")
+# not totally positive, with negative entries, yet its row 0 is 1
+NEGATIVE = SHIFTED.replace('c0: "k + 5"', 'c0: "-k - 5"').replace(
+    'c1: "n - k + 1"', 'c1: "n - k - 9"')
 
 
 @pytest.mark.parametrize(
@@ -614,10 +617,10 @@ SHIFTED_0 = SHIFTED.replace("depth: 4", "depth: 0")
          2, "eval-at"),
         (_with_check('  - kind: product-formula\n    factor: "(q"\n    upto: 2\n'), 2, "factor"),
         (_with_check('  - kind: row-gf\n    values: ["1", "q +"]\n'), 2, "values"),
-        (_with_check("  - kind: row-gf\n    at: {q: abc}\n    values: [1]\n"), 2, "at"),
-        (_with_check("  - kind: row-gf\n    at: {q: 1, k: 7}\n    values: [1]\n"), 2, "at"),
+        (_with_check("  - kind: row-gf\n    at: {q: abc}\n    values: [1, 1]\n"), 2, "at"),
+        (_with_check("  - kind: row-gf\n    at: {q: 1, k: 7}\n    values: [1, 1]\n"), 2, "at"),
         (MINIMAL.replace("vars: [q]", "vars: [q, a]\nspecialize: {a: 2}")
-         + "  - kind: row-gf\n    at: {q: 1, a: 1}\n    values: [1]\n", 2, "at"),
+         + "  - kind: row-gf\n    at: {q: 1, a: 1}\n    values: [1, 1]\n", 2, "at"),
         (_with_check("  - kind: triangle-build\n    golden: 3\n"), 2, "golden"),
         (_with_check("  - kind: tridiagonal-criteria\n    upto: 2\n    expect: [i]\n"),
          2, "kind"),
@@ -658,6 +661,12 @@ SHIFTED_0 = SHIFTED.replace("depth: 4", "depth: 0")
         (SHIFTED_0 + "  - kind: companion-relation\n"
          + "".join(f'    {nm}: "1"\n' for nm in ("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam")),
          0, "upto"),
+        # a one-value row-gf and a 1x1 Hankel block hold only row 0
+        (SHIFTED + '  - kind: row-gf\n    values: ["1"]\n', 0, "values"),
+        (NEGATIVE + "  - kind: hankel-tp\n    size: 1\n    order: 1\n", 0, "size"),
+        (NEGATIVE + "  - kind: hankel-tp\n    source: first-column\n    size: 1\n    order: 1\n",
+         0, "size"),
+        (WALK.split("  - kind:")[0] + "  - kind: hankel-factorization\n    size: 1\n", 0, "size"),
         # plan sections
         (WALK.replace('  t: "k"\n', ""), None, "t"),
         (MINIMAL.replace("vars: [q]", "vars: [q, 3]"), None, "vars"),
@@ -694,6 +703,8 @@ SHIFTED_0 = SHIFTED.replace("depth: 4", "depth: 0")
         "oracle-symbolic-coefficient", "oracle-upto-0", "cf-match-depth-0",
         "product-formula-upto-0", "companion-relation-upto-0", "cf-match-depth-from-depth-0",
         "product-formula-upto-from-depth-0", "companion-relation-upto-from-depth-0",
+        "row-gf-one-value", "hankel-tp-size-1", "hankel-tp-first-column-size-1",
+        "hankel-factorization-size-1",
         "walk-without-t", "vars-name", "vars-repeated", "specialize-mapping",
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "denominator-negative", "denominator-specialized-negative",

@@ -92,6 +92,17 @@ class TestContract:
         with pytest.raises(ValueError, match="must not be empty"):
             SFraction.from_list(ctx, [])
 
+    def test_odd_holds_as_many_levels_as_even_or_one_fewer(self, ctx):
+        # contract zips the two tuples, so a longer odd tuple, or one shorter
+        # by two, would lose every alpha past the gap
+        a, b, c, d = (ctx.const(v) for v in (2, 3, 5, 7))
+        for even, odd in (((a,), (b, c, d)), ((a,), (b, c)), ((a, b, c), (d,))):
+            with pytest.raises(ValueError, match="'odd' must hold as many levels"):
+                SFraction(ctx, even, odd)
+        for even, odd in (((a,), ()), ((a,), (b,)), ((a, c), (b,))):
+            sf, depth = SFraction(ctx, even, odd), len(even) + len(odd)
+            assert s_expand(sf, depth) == j_expand(contract(sf), depth)
+
     def test_levels_name_only_the_level_variable(self, ctx):
         # a closed form may name n, a listed level neither n nor k
         n, k, q = ctx.var("n"), ctx.var("k"), ctx.var("q")

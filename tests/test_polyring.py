@@ -185,6 +185,70 @@ def test_parse_errors_carry_position(ctx):
         ctx.parse("q ^ q")
 
 
+_CONTEXT_NAMES = "(context has ('n', 'k', 'q', 'a'))"
+
+
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("q + ", "expected a number, variable or '('", 4),
+        ("", "expected a number, variable or '('", 0),
+        ("-+q", "expected a number, variable or '('", 2),
+        # lexed lazily: the '*' fails before the '$' is read
+        ("*$", "expected a number, variable or '('", 1),
+        ("q $", "unexpected character '$'", 2),
+        ("  q^ $", "unexpected character '$'", 5),
+        ("q + zz", f"unknown variable 'zz' {_CONTEXT_NAMES}", 4),
+        ("q + é", f"unknown variable 'é' {_CONTEXT_NAMES}", 4),
+        ("q ^ q", "expected an integer exponent", 5),
+        ("q^", "expected an integer exponent", 2),
+        ("(q + 1", "expected ')'", 6),
+        ("(q + 1 q", "expected ')'", 8),
+        ("q^2**3", "trailing input '^'", 3),
+        ("q^2^3", "trailing input '^'", 3),
+        ("(q +\t1)) ", "trailing input ')'", 7),
+        ("q 1", "trailing input '1'", 2),
+        ("q / a", "division is only allowed by a rational constant", 3),
+        ("q/(1 - 1)", "division by zero", 2),
+        ("q/ 0", "division by zero", 2),
+        # a ValueError is placed at the cursor: after the token last taken,
+        # or at the start of the token last looked at
+        ("a^65536", "an exponent exceeds 65535", 7),
+        ("a^40000 * a^40000 ", "an exponent exceeds 65535", 17),
+        ("a^40000*(a^40000) + 1", "an exponent exceeds 65535", 18),
+        # digits are what str.isdigit accepts, so '²' lexes as one and int() fails
+        ("²3", "invalid literal for int() with base 10: '²3'", 2),
+        ("q^²", "invalid literal for int() with base 10: '²'", 3),
+    ],
+)
+def test_parse_error_messages_and_columns(text, message, pos):
+    ctx = VarContext(["n", "k", "q", "a"])
+    with pytest.raises(ParseError) as err:
+        ctx.parse(text)
+    assert err.value.pos == pos
+    assert str(err.value) == f"{message} at column {pos + 1} in {text!r}"
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("(1 + q)**2", [(1, {"q": 2}), (2, {"q": 1}), (1, {})]),
+        ("-q^2", [(-1, {"q": 2})]),
+        ("2*-q^2", [(2, {"q": 2})]),  # unary minus binds tighter than '^' inside a term
+        ("--q", [(1, {"q": 1})]),
+        ("+q - 1", [(1, {"q": 1}), (-1, {})]),
+        ("((q + 1)*(q - 1))", [(1, {"q": 2}), (-1, {})]),
+        ("q/2", [(mpq(1, 2), {"q": 1})]),
+        ("1/2/3*a", [(mpq(1, 6), {"a": 1})]),
+        ("\tn*k ^ 2 - n\t", [(1, {"n": 1, "k": 2}), (-1, {"n": 1})]),
+        ("q^0", [(1, {})]),
+    ],
+)
+def test_parse_grammar(text, terms):
+    ctx = VarContext(["n", "k", "q", "a"])
+    assert ctx.parse(text) == ctx.from_terms(terms)
+
+
 @pytest.mark.parametrize("text", ["a^65536", "a^40000*a^40000", "n^65535*n"])
 def test_exponent_overflow_is_a_parse_error(text):
     # exponents are packed 16 bits each; these used to read as q, q*a^14464

@@ -401,6 +401,17 @@ def test_spec_validation():
         RecurrenceSpec(c, ROW_SHIFT, (c.one, c.one), denominator=c.parse("q + 1"))
 
 
+@pytest.mark.parametrize("names, index", [(["k", "q"], "n"), (["n", "q"], "k"), (["q"], "n")])
+def test_spec_context_names_both_recurrence_indices(names, index):
+    # every coefficient is read at integer n and k, and triangle_jfraction
+    # rewrites a column walk's forms in k into forms in n
+    c = VarContext(names)
+    one = c.one
+    for kind, coeffs in ((ROW_SHIFT, (one, one)), (COLUMN_WALK, (one, one + one, one))):
+        with pytest.raises(ValueError, match=f"lacks the recurrence index '{index}'"):
+            RecurrenceSpec(c, kind, coeffs)
+
+
 def _refused_specs():
     """Specs whose stored rows certify nothing about the true ones, each
     made by a call that must raise ValueError."""
