@@ -66,6 +66,12 @@ _TRIPLE_DEGREE = 1 << (_BITS - 1)
 _SAMPLE = 24
 # ``_put_digits`` reads a fiber of more digits than this by halves
 _SPLIT = 128
+# ``_parse_poly`` reads at most this many nested '(' and unary '-' atoms;
+# each '(' costs it four stack frames
+_MAX_NESTING = 100
+# ``_decimal`` converts an int of at most this many bits (602 digits) in one
+# piece: below 640, the least limit ``sys.set_int_max_str_digits`` accepts
+_DECIMAL_BITS = 2000
 
 
 class ContextMismatch(ValueError):
@@ -877,20 +883,39 @@ def render(p: Poly) -> str:
     chunks = []
     for exps, coeff in p.sorted_terms():
         mono = _monomial_text(names, exps)
-        c = mpq(coeff)
-        neg = c < 0
-        c = -c if neg else c
+        neg = coeff < 0
+        c = -coeff if neg else coeff
         if not mono:
-            body = str(c)
+            body = _rational_text(c)
         elif c == 1:
             body = mono
         else:
-            body = f"{c}*{mono}"
+            body = f"{_rational_text(c)}*{mono}"
         if not chunks:
             chunks.append(f"-{body}" if neg else body)
         else:
             chunks.append(f" - {body}" if neg else f" + {body}")
     return "".join(chunks)
+
+
+def _rational_text(c: Rational) -> str:
+    """``str(c)`` of an int or ``Fraction`` of any size."""
+    text = _decimal(c.numerator)
+    return text if c.denominator == 1 else f"{text}/{_decimal(c.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` of an int of any size.  Past ``_DECIMAL_BITS`` the digits
+    come in two parts, split by ``divmod`` with a power of 10, so that no
+    conversion passes the interpreter's limit on the digits of an int-to-str
+    conversion; the limit itself is left as set."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _DECIMAL_BITS:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
 
 
 def _monomial_text(names: Sequence[str], exps: Sequence[int]) -> str:
@@ -902,8 +927,10 @@ def _parse_poly(ctx: VarContext, text: str) -> Poly:
     """Recursive descent over the tokens of ``text``, each lexed once, when first looked at:
     expr := [+|-] term (('+'|'-') term)*;  term := power (('*'|'/') power)*, each divisor a
     nonzero rational constant;  power := atom ['^' INT], '**' read as '^', INT a run of
-    ``str.isdigit``;  atom := INT | NAME | '(' expr ')' | '-' atom.  ParseError's column is
-    the cursor: the start of the token last looked at, or the end of the token last taken."""
+    ``str.isdigit``;  atom := INT | NAME | '(' expr ')' | '-' atom, nested at most
+    ``_MAX_NESTING`` deep, so that deep nesting is a ParseError at the '(' or '-' past the
+    limit rather than a RecursionError.  ParseError's column is otherwise the cursor: the
+    start of the token last looked at, or the end of the token last taken."""
     def lex(i, size=len(text)):  # (kind, value, start, end) from i; an operator is its kind
         while i < size and text[i].isspace():
             i += 1
@@ -923,6 +950,7 @@ def _parse_poly(ctx: VarContext, text: str) -> Poly:
         raise ParseError(f"unexpected character {ch!r}", text, i)
 
     look, pos = None, 0  # the token looked at, not yet taken; the cursor, where lexing resumes
+    depth = 0  # the '(' and unary '-' atoms open around the cursor
 
     def peek():
         nonlocal look, pos
@@ -967,6 +995,7 @@ def _parse_poly(ctx: VarContext, text: str) -> Poly:
         return base ** int(digits)
 
     def atom() -> Poly:
+        nonlocal depth
         kind, value, start, _ = take()
         if kind == "int":
             return ctx.const(int(value))
@@ -974,14 +1003,19 @@ def _parse_poly(ctx: VarContext, text: str) -> Poly:
             raise ParseError(f"unknown variable {value!r} (context has {ctx.names})", text, start)
         if kind == "name":
             return ctx.var(value)
-        if kind == "(":
+        if kind not in ("(", "-"):
+            raise ParseError("expected a number, variable or '('", text, pos)
+        if depth == _MAX_NESTING:
+            raise ParseError("nesting too deep", text, start)
+        depth += 1
+        if kind == "-":
+            inner = -atom()
+        else:
             inner = expr()
             if take()[0] != ")":
                 raise ParseError("expected ')'", text, pos)
-            return inner
-        if kind == "-":
-            return -atom()
-        raise ParseError("expected a number, variable or '('", text, pos)
+        depth -= 1
+        return inner
 
     try:
         result = expr()

@@ -13,8 +13,19 @@ W is one bit longer than a bound on the l1 norm of every minor scanned, so
 every coefficient lies in (-2^(W-1), 2^(W-1)); one mask of the top bit of
 every W-bit digit then tells whether a minor has a negative coefficient,
 and only a failing minor is read back into a ``Poly``.  Blocks with a
-rational coefficient, two or more variables, sparse entries, or minors
-whose degree might pass 65535 are scanned on their ``Poly`` entries.
+coefficient that is not an integer, two or more variables, sparse entries,
+or minors whose degree might pass 65535 are scanned on their ``Poly``
+entries.
+
+An encoded block equal to its transpose (a Hankel block) has
+det(R, C) = det(C, R), so its scan forms only the minors with rows <= cols
+in lexicographic order and counts the others; the witness and
+``minors_checked`` are those of the full scan, and the memo keeps its
+(rows, cols) keys and last-row rule, since every cofactor read also has
+rows <= cols (see ``_scan``).  ``Poly`` blocks keep the full scan while the
+benchmark pins the products of the ``four-term[nk]`` scan; extending the
+rule to them means dropping the ``encoded is not None`` condition in
+``is_totally_positive``.
 
 Sequence containers follow the mathematical indexing of tridiagonal
 matrices: diagonal s_0, s_1, ..., superdiagonal r_0, r_1, ..., subdiagonal
@@ -27,12 +38,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, prod
 from operator import or_
 from typing import Sequence
 
-from .polyring import _BITS, _MASK, Poly, VarContext, _join, _monomial_text, _put_digits, render
+from .polyring import (
+    _BITS, _MASK, Poly, VarContext, _join, _monomial_text, _put_digits, _rational_text, render,
+)
 
 PolySeq = Sequence[Poly]
 
@@ -166,7 +179,8 @@ class _IntBlock(PolyMatrix):
 
 def _encode(m: PolyMatrix, order: int) -> "_IntBlock | None":
     """``m`` encoded for a scan of the minors of order <= ``order``, or None
-    when its entries keep ``Poly`` form: a rational coefficient, two or more
+    when its entries keep ``Poly`` form: a coefficient that is not an
+    integer (a ``Fraction`` with denominator 1 is read as one), two or more
     variables, entries much sparser than their degrees (more than four
     digits per term), or minors whose degree might pass 65535 (the ``Poly``
     product raises on those as it always has).
@@ -188,9 +202,9 @@ def _encode(m: PolyMatrix, order: int) -> "_IntBlock | None":
             if not e:
                 continue
             for c in e.terms.values():
-                if type(c) is not int:
+                if c.denominator != 1:
                     return None
-                norm += abs(c)
+                norm += abs(c.numerator)
             top = max(e.terms) >> deg_shift
             occurring |= reduce(or_, e.terms)
             degree = max(degree, top)
@@ -205,7 +219,8 @@ def _encode(m: PolyMatrix, order: int) -> "_IntBlock | None":
     digit = (1 << width) - 1
     high = (1 << width * (order * degree + 1)) // digit << (width - 1)
     entries = [
-        [_join([(key >> deg_shift, c) for key, c in e.terms.items()], width) for e in row]
+        [_join([(key >> deg_shift, c.numerator) for key, c in e.terms.items()], width)
+         for e in row]
         for row in m.entries
     ]
     step = (1 << shift) + (1 << deg_shift) if fields else 0
@@ -235,7 +250,7 @@ class TPWitness:
             "cols": list(self.cols),
             "minor": render(self.minor),
             "monomial": self.monomial,
-            "coeff": str(self.coeff),
+            "coeff": _rational_text(self.coeff),
         }
 
 
@@ -283,7 +298,7 @@ def _first_negative(m: PolyMatrix, d):
     return d, _monomial_text(d.ctx.names, d.ctx.unpack(key)) or "1", d.terms[key]
 
 
-def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False):
+def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False, symmetric: bool = False):
     """Check each row subset against every column subset of its size, in
     order; returns (minors checked, first witness or None).
 
@@ -297,6 +312,17 @@ def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False):
     dropped.  With ``prune`` (a scan of every row subset), starting order r
     deletes the memo entries of order r-2 and below: the order-r minors
     read only order-(r-1) cofactors, all memoized by then.
+
+    A ``symmetric`` block has det(R, C) = det(C, R), so the scan forms only
+    the minors with rows <= cols in lexicographic order and counts each
+    (R, C) with C < R without forming it: its mirror (C, R) has the same
+    value and was checked earlier, since row set C comes before R.  The
+    count is that of the full order, and so is the witness: the first
+    failing minor of the full order has rows <= cols, or its mirror would
+    have failed earlier.  The memo keys and the storage rule stay as they
+    are, because every cofactor read is itself such a minor: if C >= R then
+    C[:-1] >= R[:-1], and C with one column dropped is at least C[:-1]
+    place by place, so the cofactor (R[:-1], C') has rows <= cols too.
 
     ``m`` is a ``PolyMatrix`` or the ``_IntBlock`` that ``_encode`` makes of
     a one-variable integer block: each entry is its value at v = 2^W, with W
@@ -319,7 +345,9 @@ def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False):
                 for key in [key for key in memo if len(key[0]) < order - 1]:
                     del memo[key]
         det = _expand if order > 1 and (order == top or rows[-1] == last) else _det_cofactor
-        for cols in combinations(range(m.ncols), order):
+        skipped = _rank(rows, m.ncols) if symmetric else 0
+        checked += skipped
+        for cols in islice(combinations(range(m.ncols), order), skipped, None):
             d = det(m, rows, cols, memo)
             checked += 1
             bad = _first_negative(m, d)
@@ -339,19 +367,29 @@ def is_totally_positive(m: PolyMatrix, order: int, jobs: int = 1) -> TPReport:
     processes, no more than there are row subsets or CPUs.
 
     A block of integer polynomials in at most one variable is scanned as
-    integers (see ``_encode``); the report is the same either way.
+    integers (see ``_encode``), and when it is symmetric, as a Hankel block
+    is, only its minors with rows <= cols are formed (see ``_scan``); the
+    report is the same either way.  Blocks kept in ``Poly`` form take the
+    full scan, whose products the benchmark's counters pin.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     order = min(order, m.nrows, m.ncols)
     encoded = _encode(m, order)
+    symmetric = encoded is not None and _symmetric(encoded)
     if encoded is not None:
         m = encoded
     row_subsets = [
         rows for size in range(1, order + 1) for rows in combinations(range(m.nrows), size)
     ]
-    checked, witness = _scan_parallel(m, row_subsets, jobs)
+    checked, witness = _scan_parallel(m, row_subsets, jobs, symmetric)
     return TPReport(m.nrows, m.ncols, order, witness is None, witness, checked)
+
+
+def _symmetric(m: PolyMatrix) -> bool:
+    """Whether ``m`` is square and equal to its transpose."""
+    e = m.entries
+    return m.nrows == m.ncols and all(e[i][j] == e[j][i] for i in range(m.nrows) for j in range(i))
 
 
 def _usable_cpus() -> int:
@@ -362,27 +400,49 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _scan_parallel(m: PolyMatrix, row_subsets: list, jobs: int):
-    """``_scan`` with the row subsets dealt round-robin to
-    min(jobs, row subsets, CPUs) workers, or run serially, with the memo
-    pruned, when that is fewer than two; the count is that of the serial
-    scan."""
+def _scan_parallel(m: PolyMatrix, row_subsets: list, jobs: int, symmetric: bool):
+    """``_scan`` with the row subsets dealt to min(jobs, row subsets, CPUs)
+    workers, or run serially, with the memo pruned, when that is fewer than
+    two; the count is that of the serial scan.
+
+    The row subsets are dealt in scan order, each to the share that forms
+    the fewest minors so far (the first such share on a tie): a row subset
+    forms a minor per column subset, or with ``symmetric`` per column subset
+    from its own row set on, so the later row subsets of an order form
+    fewer and shares dealt round-robin would be lopsided."""
     workers = min(jobs, len(row_subsets), _usable_cpus())
     if workers < 2:
-        return _scan(m, row_subsets, {}, prune=True)
+        return _scan(m, row_subsets, {}, prune=True, symmetric=symmetric)
     from multiprocessing import get_context
 
-    shares = [(m, row_subsets[i::workers], {}) for i in range(workers)]
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for rows in row_subsets:
+        i = loads.index(min(loads))
+        shares[i].append(rows)
+        loads[i] += comb(m.ncols, len(rows)) - (_rank(rows, m.ncols) if symmetric else 0)
     with get_context("fork").Pool(workers) as pool:
-        results = pool.starmap(_scan, shares)
+        results = pool.starmap(_scan, [(m, share, {}, False, symmetric) for share in shares])
     witnesses = [w for _, w in results if w is not None]
     if not witnesses:
         return sum(c for c, _ in results), None
     w = min(witnesses, key=lambda w: (w.order, w.rows, w.cols))
     before = row_subsets[: row_subsets.index(w.rows)]
     checked = sum(comb(m.ncols, len(rows)) for rows in before)
-    checked += list(combinations(range(m.ncols), w.order)).index(w.cols) + 1
+    checked += _rank(w.cols, m.ncols) + 1
     return checked, w
+
+
+def _rank(subset: tuple, n: int) -> int:
+    """The position of ``subset`` among the subsets of range(n) of its size
+    in lexicographic order.  For its member x at place i, the subsets that
+    agree with it before place i and hold a smaller j there come first:
+    C(n-1-j, size-1-i) of them for each j between the previous member and x."""
+    size, rank, prev = len(subset), 0, -1
+    for i, x in enumerate(subset):
+        rank += sum(comb(n - 1 - j, size - 1 - i) for j in range(prev + 1, x))
+        prev = x
+    return rank
 
 
 # ---------------------------------------------------------------------------

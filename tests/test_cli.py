@@ -691,6 +691,9 @@ NEGATIVE = SHIFTED.replace('c0: "k + 5"', 'c0: "-k - 5"').replace(
         (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  cc1: "1"\n'), None, "cc1"),
         (WALK.replace("expect: [i]", "expect: [i, v]"), 0, "expect"),
         (WALK.replace("expect: [i]", "expect: []"), 0, "expect"),
+        # nesting past the parser's limit, which used to end in a RecursionError
+        (MINIMAL.replace('c0: "1"', f'c0: "{"(" * 250}k{")" * 250}"'), None, "c0"),
+        (MINIMAL.replace('c0: "1"', f'c0: "{"(" * 1000}k{")" * 1000}"'), None, "c0"),
     ],
     ids=[
         "hankel-tp-source", "k-lcx-source", "builtin-sequence", "short-sequence",
@@ -709,7 +712,7 @@ NEGATIVE = SHIFTED.replace('c0: "k + 5"', 'c0: "-k - 5"').replace(
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "denominator-negative", "denominator-specialized-negative",
         "denominator-in-k", "walk-s-in-n", "exponent-overflow", "unknown-check-key", "unknown-triangle-key",
-        "expect-names", "expect-empty",
+        "expect-names", "expect-empty", "nesting-250", "nesting-1000",
     ],
 )
 def test_bad_fields_are_load_errors(tmp_path, doc, index, field):
@@ -735,6 +738,25 @@ def test_tridiagonal_criteria_judge_the_true_walk(tmp_path, capsys):
     assert main(["verify", str(write_plan(tmp_path, REPRO_CRITERIA)), "--format", "json"]) == 0
     check = json.loads(capsys.readouterr().out)["plans"][0]["checks"][0]
     assert check["detail"] == {"criteria": ["i", "iii"]}
+
+
+def test_coefficients_past_the_int_str_digit_limit_render(tmp_path, capsys):
+    # 10^5000 has more digits than the interpreter converts to text at once;
+    # the row-gf check used to report error instead of its fail
+    doc = MINIMAL.replace('c0: "1"', 'c0: "10^5000"').replace("depth: 4", "depth: 2").replace(
+        "  - kind: triangle-build\n", '  - kind: row-gf\n    values: ["1", "2", "3"]\n'
+    ).replace('c1: "1"', 'c1: "-10^5000"')
+    assert main(["verify", str(write_plan(tmp_path, doc)), "--format", "json"]) == 1
+    row_gf, tp = json.loads(capsys.readouterr().out)["plans"][0]["checks"]
+    big = "1" + "0" * 5000
+    assert row_gf["status"] == "fail"
+    assert row_gf["detail"]["rows"][1] == f"-{big}*q + {big}"
+    assert row_gf["detail"]["mismatch"] == {"row": 1, "got": f"-{big}*q + {big}", "want": "2"}
+    assert tp["status"] == "fail"
+    witness = tp["detail"]["witness"]
+    assert (witness["order"], witness["rows"], witness["cols"]) == (1, [0], [1])
+    assert (witness["monomial"], witness["coeff"]) == ("q", f"-{big}")
+    assert witness["minor"] == f"-{big}*q + {big}"
 
 
 def test_exponent_overflow_at_run_time_is_an_error(tmp_path):

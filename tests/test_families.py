@@ -9,10 +9,12 @@ forms must hold symbolically.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tpcert.contfrac import JFraction, SFraction, cf_match, jfraction_split
+from tpcert.cli import load_plan
+from tpcert.contfrac import JFraction, SFraction, cf_match, contract, j_expand, jfraction_split
 from tpcert.families import (
     CATALOG,
     MIXED_BRANCHES,
@@ -367,3 +369,47 @@ def test_specialization_keeps_a_symbolic_pass(name):
         assert special.entries == [[e.specialize(point) for e in row] for row in block.entries]
         rep = is_totally_positive(special, 3)
         assert rep.ok and rep.minors_checked == symbolic.minors_checked, point
+
+
+PLANS = Path(__file__).resolve().parent.parent / "plans"
+# the shipped plans that restate a catalog family under the family's name
+RESTATED = ("bell-walk", "centered", "eulerian", "fixed-argument", "left-peak",
+            "minimax-tree", "stirling-permutation", "whitney")
+
+
+def named_terms(p):
+    """``p``'s terms keyed by (variable, exponent) pairs, which compare across
+    contexts; None stays None."""
+    if p is None:
+        return None
+    names, unpack = p.ctx.names, p.ctx.unpack
+    return {tuple((nm, e) for nm, e in zip(names, unpack(key)) if e): c
+            for key, c in p.terms.items()}
+
+
+def series(fraction, depth):
+    """The first ``depth`` + 1 series coefficients of an S- or J-fraction."""
+    jf = contract(fraction) if isinstance(fraction, SFraction) else fraction
+    return [named_terms(p) for p in j_expand(jf, depth)]
+
+
+@pytest.mark.parametrize("name", RESTATED)
+def test_shipped_plan_restates_its_catalog_family(name):
+    # the plan's triangle, to its depth, and the series of each of its
+    # cf-match fractions are the catalog family's, so neither drifts alone
+    plan, fam = load_plan(PLANS / f"{name}.yaml"), CATALOG[name]()
+    assert plan.gf_var == fam.gf_var
+    ours, theirs = (build_triangle(spec, plan.depth) for spec in (plan.spec, fam.spec))
+    assert [[named_terms(e) for e in row] for row in ours.rows] == [
+        [named_terms(e) for e in row] for row in theirs.rows]
+    assert named_terms(ours.scale) == named_terms(theirs.scale)
+    for check in plan.checks:
+        if check["kind"] == "cf-match":
+            assert series(check["fraction"], check["depth"]) == series(fam.jfraction, check["depth"])
+            assert check["prescaled"] == fam.cf_prescaled
+            assert named_terms(check["eval-at"]) == named_terms(fam.product_eval_at)
+        if check["kind"] == "product-formula":
+            assert named_terms(check["factor"]) == named_terms(fam.product_factor)
+            assert named_terms(check["eval-at"]) == named_terms(fam.product_eval_at)
+    kinds = [check["kind"] for check in plan.checks]
+    assert ("cf-match" in kinds) == (name not in ("bell-walk", "eulerian"))

@@ -3,6 +3,7 @@
 import collections
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from tpcert.polyring import (
     _put_digits,
     _unpack,
     mpq,
+    render,
 )
 from tpcert.triangles import build_triangle
 
@@ -219,6 +221,10 @@ _CONTEXT_NAMES = "(context has ('n', 'k', 'q', 'a'))"
         # digits are what str.isdigit accepts, so '²' lexes as one and int() fails
         ("²3", "invalid literal for int() with base 10: '²3'", 2),
         ("q^²", "invalid literal for int() with base 10: '²'", 3),
+        # nesting past 100 '(' or unary '-' atoms fails at the one past the limit
+        pytest.param("(" * 250 + "k" + ")" * 250, "nesting too deep", 100, id="nesting-250"),
+        pytest.param("(" * 1000 + "k" + ")" * 1000, "nesting too deep", 100, id="nesting-1000"),
+        pytest.param("q + " + "-" * 1000 + "q", "nesting too deep", 104, id="signs-1000"),
     ],
 )
 def test_parse_error_messages_and_columns(text, message, pos):
@@ -242,11 +248,28 @@ def test_parse_error_messages_and_columns(text, message, pos):
         ("1/2/3*a", [(mpq(1, 6), {"a": 1})]),
         ("\tn*k ^ 2 - n\t", [(1, {"n": 1, "k": 2}), (-1, {"n": 1})]),
         ("q^0", [(1, {})]),
+        # at the nesting limit: 100 '(' atoms, or a leading sign and 100 '-' atoms
+        pytest.param("(" * 100 + "q" + ")" * 100, [(1, {"q": 1})], id="nesting-100"),
+        pytest.param("-" * 101 + "q", [(-1, {"q": 1})], id="signs-101"),
     ],
 )
 def test_parse_grammar(text, terms):
     ctx = VarContext(["n", "k", "q", "a"])
     assert ctx.parse(text) == ctx.from_terms(terms)
+
+
+def test_render_past_the_int_str_digit_limit():
+    # str() of an int past 4300 digits raises under the interpreter's default
+    # limit; render converts in parts and leaves the limit as it was
+    ctx = VarContext(["n", "k", "q", "a"])
+    limit = sys.get_int_max_str_digits()
+    big, sevenths = "1" + "0" * 5000, "142857" * 1000  # 10^5000 and (10^6000 - 1)/7
+    p = ctx.parse("10^5000*q^2 - (10^6000 - 1)/7*a + 3")
+    assert render(p) == f"{big}*q^2 - {sevenths}*a + 3"
+    assert render(ctx.parse("-q/10^5000 + 1/3")) == f"-1/{big}*q + 1/3"
+    assert render(ctx.parse("(10^6000 - 1)/7")) == sevenths
+    assert render(ctx.parse("-10^4299")) == "-1" + "0" * 4299
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("text", ["a^65536", "a^40000*a^40000", "n^65535*n"])

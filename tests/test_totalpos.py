@@ -635,6 +635,12 @@ def scan_order(n, order):
             for cols in combinations(range(n), size)]
 
 
+def formed_order(n, order):
+    """(rows, cols) of every minor an order-``order`` scan of a symmetric
+    n x n block forms, in the order it forms them: those with rows <= cols."""
+    return [(rows, cols) for rows, cols in scan_order(n, order) if rows <= cols]
+
+
 def record_checked(monkeypatch):
     """Patch the scan to append every minor it checks to the returned list,
     read back into a Poly when the scan runs on an encoded block."""
@@ -676,15 +682,16 @@ class OrderCountingMemo(dict):
 
 # products of the 7 x 7 order-7 scans as (products, term products, operand
 # terms), which a change to the memo must keep: the serial scan and the two
-# shares of jobs=2
+# shares of jobs=2.  The blocks are symmetric, so only the minors with rows
+# <= cols are formed; the full scan took 11963 products serially.
 SCAN_PRODUCTS = {
     "eulerian": {
-        "serial": (11963, 747900, 189833),
-        "shares": [(8204, 481039, 125804), (7700, 441136, 116814)],
+        "serial": (6202, 390705, 98476),
+        "shares": [(4327, 254809, 66178), (4274, 247861, 65086)],
     },
     "bell-walk": {
-        "serial": (11963, 1390277, 260638),
-        "shares": [(8204, 886088, 171682), (7700, 827092, 160706)],
+        "serial": (6202, 728056, 135275),
+        "shares": [(4327, 475631, 91073), (4274, 462401, 89241)],
     },
 }
 
@@ -706,11 +713,14 @@ class TestScanMemo:
         return block
 
     def test_scanned_minors_match_sympy(self, block, monkeypatch):
+        # the Hankel block is symmetric: the scan forms the 1779 minors with
+        # rows <= cols and counts all 3431
         checked = record_checked(monkeypatch)
         assert is_totally_positive(block, 7).to_dict()["minors_checked"] == 3431
-        scanned = dict(zip(scan_order(7, 7), checked, strict=True))
+        scanned = dict(zip(formed_order(7, 7), checked, strict=True))
+        assert len(scanned) == 1779
         high = [key for key in scanned if len(key[0]) >= 5]
-        assert len(high) == 21 * 21 + 7 * 7 + 1
+        assert len(high) == 21 * 22 // 2 + 7 * 8 // 2 + 1
         sym = sympy_matrix(block)
         for rows, cols in high:
             assert scanned[rows, cols] == sympy_minor(block.ctx, sym, rows, cols)
@@ -735,15 +745,17 @@ class TestScanMemo:
         monkeypatch.setattr(totalpos, "_scan", scan_with_memo)
         monkeypatch.setattr(totalpos, "_first_negative", record)
         assert is_totally_positive(block, 7).ok
-        for (rows, _), orders in zip(scan_order(7, 7), held, strict=True):
+        for (rows, _), orders in zip(formed_order(7, 7), held, strict=True):
             r = len(rows)
             assert orders <= ({r - 1} if r == 7 else {r - 1, r}), (r, orders)
         assert memo.orders() == {6}
         # the one order-6 row set without row 6, times 7 column sets
         assert memo.held[6] == 7
         assert all(6 not in rows for rows in memo.stored_rows)
-        # orders 3 and 4 without row 6: C(6,3) C(7,3) + C(6,4) C(7,4)
-        assert memo.largest == 20 * 35 + 15 * 35 == 1225
+        # orders 3 and 4 without row 6, with rows <= cols: of the
+        # C(6,3) C(7,3) + C(6,4) C(7,4) = 1225 minors of the full scan, 762
+        assert memo.largest == sum(1 for size in (3, 4) for rows in combinations(range(6), size)
+                                   for cols in combinations(range(7), size) if rows <= cols) == 762
 
     @pytest.mark.parametrize("name", sorted(SCAN_PRODUCTS))
     def test_every_scan_forms_the_same_products(self, name, monkeypatch):
@@ -986,6 +998,151 @@ class TestEncodedScan:
             full = minor(block, (0, 1), (0, 1))
             assert report.ok == (full.is_nonneg() and all(
                 e.is_nonneg() for row in block.entries for e in row)), name
+
+
+def full_report(m, order, jobs=1):
+    """``is_totally_positive`` with every block scanned in full, as if it
+    were not symmetric."""
+    with mock.patch.object(totalpos, "_symmetric", lambda m: False):
+        return is_totally_positive(m, order, jobs=jobs)
+
+
+def inline_pool(monkeypatch, cpus=2):
+    """Run ``jobs`` > 1 scans on ``cpus`` shares in this process, one share
+    after another, recording each share's row subsets."""
+    dealt = []
+
+    class Pool:
+        def __init__(self, workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            dealt.append([share[1] for share in args])
+            return [fn(*share) for share in args]
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(totalpos, "_usable_cpus", lambda: cpus)
+    return dealt
+
+
+def random_symmetric_block(rng):
+    """A symmetric block of integer polynomials in q, and an order: a Hankel
+    block of nonnegative moments sum_i w_i(q) x_i^n with its corner lowered
+    by a power of q (a full-order check, which fails at order (nodes + 1)
+    when there are fewer nodes than rows), or a Hankel or symmetric block of
+    entries with coefficients in [-9, 9], mostly nonnegative."""
+    size = rng.randint(1, 5)
+
+    def entry(signs=(-1,) + (1,) * 30):
+        return QCTX.from_terms((rng.choice(signs) * rng.randint(0, 9), {"q": e})
+                               for e in range(rng.randint(0, 3)))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        nodes = rng.sample(range(1, 6), rng.randint(1, size))
+        weights = [entry((1,)) + 1 for _ in nodes]
+        seq = [sum((w * x**n for w, x in zip(weights, nodes)), QCTX.zero)
+               for n in range(2 * size - 1)]
+        seq[-1] = seq[-1] - QCTX.var("q", rng.randint(0, 3))
+        return hankel(seq, size), size
+    if kind == 1:
+        block = hankel([entry() for _ in range(2 * size - 1)], size)
+    else:
+        rows = [[entry() for _ in range(size)] for _ in range(size)]
+        block = PolyMatrix(QCTX, [[rows[min(i, j)][max(i, j)] for j in range(size)]
+                                  for i in range(size)])
+    return block, rng.randint(1, size)
+
+
+class TestSymmetricScan:
+    """A symmetric encoded block forms only its minors with rows <= cols;
+    the full scan of the same encoded block is the reference."""
+
+    def test_random_blocks_report_as_the_full_scan(self, monkeypatch):
+        rng = random.Random(31)
+        reads = []
+        det_cofactor = totalpos._det_cofactor
+
+        def spy(m, rows, cols, memo):
+            reads.append(rows <= cols)
+            return det_cofactor(m, rows, cols, memo)
+
+        cases = [random_symmetric_block(rng) for _ in range(400)]
+        want = [full_report(block, order).to_dict() for block, order in cases]
+        orders = collections.Counter(w["witness"]["order"] for w in want if w["witness"])
+        assert sum(orders.values()) >= 200 and orders[3] + orders[4] + orders[5] >= 10
+        monkeypatch.setattr(totalpos, "_det_cofactor", spy)
+        for (block, order), full in zip(cases, want):
+            assert totalpos._symmetric(totalpos._encode(block, order))
+            assert is_totally_positive(block, order).to_dict() == full
+        dealt = inline_pool(monkeypatch)
+        for (block, order), full in zip(cases, want):
+            assert is_totally_positive(block, order, jobs=2).to_dict() == full
+        # every cofactor read, serial or in a share, is a minor with rows <= cols,
+        # so the memo needs no mirrored key
+        assert reads and all(reads)
+        assert len(dealt) == sum(block.nrows > 1 or order > 1 for block, order in cases)
+
+    def test_shipped_encoded_blocks_report_as_the_full_scan(self):
+        fam = families.CATALOG["interior-peak"]()
+        blocks = [(small_ring_block(name), 7) for name in SMALL_RING]
+        blocks.append((hankel(build_triangle(fam.spec, 10).row_gfs(fam.gf_var), 6), 6))
+        for block, order in blocks:
+            assert totalpos._symmetric(totalpos._encode(block, order))
+            full = full_report(block, order).to_dict()
+            assert is_totally_positive(block, order).to_dict() == full
+        # a failing block under two real workers: witness and count as serial
+        block, order = blocks[-1]
+        with mock.patch.object(totalpos, "_usable_cpus", lambda: 2):
+            parallel = is_totally_positive(block, order, jobs=2).to_dict()
+        assert parallel == full and parallel["minors_checked"] == 42
+        assert parallel["witness"]["rows"] == [0, 1] and parallel["witness"]["cols"] == [1, 2]
+
+    def test_shares_form_about_as_many_minors(self, monkeypatch):
+        # the later row subsets of an order form fewer minors; the shares are
+        # dealt by the count each forms, in scan order, deterministically
+        dealt = inline_pool(monkeypatch)
+        block = small_ring_block("eulerian")
+        for _ in range(2):
+            assert is_totally_positive(block, 7, jobs=2).ok
+        assert dealt[0] == dealt[1]
+        formed = [sum(len(list(combinations(range(7), len(rows)))) - totalpos._rank(rows, 7)
+                      for rows in share) for share in dealt[0]]
+        assert sum(formed) == 1779 and abs(formed[0] - formed[1]) <= 35
+        for share in dealt[0]:
+            assert share == sorted(share, key=lambda rows: (len(rows), rows))
+
+    def test_poly_and_nonsymmetric_blocks_take_the_full_scan(self, ctx):
+        q, eps = ctx.var("q"), ctx.var("eps")
+        symbolic = hankel([q + eps, q * eps + 1, q + 2 * eps], 2)
+        lopsided = PolyMatrix(ctx, [[q, q + 1], [q + 2, q * q + 3]])
+        assert totalpos._encode(symbolic, 2) is None
+        assert not totalpos._symmetric(totalpos._encode(lopsided, 2))
+        assert not totalpos._symmetric(PolyMatrix(ctx, [[q, q], [q, q], [q, q]]))
+        with mock.patch.object(totalpos, "_scan_parallel",
+                               wraps=totalpos._scan_parallel) as scan:
+            for block in (symbolic, lopsided):
+                is_totally_positive(block, 2)
+                assert scan.call_args.args[3] is False
+
+    def test_integral_fractions_keep_a_block_encoded(self, ctx):
+        # q + 1/2 + 1/2 holds the coefficient Fraction(1, 1)
+        q, h = ctx.var("q"), ctx.parse("1/2")
+        a = q + h + h
+        assert Fraction(1, 1) in a.terms.values()
+        small = PolyMatrix(ctx, [[a, a + q], [a + q, a * a]])
+        larger = hankel([a**i + (i % 3) * q * a for i in range(9)], 5)
+        for block, order in ((small, 2), (larger, 5)):
+            assert isinstance(totalpos._encode(block, order), totalpos._IntBlock)
+            report = is_totally_positive(block, order).to_dict()
+            assert report == poly_report(block, order).to_dict()
+            assert report["result"] == "fail"
 
 
 FRACTION_FAMILIES = sorted(name for name, make in families.CATALOG.items()
