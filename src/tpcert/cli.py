@@ -7,7 +7,8 @@ report body is deterministic: timings live in a separate key and the JSON
 is emitted with sorted keys.
 
 ``load_plan`` parses a whole plan by one field table per triangle and check
-kind, so runners get parsed values and bad input is a load error (exit 2).
+kind, and reads its golden files, so runners get parsed values and bad
+input is a load error (exit 2).
 Otherwise exit status is 0 iff every check of every plan passes.  An error
 (as opposed to a clean fail) aborts the rest of its plan but not the batch.
 """
@@ -37,7 +38,9 @@ from .contfrac import (
 from .polyring import Poly, VarContext, _map_polys, mpq
 from .totalpos import (
     _MAX_LCX_K,
+    HypothesisError,
     check_k_log_convex,
+    check_tridiagonal_hypotheses,
     hankel,
     is_totally_positive,
     tridiagonal_tp_criteria,
@@ -117,10 +120,9 @@ def _point(check: dict, ctx: VarContext, gf_var: str) -> dict:
 
 
 class _PlanRunner:
-    def __init__(self, plan: VerificationPlan, jobs: int = 1, golden_dir: Path | None = None):
+    def __init__(self, plan: VerificationPlan, jobs: int = 1):
         self.plan = plan
         self.jobs = jobs
-        self.golden_dir = golden_dir
         self.triangle: Triangle | None = None
 
     def _tri(self) -> Triangle:
@@ -142,15 +144,13 @@ class _PlanRunner:
             return False, detail
         golden = check["golden"]
         if golden:
-            gpath = self.plan.path.parent / golden
-            if self.golden_dir is not None:
-                out = self.golden_dir / Path(golden).name
+            out = check.get("golden-out")
+            if out is not None:
                 write_golden(t, out)
                 detail["golden"] = f"regenerated {out}"
             else:
-                rows = read_golden(self.plan.ctx, gpath)
-                detail["golden"] = f"compared {gpath}"
-                if rows != t.rows:
+                detail["golden"] = f"compared {self.plan.path.parent / golden}"
+                if check["golden-rows"] != t.rows:
                     return False, detail
         return True, detail
 
@@ -220,18 +220,21 @@ class _PlanRunner:
 
     def run_tridiagonal_criteria(self, check: dict):
         upto = check["upto"]
-        spec = self.plan.spec
-        # the true walk: the stored coefficients over the denominator, a
-        # constant (checked at load)
-        scale = spec.denominator or self.plan.ctx.one
-        s = [spec.walk_coeff(1, i) / scale for i in range(upto + 1)]
-        r = [spec.walk_coeff(0, i) / scale for i in range(upto + 1)]
-        t = [spec.walk_coeff(2, i) / scale for i in range(upto + 2)]
-        held = sorted(tridiagonal_tp_criteria(s, r, t, upto))
+        held = sorted(tridiagonal_tp_criteria(*_true_walk(self.plan.spec, upto), upto))
         return set(check["expect"]) <= set(held), {"criteria": held}
 
     def run_hankel_factorization(self, check: dict):
         return check_hankel_factorization(self._tri(), check["size"]), {"size": check["size"]}
+
+
+def _true_walk(spec: RecurrenceSpec, upto: int) -> tuple[list[Poly], list[Poly], list[Poly]]:
+    """The walk's levels s_0..s_upto, r_0..r_upto and t_0..t_(upto+1) as
+    the tridiagonal criteria read them: the stored coefficients over the
+    denominator, a constant (checked at load)."""
+    scale = spec.denominator or spec.ctx.one
+    return ([spec.walk_coeff(1, i) / scale for i in range(upto + 1)],
+            [spec.walk_coeff(0, i) / scale for i in range(upto + 1)],
+            [spec.walk_coeff(2, i) / scale for i in range(upto + 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +454,8 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
     ``overrides`` come from CLI flags: ``depth``, ``specialize`` and the
     hankel-tp ``size`` and ``order``; they apply before validation.  The
     specialization applies to the spec and to every polynomial of every check.
+    A ``golden-dir`` override makes each golden file a file to regenerate
+    there (see ``_load_golden``).
     """
     path = Path(path)
     try:
@@ -525,6 +530,8 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         entry = _CHECKS[kind]
         check = {"kind": kind, **_parse_fields(entry["fields"], raw, ctx, where, depth)}
         check = _map_polys(check, lambda p: p.specialize(specialize))
+        if check.get("golden"):
+            _load_golden(check, path, ctx, overrides.get("golden-dir"), where)
         # an evaluation point may only name variables the rows still carry
         for var in check.get("at", ()):
             if var not in declared or var in specialize:
@@ -565,6 +572,12 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
         if entry["triangle"] not in (None, spec.kind):
             raise PlanError(f"{where} needs a {entry['triangle']} triangle, "
                             f"but the triangle 'kind' is {spec.kind!r}")
+        if kind == "tridiagonal-criteria":
+            try:
+                check_tridiagonal_hypotheses(*_true_walk(spec, check["upto"]), check["upto"])
+            except HypothesisError as exc:
+                raise PlanError(f"{where} 'upto': the criteria need nonnegative levels, "
+                                f"but {exc}") from exc
         need = entry["rows"](check)
         if need > depth:
             raise PlanError(f"{where} needs triangle depth {need}, but the plan declares {depth}")
@@ -580,9 +593,30 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
     )
 
 
-def run_plan(plan: VerificationPlan, jobs: int = 1, golden_dir: Path | None = None) -> RunReport:
+def _load_golden(check: dict, path: Path, ctx: VarContext, golden_dir, where: str) -> None:
+    """Give a triangle-build check with a ``golden`` file the rows it
+    compares, read and parsed from the file beside the plan, as
+    ``golden-rows``; or, when ``golden_dir`` is given, the file it
+    regenerates there, as ``golden-out``, leaving the old file unread.  A
+    file that cannot be read or parsed, or a ``golden_dir`` that is not a
+    directory, is a PlanError."""
+    name = check["golden"]
+    if golden_dir is not None:
+        out = Path(golden_dir) / Path(name).name
+        if not out.parent.is_dir():
+            raise PlanError(f"{where} 'golden': cannot regenerate into {golden_dir}: "
+                            "not a directory")
+        check["golden-out"] = out
+        return
+    try:
+        check["golden-rows"] = read_golden(ctx, path.parent / name)
+    except (OSError, ValueError) as exc:  # a ParseError is a ValueError
+        raise PlanError(f"{where} 'golden': {exc}") from exc
+
+
+def run_plan(plan: VerificationPlan, jobs: int = 1) -> RunReport:
     """Execute the plan's checks in order; an error aborts the rest."""
-    runner = _PlanRunner(plan, jobs=jobs, golden_dir=golden_dir)
+    runner = _PlanRunner(plan, jobs=jobs)
     report = RunReport(plan=plan.name, status="pass")
     for check in plan.checks:
         kind = check["kind"]
@@ -678,6 +712,7 @@ def main(argv: list[str] | None = None) -> int:
         "depth": args.depth,
         "size": args.hankel_size,
         "order": args.tp_order,
+        "golden-dir": args.golden_dir,
     }
     for item in args.specialize:
         if "=" not in item:
@@ -697,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
                                               "detail": {"message": str(exc)}}]))
             status = 2
             continue
-        report = run_plan(plan, jobs=args.jobs, golden_dir=args.golden_dir)
+        report = run_plan(plan, jobs=args.jobs)
         reports.append(report)
         if report.status != "pass":
             status = max(status, 1)

@@ -414,7 +414,7 @@ def _co_walk(t: Triangle, jf: JFraction, depth: int, var: str, prescaled: bool) 
     rows = _packed_row_gfs(source, key, sv, step, width)
     walked = walk.run(sv, step, width)
     for n in range(depth + 1):
-        got = next(rows)  # the last row's is freed before the walk steps
+        got = next(rows)
         want = next(walked)[0]
         lhs, rhs = walk.scales[n] * v**n, source.scales[n] * u**n
         if lhs != 1:
@@ -425,6 +425,7 @@ def _co_walk(t: Triangle, jf: JFraction, depth: int, var: str, prescaled: bool) 
             want = {f: rhs * x for f, x in want.items()}
         if got != want:
             return False
+        del got, want  # held across neither run's next step
     return True
 
 

@@ -490,11 +490,12 @@ def _check_exponents(a: dict, b: dict, nvars: int) -> None:
 
 def _fiber_product(p: Poly, q: Poly) -> "dict | None":
     """Terms of the product of two polynomials with integer coefficients,
-    computed with one big-integer product per pair of fibers; None when the
-    plain dict kernel should run instead (a rational coefficient, a product
-    too small or too lopsided to repay the packing, fibers that do not
-    collapse, or total degrees summing past the degree field, where the keys
-    of two lines could coincide).
+    computed with one big-integer product per pair of fibers (an integral
+    ``Fraction`` coefficient is read as its integer, ``_int_terms``); None
+    when the plain dict kernel should run instead (a coefficient that is not
+    an integer, a product too small or too lopsided to repay the packing,
+    fibers that do not collapse, or total degrees summing past the degree
+    field, where the keys of two lines could coincide).
 
     ``p`` is the operand with fewer terms, ``a`` its terms and ``b`` those
     of ``q``.  The fibers are the lines of the walk's linear fiber key
@@ -521,10 +522,9 @@ def _fiber_product(p: Poly, q: Poly) -> "dict | None":
     degree = (max(a) >> deg_shift) + (max(b) >> deg_shift)
     if degree > _MASK:
         return None
-    for terms in (a, b):
-        for c in terms.values():
-            if type(c) is not int:
-                return None
+    a, b = _int_terms(a), _int_terms(b)
+    if a is None or b is None:
+        return None
     triples = la * lb >= _LARGE and degree < _TRIPLE_DEGREE
     try:
         directions = p._directions
@@ -570,6 +570,20 @@ def _fiber_product(p: Poly, q: Poly) -> "dict | None":
     out: dict[int, int] = {}
     _put_digits(out, ((key, acc[key]) for key in lowest.values()), step, width)
     return out
+
+
+def _int_terms(terms: dict) -> "dict | None":
+    """``terms`` itself when every coefficient is an ``int``; else a copy
+    with each coefficient of denominator 1 (an integral ``Fraction``) read
+    as its numerator, or None when a coefficient is not an integer."""
+    for c in terms.values():
+        if type(c) is not int:
+            break
+    else:
+        return terms
+    if any(c.denominator != 1 for c in terms.values()):
+        return None
+    return {key: c.numerator for key, c in terms.items()}
 
 
 def _put_digits(out: dict, packed: Iterable[tuple[int, int]], step: int, width: int) -> None:

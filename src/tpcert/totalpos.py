@@ -22,7 +22,11 @@ det(R, C) = det(C, R), so its scan forms only the minors with rows <= cols
 in lexicographic order and counts the others; the witness and
 ``minors_checked`` are those of the full scan, and the memo keeps its
 (rows, cols) keys and last-row rule, since every cofactor read also has
-rows <= cols (see ``_scan``).  ``Poly`` blocks keep the full scan while the
+rows <= cols (see ``_scan``).  A serial scan deletes each memoized
+cofactor once the last minor that reads it has been formed, so its memo
+holds only what the rest of the scan reads: the cofactors whose rows are
+the current row prefix or a later one, and the minors of the current
+order formed so far.  ``Poly`` blocks keep the full scan while the
 benchmark pins the products of the ``four-term[nk]`` scan; extending the
 rule to them means dropping the ``encoded is not None`` condition in
 ``is_totally_positive``.
@@ -309,9 +313,11 @@ def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False, symmetric
     memoized only when a later one reads it: the expansion of (R, C) reads
     cofactors with rows R[:-1], so no minor reads one of the highest order,
     nor one whose rows hold the block's last row.  Those are checked and
-    dropped.  With ``prune`` (a scan of every row subset), starting order r
-    deletes the memo entries of order r-2 and below: the order-r minors
-    read only order-(r-1) cofactors, all memoized by then.
+    dropped.  With ``prune`` (a scan of every row subset), each cofactor is
+    deleted once its last reader has run: the row subsets with prefix P are
+    next to each other in scan order, and only they read the cofactors with
+    rows P, so when the prefix changes, the entries of the prefix just left
+    are deleted, found by enumerating its column sets.
 
     A ``symmetric`` block has det(R, C) = det(C, R), so the scan forms only
     the minors with rows <= cols in lexicographic order and counts each
@@ -337,13 +343,15 @@ def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False, symmetric
     checked = 0
     top = len(row_subsets[-1]) if row_subsets else 0
     last = m.nrows - 1
-    order = 0
+    prefix = None
     for rows in row_subsets:
-        if len(rows) != order:
-            order = len(rows)
-            if prune:
-                for key in [key for key in memo if len(key[0]) < order - 1]:
-                    del memo[key]
+        order = len(rows)
+        if prune and rows[:-1] != prefix:
+            if prefix:
+                for cols in combinations(range(m.ncols), len(prefix)):
+                    if (prefix, cols) in memo:
+                        del memo[prefix, cols]
+            prefix = rows[:-1]
         det = _expand if order > 1 and (order == top or rows[-1] == last) else _det_cofactor
         skipped = _rank(rows, m.ncols) if symmetric else 0
         checked += skipped
@@ -557,20 +565,10 @@ def _geq(p: Poly, q) -> bool:
     return (p - q).is_nonneg()
 
 
-def tridiagonal_tp_criteria(
-    s: PolySeq, r: PolySeq, t: PolySeq, upto: int
-) -> set[str]:
-    """Which of the four coefficientwise dominance criteria hold up to ``upto``.
-
-    Precondition (checked): the entries themselves are coefficientwise
-    nonnegative.  Sequences must cover s_0..s_upto, r_0..r_upto and
-    t_1..t_(upto+1).
-
-      i:    s_0 >= r_0          and  s_n >= r_n + t_n
-      ii:   s_0 >= t_1          and  s_n >= r_(n-1) + t_(n+1)
-      iii:  s_0 >= 1            and  s_n >= r_(n-1) t_n + 1
-      iv:   s_0 >= r_0 t_1      and  s_n >= r_n t_(n+1) + 1
-    """
+def check_tridiagonal_hypotheses(s: PolySeq, r: PolySeq, t: PolySeq, upto: int) -> None:
+    """Raise ValueError unless the sequences cover s_0..s_upto, r_0..r_upto
+    and t_1..t_(upto+1), and HypothesisError naming the first of those
+    entries with a negative coefficient."""
     if len(s) < upto + 1 or len(r) < upto + 1 or len(t) < upto + 2:
         raise ValueError("sequences too short for the requested range")
     for name, seq, start in (("s", s, 0), ("r", r, 0), ("t", t, 1)):
@@ -579,6 +577,23 @@ def tridiagonal_tp_criteria(
                 raise HypothesisError(
                     f"{name}_{i} = {seq[i]} has a negative coefficient"
                 )
+
+
+def tridiagonal_tp_criteria(
+    s: PolySeq, r: PolySeq, t: PolySeq, upto: int
+) -> set[str]:
+    """Which of the four coefficientwise dominance criteria hold up to ``upto``.
+
+    Precondition (checked, ``check_tridiagonal_hypotheses``): the entries
+    themselves are coefficientwise nonnegative.  Sequences must cover
+    s_0..s_upto, r_0..r_upto and t_1..t_(upto+1).
+
+      i:    s_0 >= r_0          and  s_n >= r_n + t_n
+      ii:   s_0 >= t_1          and  s_n >= r_(n-1) + t_(n+1)
+      iii:  s_0 >= 1            and  s_n >= r_(n-1) t_n + 1
+      iv:   s_0 >= r_0 t_1      and  s_n >= r_n t_(n+1) + 1
+    """
+    check_tridiagonal_hypotheses(s, r, t, upto)
     one = s[0].ctx.one
     results = set()
     if _geq(s[0], r[0]) and all(_geq(s[n], r[n] + t[n]) for n in range(1, upto + 1)):

@@ -273,14 +273,21 @@ class _Build:
         entry its unit feed names.  With ``check``, each product of a
         nonzero map and a nonzero entry is checked first, on the map and
         the entry read back, and raises ValueError as a ``Poly`` product
-        would when an exponent passes the packing width."""
+        would when an exponent passes the packing width.
+
+        Each yielded list is the caller's own.  The runner drops each entry
+        of its own copy of the previous row once the last entry that entry
+        feeds has been formed, so the entry is freed during the step unless
+        a caller still holds it: a caller that wants the memory back holds
+        no yielded row, nor an entry of one, across a step."""
         nvars = len(self.ctx.names)
         packed: list = [None] * len(self.maps)
         row = [{0: 1}]
-        yield row
+        yield list(row)
         for feeds in self.feeds[1:]:
+            last = {kk: k for k, feed in enumerate(feeds) for kk, _ in feed}
             new = []
-            for feed in feeds:
+            for k, feed in enumerate(feeds):
                 acc, pairs = {}, []
                 for kk, i in feed:
                     if i is None:
@@ -293,8 +300,12 @@ class _Build:
                         level = packed[i] = _pack(self.maps[i], sv, step, width)
                     pairs.append((level, row[kk]))
                 new.append(_add_level_products(acc, pairs))
+                del pairs  # it holds entries of the previous row
+                for kk, _ in feed:
+                    if last[kk] == k:
+                        row[kk] = None
             row = new
-            yield row
+            yield list(row)
 
     def read(self, columns: int | None = None) -> Iterator[list[Poly]]:
         """Rows 0 .. depth read back, each its first ``columns`` entries
@@ -306,20 +317,24 @@ class _Build:
         width; it is still the exact integer of its fibers, and so are the
         entries it feeds.  When an entry's degree may pass the packing
         width, every entry is bounded, so that each reads back exactly, and
-        the run checks every product (``run``'s ``check``)."""
+        the run checks every product (``run``'s ``check``).  ``map`` holds
+        no packed row across a step of the run, as ``zip`` would."""
         ctx = self.ctx
         check = self.degree > _MASK
         sv, step = _direction(ctx, self.shapes)
         top = max(b for row in self.bounds for b in (row if check else row[:columns]))
         width = top.bit_length() + 1
-        for packed, scale in zip(self.run(sv, step, width, check), self.scales):
+
+        def read_back(packed: list, scale: int) -> list[Poly]:
             row = []
             for entry in packed[:columns]:
                 terms = _unpack(entry, step, width)
                 if scale > 1:
                     terms = {key: _as_rational(mpq(c, scale)) for key, c in terms.items()}
                 row.append(Poly(ctx, terms))
-            yield row
+            return row
+
+        return map(read_back, self.run(sv, step, width, check), self.scales)
 
 
 def _spec_build(spec: RecurrenceSpec, depth: int) -> _Build:
@@ -376,12 +391,16 @@ def _spec_build(spec: RecurrenceSpec, depth: int) -> _Build:
 
 def _packed_row_gfs(build: _Build, key: int, sv: int, step: int, width: int) -> Iterator[dict]:
     """The packed row generating functions sum_k entry(n, k) * v^k of a
-    ``_Build``'s run, with ``key`` the packed key of v, rows 0 up."""
-    for row in build.run(sv, step, width):
+    ``_Build``'s run, with ``key`` the packed key of v, rows 0 up; ``map``
+    holds no packed row across a step of the run."""
+
+    def row_gf(row: list) -> dict:
         gf: dict = {}
         for k, entry in enumerate(row):
             _add_terms(gf, _times_monomial(entry, k * key, sv, step, width).items())
-        yield gf
+        return gf
+
+    return map(row_gf, build.run(sv, step, width))
 
 
 def build_triangle(spec: RecurrenceSpec, depth: int) -> Triangle:

@@ -1,8 +1,10 @@
 """Tests for plan loading, the check runners and report emission."""
 
+import collections
 import importlib
 import json
 import pkgutil
+import random
 import re
 import shutil
 import subprocess
@@ -143,14 +145,13 @@ def test_check_kind_must_be_a_name(tmp_path):
 
 
 def test_error_aborts_remaining_checks(tmp_path):
-    # a golden file that does not exist is an error (not a fail); the
-    # trailing triangle-build must not run
-    doc = MINIMAL + "  - kind: triangle-build\n    golden: missing.tsv\n" + \
-        "  - kind: triangle-build\n"
+    # reading the rows back raises on an exponent past the packing width,
+    # an error (not a fail); the trailing triangle-build must not run
+    doc = WALK.replace('s: "k + 1"', 's: "q^40000 + 3"').replace("depth: 4", "depth: 2") + \
+        "  - kind: triangle-build\n  - kind: triangle-build\n"
     report = run_plan(load_plan(write_plan(tmp_path, doc)))
-    assert report.checks[-1]["status"] == "error"
-    assert "FileNotFoundError" in report.checks[-1]["detail"]["message"]
-    assert len(report.checks) == 3
+    assert [c["status"] for c in report.checks] == ["pass", "error"]
+    assert report.checks[-1]["detail"] == {"message": "ValueError: an exponent exceeds 65535"}
 
 
 def test_specialization_override(tmp_path):
@@ -691,6 +692,13 @@ NEGATIVE = SHIFTED.replace('c0: "k + 5"', 'c0: "-k - 5"').replace(
         (MINIMAL.replace('  c1: "1"\n', '  c1: "1"\n  cc1: "1"\n'), None, "cc1"),
         (WALK.replace("expect: [i]", "expect: [i, v]"), 0, "expect"),
         (WALK.replace("expect: [i]", "expect: []"), 0, "expect"),
+        # golden files are read at load: missing, a directory, a cell that
+        # does not parse (the plan itself read as a golden file)
+        (_with_check("  - kind: triangle-build\n    golden: missing.tsv\n"), 2, "golden"),
+        (_with_check("  - kind: triangle-build\n    golden: .\n"), 2, "golden"),
+        (_with_check("  - kind: triangle-build\n    golden: plan.yaml\n"), 2, "golden"),
+        # the criteria's hypothesis, nonnegative levels, is checked at load
+        (WALK.replace('t: "k"', 't: "k - 5"'), 0, "upto"),
         # nesting past the parser's limit, which used to end in a RecursionError
         (MINIMAL.replace('c0: "1"', f'c0: "{"(" * 250}k{")" * 250}"'), None, "c0"),
         (MINIMAL.replace('c0: "1"', f'c0: "{"(" * 1000}k{")" * 1000}"'), None, "c0"),
@@ -712,7 +720,8 @@ NEGATIVE = SHIFTED.replace('c0: "k + 5"', 'c0: "-k - 5"').replace(
         "specialize-n", "specialize-k", "specialize-gf-var", "unknown-plan-key",
         "denominator-monomial", "denominator-negative", "denominator-specialized-negative",
         "denominator-in-k", "walk-s-in-n", "exponent-overflow", "unknown-check-key", "unknown-triangle-key",
-        "expect-names", "expect-empty", "nesting-250", "nesting-1000",
+        "expect-names", "expect-empty", "golden-missing", "golden-directory", "golden-unparsed",
+        "criteria-negative-level", "nesting-250", "nesting-1000",
     ],
 )
 def test_bad_fields_are_load_errors(tmp_path, doc, index, field):
@@ -941,6 +950,23 @@ def test_golden_regen_and_compare(tmp_path):
     assert main(["verify", str(plan_path)]) == 1
 
 
+def test_a_golden_dir_that_is_not_a_directory_is_a_load_error(tmp_path, capsys):
+    # regeneration reads no old golden file, but needs a directory to write into
+    doc = MINIMAL.replace(
+        "  - kind: triangle-build",
+        "  - kind: triangle-build\n    golden: mini.golden.tsv",
+    )
+    plan_path = write_plan(tmp_path, doc)
+    for target in (tmp_path / "missing", plan_path):
+        assert main(["verify", str(plan_path), "--golden-dir", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"check 0 (triangle-build) 'golden': cannot regenerate into {target}" in err
+    assert not (tmp_path / "missing").exists()
+    # a plan without a golden file needs no directory
+    assert main(["verify", str(write_plan(tmp_path, MINIMAL, "bare.yaml")),
+                 "--golden-dir", str(tmp_path / "missing")]) == 0
+
+
 def _specialized_plans():
     # each shipped plan with every parameter other than n, k and gf-var at
     # 3/2, and README's example
@@ -1078,3 +1104,91 @@ class TestShippedPlans:
         )
         assert proc.returncode == 0
         assert "bell-walk: PASS" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# mutated shipped plans end in a verdict or a load error
+# ---------------------------------------------------------------------------
+
+_DROP = object()  # a mutation that deletes the field
+_NESTED = "(" * 250 + "k" + ")" * 250
+_DIGITS_5000 = "9" * 5000
+# the values a mutated field takes: missing, wrong types, edge integers
+# (none above 3, so that no mutant only runs long), bad, negative and extreme
+# polynomial text, and golden-file names
+MUTANT_VALUES = (
+    _DROP, None, 0, 1, 2, 3, -1, True, "", "0", "1", "-1", "q", "k", "n", "1/2", "q + 1",
+    "q +", "x", "k - 5", [], [1], ["q", "1"], {}, {"q": 1}, _NESTED, _DIGITS_5000,
+    "missing.tsv", ".", "eulerian.golden.tsv",
+)
+# one field each, named by its path in the plan document
+NAMED_MUTANTS = [
+    ("eulerian.yaml", [(("checks", 0, "golden"), value)])
+    for value in ("missing.tsv", ".", "eulerian.yaml", "", None, 3, _DROP)
+] + [
+    ("eulerian.yaml", [(("triangle", "c0"), _NESTED)]),
+    ("eulerian.yaml", [(("triangle", "c1"), f"{_DIGITS_5000}*(n - k + 1)")]),
+    ("whitney.yaml", [(("checks", 2, "s"), f"{_DIGITS_5000}*q + r + 2*m*n")]),
+    ("bell-walk.yaml", [(("triangle", "t"), "k - 5")]),
+]
+
+
+def _mutable_fields(doc: dict) -> list[tuple]:
+    """The path of every field of a plan document: plan keys, triangle keys
+    and check keys."""
+    paths = [(key,) for key in doc]
+    if isinstance(doc.get("triangle"), dict):
+        paths += [("triangle", key) for key in doc["triangle"]]
+    if isinstance(doc.get("checks"), list):
+        paths += [("checks", i, key) for i, check in enumerate(doc["checks"])
+                  if isinstance(check, dict) for key in check]
+    return paths
+
+
+def _mutate(doc: dict, path: tuple, value) -> None:
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    if value is _DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+def _seeded_mutants(count: int, seed: int) -> list:
+    """``count`` (plan, mutations) pairs of one or two fields each, the
+    second drawn from the document the first made."""
+    rng = random.Random(seed)
+    names = sorted(p.name for p in PLANS.glob("*.yaml"))
+    mutants = []
+    for _ in range(count):
+        name = rng.choice(names)
+        doc = yaml.safe_load((PLANS / name).read_text())
+        mutations = []
+        for _ in range(rng.choice((1, 2))):
+            mutation = (rng.choice(_mutable_fields(doc)), rng.choice(MUTANT_VALUES))
+            _mutate(doc, *mutation)
+            mutations.append(mutation)
+        mutants.append((name, mutations))
+    return mutants
+
+
+def test_mutated_plans_end_in_a_verdict_or_a_load_error(tmp_path, capsys):
+    # every mutant ends in exit 0 or 1 with no check in error, or in a load
+    # error (exit 2); the golden file sits beside the mutants
+    for golden in PLANS.glob("*.golden.tsv"):
+        shutil.copy(golden, tmp_path)
+    outcomes, bad = collections.Counter(), []
+    for name, mutations in NAMED_MUTANTS + _seeded_mutants(500, seed=32):
+        doc = yaml.safe_load((PLANS / name).read_text())
+        for mutation in mutations:
+            _mutate(doc, *mutation)
+        path = write_plan(tmp_path, yaml.safe_dump(doc, sort_keys=False), name)
+        rc = main(["verify", str(path), "--format", "json"])
+        checks = json.loads(capsys.readouterr().out)["plans"][0]["checks"]
+        outcomes[rc] += 1
+        if rc not in (0, 1, 2) or rc < 2 and any(c["status"] == "error" for c in checks):
+            bad.append((name, mutations, rc, checks))
+    print(dict(outcomes))
+    assert bad == []
+    assert sum(outcomes.values()) == 511 and min(outcomes[rc] for rc in (0, 1, 2)) >= 10

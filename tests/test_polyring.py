@@ -478,6 +478,25 @@ class TestFiberProduct:
         assert (r * p).terms == dict_product(r, p)
         assert (r * p) - (p * p) == FIBER_CTX.parse("1/3*q^7") * p
 
+    def test_integral_fraction_operands_pack(self):
+        # p + h + h - 1 equals p but holds its constant term as Fraction(c, 1),
+        # which the kernel reads as the integer c, as the encoded scan does
+        rng = random.Random(5)
+        p = FIBER_CTX.from_terms(
+            [(rng.randint(1, 9), {"q": j, "d": i, "lam": 8 - i}) for j in range(5) for i in range(9)]
+            + [(7, {})]
+        )
+        h = FIBER_CTX.parse("1/2")
+        r = p + h + h - 1
+        assert r == p and any(type(c) is mpq for c in r.terms.values())
+        for a, b in ((r, r), (r, p), (p, r)):
+            got = fiber_product(a, b)
+            assert got is not None
+            assert got == dict_product(a, b) == dict_product(p, p)
+            assert all(type(c) is int for c in got.values())
+        assert (r * r).terms == dict_product(p, p)
+        assert fiber_product(r + FIBER_CTX.parse("1/3*q^7"), p) is None
+
     def test_total_degree_past_the_degree_field(self):
         # every exponent fits, but the product's total degree 80000 does not
         # fit the 16-bit degree field of a fiber key

@@ -680,6 +680,29 @@ class OrderCountingMemo(dict):
         return {order for order, count in self.held.items() if count}
 
 
+def memo_high_water(n, order, symmetric):
+    """The most entries a serial scan's memo holds on an n x n block.
+
+    A minor is stored when its order is at least 2 and below ``order``, its
+    rows miss the last row and, on a symmetric block, rows <= cols.  While
+    the order-r row subsets with prefix P are scanned, the memo holds the
+    stored order-(r-1) cofactors with rows P or later, which those subsets
+    and the later ones read, and the order-r minors stored so far; it grows
+    until the prefix changes, so its size peaks as the last subset with
+    prefix P ends."""
+    def stored(rows):
+        if len(rows) < 2 or n - 1 in rows:
+            return 0
+        return sum(1 for cols in combinations(range(n), len(rows))
+                   if not symmetric or rows <= cols)
+
+    return max(
+        sum(stored(q) for q in combinations(range(n), r - 1) if q >= p)
+        + sum(stored(rows) for rows in combinations(range(n), r) if rows[:-1] <= p)
+        for r in range(2, order) for p in {rows[:-1] for rows in combinations(range(n), r)}
+    )
+
+
 # products of the 7 x 7 order-7 scans as (products, term products, operand
 # terms), which a change to the memo must keep: the serial scan and the two
 # shares of jobs=2.  The blocks are symmetric, so only the minors with rows
@@ -752,10 +775,55 @@ class TestScanMemo:
         # the one order-6 row set without row 6, times 7 column sets
         assert memo.held[6] == 7
         assert all(6 not in rows for rows in memo.stored_rows)
-        # orders 3 and 4 without row 6, with rows <= cols: of the
-        # C(6,3) C(7,3) + C(6,4) C(7,4) = 1225 minors of the full scan, 762
-        assert memo.largest == sum(1 for size in (3, 4) for rows in combinations(range(6), size)
-                                   for cols in combinations(range(7), size) if rows <= cols) == 762
+        # at the end of the order-4 row subsets with prefix (0, 1, 3): the 391
+        # stored order-3 cofactors with rows (0, 1, 3) or later and the 163
+        # order-4 minors stored so far
+        assert memo.largest == memo_high_water(7, 7, symmetric=True) == 391 + 163
+
+    def test_a_poly_scan_drops_each_cofactor_after_its_last_reader(self, monkeypatch):
+        # the affine-n block keeps Poly entries and takes the full scan; at
+        # the first minor of each row subset every memo entry is one that
+        # minor or a later one reads, and no entry is stored twice
+        fam = families.CATALOG["affine-n"]()
+        block = hankel(build_triangle(fam.spec, 8).row_gfs(fam.gf_var), 5)
+        assert totalpos._encode(block, 4) is None
+        reads = collections.defaultdict(list)  # key -> the minors whose expansion read it
+        stores = collections.Counter()
+        held = []  # the memo's keys at each checked minor
+
+        class ReadLoggingMemo(OrderCountingMemo):
+            def get(self, key, default=None):
+                if key in self:
+                    reads[key].append(len(held))
+                return super().get(key, default)
+
+            def __setitem__(self, key, value):
+                stores[key] += 1
+                super().__setitem__(key, value)
+
+        memo = ReadLoggingMemo()
+        scan, first_negative = totalpos._scan, totalpos._first_negative
+
+        def scan_with_memo(m, row_subsets, _, **kwargs):
+            return scan(m, row_subsets, memo, **kwargs)
+
+        def record(m, d):
+            held.append(set(memo))
+            return first_negative(m, d)
+
+        monkeypatch.setattr(totalpos, "_scan", scan_with_memo)
+        monkeypatch.setattr(totalpos, "_first_negative", record)
+        report = is_totally_positive(block, 4)
+        assert report.ok and report.minors_checked == 250
+        order = scan_order(5, 4)
+        assert len(held) == len(order)
+        for i, ((rows, cols), keys) in enumerate(zip(order, held)):
+            if cols == tuple(range(len(rows))):
+                assert all(max(reads[key], default=-1) >= i for key in keys), (rows, keys)
+        assert set(stores.values()) == {1} and set(reads) == set(stores)
+        # the last row subset's prefix (1, 2, 3) times its 10 column sets
+        assert dict(memo.held) == {2: 0, 3: 10}
+        assert memo.largest == memo_high_water(5, 4, symmetric=False) == 80
 
     @pytest.mark.parametrize("name", sorted(SCAN_PRODUCTS))
     def test_every_scan_forms_the_same_products(self, name, monkeypatch):

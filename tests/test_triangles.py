@@ -1,6 +1,7 @@
 """Tests for triangle materialization and the triangle-level transforms."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from tpcert import families, triangles
 from tpcert.contfrac import JFraction, j_expand
-from tpcert.polyring import VarContext
+from tpcert.polyring import Poly, VarContext
 from tpcert.triangles import (
     COLUMN_WALK,
     ROW_SHIFT,
@@ -624,6 +625,34 @@ class TestPackedBuild:
                  for n in range(1, len(rows)) for feed in build.feeds[n]
                  for kk, i in feed if i is not None]
         return [(m, triangles._unpack(e, step, width)) for m, e in feeds if m and e], len(feeds)
+
+    @pytest.mark.parametrize("make", [eulerian, bell_walk])
+    def test_a_run_drops_each_entry_after_its_last_feed(self, ctx, make, monkeypatch):
+        # while entry (n, k) is formed, the runner's own row n-1 holds just
+        # the entries that entry k or a later one reads; the rows the caller
+        # kept stay whole and read back to the built rows
+        build = triangles._spec_build(make(ctx, 8).spec, 8)
+        sv, step = triangles._direction(ctx, build.shapes)
+        width = max(b for row in build.bounds for b in row).bit_length() + 1
+        formed = iter((n, k) for n in range(1, 9) for k in range(len(build.feeds[n])))
+        add_level_products = triangles._add_level_products
+
+        def spied(acc, pairs):
+            n, k = next(formed)
+            feeds = build.feeds[n]
+            done = {kk for feed in feeds[:k] for kk, _ in feed}
+            done -= {kk for feed in feeds[k:] for kk, _ in feed}
+            own = sys._getframe(1).f_locals["row"]  # the runner's row n-1
+            assert len(own) == len(build.feeds[n - 1])
+            assert [e is None for e in own] == [kk in done for kk in range(len(own))]
+            return add_level_products(acc, pairs)
+
+        monkeypatch.setattr(triangles, "_add_level_products", spied)
+        rows = list(build.run(sv, step, width))
+        assert next(formed, None) is None
+        assert all(e is not None for row in rows for e in row)
+        want = reference_build(make(ctx, 8).spec, 8)
+        assert [[Poly(ctx, triangles._unpack(e, step, width)) for e in row] for row in rows] == want
 
     def test_a_checked_run_checks_each_fed_product(self, ctx, monkeypatch):
         calls, runs = self.spy_checks(monkeypatch)
