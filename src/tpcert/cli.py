@@ -52,6 +52,7 @@ from .triangles import (
     RecurrenceSpec,
     Triangle,
     _evaluate,
+    _check_indices,
     _row_mismatch,
     build_triangle,
     check_companion_relation,
@@ -248,6 +249,13 @@ def _true_walk(spec: RecurrenceSpec, upto: int) -> tuple[list[Poly], list[Poly],
 _REQUIRED = object()  # default of a field the check cannot run without
 _DEPTH = object()  # default: the triangle depth, parsed by the field's type
 
+# The largest triangle depth and tridiagonal-criteria upto a plan may give.
+# The build lays out every entry's feeds before it forms a row: a depth-500
+# Eulerian triangle-build took 5.6 s and 212 MB peak RSS, depth 1000 took
+# 29 s and 1.16 GB (2 vCPUs, CPython 3.11.7).  Every other count is bounded
+# by the depth or by an oracle's limit.
+MAX_DEPTH = 500
+
 
 def _type(doc: str, accepts, parse=lambda value, ctx, parsed: value):
     def field_type(value, ctx, parsed):
@@ -282,6 +290,7 @@ def _rationals(mapping: dict, ctx, parsed) -> dict:
 
 
 _count = _type("integer >= 0", lambda v: type(v) is int and v >= 0)
+_depth = _type(f"integer from 0 to {MAX_DEPTH}", lambda v: type(v) is int and 0 <= v <= MAX_DEPTH)
 _positive = _type("integer >= 1", lambda v: type(v) is int and v >= 1)
 _row_offset = _type("integer >= -1", lambda v: type(v) is int and v >= -1)
 _lcx_k = _type(f"integer from 1 to {_MAX_LCX_K}",
@@ -321,6 +330,20 @@ def _sequence(value, ctx, parsed):
     return seq
 
 
+def _in_indices(value_type, indices: tuple = ()):
+    """``value_type`` for a check field whose polynomials may involve only
+    the recurrence ``indices``; ``_parse_fields`` holds them to that rule."""
+    def parse(value, ctx, parsed):
+        return value_type(value, ctx, parsed)
+
+    free_of = " and ".join(v for v in RESERVED_VARS if v not in indices)
+    parse.__doc__, parse.indices = f"{value_type.__doc__} free of {free_of}", indices
+    return parse
+
+
+_value = _in_indices(_poly)
+
+
 def _block_size(value, ctx, parsed):
     """integer >= 1, with 2 (size - 1) at most upto"""
     upto = parsed["upto"]
@@ -340,7 +363,7 @@ def _oracle_upto(value, ctx, parsed):
 # Fields of the triangle section by triangle kind, name -> (type, default).
 # Besides depth and denominator they are the recurrence coefficients, in
 # order; RecurrenceSpec decides which polynomials make a recurrence.
-_TRIANGLE_COMMON = {"denominator": (_poly, None), "depth": (_count, 8)}
+_TRIANGLE_COMMON = {"denominator": (_poly, None), "depth": (_depth, 8)}
 _TRIANGLES = {
     ROW_SHIFT: {"c0": (_poly, _REQUIRED), "c1": (_poly, _REQUIRED), "c2": (_poly, None),
                 **_TRIANGLE_COMMON},
@@ -363,12 +386,12 @@ _CHECKS = {
     }),
     "row-gf": _kind(_PlanRunner.run_row_gf, lambda c: len(c["values"]) - 1, {
         "at": (_rational_map, {}),
-        "values": (_row_values, _REQUIRED),
+        "values": (_in_indices(_row_values), _REQUIRED),
     }),
     "cf-match": _kind(_PlanRunner.run_cf_match, lambda c: c["depth"], {
         "depth": (_positive, _DEPTH),
         "prescaled": (_flag, False),
-        "eval-at": (_poly, None),
+        "eval-at": (_value, None),
         **dict.fromkeys(("alpha-even", "alpha-odd", "s", "r"), (_poly, None)),
         **dict.fromkeys(("alphas", "s-list", "r-list"), (_polys, None)),
     }, forms={
@@ -387,19 +410,19 @@ _CHECKS = {
         "k": (_lcx_k, _REQUIRED),
     }),
     "product-formula": _kind(_PlanRunner.run_product_formula, lambda c: c["upto"], {
-        "factor": (_poly, _REQUIRED),
+        "factor": (_in_indices(_poly, ("k",)), _REQUIRED),
         "upto": (_positive, _DEPTH),
-        "eval-at": (_poly, None),
+        "eval-at": (_value, None),
     }),
     "companion-relation": _kind(_PlanRunner.run_companion_relation, lambda c: c["upto"], {
-        **dict.fromkeys(("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam"), (_poly, _REQUIRED)),
+        **dict.fromkeys(("a0", "a1", "a2", "b0", "b1", "b2", "d", "lam"), (_value, _REQUIRED)),
         "upto": (_positive, _DEPTH),
     }),
     "convolution-sm": _kind(
         _PlanRunner.run_convolution_sm, lambda c: c["upto"], {
             "upto": (_count, _DEPTH),
-            "x": (_sequence, _REQUIRED),
-            "y": (_sequence, _REQUIRED),
+            "x": (_in_indices(_sequence), _REQUIRED),
+            "y": (_in_indices(_sequence), _REQUIRED),
             "size": (_block_size, _REQUIRED),
             "order": (_positive, _REQUIRED),
         }),
@@ -409,7 +432,7 @@ _CHECKS = {
         "row-offset": (_row_offset, 0),
     }),
     "tridiagonal-criteria": _kind(_PlanRunner.run_tridiagonal_criteria, lambda c: 0, {
-        "upto": (_count, 4),
+        "upto": (_depth, 4),
         "expect": (_criteria, _REQUIRED),
     }, triangle=COLUMN_WALK),
     "hankel-factorization": _kind(
@@ -440,12 +463,38 @@ def _parse_fields(fields: dict, raw: dict, ctx: VarContext, where: str, depth=No
             parsed[key] = parse(value, ctx, parsed)
         except ValueError as exc:
             raise PlanError(f"{where} {key!r}{origin}: {exc}") from exc
+        if hasattr(parse, "indices"):
+            polys = parsed[key] if isinstance(parsed[key], list) else [parsed[key]]
+            try:
+                _check_indices(ctx, [(key, p, parse.indices) for p in polys], "plan")
+            except ValueError as exc:  # the message names the field
+                raise PlanError(f"{where} {exc}") from exc
     return parsed
+
+
+class _LongInteger:
+    """A YAML integer with more digits than ``int()`` converts; no field
+    type accepts it, so the field that holds it is a load error."""
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+    def __repr__(self) -> str:
+        return f"an integer of {self.digits} digits"
 
 
 # libyaml's parser, where PyYAML was built with it, has the same safe
 # constructor and resolver as the pure-Python one, and is several times faster
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+class _PlanLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError:  # past the interpreter's digit limit
+            return _LongInteger(sum(c.isdigit() for c in node.value))
+
+
+_PlanLoader.add_constructor("tag:yaml.org,2002:int", _PlanLoader.construct_yaml_int)
+_YAML_LOADER = _PlanLoader
 
 
 def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPlan:
@@ -453,7 +502,8 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
 
     ``overrides`` come from CLI flags: ``depth``, ``specialize`` and the
     hankel-tp ``size`` and ``order``; they apply before validation.  The
-    specialization applies to the spec and to every polynomial of every check.
+    specialization applies to the spec and to every polynomial of every check,
+    golden rows included.
     A ``golden-dir`` override makes each golden file a file to regenerate
     there (see ``_load_golden``).
     """
@@ -472,6 +522,8 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
     overrides = overrides or {}
 
     name = doc.get("name", path.stem)
+    if not isinstance(name, str):
+        raise PlanError(f"{path}: 'name' must be a string, got {name!r}")
     declared = doc.get("vars") or []
     if not isinstance(declared, list) or not all(isinstance(v, str) for v in declared):
         raise PlanError(f"{path}: 'vars' must be a list of names, got {declared!r}")
@@ -513,9 +565,9 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
     except ValueError as exc:  # the message names the field
         raise PlanError(f"{path}: triangle {exc}") from exc
 
-    checks = doc.get("checks") or []
-    if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
-        raise PlanError(f"{path}: 'checks' must be a list of mappings")
+    checks = doc.get("checks")
+    if not isinstance(checks, list) or not checks or not all(isinstance(c, dict) for c in checks):
+        raise PlanError(f"{path}: 'checks' must be a non-empty list of mappings")
     parsed = []
     for i, raw in enumerate(checks):
         kind = raw.get("kind")
@@ -529,9 +581,9 @@ def load_plan(path: str | Path, overrides: dict | None = None) -> VerificationPl
                              if overrides.get(key) is not None}}
         entry = _CHECKS[kind]
         check = {"kind": kind, **_parse_fields(entry["fields"], raw, ctx, where, depth)}
-        check = _map_polys(check, lambda p: p.specialize(specialize))
         if check.get("golden"):
             _load_golden(check, path, ctx, overrides.get("golden-dir"), where)
+        check = _map_polys(check, lambda p: p.specialize(specialize))
         # an evaluation point may only name variables the rows still carry
         for var in check.get("at", ()):
             if var not in declared or var in specialize:

@@ -5,7 +5,10 @@ of its row-polynomial generating function and (where one exists) a closed
 product formula.
 The catalog is the single place this data lives for the library and its
 test suite; the CLI plans are independent YAML documents that restate the
-data they check.
+data they check.  Each fact is stated once: a family's variable context is
+its spec's, a family given an S-fraction gets its contraction as the
+J-fraction, and the two mixed families (``mixed`` and ``four-term[k-nk]``)
+share one table of J-fraction and branch alpha forms.
 
 Families whose recurrence coefficients carry a monomial denominator are
 stored cleared (see triangles module); their fraction data is then also the
@@ -24,10 +27,13 @@ from .triangles import COLUMN_WALK, ROW_SHIFT, RecurrenceSpec
 
 @dataclass
 class Family:
-    """A named triangle family with its certification data."""
+    """A named triangle family with its certification data.
+
+    ``ctx`` is the spec's variable context.  A family built with only an
+    S-fraction gets its contraction as ``jfraction``.
+    """
 
     name: str
-    ctx: VarContext
     spec: RecurrenceSpec
     jfraction: JFraction | None = None
     sfraction: SFraction | None = None
@@ -37,6 +43,14 @@ class Family:
     cf_prescaled: bool = False
     sf_split_only: bool = False
     companion_params: dict | None = None
+
+    def __post_init__(self):
+        if self.jfraction is None and self.sfraction is not None:
+            self.jfraction = contract(self.sfraction)
+
+    @property
+    def ctx(self) -> VarContext:
+        return self.spec.ctx
 
     def substituted(self, name: str, value: Poly) -> Family:
         """Family with ``name := value`` applied to every stored polynomial."""
@@ -75,10 +89,8 @@ def affine_n_family() -> Family:
     )
     return Family(
         name="affine-n",
-        ctx=ctx,
         spec=spec,
         sfraction=sf,
-        jfraction=contract(sf),
         product_factor=(a0 + b0 * q) * k + a2 - a0 + (b2 - b0) * q,
     )
 
@@ -102,10 +114,8 @@ def diagonal_family() -> Family:
     )
     return Family(
         name="diagonal",
-        ctx=ctx,
         spec=spec,
         sfraction=sf,
-        jfraction=contract(sf),
         product_factor=(q + a0) * (b2 + (b0 + b1) * (k - 1)),
     )
 
@@ -124,7 +134,6 @@ def affine_k_family() -> Family:
     jf = _shifted_contraction((n * b1 + b2) * q, (n + 1) * (a1 + b1 * q), a2)
     return Family(
         name="affine-k",
-        ctx=ctx,
         spec=spec,
         jfraction=jf,
     )
@@ -143,7 +152,6 @@ def affine_nk_family() -> Family:
     jf = _shifted_contraction(n * a0 + a2, (n + 1) * (a0 + b0 * q), b2 * q)
     return Family(
         name="affine-nk",
-        ctx=ctx,
         spec=spec,
         jfraction=jf,
     )
@@ -163,35 +171,31 @@ def mixed_family(branch: str | None = None) -> Family:
     ctx = VarContext(["n", "k", "q", "a1", "a2", "b0", "b2"])
     n, k, q, a1, a2, b0, b2 = (ctx.var(v) for v in ctx.names)
     spec = RecurrenceSpec(ctx, ROW_SHIFT, (a1 * k + a2, b0 * (n - k) + b2))
-    jf = JFraction.from_forms(
-        s_form=n * (a1 + b0 * q) + a2 + b2 * q,
-        r_form=n * ((n - 1) * a1 * b0 + a2 * b0 + a1 * b2) * q,
-    )
-    fam = Family(
-        name="mixed",
-        ctx=ctx,
-        spec=spec,
-        jfraction=jf,
-    )
+    return _mixed_branch(Family(name="mixed", spec=spec), branch, ctx.one)
+
+
+def _mixed_branch(fam: Family, branch: str | None, w: Poly) -> Family:
+    """``fam``, a mixed family whose a1 side carries the weight ``w``, with
+    its J-fraction; on one of the MIXED_BRANCHES, also with the branch's
+    parameter identity substituted and its (even, odd) alpha forms.  The two
+    identifying branches (b2=b0, a2=a1) only split the J-fraction."""
+    if branch is not None and branch not in MIXED_BRANCHES:
+        raise ValueError(f"unknown branch {branch!r}; choose from {MIXED_BRANCHES}")
+    n, q, a1, a2, b0, b2 = (fam.ctx.var(v) for v in ("n", "q", "a1", "a2", "b0", "b2"))
+    fam = replace(fam, jfraction=JFraction.from_forms(
+        s_form=n * (a1 * w + b0 * q) + a2 * w + b2 * q,
+        r_form=n * ((n - 1) * a1 * b0 + a2 * b0 + a1 * b2) * q * w,
+    ))
     if branch is None:
         return fam
-    return _mixed_branch(fam, branch, {
-        "b2=0": (n * a1 + a2, (n + 1) * b0 * q),
-        "a2=0": ((n * b0 + b2) * q, (n + 1) * a1),
-        "b2=b0": ((n + 1) * b0 * q, (n + 1) * a1 + a2),
-        "a2=a1": ((n + 1) * a1, ((n + 1) * b0 + b2) * q),
-    })
-
-
-def _mixed_branch(fam: Family, branch: str, alphas: dict) -> Family:
-    """``fam`` on one of the MIXED_BRANCHES: the branch's parameter identity
-    substituted, with the (even, odd) alpha forms ``alphas[branch]``.  The
-    two identifying branches (b2=b0, a2=a1) only split the J-fraction."""
-    if branch not in MIXED_BRANCHES:
-        raise ValueError(f"unknown branch {branch!r}; choose from {MIXED_BRANCHES}")
+    even, odd = {
+        "b2=0": ((n * a1 + a2) * w, (n + 1) * b0 * q),
+        "a2=0": ((n * b0 + b2) * q, (n + 1) * a1 * w),
+        "b2=b0": ((n + 1) * b0 * q, ((n + 1) * a1 + a2) * w),
+        "a2=a1": ((n + 1) * a1 * w, ((n + 1) * b0 + b2) * q),
+    }[branch]
     param, image = branch.split("=")
     value = fam.ctx.zero if image == "0" else fam.ctx.var(image)
-    even, odd = alphas[branch]
     out = replace(fam, sfraction=SFraction.from_forms(even, odd),
                   sf_split_only=image != "0")
     out = out.substituted(param, value)
@@ -224,7 +228,6 @@ def centered_family() -> Family:
     )
     return Family(
         name="centered",
-        ctx=ctx,
         spec=spec,
         jfraction=jf,
         cf_prescaled=True,
@@ -254,7 +257,6 @@ def centered_reciprocal_family() -> Family:
     )
     return Family(
         name="centered-reciprocal",
-        ctx=ctx,
         spec=spec,
         jfraction=jf,
         cf_prescaled=True,
@@ -302,9 +304,7 @@ def four_term_family(variant: str) -> Family:
     """
     if variant == "k":
         ctx = VarContext(["n", "k", "q", "a1", "a2", "b1", "b2", "d", "lam"])
-        n, q, a1, a2, b1, b2, d, lam = (
-            ctx.var(v) for v in ("n", "q", "a1", "a2", "b1", "b2", "d", "lam")
-        )
+        n, k, q, a1, a2, b1, b2, d, lam = (ctx.var(v) for v in ctx.names)
         params = dict(
             a0=ctx.zero,
             a1=a1,
@@ -318,12 +318,9 @@ def four_term_family(variant: str) -> Family:
         jf = _shifted_contraction(
             (n * b1 + b2) * q, (n + 1) * ((a1 * d + b1) * q + lam * a1), a2 * (lam + d * q)
         )
-        sf = None
     elif variant == "nk":
         ctx = VarContext(["n", "k", "q", "a0", "a2", "b0", "b2", "d", "lam"])
-        n, q, a0, a2, b0, b2, d, lam = (
-            ctx.var(v) for v in ("n", "q", "a0", "a2", "b0", "b2", "d", "lam")
-        )
+        n, k, q, a0, a2, b0, b2, d, lam = (ctx.var(v) for v in ctx.names)
         params = dict(
             a0=a0,
             a1=-a0,
@@ -337,12 +334,9 @@ def four_term_family(variant: str) -> Family:
         jf = _shifted_contraction(
             (n * a0 + a2) * (lam + d * q), (n + 1) * ((a0 * d + b0) * q + lam * a0), b2 * q
         )
-        sf = None
     elif variant == "k-nk":
         ctx = VarContext(["n", "k", "q", "a1", "a2", "b0", "b2", "d", "lam"])
-        n, q, a1, a2, b0, b2, d, lam = (
-            ctx.var(v) for v in ("n", "q", "a1", "a2", "b0", "b2", "d", "lam")
-        )
+        n, k, q, a1, a2, b0, b2, d, lam = (ctx.var(v) for v in ctx.names)
         params = dict(
             a0=ctx.zero,
             a1=a1,
@@ -353,43 +347,25 @@ def four_term_family(variant: str) -> Family:
             d=d,
             lam=lam,
         )
-        jf = JFraction.from_forms(
-            s_form=n * (a1 * (lam + d * q) + b0 * q) + a2 * (lam + d * q) + b2 * q,
-            r_form=n * ((n - 1) * a1 * b0 + a2 * b0 + a1 * b2) * q * (lam + d * q),
-        )
-        sf = None
+        jf = None  # the mixed one, with the weight lam + d q on the a1 side
     else:
         raise ValueError(f"unknown four-term variant {variant!r}")
-    spec = general_four_term_spec(ctx, **params)
-    return Family(
+    fam = Family(
         name=f"four-term[{variant}]",
-        ctx=ctx,
-        spec=spec,
+        spec=general_four_term_spec(ctx, **params),
         jfraction=jf,
-        sfraction=sf,
         companion_params=params,
     )
+    return _mixed_branch(fam, None, lam + d * q) if variant == "k-nk" else fam
 
 
 def four_term_mixed_branch(branch: str) -> Family:
-    """S-fraction branches of the mixed four-term family.
-
-    The fourth branch's alpha forms follow the same weight placement as the
-    other three (the lam+d q factor stays on the a1 side), which is the
-    placement consistent with the family's J-fraction.
-    """
+    """S-fraction branches of the mixed four-term family: the mixed
+    family's branches with the weight lam + d q on the a1 side, the
+    placement consistent with the family's J-fraction."""
     fam = four_term_family("k-nk")
     ctx = fam.ctx
-    n, q, a1, a2, b0, b2, d, lam = (
-        ctx.var(v) for v in ("n", "q", "a1", "a2", "b0", "b2", "d", "lam")
-    )
-    w = lam + d * q
-    return _mixed_branch(fam, branch, {
-        "b2=0": ((n * a1 + a2) * w, (n + 1) * b0 * q),
-        "a2=0": ((n * b0 + b2) * q, (n + 1) * a1 * w),
-        "b2=b0": ((n + 1) * b0 * q, ((n + 1) * a1 + a2) * w),
-        "a2=a1": ((n + 1) * a1 * w, ((n + 1) * b0 + b2) * q),
-    })
+    return _mixed_branch(fam, branch, ctx.var("lam") + ctx.var("d") * ctx.var("q"))
 
 
 def fixed_argument_family() -> Family:
@@ -410,10 +386,8 @@ def fixed_argument_family() -> Family:
     )
     return Family(
         name="fixed-argument",
-        ctx=ctx,
         spec=spec,
         sfraction=sf,
-        jfraction=contract(sf),
         product_factor=(a0 + mu * b0) * k + a2 + mu * (b1 + b2),
         product_eval_at=mu,
     )
@@ -428,7 +402,6 @@ def pascal_family() -> Family:
     ctx = VarContext(["n", "k", "q"])
     return Family(
         name="pascal",
-        ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (ctx.one, ctx.one)),
     )
 
@@ -438,7 +411,6 @@ def eulerian_family() -> Family:
     n, k = ctx.var("n"), ctx.var("k")
     return Family(
         name="eulerian",
-        ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (k, n - k + 1)),
     )
 
@@ -448,7 +420,6 @@ def stirling_cycle_family() -> Family:
     n = ctx.var("n")
     return Family(
         name="stirling-cycle",
-        ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (n - 1, ctx.one)),
     )
 
@@ -457,7 +428,6 @@ def stirling_partition_family() -> Family:
     ctx = VarContext(["n", "k", "q"])
     return Family(
         name="stirling-partition",
-        ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (ctx.var("k"), ctx.one)),
     )
 
@@ -468,7 +438,6 @@ def bell_walk_family() -> Family:
     k = ctx.var("k")
     return Family(
         name="bell-walk",
-        ctx=ctx,
         spec=RecurrenceSpec(ctx, COLUMN_WALK, (ctx.one, k + 1, k)),
     )
 
@@ -478,7 +447,6 @@ def symmetric_tableau_family() -> Family:
     n, k = ctx.var("n"), ctx.var("k")
     return Family(
         name="symmetric-tableau",
-        ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (k + 1, n, n - k + 1)),
     )
 
@@ -488,7 +456,6 @@ def staircase_tableau_family() -> Family:
     n, k = ctx.var("n"), ctx.var("k")
     return Family(
         name="staircase-tableau",
-        ctx=ctx,
         spec=RecurrenceSpec(ctx, ROW_SHIFT, (k + 1, n + 1, n - k + 1)),
     )
 
@@ -501,10 +468,8 @@ def whitney_family() -> Family:
     sf = SFraction.from_forms(even_form=r + q + m * n, odd_form=m * (n + 1))
     return Family(
         name="whitney",
-        ctx=ctx,
         spec=spec,
         sfraction=sf,
-        jfraction=contract(sf),
         product_factor=m * (k - 1) + r + q,
     )
 
@@ -518,10 +483,8 @@ def stirling_permutation_family() -> Family:
     sf = SFraction.from_forms(even_form=(2 * n + 1) * q, odd_form=2 * (n + 1))
     return Family(
         name="stirling-permutation",
-        ctx=ctx,
         spec=spec,
         sfraction=sf,
-        jfraction=contract(sf),
     )
 
 
@@ -539,7 +502,6 @@ def minimax_tree_family() -> Family:
     )
     return Family(
         name="minimax-tree",
-        ctx=ctx,
         spec=spec,
         jfraction=jf,
         gf_var="x",
@@ -561,7 +523,6 @@ def interior_peak_family() -> Family:
     )
     return Family(
         name="interior-peak",
-        ctx=ctx,
         spec=spec,
         jfraction=jf,
     )
@@ -581,7 +542,6 @@ def left_peak_family() -> Family:
     )
     return Family(
         name="left-peak",
-        ctx=ctx,
         spec=spec,
         jfraction=jf,
     )

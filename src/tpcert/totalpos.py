@@ -19,7 +19,7 @@ entries.
 
 An encoded block equal to its transpose (a Hankel block) has
 det(R, C) = det(C, R), so its scan forms only the minors with rows <= cols
-in lexicographic order and counts the others; the witness and
+in lexicographic order and skips the others; the witness and
 ``minors_checked`` are those of the full scan, and the memo keeps its
 (rows, cols) keys and last-row rule, since every cofactor read also has
 rows <= cols (see ``_scan``).  A serial scan deletes each memoized
@@ -304,7 +304,7 @@ def _first_negative(m: PolyMatrix, d):
 
 def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False, symmetric: bool = False):
     """Check each row subset against every column subset of its size, in
-    order; returns (minors checked, first witness or None).
+    order; returns the first witness, or None.
 
     Every minor comes from the memoized cofactor expansion.  The row
     subsets come ordered by size, so every order-r minor of a serial scan
@@ -320,27 +320,26 @@ def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False, symmetric
     are deleted, found by enumerating its column sets.
 
     A ``symmetric`` block has det(R, C) = det(C, R), so the scan forms only
-    the minors with rows <= cols in lexicographic order and counts each
-    (R, C) with C < R without forming it: its mirror (C, R) has the same
+    the minors with rows <= cols in lexicographic order and skips each
+    (R, C) with C < R: its mirror (C, R) has the same
     value and was checked earlier, since row set C comes before R.  The
-    count is that of the full order, and so is the witness: the first
-    failing minor of the full order has rows <= cols, or its mirror would
-    have failed earlier.  The memo keys and the storage rule stay as they
-    are, because every cofactor read is itself such a minor: if C >= R then
-    C[:-1] >= R[:-1], and C with one column dropped is at least C[:-1]
-    place by place, so the cofactor (R[:-1], C') has rows <= cols too.
+    witness is that of the full order: the first failing minor of the full
+    order has rows <= cols, or its mirror would have failed earlier.  The
+    memo keys and the storage rule stay as they are, because every cofactor
+    read is itself such a minor: if C >= R then C[:-1] >= R[:-1], and C with
+    one column dropped is at least C[:-1] place by place, so the cofactor
+    (R[:-1], C') has rows <= cols too.
 
     ``m`` is a ``PolyMatrix`` or the ``_IntBlock`` that ``_encode`` makes of
     a one-variable integer block: each entry is its value at v = 2^W, with W
     one bit past a bound on the l1 norm of every minor scanned, so the same
-    expansion forms each minor's value at 2^W, with the same memo, order,
-    products and count.  ``_first_negative`` tests such a minor with one
-    mask of its digits' top bits and decodes it, for the witness, only when
-    it fails.  Blocks with a rational coefficient, two or more variables,
+    expansion forms each minor's value at 2^W, with the same memo, order
+    and products.  ``_first_negative`` tests such a minor with one mask of
+    its digits' top bits and decodes it, for the witness, only when it
+    fails.  Blocks with a rational coefficient, two or more variables,
     sparse entries or minors that might pass degree 65535 keep their
     ``Poly`` entries.
     """
-    checked = 0
     top = len(row_subsets[-1]) if row_subsets else 0
     last = m.nrows - 1
     prefix = None
@@ -354,14 +353,11 @@ def _scan(m: PolyMatrix, row_subsets, memo: dict, prune: bool = False, symmetric
             prefix = rows[:-1]
         det = _expand if order > 1 and (order == top or rows[-1] == last) else _det_cofactor
         skipped = _rank(rows, m.ncols) if symmetric else 0
-        checked += skipped
         for cols in islice(combinations(range(m.ncols), order), skipped, None):
-            d = det(m, rows, cols, memo)
-            checked += 1
-            bad = _first_negative(m, d)
+            bad = _first_negative(m, det(m, rows, cols, memo))
             if bad is not None:
-                return checked, TPWitness(order, rows, cols, *bad)
-    return checked, None
+                return TPWitness(order, rows, cols, *bad)
+    return None
 
 
 def is_totally_positive(m: PolyMatrix, order: int, jobs: int = 1) -> TPReport:
@@ -370,7 +366,9 @@ def is_totally_positive(m: PolyMatrix, order: int, jobs: int = 1) -> TPReport:
     Scans orders ascending, then row subsets, then column subsets, each in
     lexicographic order, so a failure report carries the minimal witness.
     ``minors_checked`` counts the minors in this scan order up to and
-    including the witness (all of them on a pass), whatever ``jobs`` is.
+    including the witness, whatever ``jobs`` is, and whether or not the scan
+    formed each one: on a pass, the sum of C(ncols, |rows|) over the row
+    subsets; on a fail, the witness's 1-based place in scan order.
     ``jobs`` > 1 distributes the row subsets over at most ``jobs`` worker
     processes, no more than there are row subsets or CPUs.
 
@@ -390,7 +388,13 @@ def is_totally_positive(m: PolyMatrix, order: int, jobs: int = 1) -> TPReport:
     row_subsets = [
         rows for size in range(1, order + 1) for rows in combinations(range(m.nrows), size)
     ]
-    checked, witness = _scan_parallel(m, row_subsets, jobs, symmetric)
+    witness = _scan_parallel(m, row_subsets, jobs, symmetric)
+    if witness is None:
+        checked = sum(comb(m.ncols, len(rows)) for rows in row_subsets)
+    else:
+        before = row_subsets[: row_subsets.index(witness.rows)]
+        checked = sum(comb(m.ncols, len(rows)) for rows in before)
+        checked += _rank(witness.cols, m.ncols) + 1
     return TPReport(m.nrows, m.ncols, order, witness is None, witness, checked)
 
 
@@ -411,7 +415,8 @@ def _usable_cpus() -> int:
 def _scan_parallel(m: PolyMatrix, row_subsets: list, jobs: int, symmetric: bool):
     """``_scan`` with the row subsets dealt to min(jobs, row subsets, CPUs)
     workers, or run serially, with the memo pruned, when that is fewer than
-    two; the count is that of the serial scan.
+    two; returns the least witness of the shares (that of the serial scan),
+    or None.
 
     The row subsets are dealt in scan order, each to the share that forms
     the fewest minors so far (the first such share on a tie): a row subset
@@ -431,14 +436,8 @@ def _scan_parallel(m: PolyMatrix, row_subsets: list, jobs: int, symmetric: bool)
         loads[i] += comb(m.ncols, len(rows)) - (_rank(rows, m.ncols) if symmetric else 0)
     with get_context("fork").Pool(workers) as pool:
         results = pool.starmap(_scan, [(m, share, {}, False, symmetric) for share in shares])
-    witnesses = [w for _, w in results if w is not None]
-    if not witnesses:
-        return sum(c for c, _ in results), None
-    w = min(witnesses, key=lambda w: (w.order, w.rows, w.cols))
-    before = row_subsets[: row_subsets.index(w.rows)]
-    checked = sum(comb(m.ncols, len(rows)) for rows in before)
-    checked += _rank(w.cols, m.ncols) + 1
-    return checked, w
+    witnesses = [w for w in results if w is not None]
+    return min(witnesses, key=lambda w: (w.order, w.rows, w.cols), default=None)
 
 
 def _rank(subset: tuple, n: int) -> int:

@@ -174,12 +174,6 @@ checks:
     assert run_plan(plan2).status == "fail"
 
 
-def test_empty_plan_passes(tmp_path):
-    doc = MINIMAL.split("checks:")[0] + "checks: []\n"
-    report = run_plan(load_plan(write_plan(tmp_path, doc)))
-    assert report.status == "pass" and report.checks == []
-
-
 def test_depth_override(tmp_path):
     plan = load_plan(write_plan(tmp_path, MINIMAL), {"depth": 6})
     assert plan.depth == 6
@@ -702,6 +696,34 @@ NEGATIVE = SHIFTED.replace('c0: "k + 5"', 'c0: "-k - 5"').replace(
         # nesting past the parser's limit, which used to end in a RecursionError
         (MINIMAL.replace('c0: "1"', f'c0: "{"(" * 250}k{")" * 250}"'), None, "c0"),
         (MINIMAL.replace('c0: "1"', f'c0: "{"(" * 1000}k{")" * 1000}"'), None, "c0"),
+        # YAML integers past the interpreter's 4,300-digit limit on int()
+        (MINIMAL.replace("depth: 4", f"depth: {'9' * 5000}"), None, "depth"),
+        (MINIMAL.replace("vars: [q]", f"vars: [q, a]\nspecialize: {{a: {'9' * 5000}}}"),
+         None, "specialize"),
+        (MINIMAL.replace('c0: "1"', f"c0: {'9' * 4301}"), None, "c0"),
+        # the plan name is a string, and a plan has at least one check
+        (MINIMAL.replace("name: mini", "name: [1, 2]"), None, "name"),
+        (MINIMAL.replace("name: mini", "name: null"), None, "name"),
+        (MINIMAL.split("checks:")[0], None, "checks"),
+        (MINIMAL.split("checks:")[0] + "checks:\n", None, "checks"),
+        (MINIMAL.split("checks:")[0] + "checks: []\n", None, "checks"),
+        # a check polynomial may not name a recurrence index, but a factor may name k
+        (_with_check('  - kind: cf-match\n    s: "1"\n    r: "q"\n    eval-at: "n"\n'),
+         2, "eval-at"),
+        (_with_check('  - kind: product-formula\n    factor: "n*k"\n    upto: 2\n'), 2, "factor"),
+        (_with_check('  - kind: product-formula\n    factor: "k"\n    eval-at: "mu*k"\n')
+         .replace("vars: [q]", "vars: [q, mu]"), 2, "eval-at"),
+        (_with_check("  - kind: companion-relation\n"
+                     + "".join(f'    {nm}: "1"\n' for nm in ("a0", "a1", "a2", "b0", "b1",
+                                                            "b2", "d"))
+                     + '    lam: "n"\n'), 2, "lam"),
+        (_with_check('  - kind: row-gf\n    values: ["1", "k"]\n'), 2, "values"),
+        (_with_check("  - kind: convolution-sm\n    x: [1, n, 1]\n    y: ones\n    upto: 2\n"
+                     "    size: 2\n    order: 1\n"), 2, "x"),
+        # counts past MAX_DEPTH
+        (MINIMAL.replace("depth: 4", f"depth: {cli.MAX_DEPTH + 1}"), None, "depth"),
+        (WALK.replace("upto: 2", f"upto: {cli.MAX_DEPTH + 1}"), 0, "upto"),
+        (WALK.replace("upto: 2", "upto: 3000000"), 0, "upto"),
     ],
     ids=[
         "hankel-tp-source", "k-lcx-source", "builtin-sequence", "short-sequence",
@@ -722,6 +744,11 @@ NEGATIVE = SHIFTED.replace('c0: "k + 5"', 'c0: "-k - 5"').replace(
         "denominator-in-k", "walk-s-in-n", "exponent-overflow", "unknown-check-key", "unknown-triangle-key",
         "expect-names", "expect-empty", "golden-missing", "golden-directory", "golden-unparsed",
         "criteria-negative-level", "nesting-250", "nesting-1000",
+        "long-integer-depth", "long-integer-specialize", "long-integer-c0",
+        "name-list", "name-null", "checks-missing", "checks-null", "checks-empty",
+        "cf-match-eval-at-in-n", "factor-in-n", "product-formula-eval-at-in-k",
+        "companion-lam-in-n", "row-gf-values-in-k", "convolution-x-in-n",
+        "depth-past-limit", "criteria-upto-past-limit", "criteria-upto-3000000",
     ],
 )
 def test_bad_fields_are_load_errors(tmp_path, doc, index, field):
@@ -908,8 +935,8 @@ def test_zero_overrides_are_usage_errors(flag, capsys):
 
 
 def test_zero_overrides_are_applied_by_load_plan(tmp_path):
-    plan = load_plan(write_plan(tmp_path, MINIMAL.split("checks:")[0] + "checks: []\n"),
-                     {"depth": 0})
+    plan = load_plan(write_plan(tmp_path, MINIMAL.split("checks:")[0]
+                                + "checks:\n  - kind: triangle-build\n"), {"depth": 0})
     assert plan.depth == 0
     with pytest.raises(PlanError):  # depth 0 holds no size-2 Hankel block
         load_plan(write_plan(tmp_path, MINIMAL), {"depth": 0})
@@ -948,6 +975,40 @@ def test_golden_regen_and_compare(tmp_path):
     golden = tmp_path / "mini.golden.tsv"
     golden.write_text(golden.read_text().replace("2", "3"))
     assert main(["verify", str(plan_path)]) == 1
+
+
+GOLDEN_SYMBOLIC = """\
+name: golden
+vars: [q, a]
+triangle:
+  kind: row-shift
+  c0: "a*k + 1"
+  c1: "1"
+  depth: 3
+checks:
+  - kind: triangle-build
+    golden: golden.tsv
+"""
+
+
+def test_golden_rows_are_specialized_with_the_plan(tmp_path):
+    # the golden file holds the symbolic rows; under --specialize they are
+    # compared at the point, as the triangle's own rows are
+    plan_path = write_plan(tmp_path, GOLDEN_SYMBOLIC)
+    assert main(["verify", str(plan_path), "--golden-dir", str(tmp_path)]) == 0
+    golden = tmp_path / "golden.tsv"
+    assert "a" in golden.read_text()
+    assert main(["verify", str(plan_path), "--specialize", "a=2"]) == 0
+    assert main(["verify", str(plan_path), "--specialize", "a=3"]) == 0
+    golden.write_text(golden.read_text().replace("a", "(a + 1)"))
+    assert main(["verify", str(plan_path), "--specialize", "a=2"]) == 1
+
+
+def test_a_depth_past_the_limit_is_a_load_error(tmp_path, capsys):
+    limit = cli.MAX_DEPTH
+    assert load_plan(write_plan(tmp_path, MINIMAL), {"depth": limit}).depth == limit
+    assert main(["verify", str(PLANS / "factorial.yaml"), "--depth", str(limit + 1)]) == 2
+    assert f"'depth': expected integer from 0 to {limit}, got {limit + 1}" in capsys.readouterr().err
 
 
 def test_a_golden_dir_that_is_not_a_directory_is_a_load_error(tmp_path, capsys):
@@ -1113,11 +1174,12 @@ class TestShippedPlans:
 _DROP = object()  # a mutation that deletes the field
 _NESTED = "(" * 250 + "k" + ")" * 250
 _DIGITS_5000 = "9" * 5000
-# the values a mutated field takes: missing, wrong types, edge integers
-# (none above 3, so that no mutant only runs long), bad, negative and extreme
-# polynomial text, and golden-file names
+# the values a mutated field takes: missing, wrong types, edge integers and
+# counts past MAX_DEPTH, bad, negative and extreme polynomial text, and
+# golden-file names
 MUTANT_VALUES = (
-    _DROP, None, 0, 1, 2, 3, -1, True, "", "0", "1", "-1", "q", "k", "n", "1/2", "q + 1",
+    _DROP, None, 0, 1, 2, 3, -1, cli.MAX_DEPTH + 1, 10**9, True, "", "0", "1", "-1", "q", "k",
+    "n", "1/2", "q + 1",
     "q +", "x", "k - 5", [], [1], ["q", "1"], {}, {"q": 1}, _NESTED, _DIGITS_5000,
     "missing.tsv", ".", "eulerian.golden.tsv",
 )

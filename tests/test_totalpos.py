@@ -1264,7 +1264,7 @@ class TestHeilermannMinors:
         minors = [(rows, cols) for rows in leading for cols in combinations(range(5), len(rows))]
         for scanned in [block] + ([encoded] if encoded is not None else []):
             checked.clear()
-            _, witness = totalpos._scan(scanned, leading, {})
+            witness = totalpos._scan(scanned, leading, {})
             formed = [d for (rows, cols), d in zip(minors, checked) if rows == cols]
             assert formed == want[:len(formed)]
             assert len(formed) == (5 if witness is None else 2)
